@@ -297,11 +297,11 @@ def witness_subgroup(m: int, eta: int) -> SubgroupWitness:
 
 
 def _substitute(word: Word, images: Sequence[Word]) -> Word:
-    out = Word()
+    letters: list[int] = []
     for letter in word.raw:
-        img = images[abs(letter) - 1]
-        out = out * (img if letter > 0 else ~img)
-    return out
+        img = images[abs(letter) - 1].raw
+        letters.extend(img if letter > 0 else [-x for x in reversed(img)])
+    return Word(letters)
 
 
 def _free_words(alphabet: int, max_len: int) -> Iterable[Word]:

@@ -8,7 +8,9 @@ Todd-Coxeter search.  This always terminates on valid input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .words import Word, format_word, parse_word
@@ -130,21 +132,27 @@ def word_image(w: Word, images: Sequence[tuple[int, ...]], degree: int) -> tuple
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Right action of the generators on cosets 0..d-1, base coset 0."""
+    """Right action of the generators on cosets 0..d-1, base coset 0.
+
+    ``inverse[i]`` is the inverse of ``action[i]``, computed once.
+    """
 
     d: int
     action: tuple[tuple[int, ...], ...]
+    inverse: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "action", tuple(tuple(p) for p in self.action))
         for p in self.action:
             if len(p) != self.d or not is_permutation(p):
                 raise ValueError("each generator must act as a permutation of the cosets")
+        object.__setattr__(self, "inverse", tuple(perm_inv(p) for p in self.action))
 
     def act(self, coset: int, letter: int) -> int:
         """Apply one signed letter to a coset."""
-        p = self.action[abs(letter) - 1]
-        return p[coset] if letter > 0 else perm_inv(p)[coset]
+        if letter > 0:
+            return self.action[letter - 1][coset]
+        return self.inverse[-letter - 1][coset]
 
     def act_word(self, coset: int, w: Word) -> int:
         for x in w.raw:
@@ -162,8 +170,8 @@ class CosetTable:
         queue = [0]
         while queue:
             c = queue.pop()
-            for p in self.action:
-                for nxt in (p[c], perm_inv(p)[c]):
+            for p, q in zip(self.action, self.inverse):
+                for nxt in (p[c], q[c]):
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
@@ -208,9 +216,9 @@ def coset_enumerate(
     # generator action is right multiplication.
     elements: dict[tuple[int, ...], int] = {identity: 0}
     order: list[tuple[int, ...]] = [identity]
-    queue = [identity]
+    queue = deque([identity])
     while queue:
-        e = queue.pop(0)
+        e = queue.popleft()
         for p in imgs:
             f = perm_mul(e, p)
             if f not in elements:
@@ -257,9 +265,9 @@ def _schreier_transversal(pres: FinitePresentation, table: CosetTable):
     rep: list[Word | None] = [None] * table.d
     rep[0] = Word()
     tree: set[tuple[int, int]] = set()  # (coset, letter) edges used by the BFS
-    queue = [0]
+    queue = deque([0])
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         for letter in letter_order:
             nxt = table.act(c, letter)
             if rep[nxt] is None:
@@ -310,9 +318,7 @@ def reidemeister_schreier_data(
     n_gens = len(gen_words)
     expected = rs_counts(a, pres.relator_count, d)
     assert (n_gens, len(relators)) == expected, "subgroup counts disagree with (a-1)d+1, bd"
-    sub = FinitePresentation(n_gens, relators) if n_gens else FinitePresentation(1, ())
-    # n_gens = 0 can only happen for a = 1, d = 1 with the trivial table;
-    # (a-1)d+1 >= 1 always, so the fallback above is unreachable.
+    sub = FinitePresentation(n_gens, relators)
     return SchreierData(sub, tuple(gen_words), tuple(rep))
 
 
@@ -418,21 +424,107 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
     return diag
 
 
+def _exponent_rows(pres: FinitePresentation) -> list[dict[int, int]]:
+    """Sparse exponent-sum rows ``{generator: exponent}``, one per relator."""
+    rows = []
+    for r in pres.relators:
+        row: dict[int, int] = {}
+        for x in r.raw:
+            g = abs(x) - 1
+            row[g] = row.get(g, 0) + (1 if x > 0 else -1)
+        rows.append({g: v for g, v in row.items() if v})
+    return rows
+
+
 def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
     """Relator-by-generator matrix of exponent sums."""
-    return [
-        [r.exponent_sum(g) for g in range(pres.generator_count)]
-        for r in pres.relators
-    ]
+    out = []
+    for row in _exponent_rows(pres):
+        dense = [0] * pres.generator_count
+        for g, v in row.items():
+            dense[g] = v
+        out.append(dense)
+    return out
+
+
+def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
+    """Eliminate the +-1 pivots of a sparse integer matrix, in place.
+
+    Returns the number of pivots taken, each a 1 on the Smith diagonal, and
+    the dense remainder, whose Smith diagonal supplies the rest.  Repeated
+    rows are dropped first: Reidemeister-Schreier rewrites a relator at every
+    coset on its cycle to the same exponent row.
+
+    A pivot at (i, j) clears column j by row operations; column operations
+    then clear row i without touching any other row, so row i and column j
+    drop out.  Pivots go in Markowitz order, least (row nnz - 1) * (column nnz - 1)
+    first, which keeps fill-in low (Havas-Holt-Rees, "Recognizing badly
+    presented Z-modules", 1993).  The heap holds each candidate with its cost
+    when pushed; a candidate whose cost has grown since is pushed back.
+    """
+    distinct = {frozenset(row.items()): row for row in rows if row}
+    live = dict(enumerate(distinct.values()))
+    cols: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i: int) -> None:
+        row = live[i]
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i in live:
+        push(i)
+    pivots = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        pivot_row = live.get(i)
+        if pivot_row is None or pivot_row.get(j) not in (1, -1):
+            continue
+        now = (len(pivot_row) - 1) * (len(cols[j]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        p = pivot_row.pop(j)
+        del live[i]
+        for l in pivot_row:
+            cols[l].discard(i)
+        others = cols.pop(j)
+        others.discard(i)
+        for k in others:
+            row = live[k]
+            f = row.pop(j) * p  # p is its own inverse
+            for l, v in pivot_row.items():
+                w = row.get(l, 0) - f * v
+                if w:
+                    if l not in row:
+                        cols[l].add(k)
+                    row[l] = w
+                else:
+                    del row[l]
+                    cols[l].discard(k)
+            if row:
+                push(k)
+            else:
+                del live[k]
+        pivots += 1
+
+    used = sorted({j for row in live.values() for j in row})
+    return pivots, [[row.get(j, 0) for j in used] for row in live.values()]
 
 
 def abelianization(pres: FinitePresentation) -> AbelianInvariants:
-    """Invariants of the abelianized group, via Smith normal form."""
-    mat = exponent_matrix(pres)
-    if not mat:
-        return AbelianInvariants(pres.generator_count)
-    diag = smith_normal_form(mat)
-    rank = sum(1 for v in diag if v)
+    """Invariants of the abelianized group, via Smith normal form.
+
+    Unit pivots of the sparse exponent-sum matrix are eliminated first, and
+    only what remains goes to the dense ``smith_normal_form``.
+    """
+    units, rest = _eliminate_unit_pivots(_exponent_rows(pres))
+    diag = smith_normal_form(rest) if rest else []
+    rank = units + sum(1 for v in diag if v)
     torsion = tuple(v for v in diag if v > 1)
     return AbelianInvariants(pres.generator_count - rank, torsion)
 

@@ -31,6 +31,13 @@ class Word:
     def __init__(self, letters: Iterable[int] = ()):
         self._letters = reduce_letters(letters)
 
+    @classmethod
+    def _from_reduced(cls, letters: tuple[int, ...]) -> "Word":
+        # Letters of words that are already valid and freely reduced.
+        w = object.__new__(cls)
+        w._letters = letters
+        return w
+
     @property
     def raw(self) -> tuple[int, ...]:
         """Signed-integer letters of the reduced word."""
@@ -42,10 +49,15 @@ class Word:
         return tuple((abs(x) - 1, 1 if x > 0 else -1) for x in self._letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self._letters + other._letters)
+        # Both factors are reduced, so cancellation happens only at the junction.
+        a, b = self._letters, other._letters
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return Word._from_reduced(a[: len(a) - k] + b[k:])
 
     def __invert__(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self._letters)))
+        return Word._from_reduced(tuple(-x for x in reversed(self._letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from pbp.presentations import (
@@ -16,6 +18,7 @@ from pbp.presentations import (
     exponent_matrix,
     kunneth_bound,
     perm_identity,
+    perm_inv,
     perm_mul,
     presentation_from_json,
     presentation_to_json,
@@ -274,6 +277,106 @@ def test_finite_index_in_z2_is_z2(images):
     table = coset_enumerate(pres, images)
     sub = reidemeister_schreier(pres, table)
     assert abelianization(sub) == AbelianInvariants(2)
+
+
+def pres_from_matrix(rows, n):
+    """A presentation whose exponent-sum matrix is ``rows`` (n columns)."""
+    relators = []
+    for row in rows:
+        letters = []
+        for j, v in enumerate(row):
+            letters += [j + 1 if v > 0 else -(j + 1)] * abs(v)
+        relators.append(Word(letters))
+    return FinitePresentation(n, tuple(relators))
+
+
+def invariants_from_diagonal(diag, n):
+    return AbelianInvariants(n - sum(1 for v in diag if v), tuple(v for v in diag if v > 1))
+
+
+@st.composite
+def sparse_matrices(draw):
+    m = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 25))
+    entry = st.sampled_from([0] * 8 + [1, -1] * 3 + [2, -2, 3, -4, 6])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return rows, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_sparse_abelianization_matches_dense_snf(case):
+    rows, n = case
+    pres = pres_from_matrix(rows, n)
+    assert exponent_matrix(pres) == rows
+    assert abelianization(pres) == invariants_from_diagonal(smith_normal_form(rows), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_abelianization_unimodular_invariance(case, data):
+    rows, n = case
+    base = abelianization(pres_from_matrix(rows, n))
+    m = len(rows)
+    # row operation: multiply relator i by relator k (possibly inverted)
+    i, k = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    if i != k:
+        moved = [row[:] for row in rows]
+        moved[i] = [a + sign * b for a, b in zip(rows[i], rows[k])]
+        assert abelianization(pres_from_matrix(moved, n)) == base
+    # column operation: substitute x_i -> x_i x_k^sign, so column k gains
+    # sign times column i
+    i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if i != k:
+        moved = [row[:] for row in rows]
+        for row in moved:
+            row[k] += sign * row[i]
+        assert abelianization(pres_from_matrix(moved, n)) == base
+
+
+def test_coset_table_caches_inverses():
+    table = CosetTable(4, ((1, 2, 3, 0), (1, 0, 3, 2)))
+    assert table.inverse == ((3, 0, 1, 2), (1, 0, 3, 2))
+    for p, q in zip(table.action, table.inverse):
+        assert q == perm_inv(p)
+    for c in range(4):
+        assert table.act(table.act(c, 1), -1) == c
+
+
+# --- large kernels -----------------------------------------------------------
+
+
+def test_triangle_2_6_5_kernel_onto_s6():
+    pres = FinitePresentation(2, (Word([1] * 2), Word([2] * 6), Word([1, 2] * 5)), ("a", "b"))
+    images = [(1, 0, 2, 3, 4, 5), cyclic_perm(6)]
+    table = coset_enumerate(pres, images)
+    sub = reidemeister_schreier(pres, table)
+    assert table.d == 720
+    assert (sub.generator_count, sub.relator_count) == (721, 2160)
+    # Riemann-Hurwitz: 2 - 2g = 720 (1/2 + 1/6 + 1/5 - 1), so g = 49
+    assert abelianization(sub) == AbelianInvariants(98)
+
+
+def affine_a2_images(k):
+    """A~2 onto (Z/k)^2 x| S3: its reflections acting on the coroot lattice mod k."""
+    pts = [(x, y) for x in range(k) for y in range(k)]
+    at = {p: i for i, p in enumerate(pts)}
+    return [
+        tuple(at[((1 - y) % k, (1 - x) % k)] for x, y in pts),
+        tuple(at[((y - x) % k, y)] for x, y in pts),
+        tuple(at[(x, (x - y) % k)] for x, y in pts),
+    ]
+
+
+def test_affine_a2_translation_kernel_is_z2():
+    names = ("a", "b", "c")
+    relators = ["a^2", "b^2", "c^2", "a b a b a b", "b c b c b c", "a c a c a c"]
+    pres = FinitePresentation(3, tuple(parse_word(r, names) for r in relators), names)
+    table = coset_enumerate(pres, affine_a2_images(5))
+    assert table.d == 150
+    # the kernel is the translation lattice 5 Z^2
+    assert abelianization(reidemeister_schreier(pres, table)) == AbelianInvariants(2)
 
 
 # --- the RS count property, exercised through the whole pipeline -------------

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pbp.words import Word, format_word, free_reduce, generator, parse_word
 
@@ -80,3 +82,15 @@ def test_parse_rejects_unknown_and_zero():
         parse_word("u^2", ("s", "t"))
     with pytest.raises(ValueError):
         parse_word("s^0", ("s", "t"))
+
+
+letter_lists = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30)
+
+
+@given(letter_lists, letter_lists)
+def test_junction_product_and_inverse(a, b):
+    w = Word(a)
+    assert w * Word(b) == Word(list(a) + list(b))
+    assert ~w == Word([-x for x in reversed(a)])
+    assert (w * ~w).raw == ()
+    assert (~w * w).raw == ()
