@@ -1,12 +1,14 @@
 """Exact real algebraic numbers for bilinear-form entries.
 
-Arithmetic happens in the real cyclotomic field Q(2 cos(pi/N)): elements
-are polynomials in theta = 2 cos(pi/N) reduced modulo its minimal
-polynomial, with Fraction coefficients.  Sign decisions refine an isolating
-interval for theta by bisection, so they are certified; equality with zero
-is a syntactic check on the reduced polynomial.  Floating point is used
-only to seed the isolating interval, and the seed is verified by an exact
-sign change of the minimal polynomial.
+Arithmetic happens in the real cyclotomic field Q(theta), theta = 2 cos(pi/N).
+An element is an integer polynomial in theta, reduced modulo the monic
+integer minimal polynomial of theta, over one positive denominator: products
+are integer convolutions, and equality with zero is a syntactic check on the
+reduced polynomial.  Signs are certified by ball evaluation over a cached
+fixed-point enclosure of the powers of theta.  Newton's method refines the
+enclosure of theta, and an outward-rounded sign change of the minimal
+polynomial inside a seed interval that isolates theta certifies it.  Floating
+point only places the seed, which is certified by a sign change as well.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 MAX_FIELD_INDEX = 10_000  # root gaps of the minimal polynomial stay >> seed width
-_SEED_WIDTH = Fraction(1, 10**12)
+_SEED_BITS = 40  # the seed interval is theta's float value +- 2**-40
 _MAX_BISECTIONS = 400
 
 
@@ -45,13 +47,15 @@ def poly_eval(coeffs: Sequence, x):
 
 
 def poly_mul(p: Sequence, q: Sequence) -> tuple:
-    if not p or not q:
+    if len(p) < len(q):
+        p, q = q, p
+    if not q:
         return ()
     out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
+    n = len(p)
+    for j, b in enumerate(q):
+        if b:
+            out[j : j + n] = [o + a * b for o, a in zip(out[j : j + n], p)]
     return poly_trim(out)
 
 
@@ -73,36 +77,61 @@ def poly_divmod_monic(p: Sequence, d: Sequence) -> tuple[tuple, tuple]:
     assert d and d[-1] == 1
     rem = list(p)
     deg_d = len(d) - 1
+    low = d[:-1]
     quot = [0] * max(len(p) - deg_d, 0)
     for i in range(len(rem) - 1, deg_d - 1, -1):
         c = rem[i]
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, b in enumerate(d):
-            rem[i - deg_d + j] -= c * b
-    return poly_trim(quot), poly_trim(rem)
+        if c:
+            k = i - deg_d
+            quot[k] = c
+            rem[k:i] = [r - c * b for r, b in zip(rem[k:i], low)]
+    return poly_trim(quot), poly_trim(rem[:deg_d])
 
 
-@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + ([n] if n > 1 else [])
+
+
 def cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    poly: tuple = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = poly_divmod_monic(poly, cyclotomic(d))
-            assert not rem
-    return tuple(int(c) for c in poly)
+    """Coefficients of the n-th cyclotomic polynomial.
+
+    Phi_n(x) is the product over d | n of (x^d - 1)^mu(n/d): multiply by the
+    binomials with mu = +1, then divide exactly by those with mu = -1.
+    """
+    primes = _prime_factors(n)
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        e = math.prod(p for k, p in enumerate(primes) if mask >> k & 1)
+        (down if bin(mask).count("1") % 2 else up).append(n // e)
+    poly = [1]
+    for d in up:  # times x^d - 1
+        out = [-c for c in poly] + [0] * d
+        for i, c in enumerate(poly):
+            out[i + d] += c
+        poly = out
+    for d in down:  # over x^d - 1: poly[j] = quot[j - d] - quot[j]
+        quot: list[int] = []
+        for j in range(len(poly) - d):
+            quot.append((quot[j - d] if j >= d else 0) - poly[j])
+        assert all(poly[j] == quot[j - d] for j in range(len(quot), len(poly)))
+        poly = quot
+    return tuple(poly)
 
 
-@lru_cache(maxsize=None)
 def two_cos_minpoly(n: int) -> tuple[int, ...]:
     """Minimal polynomial of 2 cos(2 pi / n), monic with integer coefficients.
 
     For n >= 3 the n-th cyclotomic polynomial is palindromic of even degree
     2m and factors as x^m * f(x + 1/x); peeling leading terms recovers f.
+    Only the upper half of the coefficients is ever read, so only it is
+    updated, with binomials carried along each row.
     """
     if n == 1:
         return (-2, 1)
@@ -115,9 +144,11 @@ def two_cos_minpoly(n: int) -> tuple[int, ...]:
         a = phi[m + k]
         coeffs[k] = a
         if a:
-            for j in range(k + 1):
-                phi[m + k - 2 * j] -= a * math.comb(k, j)
-    assert not any(phi), "palindromic transform must terminate exactly"
+            binom = 1  # C(k, j)
+            for j in range(k // 2 + 1):
+                phi[m + k - 2 * j] -= a * binom
+                binom = binom * (k - j) // (j + 1)
+    assert not any(phi[m:]), "palindromic transform must terminate exactly"
     return tuple(coeffs)
 
 
@@ -137,29 +168,55 @@ def poly_negate_variable(p: Sequence) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic with Fraction endpoints
+# fixed-point evaluation
 
 
-def _imul(a: tuple, b: tuple) -> tuple:
-    vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(vals), max(vals))
+def _horner_box(poly: Sequence[int], x: int, bits: int, work: int) -> tuple[int, int]:
+    """Integers lo <= hi enclosing 2**work * poly(x / 2**bits), for x >= 0.
+
+    Horner's rule with each product rounded outward to a multiple of
+    2**-work; with x >= 0 the products preserve order, so the enclosure holds.
+    """
+    lo = hi = poly[-1] << work
+    for c in reversed(poly[:-1]):
+        lo = (lo * x >> bits) + (c << work)
+        hi = -(-hi * x >> bits) + (c << work)
+    return lo, hi
 
 
-def interval_eval(coeffs: Sequence, lo: Fraction, hi: Fraction) -> tuple:
-    acc = (Fraction(0), Fraction(0))
-    x = (lo, hi)
-    for c in reversed(coeffs):
-        acc = _imul(acc, x)
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
+def _fixed_sign(poly: Sequence[int], x: int, bits: int) -> int:
+    """Certified sign of poly(x / 2**bits) for x >= 0; 0 if it did not settle."""
+    # x < 2 here, so each Horner step at most doubles the rounding error so far
+    extra = len(poly) + 64
+    for _ in range(8):
+        lo, hi = _horner_box(poly, x, bits, bits + extra)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        extra *= 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # the working field Q(2 cos(pi / N))
 
 
-class RealCyclotomicField:
-    """Q(theta) for theta = 2 cos(pi/N), with a certified isolating interval."""
+class _OnePerIndex(type):
+    """``RealCyclotomicField(n)`` returns one shared field per index.
+
+    Elements made from two calls with the same index then combine, and each
+    minimal polynomial and enclosure of theta is computed once per process;
+    the cache is bounded.
+    """
+
+    @lru_cache(maxsize=64)
+    def __call__(cls, n):
+        return super().__call__(n)
+
+
+class RealCyclotomicField(metaclass=_OnePerIndex):
+    """Q(theta) for theta = 2 cos(pi/N), with a certified enclosure of theta."""
 
     def __init__(self, n: int):
         if not (1 <= n <= MAX_FIELD_INDEX):
@@ -167,67 +224,149 @@ class RealCyclotomicField:
         self.n = n
         self.modulus = two_cos_minpoly(2 * n)
         self.degree = len(self.modulus) - 1
-        if self.degree == 1:
-            v = Fraction(-self.modulus[0], self.modulus[1])
-            self.theta_exact: Fraction | None = v
-            self.theta_interval = (v - 1, v + 1)
-        else:
-            self.theta_exact = None
-            self.theta_interval = self._seed_interval()
+        # (prec, lows, highs): lows[i] <= 2**prec * theta**i <= highs[i]
+        self._powers_box: tuple[int, list[int], list[int]] = (0, [], [])
+        # for n <= 3 theta is rational and every element reduces to a
+        # rational; otherwise theta >= sqrt(2) > 0, which the fixed-point
+        # evaluation relies on
+        if self.degree > 1:
+            self._seed = self._certified_seed()
 
-    def _seed_interval(self) -> tuple[Fraction, Fraction]:
-        approx = Fraction(2 * math.cos(math.pi / self.n)).limit_denominator(10**15)
-        lo, hi = approx - _SEED_WIDTH, approx + _SEED_WIDTH
-        # theta is irrational here, so the exact sign change certifies that
-        # the interval isolates it (adjacent roots are far beyond the width)
-        if poly_eval(self.modulus, lo) * poly_eval(self.modulus, hi) >= 0:
+    def _certified_seed(self) -> tuple[int, int]:
+        """Integers lo < hi such that theta is the only root of the modulus in
+        (lo, hi) / 2**_SEED_BITS.
+
+        Distinct roots of the modulus lie more than 2**-21 apart for every
+        allowed index, so an interval of width 2**-39 holds at most one of
+        them, and a sign change across it shows it holds theta.
+        """
+        mid = round(2 * math.cos(math.pi / self.n) * 2**_SEED_BITS)
+        lo, hi = mid - 1, mid + 1
+        if _fixed_sign(self.modulus, lo, _SEED_BITS) * _fixed_sign(self.modulus, hi, _SEED_BITS) != -1:
             raise PrecisionExhausted(f"could not isolate 2 cos(pi/{self.n})")
-        return (lo, hi)
+        return lo, hi
+
+    def _newton(self, bits: int) -> int:
+        """An integer within a few units of 2**bits * theta, by Newton's method
+        in fixed point from the seed (not itself certified)."""
+        f = self.modulus
+        df = [i * c for i, c in enumerate(f)][1:]
+        # the modulus has coefficients up to ~2**degree and theta**i up to
+        # 2**i, so its value near theta cancels about 2 * degree bits
+        work = bits + 2 * self.degree + 64
+        x = (self._seed[0] + 1) << (work - _SEED_BITS)
+        for _ in range(64):
+            step = (_horner_box(f, x, work, work)[0] << work) // _horner_box(df, x, work, work)[0]
+            x -= step
+            if abs(step) >> (work - bits) == 0:
+                return x >> (work - bits)
+        raise PrecisionExhausted(f"Newton's method did not converge for 2 cos(pi/{self.n})")
+
+    def _theta_box(self, bits: int) -> tuple[int, int]:
+        """Integers lo < hi with lo < 2**bits * theta < hi, certified."""
+        x = self._newton(bits)
+        lo, hi = x - 4, x + 4
+        shift = bits - _SEED_BITS
+        inside = self._seed[0] << shift < lo and hi < self._seed[1] << shift
+        if not inside or _fixed_sign(self.modulus, lo, bits) * _fixed_sign(self.modulus, hi, bits) != -1:
+            raise PrecisionExhausted(f"could not certify 2 cos(pi/{self.n}) to {bits} bits")
+        return lo, hi
+
+    def _powers(self, bits: int) -> tuple[int, list[int], list[int]]:
+        """(prec, lows, highs) with prec >= bits and lows[i] <= 2**prec * theta**i <= highs[i]."""
+        box = self._powers_box
+        if box[0] < bits:
+            prec = max(bits, 2 * box[0])
+            t_lo, t_hi = self._theta_box(prec)
+            lows, highs = [1 << prec], [1 << prec]
+            for _ in range(1, self.degree):
+                lows.append(lows[-1] * t_lo >> prec)
+                highs.append(-(-highs[-1] * t_hi >> prec))
+            box = self._powers_box = (prec, lows, highs)
+        return box
+
+    def _ball(self, num: tuple, done: Callable[[int, int, int], bool]) -> tuple[int, int, int]:
+        """(lo, hi, prec) with lo <= 2**prec * sum(num[i] theta**i) <= hi and
+        ``done(lo, hi, prec)`` true.
+
+        The precision starts from the size of the coefficients and doubles
+        while ``done`` is false.  A nonzero element's norm is a nonzero
+        integer, so its value exceeds 2**-((degree - 1) * (size + degree));
+        past that precision every sign is settled.
+        """
+        d = self.degree
+        size = max(abs(c) for c in num).bit_length()
+        bits = size + d + 2 * d.bit_length() + 64
+        cap = d * (size + d + 2 * d.bit_length() + 8)
+        while True:
+            prec, lows, highs = self._powers(bits)
+            lo = sum(c * (l if c > 0 else h) for c, l, h in zip(num, lows, highs))
+            hi = sum(c * (h if c > 0 else l) for c, l, h in zip(num, lows, highs))
+            if done(lo, hi, prec):
+                return lo, hi, prec
+            if prec > cap:
+                raise PrecisionExhausted(f"enclosure in Q(2 cos(pi/{self.n})) did not settle")
+            bits = 2 * prec
 
     def element(self, coeffs: Sequence[Fraction]) -> "CycloNumber":
-        return CycloNumber(self, tuple(map(Fraction, poly_trim(coeffs))))
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        return CycloNumber(self, [c.numerator * (den // c.denominator) for c in fracs], den)
 
     def rational(self, value) -> "CycloNumber":
         v = Fraction(value)
-        return CycloNumber(self, (v,) if v else ())
+        return CycloNumber(self, (v.numerator,), v.denominator)
 
     def theta(self) -> "CycloNumber":
-        if self.degree == 1:
-            return self.rational(self.theta_exact)
-        return self.element((Fraction(0), Fraction(1)))
+        return CycloNumber(self, (0, 1))
 
     def two_cos_pi_over(self, m: int) -> "CycloNumber":
         """2 cos(pi/m) as a field element; m must divide N."""
         if self.n % m:
             raise ValueError(f"{m} does not divide the field index {self.n}")
-        k = self.n // m
-        # Dickson recurrence: D_0 = 2, D_1 = theta, D_{j+1} = theta D_j - D_{j-1},
-        # with D_j(2 cos a) = 2 cos(j a)
-        prev, cur = self.rational(2), self.theta()
-        if k == 0:
-            return prev
-        for _ in range(k - 1):
-            prev, cur = cur, cur * self.theta() - prev
-        return cur
+        # Dickson recurrence on integer polynomials, reduced once at the end:
+        # D_0 = 2, D_1 = x, D_{j+1} = x D_j - D_{j-1}, with D_j(2 cos a) = 2 cos(j a)
+        prev, cur = [2], [0, 1]
+        for _ in range(self.n // m - 1):
+            nxt = [0] + cur
+            for i, c in enumerate(prev):
+                nxt[i] -= c
+            prev, cur = cur, nxt
+        return CycloNumber(self, cur)
 
-    def _reduce(self, coeffs: tuple) -> tuple:
-        if len(coeffs) < len(self.modulus):
+    def _reduce(self, coeffs: Sequence[int]) -> tuple:
+        if len(coeffs) <= self.degree:
             return poly_trim(coeffs)
-        _, rem = poly_divmod_monic(coeffs, self.modulus)
-        return rem
+        return poly_divmod_monic(coeffs, self.modulus)[1]
 
     def __repr__(self):
         return f"RealCyclotomicField(2 cos(pi/{self.n}))"
 
 
+def _combine(p: Sequence[int], s: int, q: Sequence[int], t: int) -> list[int]:
+    """s * p + t * q, coefficientwise."""
+    if len(p) < len(q):
+        p, s, q, t = q, t, p, s
+    return [s * a + t * b for a, b in zip(p, q)] + [s * a for a in p[len(q) :]]
+
+
 class CycloNumber:
-    """Element of a RealCyclotomicField; supports exact ring and sign ops."""
+    """Element (sum num[i] theta**i) / den of a RealCyclotomicField.
 
-    __slots__ = ("field", "coeffs")
+    ``num`` is reduced modulo the minimal polynomial and trimmed, ``den`` is
+    positive and the two are in lowest terms, so equal elements are equal
+    tuples.  Supports exact ring and sign operations.
+    """
 
-    def __init__(self, field: RealCyclotomicField, coeffs: tuple):
-        self.field = field
-        self.coeffs = field._reduce(coeffs)
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: RealCyclotomicField, num: Sequence[int], den: int = 1):
+        num = field._reduce(num)
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+        self.field, self.num, self.den = field, num, den
 
     def _coerce(self, other) -> "CycloNumber":
         if isinstance(other, CycloNumber):
@@ -236,38 +375,51 @@ class CycloNumber:
             return other
         return self.field.rational(other)
 
+    def _plus(self, o: "CycloNumber", sign: int) -> "CycloNumber":
+        if self.den == o.den:
+            return CycloNumber(self.field, _combine(self.num, 1, o.num, sign), self.den)
+        num = _combine(self.num, o.den, o.num, sign * self.den)
+        return CycloNumber(self.field, num, self.den * o.den)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        return CycloNumber(self.field, poly_add(self.coeffs, o.coeffs))
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.field, poly_scale(self.coeffs, -1))
+        return CycloNumber(self.field, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._plus(self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return CycloNumber(self.field, poly_mul(self.coeffs, o.coeffs))
+        return CycloNumber(self.field, poly_mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        o = self._coerce(other)
+        if not o.is_rational():
+            return self * o.inverse()
+        if not o.num:
+            raise ZeroDivisionError("division by zero field element")
+        # dividing by a / b scales: multiply by b, divide by a
+        a = o.num[0]
+        scale = o.den if a > 0 else -o.den
+        return CycloNumber(self.field, [c * scale for c in self.num], self.den * abs(a))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self._coerce(other) / self
 
     def inverse(self) -> "CycloNumber":
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero field element")
         # extended Euclid against the (irreducible) modulus
-        r0, r1 = tuple(map(Fraction, self.field.modulus)), self.coeffs
+        r0, r1 = tuple(map(Fraction, self.field.modulus)), tuple(map(Fraction, self.num))
         s0, s1 = (), (Fraction(1),)
         while r1:
             lead = r1[-1]
@@ -279,65 +431,39 @@ class CycloNumber:
             r0, r1 = r1, poly_add(r0, poly_scale(poly_mul(q, r1), -1))
             s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1), -1))
         assert len(r0) == 1, "modulus must be irreducible"
-        return CycloNumber(self.field, poly_scale(s0, 1 / r0[0]))
+        return self.field.element(poly_scale(s0, self.den / r0[0]))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def sign(self) -> int:
-        if not self.coeffs:
-            return 0
-        if self.field.theta_exact is not None:
-            v = poly_eval(self.coeffs, self.field.theta_exact)
-            return -1 if v < 0 else (1 if v > 0 else 0)
-        lo, hi = self.field.theta_interval
-        modulus = self.field.modulus
-        sign_lo = 1 if poly_eval(modulus, lo) > 0 else -1
-        for _ in range(_MAX_BISECTIONS):
-            vlo, vhi = interval_eval(self.coeffs, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            mid = (lo + hi) / 2
-            vmid = poly_eval(modulus, mid)
-            if vmid == 0:  # cannot happen: theta is irrational
-                raise PrecisionExhausted("bisection landed on a rational root")
-            if (1 if vmid > 0 else -1) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        raise PrecisionExhausted("sign of a nonzero field element did not resolve")
+        if self.is_rational():
+            return (self.num[0] > 0) - (self.num[0] < 0) if self.num else 0
+        lo, _, _ = self.field._ball(self.num, lambda lo, hi, prec: lo > 0 or hi < 0)
+        return 1 if lo > 0 else -1
 
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """A certified enclosure of this element, narrower than ``width``."""
-        if self.field.theta_exact is not None:
-            v = poly_eval(self.coeffs, self.field.theta_exact)
+        width = Fraction(width)
+        if self.is_rational():
+            v = self.as_rational()
             return (v - width / 2, v + width / 2)
-        lo, hi = self.field.theta_interval
-        modulus = self.field.modulus
-        sign_lo = 1 if poly_eval(modulus, lo) > 0 else -1
-        for _ in range(_MAX_BISECTIONS):
-            vlo, vhi = interval_eval(self.coeffs, lo, hi)
-            if vhi - vlo < width:
-                return (vlo, vhi)
-            mid = (lo + hi) / 2
-            vmid = poly_eval(modulus, mid)
-            if (1 if vmid > 0 else -1) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        raise PrecisionExhausted("interval refinement did not converge")
+        lo, hi, prec = self.field._ball(
+            self.num, lambda lo, hi, prec: Fraction(hi - lo, self.den << prec) < width
+        )
+        return (Fraction(lo, self.den << prec), Fraction(hi, self.den << prec))
 
     def __float__(self):
+        if self.is_rational():
+            return float(self.as_rational())
         lo, hi = self.interval(Fraction(1, 10**17))
         return float((lo + hi) / 2)
 
@@ -346,13 +472,13 @@ class CycloNumber:
             o = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.num, self.den))
 
     def __repr__(self):
-        return f"CycloNumber({self.coeffs!r} @ pi/{self.field.n})"
+        return f"CycloNumber({self.num!r} / {self.den} @ pi/{self.field.n})"
 
 
 # ---------------------------------------------------------------------------

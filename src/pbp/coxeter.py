@@ -1,8 +1,8 @@
 """Coxeter systems: exact bilinear form, signature, classification, verdicts.
 
 The form attached to a Coxeter matrix has entries -cos(pi/m[i][j]); all of
-them live in one real cyclotomic field, so rank and sign computations are
-exact.  Floats never influence a classification.
+them live in one real cyclotomic field, so the characteristic polynomial and
+its signs are exact.  Floats never influence a classification.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebraic import (
     AlgebraicReal,
@@ -20,6 +20,7 @@ from .algebraic import (
     cos_pi_over_minpoly,
     poly_negate_variable,
 )
+from .linalg import char_poly
 from .verdict import Answer, InternalVerificationError, TraceEntry, Verdict
 
 INF = math.inf
@@ -139,11 +140,15 @@ class Signature:
 
 
 class SymmetricForm:
-    """Exact symmetric form with unit diagonal and off-diagonal entries in [-1, 0]."""
+    """Exact symmetric form with unit diagonal and off-diagonal entries in [-1, 0].
 
-    def __init__(self, rows, views):
+    ``views(i, j)`` builds the AlgebraicReal view of an entry; ``entry``
+    calls it on demand, so the views cost nothing unless asked for.
+    """
+
+    def __init__(self, rows, views: Callable[[int, int], AlgebraicReal]):
         self.rows = tuple(tuple(r) for r in rows)
-        self._views = tuple(tuple(v) for v in views)
+        self._views = views
         self.n = len(self.rows)
         for i in range(self.n):
             if _sign(self.rows[i][i] - 1) != 0:
@@ -158,14 +163,13 @@ class SymmetricForm:
     @staticmethod
     def from_rational_matrix(rows: Sequence[Sequence]) -> "SymmetricForm":
         rat = [[Fraction(v) for v in row] for row in rows]
-        views = [[AlgebraicReal.from_rational(v) for v in row] for row in rat]
-        return SymmetricForm(rat, views)
+        return SymmetricForm(rat, lambda i, j: AlgebraicReal.from_rational(rat[i][j]))
 
     def entry(self, i: int, j: int) -> AlgebraicReal:
-        return self._views[i][j]
+        return self._views(i, j)
 
     def float_matrix(self) -> list[list[float]]:
-        return [[float(self.entry(i, j)) for j in range(self.n)] for i in range(self.n)]
+        return [[float(v) for v in row] for row in self.rows]
 
 
 def _sign(x) -> int:
@@ -174,92 +178,67 @@ def _sign(x) -> int:
     return -1 if x < 0 else (1 if x > 0 else 0)
 
 
+# -cos(pi/m) for the labels where it is rational
+_RATIONAL_ENTRIES = {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2), INF: Fraction(-1)}
+
+
+def _tits_view(matrix: CoxeterMatrix, i: int, j: int) -> AlgebraicReal:
+    """The AlgebraicReal view of the entry -cos(pi/m[i][j])."""
+    m = 1 if i == j else matrix.m(i, j)
+    if m in _RATIONAL_ENTRIES:
+        return AlgebraicReal.from_rational(_RATIONAL_ENTRIES[m])
+    poly = poly_negate_variable(cos_pi_over_minpoly(int(m)))
+    return AlgebraicReal.from_poly_near(poly, -math.cos(math.pi / m))
+
+
 def tits_form(matrix: CoxeterMatrix) -> SymmetricForm:
     """The form with entries -cos(pi/m[i][j]) (value -1 at m = inf)."""
     n = matrix.n
-    # cos(pi/m) is rational for m <= 3; only larger labels need the field
-    irrational_ms = sorted(
-        {
-            int(matrix.m(i, j))
-            for i in range(n)
-            for j in range(n)
-            if i != j and matrix.m(i, j) != INF and matrix.m(i, j) >= 4
-        }
-    )
-    index = reduce(math.lcm, irrational_ms, 1)
-    field = RealCyclotomicField(index) if irrational_ms else None
+    irrational_ms = {
+        int(matrix.m(i, j))
+        for i in range(n)
+        for j in range(n)
+        if i != j and matrix.m(i, j) not in _RATIONAL_ENTRIES
+    }
+    values = dict(_RATIONAL_ENTRIES)
+    if irrational_ms:
+        field = RealCyclotomicField(reduce(math.lcm, irrational_ms, 1))
+        values = {m: field.rational(v) for m, v in values.items()}
+        # dividing by the rational 2 scales the coefficients
+        values.update({m: -field.two_cos_pi_over(m) / 2 for m in irrational_ms})
+    rows = [[values[1 if i == j else matrix.m(i, j)] for j in range(n)] for i in range(n)]
+    return SymmetricForm(rows, lambda i, j: _tits_view(matrix, i, j))
 
-    def entry(i, j):
-        if i == j:
-            return Fraction(1), AlgebraicReal.from_rational(1)
-        m = matrix.m(i, j)
-        if m == INF:
-            return Fraction(-1), AlgebraicReal.from_rational(-1)
-        m = int(m)
-        if m == 2:
-            return Fraction(0), AlgebraicReal.from_rational(0)
-        if m == 3:
-            return Fraction(-1, 2), AlgebraicReal.from_rational(Fraction(-1, 2))
-        value = -(field.two_cos_pi_over(m)) / 2
-        poly = poly_negate_variable(cos_pi_over_minpoly(m))
-        view = AlgebraicReal.from_poly_near(poly, -math.cos(math.pi / m))
-        return value, view
 
-    rows, views = [], []
-    for i in range(n):
-        row, vrow = [], []
-        for j in range(n):
-            v, view = entry(i, j)
-            if field is not None and isinstance(v, Fraction):
-                v = field.rational(v)
-            row.append(v)
-            vrow.append(view)
-        rows.append(row)
-        views.append(vrow)
-    return SymmetricForm(rows, views)
+def _denominator(x) -> int:
+    return x.den if isinstance(x, CycloNumber) else Fraction(x).denominator
+
+
+def _sign_changes(signs: list[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
 def signature(form: SymmetricForm) -> Signature:
-    """Exact (p, q, r) by symmetric congruence diagonalization.
+    """Exact (p, q, r) from the characteristic polynomial of a scaled form.
 
-    Pivot signs are certified by the interval machinery; a vanishing
-    diagonal block with nonzero off-diagonal entries is repaired by the
-    classical e_i <- e_i + e_j congruence, which creates a pivot.
+    With s the lcm of the entry denominators, chi(x) = det(xI - sB) has
+    coefficients in Z or Z[theta] and comes from Berkowitz's division-free
+    recurrence.  chi is real-rooted, so Descartes' rule is exact: r is the
+    number of vanishing low-order coefficients (a syntactic test), p the
+    sign changes of the rest and q those of chi(-x).
     """
     n = form.n
-    a = [list(row) for row in form.rows]
-    p = q = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if _sign(a[i][i]) != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if _sign(a[i][j]) != 0),
-                None,
-            )
-            if pair is None:
-                break  # remaining block is identically zero
-            i, j = pair
-            for l in range(k, n):
-                a[i][l] = a[i][l] + a[j][l]
-            for l in range(k, n):
-                a[l][i] = a[l][i] + a[l][j]
-            continue
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        d = a[k][k]
-        if _sign(d) > 0:
-            p += 1
-        else:
-            q += 1
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] = a[i][j] - a[k][i] * a[k][j] / d
-                a[j][i] = a[i][j]
-        k += 1
-    return Signature(p, q, n - p - q)
+    scale = math.lcm(*(_denominator(v) for row in form.rows for v in row))
+    # integral entries: Z[theta] elements, or plain ints for rational forms
+    chi = char_poly([[v * scale if isinstance(v, CycloNumber) else int(v * scale) for v in row] for row in form.rows])
+    signs = [_sign(c) for c in chi]
+    r = next(k for k, s in enumerate(signs) if s)
+    p = _sign_changes(signs)
+    q = _sign_changes([s if k % 2 == 0 else -s for k, s in enumerate(signs)])
+    if p + q + r != n:
+        raise InternalVerificationError(f"Descartes counts (p, q, r) = ({p}, {q}, {r}) do not add up to {n}")
+    return Signature(p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +267,8 @@ def classify(matrix: CoxeterMatrix) -> list[tuple[list[int], str, Signature]]:
     return out
 
 
-def coxeter_presentable(matrix: CoxeterMatrix) -> Verdict:
-    """Presentability verdict for the Coxeter group of ``matrix``."""
-    parts = classify(matrix)
+def _verdict(matrix: CoxeterMatrix, parts: list[tuple[list[int], str, Signature]]) -> Verdict:
+    """The verdict for ``matrix`` from its classified components."""
     infinite = [(comp, label, sig) for comp, label, sig in parts if label != FINITE]
 
     if not infinite:
@@ -299,12 +277,14 @@ def coxeter_presentable(matrix: CoxeterMatrix) -> Verdict:
             trace=(TraceEntry("coxeter/finite", CITE_FINITE_OUT_OF_SCOPE),),
         )
     if len(infinite) >= 2:
+        factors = [comp for comp, _, _ in infinite[:2]]
+        if any(matrix.m(i, j) != 2 for i in factors[0] for j in factors[1]):
+            raise InternalVerificationError(
+                f"components {factors[0]} and {factors[1]} do not commute: a label between them is not 2"
+            )
         return Verdict(
             Answer.YES,
-            certificate={
-                "kind": "direct-product-of-infinite-factors",
-                "factors": [comp for comp, _, _ in infinite[:2]],
-            },
+            certificate={"kind": "direct-product-of-infinite-factors", "factors": factors},
             trace=(
                 TraceEntry("coxeter/split", CITE_SPLIT_PRODUCT),
                 TraceEntry("finite-index", CITE_FINITE_INDEX),
@@ -329,16 +309,20 @@ def coxeter_presentable(matrix: CoxeterMatrix) -> Verdict:
     )
 
 
+def coxeter_presentable(matrix: CoxeterMatrix) -> Verdict:
+    """Presentability verdict for the Coxeter group of ``matrix``."""
+    return _verdict(matrix, classify(matrix))
+
+
 def coxeter_report(matrix: CoxeterMatrix) -> dict:
     """Full JSON-ready report: components, signatures, labels, verdict."""
     parts = classify(matrix)
-    verdict = coxeter_presentable(matrix)
     return {
         "components": [
             {"vertices": comp, "label": label, "signature": [sig.p, sig.q, sig.r]}
             for comp, label, sig in parts
         ],
-        **verdict.to_json(),
+        **_verdict(matrix, parts).to_json(),
     }
 
 

@@ -202,19 +202,21 @@ def column_space(mat: Sequence[Sequence]) -> tuple[Vec, ...]:
 def char_poly(m: Sequence[Sequence]) -> tuple:
     """Characteristic polynomial det(xI - M), coefficients low to high, monic.
 
-    Faddeev-LeVerrier recursion; exact.
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) over
+    the leading principal blocks M_k, so it is exact over any commutative
+    ring: ints, Fractions, or elements of a number field.
     """
-    n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = ONE
-    mk = identity_matrix(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        c = Fraction(-mat_trace(mk), 1) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
-    return tuple(coeffs)
+    chi = [1]  # det(xI - M_k), highest degree first
+    for k in range(len(m)):
+        row, v = m[k][:k], [m[i][k] for i in range(k)]
+        # Toeplitz column (1, -m_kk, -R C, -R M_k C, ..., -R M_k^(k-1) C)
+        t = [1, -m[k][k]]
+        for step in range(k):
+            t.append(-sum(r * x for r, x in zip(row, v)))
+            if step < k - 1:
+                v = [sum(a * x for a, x in zip(m[i][:k], v)) for i in range(k)]
+        chi = [sum(t[i - j] * chi[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) for i in range(k + 2)]
+    return tuple(reversed(chi))
 
 
 def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:

@@ -3,7 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
+from algebraic_oracles import bisection_sign, cyclotomic_by_division
 from pbp.algebraic import (
     AlgebraicReal,
     RealCyclotomicField,
@@ -13,6 +18,7 @@ from pbp.algebraic import (
     poly_negate_variable,
     two_cos_minpoly,
 )
+from pbp.linalg import char_poly
 
 
 def test_cyclotomic_small():
@@ -114,3 +120,87 @@ def test_sqrt2_times_itself():
     assert (r * r).as_rational() == 2
     assert (r - 1).sign() == 1
     assert (r - 2).sign() == -1
+
+
+def test_cyclotomic_matches_division_oracle():
+    for n in range(1, 401):
+        assert cyclotomic(n) == cyclotomic_by_division(n), n
+
+
+def test_fields_of_equal_index_are_shared():
+    a, b = RealCyclotomicField(7), RealCyclotomicField(7)
+    assert a is b
+    assert (a.theta() - b.theta()).is_zero()
+    assert (a.two_cos_pi_over(7) * b.rational(2)).sign() == 1
+
+
+@st.composite
+def field_elements(draw):
+    field = RealCyclotomicField(draw(st.integers(3, 300)))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=12),
+            max_size=min(field.degree, 12),
+        )
+    )
+    # spread the terms over the whole degree range
+    step = max(1, field.degree // max(1, len(coeffs)))
+    full = [Fraction(0)] * field.degree
+    for i, c in enumerate(coeffs):
+        full[(i * step) % field.degree] += c
+    return field.element(full)
+
+
+@settings(max_examples=80)
+@given(field_elements())
+def test_ball_sign_matches_bisection(x):
+    assert x.sign() == bisection_sign(x)
+    lo, hi = x.interval(Fraction(1, 2**70))
+    assert hi - lo <= Fraction(1, 2**70)
+    assert math.isclose(float(x), float(lo), rel_tol=1e-15, abs_tol=1e-17)
+    with mp.workdps(100):  # the enclosure holds the value, by a 330-bit evaluation
+        theta = 2 * mp.cos(mp.pi / x.field.n)
+        value = sum(mp.mpf(c) * theta**i for i, c in enumerate(x.num)) / x.den
+        tol = mp.mpf(2) ** -250
+        assert mp.mpf(lo.numerator) / lo.denominator - tol <= value <= mp.mpf(hi.numerator) / hi.denominator + tol
+
+
+# the golden ratio g to 80 bits: G80 < g < G80 + 2**-80
+G80 = Fraction((2**80 + math.isqrt(5 * 2**160)) // 2, 2**80)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 24), st.sampled_from([-1, 0, 1]), st.integers(1, 7))
+def test_ball_sign_at_and_near_exact_zeros(k, shift, power):
+    field = RealCyclotomicField(5 * k)
+    g = field.two_cos_pi_over(5)  # golden ratio, a polynomial of degree k in theta
+    zero = g * g - g - 1
+    assert zero.is_zero() and zero.sign() == 0
+    tiny = (g - G80) * _power(field.theta(), power)  # 0 < tiny < 2**(power - 80)
+    x = zero * field.theta() + tiny * shift
+    assert x.is_zero() == (shift == 0)
+    assert x.sign() == shift == bisection_sign(x)
+    assert (zero + Fraction(shift, 2**80)).sign() == shift
+
+
+def _power(x, k):
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_berkowitz_matches_sympy_charpoly(rows):
+    x = sympy.Symbol("x")
+    expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]).charpoly(x)
+    assert char_poly(rows) == tuple(Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs()))

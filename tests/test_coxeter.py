@@ -5,6 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pbp.coxeter as coxeter_mod
 
 from pbp.coxeter import (
     AFFINE,
@@ -23,7 +27,7 @@ from pbp.coxeter import (
     standard_diagram,
     tits_form,
 )
-from pbp.verdict import Answer
+from pbp.verdict import Answer, InternalVerificationError
 
 FINITE_NAMES = (
     [f"A{n}" for n in range(1, 9)]
@@ -281,3 +285,94 @@ def test_json_rejects_bad_input():
         coxeter_from_json({"n": 2, "m": [[1, 3]]})
     with pytest.raises(ValueError):
         CoxeterMatrix(((1, 3), (4, 1)))
+
+
+# --- high-degree fields, relabelling, classical triangle rule -----------------
+
+
+@pytest.mark.parametrize("labels", [(5, 7, 8), (8, 9, 11), (7, 11, 13)])
+def test_high_degree_triangles_are_indefinite(labels):
+    matrix = triangle(*labels)
+    report = coxeter_report(matrix)
+    assert report["answer"] == "NO"
+    assert report["components"] == [{"vertices": [0, 1, 2], "label": INDEFINITE, "signature": [2, 1, 0]}]
+    assert eig_signature(tits_form(matrix)) == Signature(2, 1, 0)
+
+
+LABELS = st.sampled_from([2, 2, 3, 3, 4, 5, 6, INF])
+
+
+@st.composite
+def relabelled_matrices(draw):
+    n = draw(st.integers(1, 5))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(LABELS)
+    perm = draw(st.permutations(range(n)))
+    permuted = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return CoxeterMatrix(tuple(map(tuple, rows))), CoxeterMatrix(tuple(map(tuple, permuted))), perm
+
+
+def _parts(report, relabel):
+    return sorted(
+        (sorted(relabel[v] for v in c["vertices"]), c["label"], c["signature"]) for c in report["components"]
+    )
+
+
+@settings(max_examples=60)
+@given(relabelled_matrices())
+def test_report_invariant_under_relabelling(case):
+    matrix, permuted, perm = case
+    # vertex i of the permuted matrix is vertex perm[i] of the original
+    ident = list(range(matrix.n))
+    a, b = coxeter_report(matrix), coxeter_report(permuted)
+    assert a["answer"] == b["answer"]
+    assert _parts(a, ident) == _parts(b, perm)
+    cert_a, cert_b = a.get("certificate"), b.get("certificate")
+    assert (cert_a or {}).get("kind") == (cert_b or {}).get("kind")
+    if cert_a and cert_a["kind"] == "virtually-free-abelian":
+        assert cert_a["rank"] == cert_b["rank"]
+        assert cert_a["component"] == sorted(perm[v] for v in cert_b["component"])
+
+
+def test_triangles_follow_the_classical_angle_rule():
+    # Humphreys 1990, 6.8: a triangle group is finite, affine or hyperbolic
+    # as 1/l + 1/m + 1/n is > 1, = 1 or < 1
+    labels = range(2, 14)
+    for l in labels:
+        for m in labels:
+            for n in (n for n in labels if l <= m <= n):
+                angle_sum = Fraction(1, l) + Fraction(1, m) + Fraction(1, n)
+                parts = classify(triangle(l, m, n))
+                kinds = [label for _, label, _ in parts]
+                if angle_sum > 1:
+                    assert set(kinds) == {FINITE}, (l, m, n)
+                elif angle_sum == 1:
+                    assert kinds == [AFFINE] and parts[0][2] == Signature(2, 0, 1), (l, m, n)
+                else:
+                    assert kinds == [INDEFINITE] and parts[0][2] == Signature(2, 1, 0), (l, m, n)
+
+
+def test_report_classifies_once(monkeypatch):
+    calls = []
+    real = coxeter_mod.classify
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(coxeter_mod, "classify", counting)
+    coxeter_report(triangle(3, 3, 7))
+    assert len(calls) == 1
+
+
+def test_split_certificate_is_rechecked(monkeypatch):
+    # two A~1 blocks joined by a label 3: one irreducible component, but a
+    # wrong component split would claim two commuting infinite factors
+    matrix = CoxeterMatrix(
+        ((1, INF, 3, 2), (INF, 1, 2, 2), (3, 2, 1, INF), (2, 2, INF, 1))
+    )
+    monkeypatch.setattr(coxeter_mod, "components", lambda m: [[0, 1], [2, 3]])
+    with pytest.raises(InternalVerificationError):
+        coxeter_presentable(matrix)
