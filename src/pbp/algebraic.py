@@ -451,7 +451,7 @@ class CycloNumber:
         return 1 if lo > 0 else -1
 
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """A certified enclosure of this element, narrower than ``width``."""
+        """A certified enclosure of this element, at most ``width`` wide."""
         width = Fraction(width)
         if self.is_rational():
             v = self.as_rational()

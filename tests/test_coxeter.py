@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbp.coxeter as coxeter_mod
-
 from pbp.coxeter import (
     AFFINE,
     FINITE,
@@ -107,7 +106,7 @@ def test_signature_a3_positive_definite():
 
 def test_signature_zero_diagonal_repair():
     # after the first pivot the trailing block is [[0,-1],[-1,0]], which has
-    # no diagonal pivot and forces the e_i <- e_i + e_j repair step
+    # no diagonal pivot: congruence diagonalization needs a repair step here
     rows = [[1, -1, -1], [-1, 1, 0], [-1, 0, 1]]
     form = SymmetricForm.from_rational_matrix(rows)
     assert signature(form) == eig_signature(form) == Signature(2, 1, 0)
