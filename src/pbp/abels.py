@@ -6,17 +6,84 @@ copy of Z (where the centre is {u = 1, x = y = 0} with z free).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:
-    return bool(sympy.isprime(p))
+def _is_prime(n: int) -> bool:
+    """Baillie-PSW: trial division, a strong probable-prime test to base 2 and
+    a strong Lucas test with Selfridge's parameters (Baillie & Wagstaff,
+    Math. Comp. 35, 1980).  Exact below 2**64; above it no composite that
+    passes is known."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D below has (D/n) = -1 when n is a square
+    disc = 5
+    while _jacobi(disc, n) != -1:
+        disc = -disc - 2 if disc > 0 else -disc + 2
+    return _strong_lucas(n, disc, (1 - disc) // 4)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int, disc: int, q: int) -> bool:
+    """Strong Lucas probable-prime test for the sequences with P = 1, Q = q,
+    D = disc: with n + 1 = d 2**s, d odd, is U_d = 0 or V_(d 2**r) = 0 for
+    some r < s, modulo n?"""
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(v: int) -> int:
+        v %= n
+        return (v + n if v & 1 else v) // 2
+
+    u, v, qk = 1, 1, q % n  # U_1, V_1, Q**1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(disc * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _is_p_power_denominator(value: Fraction, p: int) -> bool:
@@ -204,18 +271,65 @@ def random_gamma_element(p: int, rng: random.Random) -> GammaElement:
 # acentrality of the diagonal image
 
 
+# Laurent polynomials in x, y, z, u, u0 over Z: a dict from exponent tuples
+# (the exponents of u and u0 may be negative) to nonzero coefficients.
+
+
+def _monomial(coeff: int = 1, x: int = 0, y: int = 0, z: int = 0, u: int = 0, u0: int = 0) -> dict:
+    return {(x, y, z, u, u0): coeff}
+
+
+def _laurent_add(*terms: dict) -> dict:
+    out: dict = {}
+    for term in terms:
+        for exps, c in term.items():
+            out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def _laurent_mul(a: dict, b: dict) -> dict:
+    return _laurent_add(
+        *({tuple(i + j for i, j in zip(ea, eb)): ca * cb} for ea, ca in a.items() for eb, cb in b.items())
+    )
+
+
+def _laurent_matmul(a: list, b: list) -> list:
+    return [[_laurent_add(*(_laurent_mul(a[i][k], b[k][j]) for k in range(3))) for j in range(3)]
+            for i in range(3)]
+
+
+# entries of [g, m] = g m g^-1 m^-1 for g = diag(1, u0, 1) and a generic m
+_COMMUTATOR_ENTRIES = {
+    (0, 1): _laurent_add(_monomial(1, x=1, u=-1, u0=-1), _monomial(-1, x=1, u=-1)),  # (x/u)(1/u0 - 1)
+    (1, 1): _monomial(),
+    (1, 2): _laurent_add(_monomial(1, y=1, u0=1), _monomial(-1, y=1)),  # y (u0 - 1)
+}
+
+
+def _commutator_matches(closed_forms: dict) -> bool:
+    """Compute [g, m] exactly over Z[x, y, z, u^+-1, u0^+-1], after checking the
+    hand-written inverses, and compare the given entries with it."""
+    one, zero = _monomial(), {}
+    identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    m = [[one, _monomial(x=1), _monomial(z=1)], [zero, _monomial(u=1), _monomial(y=1)], [zero, zero, one]]
+    m_inv = [
+        [one, _monomial(-1, x=1, u=-1), _laurent_add(_monomial(1, x=1, y=1, u=-1), _monomial(-1, z=1))],
+        [zero, _monomial(u=-1), _monomial(-1, y=1, u=-1)],
+        [zero, zero, one],
+    ]
+    g = [[one, zero, zero], [zero, _monomial(u0=1), zero], [zero, zero, one]]
+    g_inv = [[one, zero, zero], [zero, _monomial(u0=-1), zero], [zero, zero, one]]
+    if _laurent_matmul(m, m_inv) != identity or _laurent_matmul(g, g_inv) != identity:
+        return False
+    comm = _laurent_matmul(_laurent_matmul(_laurent_matmul(g, m), g_inv), m_inv)
+    return all(comm[i][j] == form for (i, j), form in closed_forms.items())
+
+
 def symbolic_commutator_identities() -> bool:
-    """Exact symbolic form of the commutator of a diagonal lift with a
-    generic lift: the off-diagonal entries are x (1 - u0^-1) / u-adjusted
-    and y (u0 - 1), so commuting modulo the centre forces x = y = 0."""
-    x, y, z, u, u0 = sympy.symbols("x y z u u0", nonzero=False)
-    m = sympy.Matrix([[1, x, z], [0, u, y], [0, 0, 1]])
-    g = sympy.Matrix([[1, 0, 0], [0, u0, 0], [0, 0, 1]])
-    comm = sympy.simplify(g * m * g.inv() * m.inv())
-    top = sympy.simplify(comm[0, 1] - (x / u) * (1 / u0 - 1))
-    mid = sympy.simplify(comm[1, 2] - y * (u0 - 1))
-    diag_ok = sympy.simplify(comm[1, 1] - 1) == 0
-    return top == 0 and mid == 0 and diag_ok
+    """Exact form of the commutator of a diagonal lift with a generic lift:
+    the off-diagonal entries are (x/u)(1/u0 - 1) and y (u0 - 1) and the middle
+    entry is 1, so commuting modulo the centre forces x = y = 0."""
+    return _commutator_matches(_COMMUTATOR_ENTRIES)
 
 
 @dataclass(frozen=True)

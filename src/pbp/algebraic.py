@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from .poly import poly_divmod_monic, poly_eval, poly_gcdext, poly_mul, poly_scale, poly_trim
+
 MAX_FIELD_INDEX = 10_000  # root gaps of the minimal polynomial stay >> seed width
 _SEED_BITS = 40  # the seed interval is theta's float value +- 2**-40
 _MAX_BISECTIONS = 400
@@ -29,63 +31,7 @@ class PrecisionExhausted(Exception):
 
 
 # ---------------------------------------------------------------------------
-# integer/rational polynomials, coefficients low-to-high
-
-
-def poly_trim(coeffs: Sequence) -> tuple:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_eval(coeffs: Sequence, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_mul(p: Sequence, q: Sequence) -> tuple:
-    if len(p) < len(q):
-        p, q = q, p
-    if not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    n = len(p)
-    for j, b in enumerate(q):
-        if b:
-            out[j : j + n] = [o + a * b for o, a in zip(out[j : j + n], p)]
-    return poly_trim(out)
-
-
-def poly_add(p: Sequence, q: Sequence) -> tuple:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return poly_trim(out)
-
-
-def poly_scale(p: Sequence, c) -> tuple:
-    return poly_trim([a * c for a in p])
-
-
-def poly_divmod_monic(p: Sequence, d: Sequence) -> tuple[tuple, tuple]:
-    """Divide by a monic divisor; exact over the coefficient ring."""
-    assert d and d[-1] == 1
-    rem = list(p)
-    deg_d = len(d) - 1
-    low = d[:-1]
-    quot = [0] * max(len(p) - deg_d, 0)
-    for i in range(len(rem) - 1, deg_d - 1, -1):
-        c = rem[i]
-        if c:
-            k = i - deg_d
-            quot[k] = c
-            rem[k:i] = [r - c * b for r, b in zip(rem[k:i], low)]
-    return poly_trim(quot), poly_trim(rem[:deg_d])
+# minimal polynomials
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -418,20 +364,9 @@ class CycloNumber:
     def inverse(self) -> "CycloNumber":
         if not self.num:
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid against the (irreducible) modulus
-        r0, r1 = tuple(map(Fraction, self.field.modulus)), tuple(map(Fraction, self.num))
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            lead = r1[-1]
-            deg_gap = len(r0) - len(r1)
-            if deg_gap < 0:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            q = tuple([Fraction(0)] * deg_gap + [r0[-1] / lead])
-            r0, r1 = r1, poly_add(r0, poly_scale(poly_mul(q, r1), -1))
-            s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1), -1))
-        assert len(r0) == 1, "modulus must be irreducible"
-        return self.field.element(poly_scale(s0, self.den / r0[0]))
+        gcd, u, _ = poly_gcdext(self.num, self.field.modulus)
+        assert gcd == (1,), "modulus must be irreducible"
+        return self.field.element(poly_scale(u, self.den))
 
     def is_zero(self) -> bool:
         return not self.num

@@ -16,8 +16,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import sympy
-
 from .linalg import (
     SpanBuilder,
     Vec,
@@ -46,6 +44,7 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
+from .poly import factor_over_q, poly_divmod, poly_gcdext, poly_mul
 from .verdict import Answer, InternalVerificationError
 
 
@@ -397,85 +396,12 @@ def _spin(vectors: list, gens: list, n: int) -> tuple[Vec, ...]:
     return builder.basis()
 
 
-def _factor_poly(coeffs: Sequence) -> list[tuple[tuple, int]]:
-    """Irreducible factors over Q of a polynomial with rational coefficients."""
-    x = sympy.Symbol("x")
-    expr = sympy.Add(*[sympy.Rational(Fraction(c)) * x**i for i, c in enumerate(coeffs)])
-    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
-    out = []
-    for poly, mult in factors:
-        cs = [Fraction(sympy.Rational(c)) for c in reversed(poly.all_coeffs())]
-        lead = cs[-1]
-        out.append((tuple(c / lead for c in cs), int(mult)))
-    return out
-
-
-def _poly_divmod(p: Sequence, d: Sequence) -> tuple[tuple, tuple]:
-    rem = [Fraction(c) for c in p]
-    den = [Fraction(c) for c in d]
-    deg_d = len(den) - 1
-    if deg_d < 0:
-        raise ZeroDivisionError
-    quot = [Fraction(0)] * max(len(rem) - deg_d, 0)
-    for i in range(len(rem) - 1, deg_d - 1, -1):
-        if rem[i] == 0:
-            continue
-        c = rem[i] / den[-1]
-        quot[i - deg_d] = c
-        for j, b in enumerate(den):
-            rem[i - deg_d + j] -= c * b
-    trim = lambda xs: tuple(xs[: max((i + 1 for i, v in enumerate(xs) if v), default=0)])
-    return trim(quot), trim(rem)
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_mod(p, m):
-    return _poly_divmod(p, m)[1]
-
-
-def _poly_gcdext(a: Sequence, b: Sequence) -> tuple[tuple, tuple, tuple]:
-    """(g, u, v) with u a + v b = g, over Q."""
-    r0, r1 = tuple(map(Fraction, a)), tuple(map(Fraction, b))
-    u0, u1 = (Fraction(1),), ()
-    v0, v1 = (), (Fraction(1),)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    if r0:
-        lead = r0[-1]
-        r0 = tuple(c / lead for c in r0)
-        u0 = tuple(c / lead for c in u0)
-        v0 = tuple(c / lead for c in v0)
-    return r0, u0, v0
-
-
-def _poly_sub(p, q):
-    out = list(p) + [Fraction(0)] * max(0, len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _crt_idempotent_poly(mu: Sequence, factor: Sequence) -> tuple:
     """h with h = 1 mod factor and h = 0 mod mu/factor (mu squarefree)."""
-    g, _ = _poly_divmod(tuple(map(Fraction, mu)), tuple(map(Fraction, factor)))
-    gcd, u, _ = _poly_gcdext(g, factor)
+    g = poly_divmod(mu, factor)[0]
+    gcd, u, _ = poly_gcdext(g, factor)
     assert len(gcd) == 1, "factor must be coprime to the cofactor"
-    return _poly_mod(_poly_mul(u, g), tuple(map(Fraction, mu)))
+    return poly_divmod(poly_mul(u, g), mu)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +455,7 @@ def _simplicity(gens: list, dim: int, rng: random.Random, tries: int):
         cp = char_poly(z)
         if all(c == 0 for c in cp[:-1]):
             continue
-        for f, _mult in _factor_poly(cp):
+        for f, _mult in factor_over_q(cp):
             if len(f) - 1 == dim:
                 # irreducible characteristic polynomial: no invariant subspace
                 return "simple"
@@ -635,7 +561,7 @@ def _isotypic_components(ad_soc: list, d: int, rng, tries):
         mu = min_poly_of_matrix(z)
         if len(mu) - 1 != len(zcent):
             continue  # z does not generate the centre; retry
-        factors = _factor_poly(mu)
+        factors = factor_over_q(mu)
         comps = []
         for f, _m in factors:
             h = _crt_idempotent_poly(mu, f)
@@ -808,7 +734,7 @@ def _decomposability(algebra: LieAlgebra, rng: random.Random, tries: int):
             power = mat_mul(power, z)
         if len(mu) - 1 != ss_dim:
             continue  # z does not generate the residue algebra; retry
-        factors = _factor_poly(mu)
+        factors = factor_over_q(mu)
         if len(factors) == 1 and factors[0][1] == 1:
             return (
                 "indecomposable",

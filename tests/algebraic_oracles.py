@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from pbp.algebraic import poly_divmod_monic, poly_eval
+from pbp.poly import poly_divmod_monic, poly_eval
 
 _SEED_WIDTH = Fraction(1, 10**12)
 _MAX_BISECTIONS = 400

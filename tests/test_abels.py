@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from pbp import abels
 from pbp.abels import (
     A3Matrix,
     GammaElement,
@@ -138,6 +140,44 @@ def test_y_entry_obstruction():
 
 def test_symbolic_identities():
     assert symbolic_commutator_identities()
+
+
+def test_wrong_closed_form_is_rejected():
+    mono, add = abels._monomial, abels._laurent_add
+    assert abels._commutator_matches(abels._COMMUTATOR_ENTRIES)
+    wrong = dict(abels._COMMUTATOR_ENTRIES)
+    wrong[(1, 2)] = add(mono(1, y=1, u0=1), mono(1, y=1))  # y (u0 + 1)
+    assert not abels._commutator_matches(wrong)
+    wrong = dict(abels._COMMUTATOR_ENTRIES)
+    wrong[(0, 1)] = add(mono(1, x=1, u0=-1), mono(-1, x=1))  # x (1/u0 - 1), u dropped
+    assert not abels._commutator_matches(wrong)
+
+
+# --- primality ------------------------------------------------------------------
+
+
+def test_is_prime_matches_sympy_below_200000():
+    assert [n for n in range(200_000) if abels._is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_is_prime_matches_sympy_on_random_integers(bits):
+    rng = random.Random(bits)
+    numbers = [rng.getrandbits(bits) | 1 for _ in range(400)]
+    numbers += [sympy.nextprime(rng.getrandbits(bits)) for _ in range(100)]
+    assert [n for n in numbers if abels._is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2047, 3215031751, 3825123056546413051,  # strong pseudoprimes to base 2
+        561, 41041, 825265,  # Carmichael numbers
+        5459, 5777, 10877,  # strong Lucas pseudoprimes
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not abels._is_prime(n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from pbp.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, obj):
@@ -144,3 +150,33 @@ def test_abels_command(capsys):
 def test_missing_file_exits_two(capsys):
     code, out, err = run(capsys, ["classify", "-i", "/nonexistent.json"])
     assert code == 2
+
+
+def test_no_subcommand_imports_sympy(tmp_path):
+    """The runtime is the standard library: no subcommand loads sympy."""
+    runs = []
+    for golden in sorted(Path(__file__).parent.glob("golden/*.json")):
+        descriptor = json.loads(golden.read_text())["descriptor"]
+        runs.append(["classify", "-i", write(tmp_path, golden.name, descriptor)])
+    runs += [
+        ["coxeter", "-i", write(tmp_path, "m.json", {"n": 3, "m": [[1, 3, 3], [3, 1, 7], [3, 7, 1]]})],
+        ["bs", "2", "-2"],
+        ["lie", "--catalogue", "af+af"],
+        ["lie", "--catalogue", "sl2"],
+        ["abels", "--prime", "3", "--trials", "20"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from pbp.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not [p for p in SRC.rglob("*.py") if "sympy" in p.read_text()]
