@@ -30,7 +30,6 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_sub,
-    mat_trace,
     mat_vec,
     min_poly_of_matrix,
     nullspace,
@@ -71,7 +70,10 @@ class LieAlgebra:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("algebras here have dimension >= 1")
-        c = tuple(tuple(tuple(row) for row in plane) for plane in self.constants)
+        # integral Fractions are stored as ints: equal values, faster arithmetic
+        c = tuple(
+            tuple(tuple(_integral(x) for x in row) for row in plane) for plane in self.constants
+        )
         object.__setattr__(self, "constants", c)
         if len(self.labels) != self.dim:
             raise ValueError("one label per basis vector")
@@ -132,6 +134,10 @@ def validate(algebra: LieAlgebra) -> str | None:
                 if not is_zero_vec(lhs):
                     return f"Jacobi identity fails at ({i}, {j}, {k})"
     return None
+
+
+def _integral(x):
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _unit(n: int, i: int) -> Vec:
@@ -311,13 +317,16 @@ def _envelope(gens: list, n: int) -> list:
     """Basis of the unital matrix algebra generated by ``gens``."""
     basis: list = []
     builder = SpanBuilder(n * n)
-    queue = [identity_matrix(n)] + [g for g in gens]
-    while queue:
-        m = queue.pop()
+    # depth-first over words in the generators; a product m g is formed only
+    # when its (m, g) pair is popped, so pending products cost no memory
+    stack = [(identity_matrix(n), None)] + [(g, None) for g in gens]
+    while stack:
+        m, g = stack.pop()
+        if g is not None:
+            m = mat_mul(m, g)
         if builder.add(flatten(m)):
             basis.append(m)
-            for g in gens:
-                queue.append(mat_mul(m, g))
+            stack.extend((m, g) for g in gens)
     return basis
 
 
@@ -328,10 +337,14 @@ def _trace_radical(alg_basis: list, n: int) -> list:
     faithfully, which is the case here by construction.
     """
     k = len(alg_basis)
-    gram = [
-        [mat_trace(mat_mul(alg_basis[i], alg_basis[j])) for j in range(k)]
-        for i in range(k)
-    ]
+    # tr(AB) is the dot product of A and B^T flattened; the Gram is symmetric
+    flat = [flatten(b) for b in alg_basis]
+    flat_t = [flatten(transpose(b)) for b in alg_basis]
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        a = flat[i]
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = sum([x * y for x, y in zip(a, flat_t[j]) if x and y])
     out = []
     for sol in nullspace(gram, k):
         m = [[0] * n for _ in range(n)]
@@ -400,7 +413,8 @@ def _crt_idempotent_poly(mu: Sequence, factor: Sequence) -> tuple:
     """h with h = 1 mod factor and h = 0 mod mu/factor (mu squarefree)."""
     g = poly_divmod(mu, factor)[0]
     gcd, u, _ = poly_gcdext(g, factor)
-    assert len(gcd) == 1, "factor must be coprime to the cofactor"
+    if len(gcd) != 1:
+        raise InternalVerificationError("factor must be coprime to the cofactor")
     return poly_divmod(poly_mul(u, g), mu)[1]
 
 
@@ -567,7 +581,8 @@ def _isotypic_components(ad_soc: list, d: int, rng, tries):
             h = _crt_idempotent_poly(mu, f)
             e = poly_eval_matrix(h, z)
             comps.append(column_space(e))
-        assert sum(len(c) for c in comps) == d
+        if sum(len(c) for c in comps) != d:
+            raise InternalVerificationError("isotypic components do not span the socle")
         return comps
     return None
 

@@ -1,20 +1,29 @@
 """Exact linear algebra over the rationals.
 
 Entries are Python ints or Fractions; mixed arithmetic is exact either way,
-and keeping ints where possible is markedly faster.  Everything here is
-desk-scale (dimensions in the low tens), so plain Gaussian elimination is
-the right tool.
+and keeping ints where possible is markedly faster.  Elimination runs on an
+integer echelon: a span's reduced row echelon form is kept as integer rows
+over one common denominator, with cached pivot columns, and a new vector is
+scaled to a primitive integer row and reduced in integers against them.  A
+vector that grows the span enters by one fraction-free Gauss-Jordan step
+(Bareiss, Math. Comp. 22, 1968).  No Fraction is built until the canonical
+rref, with pivots 1, is asked for; matrix products likewise run in integers
+over a common denominator.  Everything here is desk-scale (dimensions in the
+low tens).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple
 Matrix = list
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 def vec(values: Iterable) -> Vec:
@@ -41,40 +50,111 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def _reduce_row(basis: list[list], row: list) -> list:
-    for b in basis:
-        piv = next(i for i, v in enumerate(b) if v)
-        if row[piv]:
-            c = row[piv]
-            for k in range(len(row)):
-                if b[k]:
-                    row[k] -= c * b[k]
-    return row
+# ---------------------------------------------------------------------------
+# the integer echelon kernel
+
+
+def _int_matrix(a: Sequence[Sequence]) -> tuple[Sequence, int]:
+    """(ints, den) with a == ints / den and den the least common denominator."""
+    dens = [x.denominator for row in a for x in row if type(x) is not int]
+    if not dens:
+        return a, 1
+    den = lcm(*dens)
+    return [
+        [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row]
+        for row in a
+    ], den
+
+
+def _int_row(v: Sequence) -> Sequence:
+    """A primitive integer row spanning the same line as the rational v."""
+    (row,), _ = _int_matrix((v,))
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+class _Echelon:
+    """The reduced row echelon form of a span, as integer rows over one denominator.
+
+    Row i holds ``den`` at its cached pivot column ``pivots[i]`` and every
+    other row holds 0 there, so ``rows[i] / den`` is a row of the canonical
+    rref.  ``den`` is kept the least common denominator of that rref, so the
+    entries are no larger than the rref's own numerators.  Rows stay in
+    insertion order.
+    """
+
+    def __init__(self):
+        self.pivots: list[int] = []
+        self.rows: list[list[int]] = []
+        self.den = 1
+
+    def residue(self, v: Sequence) -> list | None:
+        """A positive multiple of v minus its projection on the span; None if v is in it."""
+        if len(self.rows) == len(v):
+            return None
+        u = _int_row(v)
+        w = [self.den * x for x in u]
+        for p, r in zip(self.pivots, self.rows):
+            c = u[p]
+            if c:
+                w = [a - c * b for a, b in zip(w, r)]
+        return w if any(w) else None
+
+    def insert(self, v: Sequence) -> bool:
+        """Add v to the span by one fraction-free Gauss-Jordan step; True if it grew."""
+        w = self.residue(v)
+        if w is None:
+            return False
+        p = next(i for i, x in enumerate(w) if x)
+        g = gcd(*w) if w[p] > 0 else -gcd(*w)
+        if g != 1:
+            w = [x // g for x in w]
+        e, den, rows = w[p], self.den, self.rows
+        # rows are replaced one at a time, so at most one old row is alive
+        for i, r in enumerate(rows):
+            c = r[p]
+            if c:
+                rows[i] = [e * a - c * b for a, b in zip(r, w)]
+            elif e != 1:
+                rows[i] = [e * a for a in r]
+        rows.append([den * x for x in w])
+        self.pivots.append(p)
+        den *= e
+        g = den
+        for r in rows:
+            if g == 1:
+                break
+            g = gcd(g, *r)
+        if g > 1:
+            for i, r in enumerate(rows):
+                rows[i] = [x // g for x in r]
+            den //= g
+        self.den = den
+        return True
+
+    def canonical(self) -> tuple[Vec, ...]:
+        """The rref rows, pivots 1 and Fraction entries, sorted by pivot."""
+        den = self.den
+        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
+        return tuple(tuple(Fraction(x, den) if x else ZERO for x in self.rows[i]) for i in order)
 
 
 def rref(rows: Iterable[Sequence]) -> tuple[Vec, ...]:
     """Reduced row echelon form; zero rows dropped, pivots normalized to 1."""
-    out: list[list] = []
+    echelon = _Echelon()
     for row in rows:
-        row = _reduce_row(out, list(row))
-        if any(row):
-            piv = next(i for i, v in enumerate(row) if v)
-            inv = ONE / row[piv]
-            row = [v * inv for v in row]
-            for prev in out:
-                if prev[piv]:
-                    c = prev[piv]
-                    for k in range(len(row)):
-                        if row[k]:
-                            prev[k] -= c * row[k]
-            out.append(row)
-    out.sort(key=lambda r: next(i for i, v in enumerate(r) if v))
-    return tuple(tuple(r) for r in out)
+        echelon.insert(row)
+    return echelon.canonical()
 
 
 def reduce_vector(basis: Sequence[Vec], v: Vec) -> Vec:
     """Canonical representative of v modulo the row space of an rref basis."""
-    return tuple(_reduce_row([list(b) for b in basis], list(v)))
+    out = v
+    for b, p in zip(basis, pivots(basis)):
+        c = out[p]
+        if c:
+            out = [x - c * y for x, y in zip(out, b)]
+    return tuple(out)
 
 
 def pivots(basis: Sequence[Vec]) -> list[int]:
@@ -92,41 +172,27 @@ def express(basis: Sequence[Vec], v: Vec) -> list | None:
 
 
 class SpanBuilder:
-    """Incrementally maintained rref basis of a growing span."""
+    """Incrementally maintained basis of a growing span."""
 
     def __init__(self, ncols: int, vectors: Iterable[Vec] = ()):
         self.ncols = ncols
-        self.rows: list[list] = []
+        self.echelon = _Echelon()
         for v in vectors:
             self.add(v)
 
     def add(self, v: Sequence) -> bool:
         """Add a vector; True if the span grew."""
-        row = _reduce_row(self.rows, list(v))
-        if not any(row):
-            return False
-        piv = next(i for i, x in enumerate(row) if x)
-        inv = ONE / row[piv]
-        row = [x * inv for x in row]
-        for prev in self.rows:
-            if prev[piv]:
-                c = prev[piv]
-                for k in range(self.ncols):
-                    if row[k]:
-                        prev[k] -= c * row[k]
-        self.rows.append(row)
-        return True
+        return self.echelon.insert(v)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(_reduce_row(self.rows, list(v)))
+        return self.echelon.residue(v) is None
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.echelon.rows)
 
     def basis(self) -> tuple[Vec, ...]:
-        ordered = sorted(self.rows, key=lambda r: next(i for i, v in enumerate(r) if v))
-        return tuple(tuple(r) for r in ordered)
+        return self.echelon.canonical()
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
@@ -134,8 +200,14 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
+    """Product of rational matrices, taken in integers over one denominator."""
+    (a, da), (b, db) = _int_matrix(a), _int_matrix(b)
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a]
+    prod = [[sum(map(mul, row, col)) for col in bt] for row in a]
+    den = da * db
+    if den == 1:
+        return prod
+    return [[Fraction(x, den) if x else ZERO for x in row] for row in prod]
 
 
 def mat_add(a, b) -> Matrix:
@@ -164,10 +236,6 @@ def zero_matrix(n: int, m: int | None = None) -> Matrix:
 
 def transpose(a: Sequence[Sequence]) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def mat_trace(a):
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def flatten(a: Sequence[Sequence]) -> Vec:
@@ -235,7 +303,7 @@ def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:
 
 
 def dependence(stack: list[Vec], v: Vec) -> list:
-    """Coefficients c with sum_i c_i stack[i] = v (the stack is independent)."""
+    """Coefficients c with sum_i c_i stack[i] + v = 0 (the stack is independent)."""
     aug = rref([list(s) for s in zip(*([list(s) for s in stack] + [list(v)]))])
     ncols = len(stack) + 1
     sol = [0] * len(stack)

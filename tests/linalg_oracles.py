@@ -1,0 +1,77 @@
+"""Fraction Gauss-Jordan elimination that the tests compare pbp.linalg against.
+
+Every row is kept in reduced echelon form with Fraction entries: a new
+vector is reduced against each stored row by the row's pivot, normalized to
+pivot 1, and then eliminated from the stored rows.  Slow, but obviously
+right.
+"""
+
+from fractions import Fraction
+
+
+def _pivot(row):
+    return next(i for i, v in enumerate(row) if v)
+
+
+def _reduce_row(basis, row):
+    for b in basis:
+        piv = _pivot(b)
+        if row[piv]:
+            c = row[piv]
+            for k in range(len(row)):
+                if b[k]:
+                    row[k] -= c * b[k]
+    return row
+
+
+class SpanOracle:
+    """Reduced echelon basis of a growing span, updated on every add."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, v):
+        row = _reduce_row(self.rows, list(v))
+        if not any(row):
+            return False
+        inv = 1 / Fraction(row[_pivot(row)])
+        row = [x * inv for x in row]
+        piv = _pivot(row)
+        for prev in self.rows:
+            if prev[piv]:
+                c = prev[piv]
+                for k in range(len(row)):
+                    if row[k]:
+                        prev[k] -= c * row[k]
+        self.rows.append(row)
+        return True
+
+    def contains(self, v):
+        return not any(_reduce_row(self.rows, list(v)))
+
+    def basis(self):
+        return tuple(tuple(r) for r in sorted(self.rows, key=_pivot))
+
+
+def rref_oracle(rows):
+    span = SpanOracle()
+    for row in rows:
+        span.add(row)
+    return span.basis()
+
+
+def reduce_vector_oracle(basis, v):
+    return tuple(_reduce_row([list(b) for b in basis], list(v)))
+
+
+def nullspace_oracle(rows, ncols):
+    basis = rref_oracle(rows)
+    piv = [_pivot(r) for r in basis]
+    out = []
+    for j in (j for j in range(ncols) if j not in piv):
+        x = [0] * ncols
+        x[j] = 1
+        for p, row in zip(piv, basis):
+            x[p] = -row[j]
+        out.append(tuple(x))
+    return out

@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linalg_oracles import SpanOracle
 from pbp import lie
 from pbp.lie import (
     Completeness,
@@ -34,7 +39,7 @@ from pbp.lie import (
     verify_product_certificate,
     vr_semidirect,
 )
-from pbp.verdict import Answer
+from pbp.verdict import Answer, InternalVerificationError
 
 
 def span(algebra, *vectors):
@@ -397,3 +402,159 @@ def test_json_rejects_conflicts():
         algebra_from_json(
             {"dim": 1, "basis": ["x"], "brackets": [{"x": "x", "y": "u", "value": {}}]}
         )
+
+
+# --- change of basis ------------------------------------------------------------
+
+
+def rebase(algebra, p):
+    """The same algebra in the basis f_a = sum_i p[a][i] e_i."""
+    n, c = algebra.dim, algebra.constants
+    q = [[Fraction(int(x.p), int(x.q)) for x in row] for row in sympy.Matrix(p).inv().tolist()]
+    new = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = [
+                sum(p[a][i] * p[b][j] * c[i][j][k] for i in range(n) for j in range(n))
+                for k in range(n)
+            ]
+            w = tuple(sum(v[k] * q[k][l] for k in range(n)) for l in range(n))
+            new[a][b], new[b][a] = w, tuple(-x for x in w)
+    return LieAlgebra(n, tuple(tuple(plane) for plane in new), tuple(f"f{i}" for i in range(n)))
+
+
+def dense_unimodular(lower, upper, n):
+    """L U for unit triangular L and U whose off-diagonal entries are drawn in order."""
+    low, up = iter(lower), iter(upper)
+    lmat = [[1 if i == j else next(low) if i > j else 0 for j in range(n)] for i in range(n)]
+    umat = [[1 if i == j else next(up) if i < j else 0 for j in range(n)] for i in range(n)]
+    return [[sum(lmat[i][k] * umat[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+SMALL_CATALOGUE = ["af", "sol", "sl2", "heisenberg", "abelian(2)", "abelian(3)", "so(3)",
+                   "so(2,1)", "af+af", "af+so(2,1)", "so(4)", "so(3,1)", "so(2,2)", "sl2+sl2",
+                   "sol+sl2", "vr(2,1,1)", "vr(3,0,1)"]
+SCALES = (1, -1, 2, -2, Fraction(1, 2), 3, Fraction(-2, 3))
+UNIT_ENTRIES = (-1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def catalogue_answer(name):
+    return lie_presentable(catalogue(name)).answer
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_answers_survive_change_of_basis(data):
+    name = data.draw(st.sampled_from(SMALL_CATALOGUE))
+    algebra = catalogue(name)
+    n = algebra.dim
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n))
+        p = [[scales[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        entries = st.lists(st.sampled_from(UNIT_ENTRIES), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2)
+        p = dense_unimodular(data.draw(entries), data.draw(entries), n)
+    rebased = rebase(algebra, p)
+    assert validate(rebased) is None
+    res = lie_presentable(rebased)
+    assert res.answer == catalogue_answer(name) != Answer.UNKNOWN
+    if res.answer == Answer.YES:
+        ok, reason = verify_product_certificate(rebased, res.certificate)
+        assert ok, reason
+
+
+def envelope_oracle(gens, n):
+    """Depth-first envelope with every pending product formed when pushed."""
+    basis, span = [], SpanOracle()
+    queue = [[[int(i == j) for j in range(n)] for i in range(n)]] + list(gens)
+    while queue:
+        m = queue.pop()
+        if span.add([x for row in m for x in row]):
+            basis.append(m)
+            queue.extend(
+                [[sum(a * b for a, b in zip(row, col)) for col in zip(*g)] for row in m] for g in gens
+            )
+    return basis
+
+
+@pytest.mark.parametrize("name, seed", [("sol", 1), ("so(3)", 2), ("vr(2,1,1)", 3), ("so(2,2)", 4)])
+def test_envelope_basis_and_order(name, seed):
+    # _random_combo draws follow the envelope basis, so its order is pinned too
+    algebra = pinned_dense(name, seed)
+    ad = [algebra.ad_basis(i) for i in range(algebra.dim)]
+    assert lie._envelope(ad, algebra.dim) == envelope_oracle(ad, algebra.dim)
+
+
+def pinned_dense(name, seed):
+    algebra = catalogue(name)
+    n, rng = algebra.dim, random.Random(seed)
+    draws = [rng.choice(UNIT_ENTRIES) for _ in range(n * (n - 1))]
+    return rebase(algebra, dense_unimodular(draws[::2], draws[1::2], n))
+
+
+COMPLETE_NO = {
+    "answer": "NO",
+    "certificate": None,
+    "lattice_completeness": "Complete",
+    "note": "every nonzero ideal fails: its centralizer does not complement it",
+}
+# lie_presentable(...).to_json(...) on pinned_dense(name, seed)
+PINNED = {
+    ("so(3,1)", 31): {
+        **COMPLETE_NO,
+        "ideal_trace": [{"ideal_dim": 6, "centralizer_dim": 0, "span_dim": 6}],
+    },
+    ("vr(3,0,1)", 301): {
+        **COMPLETE_NO,
+        "ideal_trace": [
+            {"ideal_dim": 3, "centralizer_dim": 3, "span_dim": 3},
+            {"ideal_dim": 6, "centralizer_dim": 0, "span_dim": 6},
+        ],
+    },
+    ("af+so(2,1)", 21): {
+        "answer": "YES",
+        "certificate": {
+            "g1": [["1", "0", "-1", "-2/3", "-4/3"], ["0", "1", "1", "2/3", "7/3"]],
+            "g2": [["1", "0", "-1/2", "0", "-1/2"], ["0", "1", "0", "0", "1"],
+                   ["0", "0", "0", "1", "0"]],
+        },
+        "ideal_trace": [
+            {"ideal_dim": 1, "centralizer_dim": 4, "span_dim": 4},
+            {"ideal_dim": 2, "centralizer_dim": 3, "span_dim": 5},
+        ],
+        "lattice_completeness": "Complete",
+        "note": "an ideal and its centralizer span the algebra",
+    },
+}
+
+
+@pytest.mark.parametrize("name, seed", list(PINNED))
+def test_dense_basis_certificates_are_pinned(name, seed):
+    algebra = pinned_dense(name, seed)
+    assert lie_presentable(algebra).to_json(algebra) == PINNED[name, seed]
+
+
+# --- internal checks that survive python -O --------------------------------------
+
+
+def test_crt_idempotent_checks_coprimality(monkeypatch):
+    # sl2 + sl2 splits its socle with CRT idempotents of the centre of End
+    gcdext = lie.poly_gcdext
+
+    def non_coprime(a, b):
+        _gcd, u, v = gcdext(a, b)
+        return (Fraction(-1), Fraction(1)), u, v
+
+    monkeypatch.setattr(lie, "poly_gcdext", non_coprime)
+    with pytest.raises(InternalVerificationError, match="coprime"):
+        lie_presentable(catalogue("sl2+sl2"))
+
+
+def test_isotypic_components_check_their_dimensions(monkeypatch):
+    column_space = lie.column_space
+    monkeypatch.setattr(lie, "column_space", lambda mat: column_space(mat)[1:])
+    with pytest.raises(InternalVerificationError, match="isotypic"):
+        lie_presentable(catalogue("sl2+sl2"))

@@ -1,0 +1,172 @@
+"""The integer echelon kernel against Fraction Gauss-Jordan and sympy."""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linalg_oracles import SpanOracle, nullspace_oracle, reduce_vector_oracle, rref_oracle
+from pbp.linalg import (
+    SpanBuilder,
+    dependence,
+    express,
+    nullspace,
+    pivots,
+    reduce_vector,
+    rref,
+    solve_commutant,
+)
+
+RATIONAL = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**9)),
+)
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+def combine(a, b, x, y):
+    return [x * u + y * v for u, v in zip(a, b)]
+
+
+@st.composite
+def rows_of(draw, ncols, max_rows=12):
+    """Random rational rows with zero, repeated, rescaled and dependent rows."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat", "combo"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append([draw(SMALL) * x for x in draw(st.sampled_from(rows))])
+        elif kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(combine(a, b, draw(SMALL), draw(SMALL)))
+        else:
+            rows.append(draw(st.lists(RATIONAL, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 14))
+    return ncols, draw(rows_of(ncols))
+
+
+@st.composite
+def matrices_with_probes(draw):
+    """A matrix plus probe vectors: some in its row space, some random."""
+    ncols, rows = draw(matrices())
+    probes = [draw(st.lists(RATIONAL, min_size=ncols, max_size=ncols)) for _ in range(2)]
+    if rows:
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        probes.append(combine(a, b, draw(SMALL), draw(SMALL)))
+    return ncols, rows, probes
+
+
+def _sympy_rref(rows):
+    reduced, pivot_cols = sympy.Matrix(rows).rref()
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(len(pivot_cols))
+    )
+
+
+def _assert_canonical(basis):
+    piv = pivots(basis)
+    assert piv == sorted(set(piv))
+    for p, row in zip(piv, basis):
+        assert all(type(x) is Fraction for x in row)
+        assert row[p] == 1
+        assert all(other[p] == 0 for other in basis if other is not row)
+
+
+@settings(max_examples=60)
+@given(matrices())
+def test_rref_matches_oracle_and_sympy(case):
+    ncols, rows = case
+    got = rref(rows)
+    assert got == rref_oracle(rows)
+    _assert_canonical(got)
+    if rows:
+        assert got == _sympy_rref(rows)
+
+
+@given(matrices_with_probes())
+def test_span_builder_matches_oracle(case):
+    ncols, rows, probes = case
+    builder, oracle = SpanBuilder(ncols), SpanOracle()
+    assert [builder.add(r) for r in rows] == [oracle.add(r) for r in rows]
+    assert builder.dim == len(oracle.rows)
+    assert builder.basis() == oracle.basis() == rref(rows)
+    assert SpanBuilder(ncols, rows).basis() == builder.basis()
+    _assert_canonical(builder.basis())
+    for v in probes + rows:
+        assert builder.contains(v) == oracle.contains(v)
+
+
+@given(matrices())
+def test_nullspace_matches_oracle(case):
+    ncols, rows = case
+    kernel = nullspace(rows, ncols)
+    assert kernel == nullspace_oracle(rows, ncols)
+    assert len(kernel) == ncols - len(rref(rows))
+    for x in kernel:
+        assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+
+
+@given(matrices_with_probes())
+def test_reduce_vector_and_express(case):
+    ncols, rows, probes = case
+    basis = rref(rows)
+    oracle = SpanOracle()
+    for r in rows:
+        oracle.add(r)
+    for v in probes:
+        red = reduce_vector(basis, tuple(v))
+        assert red == reduce_vector_oracle(basis, v)
+        assert all(red[p] == 0 for p in pivots(basis))
+        assert oracle.contains([x - y for x, y in zip(v, red)])
+        coeffs = express(basis, tuple(v))
+        if oracle.contains(v):
+            assert coeffs is not None
+            total = [0] * ncols
+            for c, b in zip(coeffs, basis):
+                total = combine(total, b, 1, c)
+            assert total == list(v)
+        else:
+            assert coeffs is None
+
+
+@given(matrices_with_probes())
+def test_dependence_solves_for_the_new_vector(case):
+    ncols, rows, probes = case
+    builder = SpanBuilder(ncols)
+    stack = [tuple(r) for r in rows if builder.add(r)]
+    if not stack:
+        return
+    for v in probes:
+        if builder.contains(v):
+            coeffs = dependence(stack, tuple(v))
+            total = list(v)
+            for c, s in zip(coeffs, stack):
+                total = combine(total, s, 1, c)
+            assert not any(total)  # sum_i c_i stack[i] + v = 0
+        else:
+            try:
+                dependence(stack, tuple(v))
+            except ValueError:
+                continue
+            raise AssertionError("dependence accepted a vector outside the span")
+
+
+def test_solve_commutant_of_a_jordan_block():
+    # the commutant of a single nilpotent Jordan block is Q[N]: a I + b N + c N^2
+    n = 3
+    jordan = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    basis = solve_commutant([jordan], n)
+    assert len(basis) == 3
+    for x in basis:
+        xm = [[sum(x[i][k] * jordan[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        mx = [[sum(jordan[i][k] * x[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert xm == mx
