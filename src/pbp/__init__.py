@@ -27,7 +27,6 @@ from .presentations import (
     rs_counts,
     smith_normal_form,
 )
-from .algebraic import AlgebraicReal, PrecisionExhausted, RealCyclotomicField
 from .coxeter import (
     CoxeterMatrix,
     Signature,

@@ -1,492 +1,120 @@
-"""Exact real algebraic numbers for bilinear-form entries.
+"""Certified integer-ball enclosures of 2 cos(pi/m).
 
-Arithmetic happens in the real cyclotomic field Q(theta), theta = 2 cos(pi/N).
-An element is an integer polynomial in theta, reduced modulo the monic
-integer minimal polynomial of theta, over one positive denominator: products
-are integer convolutions, and equality with zero is a syntactic check on the
-reduced polynomial.  Signs are certified by ball evaluation over a cached
-fixed-point enclosure of the powers of theta.  Newton's method refines the
-enclosure of theta, and an outward-rounded sign change of the minimal
-polynomial inside a seed interval that isolates theta certifies it.  Floating
-point only places the seed, which is certified by a sign change as well.
+A ball at precision p is a pair of integers (mid, rad) with rad >= 0; it
+stands for every real within rad / 2**p of mid / 2**p.  Ring operations on
+balls round the midpoint down and widen the radius by the rounding error, so
+the result always contains the exact result of the operation on any points
+of the operands (Johansson, "Arb", IEEE Trans. Comput. 66, 2017).  Integers
+combine with balls exactly.
+
+pi comes from Machin's formula and 2 cos(pi/m) from a Taylor series with an
+explicit remainder, after halving the argument and before doubling it back
+(Brent, J. ACM 23, 1976).  No floating point is involved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
-
-from .poly import poly_divmod_monic, poly_eval, poly_gcdext, poly_mul, poly_scale, poly_trim
-
-MAX_FIELD_INDEX = 10_000  # root gaps of the minimal polynomial stay >> seed width
-_SEED_BITS = 40  # the seed interval is theta's float value +- 2**-40
-_MAX_BISECTIONS = 400
 
 
-class PrecisionExhausted(Exception):
-    """Sign certification failed to converge; indicates a bug upstream."""
+class _Ball:
+    """The reals within rad / 2**prec of mid / 2**prec."""
 
+    __slots__ = ("mid", "rad", "prec")
 
-# ---------------------------------------------------------------------------
-# minimal polynomials
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out + ([n] if n > 1 else [])
-
-
-def cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial.
-
-    Phi_n(x) is the product over d | n of (x^d - 1)^mu(n/d): multiply by the
-    binomials with mu = +1, then divide exactly by those with mu = -1.
-    """
-    primes = _prime_factors(n)
-    up, down = [], []
-    for mask in range(1 << len(primes)):
-        e = math.prod(p for k, p in enumerate(primes) if mask >> k & 1)
-        (down if bin(mask).count("1") % 2 else up).append(n // e)
-    poly = [1]
-    for d in up:  # times x^d - 1
-        out = [-c for c in poly] + [0] * d
-        for i, c in enumerate(poly):
-            out[i + d] += c
-        poly = out
-    for d in down:  # over x^d - 1: poly[j] = quot[j - d] - quot[j]
-        quot: list[int] = []
-        for j in range(len(poly) - d):
-            quot.append((quot[j - d] if j >= d else 0) - poly[j])
-        assert all(poly[j] == quot[j - d] for j in range(len(quot), len(poly)))
-        poly = quot
-    return tuple(poly)
-
-
-def two_cos_minpoly(n: int) -> tuple[int, ...]:
-    """Minimal polynomial of 2 cos(2 pi / n), monic with integer coefficients.
-
-    For n >= 3 the n-th cyclotomic polynomial is palindromic of even degree
-    2m and factors as x^m * f(x + 1/x); peeling leading terms recovers f.
-    Only the upper half of the coefficients is ever read, so only it is
-    updated, with binomials carried along each row.
-    """
-    if n == 1:
-        return (-2, 1)
-    if n == 2:
-        return (2, 1)
-    phi = list(cyclotomic(n))
-    m = (len(phi) - 1) // 2
-    coeffs = [0] * (m + 1)
-    for k in range(m, -1, -1):
-        a = phi[m + k]
-        coeffs[k] = a
-        if a:
-            binom = 1  # C(k, j)
-            for j in range(k // 2 + 1):
-                phi[m + k - 2 * j] -= a * binom
-                binom = binom * (k - j) // (j + 1)
-    assert not any(phi[m:]), "palindromic transform must terminate exactly"
-    return tuple(coeffs)
-
-
-def cos_pi_over_minpoly(m: int) -> tuple[int, ...]:
-    """Primitive integer minimal polynomial of cos(pi/m), m >= 1."""
-    psi = two_cos_minpoly(2 * m)
-    scaled = poly_trim([c * 2**i for i, c in enumerate(psi)])  # psi(2x)
-    g = math.gcd(*(abs(c) for c in scaled))
-    out = tuple(c // g for c in scaled)
-    return out if out[-1] > 0 else tuple(-c for c in out)
-
-
-def poly_negate_variable(p: Sequence) -> tuple:
-    """p(-x), sign-normalized to a positive leading coefficient."""
-    out = tuple(c if i % 2 == 0 else -c for i, c in enumerate(p))
-    return out if out[-1] > 0 else tuple(-c for c in out)
-
-
-# ---------------------------------------------------------------------------
-# fixed-point evaluation
-
-
-def _horner_box(poly: Sequence[int], x: int, bits: int, work: int) -> tuple[int, int]:
-    """Integers lo <= hi enclosing 2**work * poly(x / 2**bits), for x >= 0.
-
-    Horner's rule with each product rounded outward to a multiple of
-    2**-work; with x >= 0 the products preserve order, so the enclosure holds.
-    """
-    lo = hi = poly[-1] << work
-    for c in reversed(poly[:-1]):
-        lo = (lo * x >> bits) + (c << work)
-        hi = -(-hi * x >> bits) + (c << work)
-    return lo, hi
-
-
-def _fixed_sign(poly: Sequence[int], x: int, bits: int) -> int:
-    """Certified sign of poly(x / 2**bits) for x >= 0; 0 if it did not settle."""
-    # x < 2 here, so each Horner step at most doubles the rounding error so far
-    extra = len(poly) + 64
-    for _ in range(8):
-        lo, hi = _horner_box(poly, x, bits, bits + extra)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        extra *= 2
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# the working field Q(2 cos(pi / N))
-
-
-class _OnePerIndex(type):
-    """``RealCyclotomicField(n)`` returns one shared field per index.
-
-    Elements made from two calls with the same index then combine, and each
-    minimal polynomial and enclosure of theta is computed once per process;
-    the cache is bounded.
-    """
-
-    @lru_cache(maxsize=64)
-    def __call__(cls, n):
-        return super().__call__(n)
-
-
-class RealCyclotomicField(metaclass=_OnePerIndex):
-    """Q(theta) for theta = 2 cos(pi/N), with a certified enclosure of theta."""
-
-    def __init__(self, n: int):
-        if not (1 <= n <= MAX_FIELD_INDEX):
-            raise ValueError(f"field index must be in 1..{MAX_FIELD_INDEX}")
-        self.n = n
-        self.modulus = two_cos_minpoly(2 * n)
-        self.degree = len(self.modulus) - 1
-        # (prec, lows, highs): lows[i] <= 2**prec * theta**i <= highs[i]
-        self._powers_box: tuple[int, list[int], list[int]] = (0, [], [])
-        # for n <= 3 theta is rational and every element reduces to a
-        # rational; otherwise theta >= sqrt(2) > 0, which the fixed-point
-        # evaluation relies on
-        if self.degree > 1:
-            self._seed = self._certified_seed()
-
-    def _certified_seed(self) -> tuple[int, int]:
-        """Integers lo < hi such that theta is the only root of the modulus in
-        (lo, hi) / 2**_SEED_BITS.
-
-        Distinct roots of the modulus lie more than 2**-21 apart for every
-        allowed index, so an interval of width 2**-39 holds at most one of
-        them, and a sign change across it shows it holds theta.
-        """
-        mid = round(2 * math.cos(math.pi / self.n) * 2**_SEED_BITS)
-        lo, hi = mid - 1, mid + 1
-        if _fixed_sign(self.modulus, lo, _SEED_BITS) * _fixed_sign(self.modulus, hi, _SEED_BITS) != -1:
-            raise PrecisionExhausted(f"could not isolate 2 cos(pi/{self.n})")
-        return lo, hi
-
-    def _newton(self, bits: int) -> int:
-        """An integer within a few units of 2**bits * theta, by Newton's method
-        in fixed point from the seed (not itself certified)."""
-        f = self.modulus
-        df = [i * c for i, c in enumerate(f)][1:]
-        # the modulus has coefficients up to ~2**degree and theta**i up to
-        # 2**i, so its value near theta cancels about 2 * degree bits
-        work = bits + 2 * self.degree + 64
-        x = (self._seed[0] + 1) << (work - _SEED_BITS)
-        for _ in range(64):
-            step = (_horner_box(f, x, work, work)[0] << work) // _horner_box(df, x, work, work)[0]
-            x -= step
-            if abs(step) >> (work - bits) == 0:
-                return x >> (work - bits)
-        raise PrecisionExhausted(f"Newton's method did not converge for 2 cos(pi/{self.n})")
-
-    def _theta_box(self, bits: int) -> tuple[int, int]:
-        """Integers lo < hi with lo < 2**bits * theta < hi, certified."""
-        x = self._newton(bits)
-        lo, hi = x - 4, x + 4
-        shift = bits - _SEED_BITS
-        inside = self._seed[0] << shift < lo and hi < self._seed[1] << shift
-        if not inside or _fixed_sign(self.modulus, lo, bits) * _fixed_sign(self.modulus, hi, bits) != -1:
-            raise PrecisionExhausted(f"could not certify 2 cos(pi/{self.n}) to {bits} bits")
-        return lo, hi
-
-    def _powers(self, bits: int) -> tuple[int, list[int], list[int]]:
-        """(prec, lows, highs) with prec >= bits and lows[i] <= 2**prec * theta**i <= highs[i]."""
-        box = self._powers_box
-        if box[0] < bits:
-            prec = max(bits, 2 * box[0])
-            t_lo, t_hi = self._theta_box(prec)
-            lows, highs = [1 << prec], [1 << prec]
-            for _ in range(1, self.degree):
-                lows.append(lows[-1] * t_lo >> prec)
-                highs.append(-(-highs[-1] * t_hi >> prec))
-            box = self._powers_box = (prec, lows, highs)
-        return box
-
-    def _ball(self, num: tuple, done: Callable[[int, int, int], bool]) -> tuple[int, int, int]:
-        """(lo, hi, prec) with lo <= 2**prec * sum(num[i] theta**i) <= hi and
-        ``done(lo, hi, prec)`` true.
-
-        The precision starts from the size of the coefficients and doubles
-        while ``done`` is false.  A nonzero element's norm is a nonzero
-        integer, so its value exceeds 2**-((degree - 1) * (size + degree));
-        past that precision every sign is settled.
-        """
-        d = self.degree
-        size = max(abs(c) for c in num).bit_length()
-        bits = size + d + 2 * d.bit_length() + 64
-        cap = d * (size + d + 2 * d.bit_length() + 8)
-        while True:
-            prec, lows, highs = self._powers(bits)
-            lo = sum(c * (l if c > 0 else h) for c, l, h in zip(num, lows, highs))
-            hi = sum(c * (h if c > 0 else l) for c, l, h in zip(num, lows, highs))
-            if done(lo, hi, prec):
-                return lo, hi, prec
-            if prec > cap:
-                raise PrecisionExhausted(f"enclosure in Q(2 cos(pi/{self.n})) did not settle")
-            bits = 2 * prec
-
-    def element(self, coeffs: Sequence[Fraction]) -> "CycloNumber":
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in fracs))
-        return CycloNumber(self, [c.numerator * (den // c.denominator) for c in fracs], den)
-
-    def rational(self, value) -> "CycloNumber":
-        v = Fraction(value)
-        return CycloNumber(self, (v.numerator,), v.denominator)
-
-    def theta(self) -> "CycloNumber":
-        return CycloNumber(self, (0, 1))
-
-    def two_cos_pi_over(self, m: int) -> "CycloNumber":
-        """2 cos(pi/m) as a field element; m must divide N."""
-        if self.n % m:
-            raise ValueError(f"{m} does not divide the field index {self.n}")
-        # Dickson recurrence on integer polynomials, reduced once at the end:
-        # D_0 = 2, D_1 = x, D_{j+1} = x D_j - D_{j-1}, with D_j(2 cos a) = 2 cos(j a)
-        prev, cur = [2], [0, 1]
-        for _ in range(self.n // m - 1):
-            nxt = [0] + cur
-            for i, c in enumerate(prev):
-                nxt[i] -= c
-            prev, cur = cur, nxt
-        return CycloNumber(self, cur)
-
-    def _reduce(self, coeffs: Sequence[int]) -> tuple:
-        if len(coeffs) <= self.degree:
-            return poly_trim(coeffs)
-        return poly_divmod_monic(coeffs, self.modulus)[1]
-
-    def __repr__(self):
-        return f"RealCyclotomicField(2 cos(pi/{self.n}))"
-
-
-def _combine(p: Sequence[int], s: int, q: Sequence[int], t: int) -> list[int]:
-    """s * p + t * q, coefficientwise."""
-    if len(p) < len(q):
-        p, s, q, t = q, t, p, s
-    return [s * a + t * b for a, b in zip(p, q)] + [s * a for a in p[len(q) :]]
-
-
-class CycloNumber:
-    """Element (sum num[i] theta**i) / den of a RealCyclotomicField.
-
-    ``num`` is reduced modulo the minimal polynomial and trimmed, ``den`` is
-    positive and the two are in lowest terms, so equal elements are equal
-    tuples.  Supports exact ring and sign operations.
-    """
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: RealCyclotomicField, num: Sequence[int], den: int = 1):
-        num = field._reduce(num)
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = tuple(c // g for c in num)
-            den //= g
-        self.field, self.num, self.den = field, num, den
-
-    def _coerce(self, other) -> "CycloNumber":
-        if isinstance(other, CycloNumber):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other
-        return self.field.rational(other)
-
-    def _plus(self, o: "CycloNumber", sign: int) -> "CycloNumber":
-        if self.den == o.den:
-            return CycloNumber(self.field, _combine(self.num, 1, o.num, sign), self.den)
-        num = _combine(self.num, o.den, o.num, sign * self.den)
-        return CycloNumber(self.field, num, self.den * o.den)
+    def __init__(self, mid: int, rad: int, prec: int):
+        self.mid, self.rad, self.prec = mid, rad, prec
 
     def __add__(self, other):
-        return self._plus(self._coerce(other), 1)
+        if isinstance(other, int):
+            return _Ball(self.mid + (other << self.prec), self.rad, self.prec)
+        return _Ball(self.mid + other.mid, self.rad + other.rad, self.prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.field, [-c for c in self.num], self.den)
+        return _Ball(-self.mid, self.rad, self.prec)
 
     def __sub__(self, other):
-        return self._plus(self._coerce(other), -1)
-
-    def __rsub__(self, other):
-        return self._coerce(other)._plus(self, -1)
+        return self + -other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return CycloNumber(self.field, poly_mul(self.num, o.num), self.den * o.den)
+        if isinstance(other, int):
+            return _Ball(self.mid * other, self.rad * abs(other), self.prec)
+        err = abs(self.mid) * other.rad + abs(other.mid) * self.rad + self.rad * other.rad
+        # flooring the midpoint costs under one unit, the radius's ceiling one more
+        return _Ball(self.mid * other.mid >> self.prec, (err >> self.prec) + 2, self.prec)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if not o.is_rational():
-            return self * o.inverse()
-        if not o.num:
-            raise ZeroDivisionError("division by zero field element")
-        # dividing by a / b scales: multiply by b, divide by a
-        a = o.num[0]
-        scale = o.den if a > 0 else -o.den
-        return CycloNumber(self.field, [c * scale for c in self.num], self.den * abs(a))
+    def __truediv__(self, d: int):
+        """The ball around x / d, for an integer d > 0."""
+        return _Ball(self.mid // d, -(-self.rad // d) + 1, self.prec)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def inverse(self) -> "CycloNumber":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero field element")
-        gcd, u, _ = poly_gcdext(self.num, self.field.modulus)
-        assert gcd == (1,), "modulus must be irreducible"
-        return self.field.element(poly_scale(u, self.den))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_rational(self) -> bool:
-        return len(self.num) <= 1
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
+    def rounded(self, prec: int) -> "_Ball":
+        """The same enclosure at a precision prec <= self.prec."""
+        shift = self.prec - prec
+        return _Ball(self.mid >> shift, (self.rad >> shift) + 2, prec)
 
     def sign(self) -> int:
-        if self.is_rational():
-            return (self.num[0] > 0) - (self.num[0] < 0) if self.num else 0
-        lo, _, _ = self.field._ball(self.num, lambda lo, hi, prec: lo > 0 or hi < 0)
-        return 1 if lo > 0 else -1
-
-    def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """A certified enclosure of this element, at most ``width`` wide."""
-        width = Fraction(width)
-        if self.is_rational():
-            v = self.as_rational()
-            return (v - width / 2, v + width / 2)
-        lo, hi, prec = self.field._ball(
-            self.num, lambda lo, hi, prec: Fraction(hi - lo, self.den << prec) < width
-        )
-        return (Fraction(lo, self.den << prec), Fraction(hi, self.den << prec))
-
-    def __float__(self):
-        if self.is_rational():
-            return float(self.as_rational())
-        lo, hi = self.interval(Fraction(1, 10**17))
-        return float((lo + hi) / 2)
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((id(self.field), self.num, self.den))
-
-    def __repr__(self):
-        return f"CycloNumber({self.num!r} / {self.den} @ pi/{self.field.n})"
-
-
-# ---------------------------------------------------------------------------
-# the public certificate type
-
-
-@dataclass(frozen=True)
-class AlgebraicReal:
-    """A real algebraic number: squarefree integer polynomial + isolating interval.
-
-    The polynomial has exactly one real root in the open interval (lo, hi);
-    that root is the number.  ``exact`` carries the value when it is rational.
-    """
-
-    poly: tuple[int, ...]
-    lo: Fraction
-    hi: Fraction
-    exact: Fraction | None = None
-
-    @staticmethod
-    def from_rational(value) -> "AlgebraicReal":
-        v = Fraction(value)
-        return AlgebraicReal((-v.numerator, v.denominator), v - 1, v + 1, v)
-
-    @staticmethod
-    def from_poly_near(poly: Sequence[int], approx: float, width: float = 1e-9) -> "AlgebraicReal":
-        """Isolate the root of ``poly`` closest to a numeric seed."""
-        lo = Fraction(approx - width).limit_denominator(10**15)
-        hi = Fraction(approx + width).limit_denominator(10**15)
-        if poly_eval(poly, lo) * poly_eval(poly, hi) >= 0:
-            raise PrecisionExhausted("seed interval does not isolate a root")
-        return AlgebraicReal(tuple(poly), lo, hi)
-
-    def refine(self, width: Fraction) -> "AlgebraicReal":
-        """A new value with the same root isolated to at most ``width``."""
-        if self.exact is not None:
-            v = self.exact
-            w = Fraction(width) / 2
-            return AlgebraicReal(self.poly, v - w, v + w, v)
-        lo, hi = self.lo, self.hi
-        flo = poly_eval(self.poly, lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            fmid = poly_eval(self.poly, mid)
-            if fmid == 0:
-                w = min(width, hi - lo) / 4
-                return AlgebraicReal(self.poly, mid - w, mid + w, mid)
-            if (fmid > 0) == (flo > 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return AlgebraicReal(self.poly, lo, hi, None)
-
-    def sign(self) -> int:
-        if self.exact is not None:
-            return -1 if self.exact < 0 else (1 if self.exact > 0 else 0)
-        if self.lo > 0:
+        """1 or -1 when the ball excludes 0, else 0."""
+        if self.mid > self.rad:
             return 1
-        if self.hi < 0:
-            return -1
-        if poly_eval(self.poly, 0) == 0:
-            return 0
-        cur = self
-        for _ in range(_MAX_BISECTIONS):
-            cur = cur.refine((cur.hi - cur.lo) / 4)
-            if cur.lo > 0:
-                return 1
-            if cur.hi < 0:
-                return -1
-        raise PrecisionExhausted("sign did not resolve")
+        return -1 if -self.mid > self.rad else 0
 
-    def __float__(self):
-        if self.exact is not None:
-            return float(self.exact)
-        r = self.refine(Fraction(1, 10**17))
-        return float((r.lo + r.hi) / 2)
+    def below(self, base: int, exponent: int) -> bool:
+        """Whether every x in the ball has x**2 < base**-exponent, for integers
+        base >= 1 and exponent >= 0."""
+        top = abs(self.mid) + self.rad
+        # top**2 * base**exponent >= 2**bits; when that settles the answer the
+        # power, which can be far larger than the ball, is never formed
+        bits = 2 * (top.bit_length() - 1) + (base.bit_length() - 1) * exponent
+        return not top or (bits < 2 * self.prec and top * top * base**exponent < 1 << 2 * self.prec)
+
+
+def _atan_inverse(q: int, prec: int) -> _Ball:
+    """atan(1/q) for an integer q >= 2, by its alternating Taylor series.
+
+    ``power`` is exactly floor(2**prec / q**(2k+1)) and each term its floor
+    over 2k+1, so each of the k terms errs by under one unit, and the series
+    stops once the next term is below one unit.
+    """
+    power, total, k = (1 << prec) // q, 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        power //= q * q
+        k += 1
+    return _Ball(total, k + 1, prec)
+
+
+@lru_cache(maxsize=16)
+def _pi(prec: int) -> _Ball:
+    """pi by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239)."""
+    return 16 * _atan_inverse(5, prec) - 4 * _atan_inverse(239, prec)
+
+
+@lru_cache(maxsize=256)
+def two_cos_pi_over(m: int, prec: int) -> _Ball:
+    """A ball at precision ``prec`` around 2 cos(pi/m), for an integer m >= 1.
+
+    cos y is summed for y = pi / (m 2**s) up to the first term whose ball
+    holds 0; that term bounds the alternating remainder, as y < 1.  Then
+    s steps of cos 2y = 2 cos(y)**2 - 1 double the argument back.  Each step
+    may lose two bits, which the working precision sets aside.
+    """
+    s = 2 + math.isqrt(prec) // 2
+    work = prec + 2 * s + 16
+    y2 = _pi(work) / (m << s)
+    y2 = y2 * y2
+    term = _Ball(1 << work, 0, work)
+    total, k = term, 0
+    while term.sign():
+        k += 2
+        term = -(term * y2) / (k * (k - 1))
+        total = total + term
+    total = _Ball(total.mid, total.rad + abs(term.mid) + term.rad, work)
+    for _ in range(s):
+        total = 2 * (total * total) - 1
+    return (2 * total).rounded(prec)

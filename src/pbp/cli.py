@@ -15,7 +15,6 @@ from . import bs as bs_mod
 from . import classifier as classifier_mod
 from . import coxeter as coxeter_mod
 from . import lie as lie_mod
-from .algebraic import PrecisionExhausted
 from .presentations import (
     BoundExceeded,
     PresentationFormatError,
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InternalVerificationError, PrecisionExhausted) as exc:
+    except InternalVerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
     except _INPUT_ERRORS as exc:

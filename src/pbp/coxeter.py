@@ -1,8 +1,10 @@
 """Coxeter systems: exact bilinear form, signature, classification, verdicts.
 
-The form attached to a Coxeter matrix has entries -cos(pi/m[i][j]); all of
-them live in one real cyclotomic field, so the characteristic polynomial and
-its signs are exact.  Floats never influence a classification.
+The form attached to a Coxeter matrix has entries -cos(pi/m[i][j]).  Twice
+the form has algebraic-integer entries, so the coefficients of its
+characteristic polynomial are algebraic integers: their signs come from
+certified integer balls, and a norm bound proves the zero ones.  Floats
+never influence a classification.
 """
 
 from __future__ import annotations
@@ -10,16 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from typing import Callable, Sequence
 
-from .algebraic import (
-    AlgebraicReal,
-    CycloNumber,
-    RealCyclotomicField,
-    cos_pi_over_minpoly,
-    poly_negate_variable,
-)
+from .algebraic import two_cos_pi_over
 from .linalg import char_poly
 from .verdict import Answer, InternalVerificationError, TraceEntry, Verdict
 
@@ -105,7 +101,11 @@ def coxeter_from_json(obj: dict) -> CoxeterMatrix:
 
 def components(matrix: CoxeterMatrix) -> list[list[int]]:
     """Connected components of the graph with an edge where m[i][j] >= 3."""
-    n = matrix.n
+    return _connected(matrix.n, lambda i, j: matrix.m(i, j) >= 3)
+
+
+def _connected(n: int, joined: Callable[[int, int], bool]) -> list[list[int]]:
+    """Connected components of the graph on range(n) with the edges ``joined``."""
     seen: set[int] = set()
     out: list[list[int]] = []
     for start in range(n):
@@ -117,7 +117,7 @@ def components(matrix: CoxeterMatrix) -> list[list[int]]:
         while queue:
             i = queue.pop()
             for j in range(n):
-                if j not in seen and i != j and matrix.m(i, j) >= 3:
+                if j not in seen and joined(i, j):
                     seen.add(j)
                     comp.append(j)
                     queue.append(j)
@@ -142,76 +142,57 @@ class Signature:
 class SymmetricForm:
     """Exact symmetric form with unit diagonal and off-diagonal entries in [-1, 0].
 
-    ``views(i, j)`` builds the AlgebraicReal view of an entry; ``entry``
-    calls it on demand, so the views cost nothing unless asked for.
+    An entry is a rational number, or ``_NegCos(m)``, the irrational value
+    -cos(pi/m) of a label m >= 4 in a Tits form.
     """
 
-    def __init__(self, rows, views: Callable[[int, int], AlgebraicReal]):
+    def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
-        self._views = views
         self.n = len(self.rows)
         for i in range(self.n):
-            if _sign(self.rows[i][i] - 1) != 0:
+            if self.rows[i][i] != 1:
                 raise ValueError("diagonal entries must be exactly 1")
             for j in range(self.n):
+                v = self.rows[i][j]
                 if i != j:
-                    if _sign(self.rows[i][j] - self.rows[j][i]) != 0:
+                    if v != self.rows[j][i]:
                         raise ValueError("form must be symmetric")
-                    if _sign(self.rows[i][j]) > 0 or _sign(self.rows[i][j] + 1) < 0:
+                    if not isinstance(v, _NegCos) and not -1 <= v <= 0:
                         raise ValueError("off-diagonal entries must lie in [-1, 0]")
 
     @staticmethod
     def from_rational_matrix(rows: Sequence[Sequence]) -> "SymmetricForm":
-        rat = [[Fraction(v) for v in row] for row in rows]
-        return SymmetricForm(rat, lambda i, j: AlgebraicReal.from_rational(rat[i][j]))
-
-    def entry(self, i: int, j: int) -> AlgebraicReal:
-        return self._views(i, j)
+        return SymmetricForm([[Fraction(v) for v in row] for row in rows])
 
     def float_matrix(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.rows]
 
 
-def _sign(x) -> int:
-    if isinstance(x, CycloNumber):
-        return x.sign()
-    return -1 if x < 0 else (1 if x > 0 else 0)
+@dataclass(frozen=True)
+class _NegCos:
+    """-cos(pi/m) for an integer m >= 4."""
+
+    m: int
+
+    def __float__(self):
+        return -math.cos(math.pi / self.m)
 
 
 # -cos(pi/m) for the labels where it is rational
 _RATIONAL_ENTRIES = {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2), INF: Fraction(-1)}
 
 
-def _tits_view(matrix: CoxeterMatrix, i: int, j: int) -> AlgebraicReal:
-    """The AlgebraicReal view of the entry -cos(pi/m[i][j])."""
-    m = 1 if i == j else matrix.m(i, j)
-    if m in _RATIONAL_ENTRIES:
-        return AlgebraicReal.from_rational(_RATIONAL_ENTRIES[m])
-    poly = poly_negate_variable(cos_pi_over_minpoly(int(m)))
-    return AlgebraicReal.from_poly_near(poly, -math.cos(math.pi / m))
-
-
 def tits_form(matrix: CoxeterMatrix) -> SymmetricForm:
     """The form with entries -cos(pi/m[i][j]) (value -1 at m = inf)."""
+    def entry(m):
+        return _RATIONAL_ENTRIES[m] if m in _RATIONAL_ENTRIES else _NegCos(int(m))
+
     n = matrix.n
-    irrational_ms = {
-        int(matrix.m(i, j))
-        for i in range(n)
-        for j in range(n)
-        if i != j and matrix.m(i, j) not in _RATIONAL_ENTRIES
-    }
-    values = dict(_RATIONAL_ENTRIES)
-    if irrational_ms:
-        field = RealCyclotomicField(reduce(math.lcm, irrational_ms, 1))
-        values = {m: field.rational(v) for m, v in values.items()}
-        # dividing by the rational 2 scales the coefficients
-        values.update({m: -field.two_cos_pi_over(m) / 2 for m in irrational_ms})
-    rows = [[values[1 if i == j else matrix.m(i, j)] for j in range(n)] for i in range(n)]
-    return SymmetricForm(rows, lambda i, j: _tits_view(matrix, i, j))
+    return SymmetricForm([[entry(1 if i == j else matrix.m(i, j)) for j in range(n)] for i in range(n)])
 
 
-def _denominator(x) -> int:
-    return x.den if isinstance(x, CycloNumber) else Fraction(x).denominator
+def _sign(x) -> int:
+    return -1 if x < 0 else (1 if x > 0 else 0)
 
 
 def _sign_changes(signs: list[int]) -> int:
@@ -220,25 +201,87 @@ def _sign_changes(signs: list[int]) -> int:
 
 
 def signature(form: SymmetricForm) -> Signature:
-    """Exact (p, q, r) from the characteristic polynomial of a scaled form.
+    """Exact (p, q, r), summed over the blocks of the form.
 
-    With s the lcm of the entry denominators, chi(x) = det(xI - sB) has
-    coefficients in Z or Z[theta] and comes from Berkowitz's division-free
-    recurrence.  chi is real-rooted, so Descartes' rule is exact: r is the
-    number of vanishing low-order coefficients (a syntactic test), p the
-    sign changes of the rest and q those of chi(-x).
+    A block is a connected set of indices under the nonzero off-diagonal
+    entries; the form is the direct sum of its blocks.  For each block,
+    chi(x) = det(xI - sB) with s the scale of ``_char_poly_signs`` comes
+    from Berkowitz's division-free recurrence.  chi is real-rooted, so
+    Descartes' rule is exact: r is the number of vanishing low-order
+    coefficients, p the sign changes of the rest and q those of chi(-x).
     """
-    n = form.n
-    scale = math.lcm(*(_denominator(v) for row in form.rows for v in row))
-    # integral entries: Z[theta] elements, or plain ints for rational forms
-    chi = char_poly([[v * scale if isinstance(v, CycloNumber) else int(v * scale) for v in row] for row in form.rows])
-    signs = [_sign(c) for c in chi]
-    r = next(k for k, s in enumerate(signs) if s)
-    p = _sign_changes(signs)
-    q = _sign_changes([s if k % 2 == 0 else -s for k, s in enumerate(signs)])
-    if p + q + r != n:
-        raise InternalVerificationError(f"Descartes counts (p, q, r) = ({p}, {q}, {r}) do not add up to {n}")
+    p = q = r = 0
+    for block in _connected(form.n, lambda i, j: form.rows[i][j] != 0):
+        signs = _char_poly_signs([[form.rows[i][j] for j in block] for i in block])
+        r += next(k for k, s in enumerate(signs) if s)
+        p += _sign_changes(signs)
+        q += _sign_changes([s if k % 2 == 0 else -s for k, s in enumerate(signs)])
+    if p + q + r != form.n:
+        raise InternalVerificationError(
+            f"Descartes counts (p, q, r) = ({p}, {q}, {r}) do not add up to {form.n}"
+        )
     return Signature(p, q, r)
+
+
+def _char_poly_signs(rows) -> list[int]:
+    """Certified signs of the coefficients of det(xI - sB), low to high.
+
+    Rational entries are scaled to integers by the lcm s of their
+    denominators.  With entries -cos(pi/m), s is also even, so sB has
+    algebraic-integer entries s/2 * (-2 cos(pi/m)), and the determinant
+    runs on integer balls at a precision that doubles from 64 bits until
+    each coefficient's ball excludes 0 or proves it is 0.
+
+    The proof: every coefficient c_k lies in K = Q(cos(pi/m) : m a label),
+    of degree at most D = min(prod phi(2m)/2, phi(2N)/2) with N the lcm of
+    the labels.  Each Galois conjugate of c_k is a sum of C(n, j) principal
+    j-minors, j = n - k, of a real symmetric matrix with entries in [-s, s],
+    so by Hadamard's bound its absolute value is at most
+    H = C(n, j) (s sqrt(j))**j.  The norm of a nonzero algebraic integer is
+    at least 1 in absolute value, so c_k != 0 forces |c_k| >= H**-(D - 1),
+    and a ball inside that bound holds only 0.
+    """
+    labels = frozenset(v.m for row in rows for v in row if isinstance(v, _NegCos))
+    rational = [Fraction(v).denominator for row in rows for v in row if not isinstance(v, _NegCos)]
+    scale = math.lcm(2 if labels else 1, *rational)
+    if not labels:
+        return [_sign(c) for c in char_poly([[int(v * scale) for v in row] for row in rows])]
+    n, half = len(rows), scale // 2
+    # D >= phi(2m)/2 >= sqrt(m)/2 for each label: that cheaper exponent rules
+    # most balls out before the factorizations behind D are needed
+    low = max(math.isqrt(m) for m in labels) // 2
+
+    def proved_zero(k: int, c) -> bool:
+        j = n - k  # H**2 = C(n, j)**2 s**(2j) j**j is an integer
+        h2 = math.comb(n, j) ** 2 * scale ** (2 * j) * j**j
+        return c.below(h2, low - 1) and c.below(h2, _degree_bound(labels) - 1)
+
+    prec = 64
+    while True:
+        chi = char_poly([[-half * two_cos_pi_over(v.m, prec) if isinstance(v, _NegCos) else int(v * scale)
+                          for v in row] for row in rows])
+        signs = [_sign(c) if isinstance(c, int) else c.sign() for c in chi]
+        if all(s or isinstance(c, int) or proved_zero(k, c) for k, (c, s) in enumerate(zip(chi, signs))):
+            return signs
+        prec *= 2
+
+
+@lru_cache(maxsize=256)
+def _degree_bound(labels: frozenset[int]) -> int:
+    """An upper bound on the degree of Q(cos(pi/m) : m in labels)."""
+    product = math.prod(_totient(2 * m) // 2 for m in labels)
+    return min(product, _totient(2 * math.lcm(*labels)) // 2)
+
+
+def _totient(n: int) -> int:
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +337,8 @@ def _verdict(matrix: CoxeterMatrix, parts: list[tuple[list[int], str, Signature]
     finite_rest = len(infinite) < len(parts)
     extra = (TraceEntry("finite-index", CITE_FINITE_INDEX),) if finite_rest else ()
     if label == AFFINE:
+        if not _is_affine_diagram(matrix, comp):
+            raise InternalVerificationError(f"component {comp} is not a connected affine diagram")
         return Verdict(
             Answer.YES,
             certificate={
@@ -307,6 +352,48 @@ def _verdict(matrix: CoxeterMatrix, parts: list[tuple[list[int], str, Signature]
         Answer.NO,
         trace=(TraceEntry("coxeter/indefinite", CITE_INDEFINITE),) + extra,
     )
+
+
+def _is_affine_diagram(matrix: CoxeterMatrix, comp: list[int]) -> bool:
+    """Whether the connected diagram on ``comp`` is on the classical list of
+    affine diagrams A~n, B~n, C~n, D~n, E~6-8, F~4, G~2 (Humphreys 1990,
+    2.5-2.7), judged by its shape and labels alone."""
+    n = len(comp)
+    adj = {i: [j for j in comp if j != i and matrix.m(i, j) >= 3] for i in comp}
+    labels = [matrix.m(i, j) for i in comp for j in adj[i] if i < j]
+    if n <= 2:
+        return labels == [INF]
+    if not set(labels) <= {3, 4, 6}:
+        return False
+    if len(labels) == n:  # A~(n-1): a cycle of 3s
+        return set(labels) == {3} and all(len(adj[i]) == 2 for i in comp)
+    if len(labels) != n - 1:
+        return False
+
+    def arm(prev: int, cur: int) -> list:
+        """The labels along the path from ``prev`` through ``cur`` to a vertex of degree other than 2."""
+        out = [matrix.m(prev, cur)]
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(j for j in adj[cur] if j != prev)
+            out.append(matrix.m(prev, cur))
+        return out
+
+    branches = [i for i in comp if len(adj[i]) >= 3]
+    if not branches:  # C~n, F~4, G~2
+        end = next(i for i in comp if len(adj[i]) == 1)
+        path = arm(end, adj[end][0])
+        shapes = ([4] + [3] * (n - 3) + [4], [3, 3, 4, 3], [6, 3])
+        return any(path in (shape, shape[::-1]) for shape in shapes)
+    if len(branches) == 1:
+        arms = sorted((len(a), a) for a in (arm(branches[0], j) for j in adj[branches[0]]))
+        if set(labels) == {3}:  # D~4, E~6, E~7, E~8
+            return tuple(length for length, _ in arms) in ((1, 1, 1, 1), (2, 2, 2), (1, 3, 3), (1, 2, 5))
+        # B~n: two arms of one edge and a 4 at the end of the third
+        long = arms[-1][1]
+        return len(arms) == 3 and arms[0][1] == arms[1][1] == [3] and long == [3] * (len(long) - 1) + [4]
+    # D~n: two forks, each with two leaves
+    return (len(branches) == 2 and set(labels) == {3}
+            and all(len(adj[b]) == 3 and sum(len(adj[j]) == 1 for j in adj[b]) == 2 for b in branches))
 
 
 def coxeter_presentable(matrix: CoxeterMatrix) -> Verdict:

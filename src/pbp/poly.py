@@ -28,13 +28,6 @@ def poly_trim(coeffs: Sequence) -> tuple:
     return tuple(out)
 
 
-def poly_eval(coeffs: Sequence, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def poly_mul(p: Sequence, q: Sequence) -> tuple:
     if len(p) < len(q):
         p, q = q, p

@@ -1,16 +1,18 @@
-"""Slow reference implementations that the tests compare pbp.algebraic against.
+"""Slow reference implementations that the tests compare the Z[theta] oracle
+(``cyclotomic_field``) against.
 
 ``cyclotomic_by_division`` divides x^n - 1 by every proper cyclotomic factor;
 ``bisection_sign`` isolates theta = 2 cos(pi/N) in an interval with Fraction
 endpoints, certified by an exact sign change of the minimal polynomial, and
-bisects it until interval evaluation of the element excludes zero.
+bisects it until interval evaluation of the element excludes zero;
+``poly_eval`` is Horner's rule.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from pbp.poly import poly_divmod_monic, poly_eval
+from pbp.poly import poly_divmod_monic
 
 _SEED_WIDTH = Fraction(1, 10**12)
 _MAX_BISECTIONS = 400
@@ -26,6 +28,13 @@ def cyclotomic_by_division(n):
             poly, rem = poly_divmod_monic(poly, cyclotomic_by_division(d))
             assert not rem
     return tuple(int(c) for c in poly)
+
+
+def poly_eval(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _imul(a, b):

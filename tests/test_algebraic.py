@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from algebraic_oracles import bisection_sign, cyclotomic_by_division
-from pbp.algebraic import (
-    AlgebraicReal,
+from algebraic_oracles import bisection_sign, cyclotomic_by_division, poly_eval
+from cyclotomic_field import (
     RealCyclotomicField,
     cos_pi_over_minpoly,
     cyclotomic,
-    poly_eval,
     poly_negate_variable,
     two_cos_minpoly,
 )
+from pbp.algebraic import two_cos_pi_over
 from pbp.linalg import char_poly
 
 
@@ -96,22 +95,6 @@ def test_exact_zero_detection():
     g = field.two_cos_pi_over(5)  # golden ratio, satisfies x^2 = x + 1
     assert (g * g - g - 1).is_zero()
     assert (g * g - g).sign() == 1
-
-
-def test_algebraic_real_views():
-    half = AlgebraicReal.from_rational(Fraction(1, 2))
-    assert half.sign() == 1
-    assert float(half) == 0.5
-
-    zero = AlgebraicReal.from_rational(0)
-    assert zero.sign() == 0
-
-    root = AlgebraicReal.from_poly_near((-1, -2, 4), math.cos(math.pi / 5))
-    assert root.sign() == 1
-    assert math.isclose(float(root), math.cos(math.pi / 5), abs_tol=1e-12)
-    narrowed = root.refine(Fraction(1, 10**9))
-    assert narrowed.hi - narrowed.lo <= Fraction(1, 10**9)
-    assert narrowed.lo < Fraction(root_float := float(root)).limit_denominator() < narrowed.hi
 
 
 def test_sqrt2_times_itself():
@@ -204,3 +187,19 @@ def test_berkowitz_matches_sympy_charpoly(rows):
     x = sympy.Symbol("x")
     expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]).charpoly(x)
     assert char_poly(rows) == tuple(Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs()))
+
+
+# --- the integer-ball enclosures that pbp.coxeter uses ------------------------
+
+
+@pytest.mark.parametrize("prec", [64, 128, 1024])
+def test_two_cos_enclosure_holds_the_value(prec):
+    # the reference carries 400 bits beyond the ball's precision, so its own
+    # error is far below one unit of the ball
+    with mp.workprec(prec + 400):
+        tol = mp.mpf(2) ** -300
+        for m in range(4, 251):
+            ball = two_cos_pi_over(m, prec)
+            assert ball.prec == prec and ball.rad <= 4, m
+            value = 2 * mp.cos(mp.pi / m) * mp.mpf(2) ** prec
+            assert ball.mid - ball.rad - tol <= value <= ball.mid + ball.rad + tol, m

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pbp.bs import (
     BSGroup,
@@ -229,9 +231,15 @@ def test_verdict_table_small_parameters():
             assert verdict.answer == expected, (m, n)
 
 
-def test_verdict_symmetry():
-    for m, n in [(2, 3), (3, 2), (-2, 2), (1, -4)]:
-        assert bs_presentable(m, n).answer == bs_presentable(n, m).answer
+NONZERO = st.integers(-12, 12).filter(bool)
+
+
+@given(NONZERO, NONZERO)
+def test_verdict_symmetry(m, n):
+    # BS(m, n), BS(n, m) and BS(-m, -n) are isomorphic
+    verdicts = [bs_presentable(a, b) for a, b in ((m, n), (n, m), (-m, -n))]
+    kinds = {(v.answer, v.qualifier, (v.certificate or {}).get("kind")) for v in verdicts}
+    assert len(kinds) == 1, (m, n, kinds)
 
 
 def test_verdict_abelian_and_klein():

@@ -60,6 +60,14 @@ def test_coxeter_inf_entry(tmp_path, capsys):
     assert out["components"][0]["label"] == "Affine"
 
 
+def test_coxeter_large_labels(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"n": 3, "m": [[1, 2, 101], [2, 1, 103], [101, 103, 1]]})
+    code, out, _ = run(capsys, ["coxeter", "-i", path])
+    assert code == 0
+    assert out["answer"] == "NO"
+    assert out["components"][0]["signature"] == [2, 1, 0]
+
+
 def test_bs_command_with_checks(capsys):
     code, out, _ = run(capsys, ["bs", "2", "-2", "--witness", "--verify-bound", "5"])
     assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotomic_field import zeta_signature
 import pbp.coxeter as coxeter_mod
 from pbp.coxeter import (
     AFFINE,
@@ -25,6 +27,8 @@ from pbp.coxeter import (
     signature,
     standard_diagram,
     tits_form,
+    _from_edges,
+    _path,
 )
 from pbp.verdict import Answer, InternalVerificationError
 
@@ -54,18 +58,16 @@ def eig_signature(form, tol=1e-9):
 
 def test_tits_form_entries():
     form = tits_form(triangle(3, 2, INF))
-    assert form.entry(0, 1).exact == Fraction(-1, 2)
-    assert form.entry(0, 2).exact == 0
-    assert form.entry(1, 2).exact == -1
+    assert form.rows[0][1] == Fraction(-1, 2)
+    assert form.rows[0][2] == 0
+    assert form.rows[1][2] == -1
 
 
 def test_tits_form_pentagon_entry():
     form = tits_form(standard_diagram("I2(5)"))
-    view = form.entry(0, 1)
-    assert view.exact is None
-    # minimal polynomial of -cos(pi/5), i.e. 4x^2 + 2x - 1
-    assert view.poly == (-1, 2, 4)
-    assert math.isclose(float(view), -math.cos(math.pi / 5), abs_tol=1e-12)
+    entry = form.rows[0][1]
+    assert not isinstance(entry, Fraction) and entry == form.rows[1][0]
+    assert math.isclose(float(entry), -math.cos(math.pi / 5), abs_tol=1e-12)
 
 
 def test_components():
@@ -104,9 +106,9 @@ def test_signature_a3_positive_definite():
     assert signature(form) == Signature(3, 0, 0)
 
 
-def test_signature_zero_diagonal_repair():
-    # after the first pivot the trailing block is [[0,-1],[-1,0]], which has
-    # no diagonal pivot: congruence diagonalization needs a repair step here
+def test_signature_with_zero_diagonal_schur_complement():
+    # after the first pivot the trailing 2x2 block is [[0,-1],[-1,0]], with a
+    # zero diagonal; the Descartes count needs no pivot
     rows = [[1, -1, -1], [-1, 1, 0], [-1, 0, 1]]
     form = SymmetricForm.from_rational_matrix(rows)
     assert signature(form) == eig_signature(form) == Signature(2, 1, 0)
@@ -163,6 +165,7 @@ def test_affine_catalogue(name):
     assert label == AFFINE
     assert sig.r == 1 and sig.q == 0
     assert eig_signature(tits_form(matrix)) == sig
+    assert tuple(signature(tits_form(matrix))) == zeta_signature(matrix)
 
 
 def test_dihedral_dichotomy():
@@ -289,7 +292,7 @@ def test_json_rejects_bad_input():
 # --- high-degree fields, relabelling, classical triangle rule -----------------
 
 
-@pytest.mark.parametrize("labels", [(5, 7, 8), (8, 9, 11), (7, 11, 13)])
+@pytest.mark.parametrize("labels", [(5, 7, 8), (8, 9, 11), (7, 11, 13), (2, 101, 103)])
 def test_high_degree_triangles_are_indefinite(labels):
     matrix = triangle(*labels)
     report = coxeter_report(matrix)
@@ -327,6 +330,9 @@ def test_report_invariant_under_relabelling(case):
     ident = list(range(matrix.n))
     a, b = coxeter_report(matrix), coxeter_report(permuted)
     assert a["answer"] == b["answer"]
+    assert tuple(signature(tits_form(matrix))) == zeta_signature(matrix)
+    for part in a["components"]:
+        assert tuple(part["signature"]) == zeta_signature(matrix.submatrix(part["vertices"]))
     assert _parts(a, ident) == _parts(b, perm)
     cert_a, cert_b = a.get("certificate"), b.get("certificate")
     assert (cert_a or {}).get("kind") == (cert_b or {}).get("kind")
@@ -345,6 +351,7 @@ def test_triangles_follow_the_classical_angle_rule():
                 angle_sum = Fraction(1, l) + Fraction(1, m) + Fraction(1, n)
                 parts = classify(triangle(l, m, n))
                 kinds = [label for _, label, _ in parts]
+                assert tuple(signature(tits_form(triangle(l, m, n)))) == zeta_signature(triangle(l, m, n))
                 if angle_sum > 1:
                     assert set(kinds) == {FINITE}, (l, m, n)
                 elif angle_sum == 1:
@@ -373,5 +380,72 @@ def test_split_certificate_is_rechecked(monkeypatch):
         ((1, INF, 3, 2), (INF, 1, 2, 2), (3, 2, 1, INF), (2, 2, INF, 1))
     )
     monkeypatch.setattr(coxeter_mod, "components", lambda m: [[0, 1], [2, 3]])
+    with pytest.raises(InternalVerificationError):
+        coxeter_presentable(matrix)
+
+
+# --- block split, exact zeros with large labels, affine re-check --------------
+
+
+def disjoint_union(*matrices):
+    n = sum(m.n for m in matrices)
+    rows = [[2] * n for _ in range(n)]
+    offset = 0
+    for m in matrices:
+        for i in range(m.n):
+            for j in range(m.n):
+                rows[offset + i][offset + j] = m.m(i, j)
+        offset += m.n
+    return CoxeterMatrix(tuple(map(tuple, rows)))
+
+
+def test_exact_zero_beside_a_large_label():
+    matrix = disjoint_union(standard_diagram("A~2"), standard_diagram("I2(101)"))
+    assert signature(tits_form(matrix)) == Signature(4, 0, 1)
+
+
+def test_signature_splits_the_form_into_blocks():
+    # as one block the zero coefficient of C~2 would need the norm bound of a
+    # field of degree 2550; block by block it needs degree 2
+    matrix = disjoint_union(*(standard_diagram(name) for name in ("I2(101)", "I2(103)", "C~2")))
+    start = time.perf_counter()
+    assert signature(tits_form(matrix)) == Signature(6, 0, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tiny_determinant_of_a_huge_label():
+    # det(2B) = 4 sin(pi/m)**2 < 2**-180 is not 0: the 64-bit ball holds 0,
+    # the norm bound does not call it 0, and a higher precision settles it
+    start = time.perf_counter()
+    assert signature(tits_form(standard_diagram(f"I2({10**30 + 57})"))) == Signature(2, 0, 0)
+    assert time.perf_counter() - start < 1.0
+
+
+# the connected affine diagrams beyond standard_diagram's (Humphreys 1990, 2.7)
+MORE_AFFINE = {
+    "A~3": _from_edges(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 3): 3}),
+    "B~3": _from_edges(4, {(0, 2): 3, (1, 2): 3, (2, 3): 4}),
+    "B~5": _from_edges(6, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 4}),
+    "C~4": _path([4, 3, 3, 4]),
+    "D~4": _from_edges(5, {(0, 4): 3, (1, 4): 3, (2, 4): 3, (3, 4): 3}),
+    "D~6": _from_edges(7, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (4, 6): 3}),
+    "E~6": _from_edges(7, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3, (5, 6): 3}),
+    "E~7": _from_edges(8, {(i, i + 1): 3 for i in range(6)} | {(3, 7): 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MORE_AFFINE))
+def test_more_affine_diagrams_are_affine(name):
+    matrix = MORE_AFFINE[name]
+    (_, label, sig), = classify(matrix)
+    assert label == AFFINE and sig == Signature(matrix.n - 1, 0, 1)
+    assert tuple(sig) == zeta_signature(matrix)
+    assert coxeter_presentable(matrix).certificate["kind"] == "virtually-free-abelian"
+
+
+def test_affine_certificate_is_rechecked(monkeypatch):
+    # a wrong signature would make the hyperbolic triangle (3, 3, 7) affine
+    matrix = triangle(3, 3, 7)
+    monkeypatch.setattr(coxeter_mod, "classify", lambda m: [([0, 1, 2], AFFINE, Signature(2, 0, 1))])
     with pytest.raises(InternalVerificationError):
         coxeter_presentable(matrix)
