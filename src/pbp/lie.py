@@ -37,6 +37,7 @@ from .linalg import (
     poly_eval_matrix,
     reduce_vector,
     rref,
+    solve_commutant,
     transpose,
     vec,
     vec_add,
@@ -330,6 +331,20 @@ def _envelope(gens: list, n: int) -> list:
     return basis
 
 
+def _trace_gram(mats: list) -> list:
+    """Gram matrix of the trace form (A, B) -> tr(AB) on ``mats``."""
+    k = len(mats)
+    # tr(AB) is the dot product of A and B^T flattened; the Gram is symmetric
+    flat = [flatten(b) for b in mats]
+    flat_t = [flatten(transpose(b)) for b in mats]
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        a = flat[i]
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = sum([x * y for x, y in zip(a, flat_t[j]) if x and y])
+    return gram
+
+
 def _trace_radical(alg_basis: list, n: int) -> list:
     """Radical of the algebra spanned by ``alg_basis``: the trace-form kernel.
 
@@ -337,16 +352,8 @@ def _trace_radical(alg_basis: list, n: int) -> list:
     faithfully, which is the case here by construction.
     """
     k = len(alg_basis)
-    # tr(AB) is the dot product of A and B^T flattened; the Gram is symmetric
-    flat = [flatten(b) for b in alg_basis]
-    flat_t = [flatten(transpose(b)) for b in alg_basis]
-    gram = [[0] * k for _ in range(k)]
-    for i in range(k):
-        a = flat[i]
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = sum([x * y for x, y in zip(a, flat_t[j]) if x and y])
     out = []
-    for sol in nullspace(gram, k):
+    for sol in nullspace(_trace_gram(alg_basis), k):
         m = [[0] * n for _ in range(n)]
         for c, b in zip(sol, alg_basis):
             if c:
@@ -527,9 +534,43 @@ def _module_hom_nonzero(gens_a: list, gens_b: list, da: int, db: int) -> bool:
 
 
 def _minimal_ideals(algebra: LieAlgebra, rng: random.Random, tries: int):
-    """(atoms, Completeness, witness): all minimal ideals, certified."""
+    """(atoms, Completeness, witness): all minimal ideals, certified.
+
+    A nondegenerate Killing form tr(ad x ad y) proves the algebra semisimple
+    (Cartan's criterion), and then the associative envelope is not needed.
+    """
     n = algebra.dim
     ad_mats = [algebra.ad_basis(i) for i in range(n)]
+    if not nullspace(_trace_gram(ad_mats), n):
+        return _semisimple_minimal_ideals(algebra, ad_mats, rng, tries)
+    return _envelope_minimal_ideals(algebra, ad_mats, rng, tries)
+
+
+def _semisimple_minimal_ideals(algebra: LieAlgebra, ad_mats: list, rng, tries: int):
+    """Minimal ideals of a semisimple algebra: the isotypic components of ad.
+
+    The algebra is the direct sum of its simple ideals.  Each acts
+    nontrivially on itself and trivially on the others, so no two are
+    isomorphic as modules and every isotypic component is one simple ideal.
+    """
+    n = algebra.dim
+    components = _isotypic_components(ad_mats, n, rng, tries)
+    if components is None:
+        return [], Completeness.UNKNOWN, None
+    atoms = [Subspace(n, c) for c in components]
+    for atom in atoms:
+        if not is_ideal(algebra, atom):
+            raise InternalVerificationError("a semisimple component is not an ideal")
+        if bracket_subspace(algebra, atom, atom) != atom:
+            raise InternalVerificationError("a semisimple component is not perfect")
+    if sum(atom.dim for atom in atoms) != n:
+        raise InternalVerificationError("the semisimple components do not span the algebra")
+    return atoms, Completeness.COMPLETE, None
+
+
+def _envelope_minimal_ideals(algebra: LieAlgebra, ad_mats: list, rng, tries: int):
+    """Minimal ideals from the socle of the adjoint module, via the envelope."""
+    n = algebra.dim
     env = _envelope(ad_mats, n)
     radical = _trace_radical(env, n)
     soc_rows = _annihilator_rows(radical, n)
@@ -562,8 +603,6 @@ def _minimal_ideals(algebra: LieAlgebra, rng: random.Random, tries: int):
 
 def _isotypic_components(ad_soc: list, d: int, rng, tries):
     """Split the socle into isotypic components; rref rows each, or None."""
-    from .linalg import solve_commutant
-
     endo = solve_commutant(ad_soc, d)
     if len(endo) == 1:
         return [Subspace.whole(d).rows]
@@ -647,7 +686,7 @@ def _witness_pair(algebra, comp_ambient, inner, gens_c, ad_mats, rng, tries):
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    max_dim: int = 10
+    max_dim: int = 12
     tries: int = 12
     seed: int = 20259
 
@@ -705,8 +744,6 @@ def _lattice_rec(algebra: LieAlgebra, rng, tries) -> IdealLattice:
 
 def centroid(algebra: LieAlgebra) -> list:
     """Basis of {X : X ad(v) = ad(v) X for all v} = End of the adjoint module."""
-    from .linalg import solve_commutant
-
     return solve_commutant([algebra.ad_basis(i) for i in range(algebra.dim)], algebra.dim)
 
 

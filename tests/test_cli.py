@@ -95,6 +95,12 @@ def test_lie_catalogue_command(capsys):
     assert len(out["ideal_trace"]) == 4
 
 
+def test_lie_catalogue_dimension_twelve(capsys):
+    code, out, _ = run(capsys, ["lie", "--catalogue", "so(4)+so(4)"])
+    assert code == 0
+    assert out["answer"] == "YES"
+
+
 def test_lie_json_command(tmp_path, capsys):
     algebra = {
         "dim": 3,

@@ -329,6 +329,7 @@ def test_yes_verdicts():
     expect("heisenberg", Answer.YES)
     expect("sl2+sl2", Answer.YES)
     expect("so(2,2)", Answer.YES)  # splits as two commuting copies of sl2
+    expect("so(4)+so(4)", Answer.YES)  # dimension 12, at the default budget
 
 
 def test_direct_sums_are_presentable():
@@ -443,27 +444,69 @@ def catalogue_answer(name):
     return lie_presentable(catalogue(name)).answer
 
 
+def draw_basis(data, n):
+    """A permuted-scaled or a dense unimodular change of basis of Q^n."""
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n))
+        return [[scales[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    entries = st.lists(st.sampled_from(UNIT_ENTRIES), min_size=n * (n - 1) // 2,
+                       max_size=n * (n - 1) // 2)
+    return dense_unimodular(data.draw(entries), data.draw(entries), n)
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_answers_survive_change_of_basis(data):
     name = data.draw(st.sampled_from(SMALL_CATALOGUE))
     algebra = catalogue(name)
-    n = algebra.dim
-    if data.draw(st.booleans()):
-        perm = data.draw(st.permutations(range(n)))
-        scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n))
-        p = [[scales[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-    else:
-        entries = st.lists(st.sampled_from(UNIT_ENTRIES), min_size=n * (n - 1) // 2,
-                           max_size=n * (n - 1) // 2)
-        p = dense_unimodular(data.draw(entries), data.draw(entries), n)
-    rebased = rebase(algebra, p)
+    rebased = rebase(algebra, draw_basis(data, algebra.dim))
     assert validate(rebased) is None
     res = lie_presentable(rebased)
     assert res.answer == catalogue_answer(name) != Answer.UNKNOWN
     if res.answer == Answer.YES:
         ok, reason = verify_product_certificate(rebased, res.certificate)
         assert ok, reason
+
+
+SEMISIMPLE = ["so(3)", "so(2,1)", "sl2", "so(4)", "so(3,1)", "so(2,2)", "sl2+sl2"]
+NOT_SEMISIMPLE = [name for name in SMALL_CATALOGUE if name not in SEMISIMPLE]
+
+
+def ad_matrices(algebra):
+    return [algebra.ad_basis(i) for i in range(algebra.dim)]
+
+
+def minimal_ideal_rows(path, algebra):
+    budget = EnumerationBudget()
+    atoms, status, witness = path(algebra, ad_matrices(algebra), random.Random(budget.seed),
+                                  budget.tries)
+    assert status is Completeness.COMPLETE and witness is None
+    return sorted(atom.rows for atom in atoms)
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_semisimple_shortcut_matches_envelope_path(data):
+    algebra = catalogue(data.draw(st.sampled_from(SEMISIMPLE)))
+    rebased = rebase(algebra, draw_basis(data, algebra.dim))
+    assert minimal_ideal_rows(lie._semisimple_minimal_ideals, rebased) == minimal_ideal_rows(
+        lie._envelope_minimal_ideals, rebased
+    )
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE + NOT_SEMISIMPLE)
+def test_killing_form_gate(name, monkeypatch):
+    # Cartan's criterion: the Killing form is nondegenerate iff L is semisimple
+    algebra = catalogue(name)
+    n = algebra.dim
+    degenerate = bool(lie.nullspace(lie._trace_gram(ad_matrices(algebra)), n))
+    assert degenerate == (name in NOT_SEMISIMPLE)
+    chosen = []
+    for path in ("_semisimple_minimal_ideals", "_envelope_minimal_ideals"):
+        monkeypatch.setattr(lie, path, lambda *args, path=path: chosen.append(path))
+    lie._minimal_ideals(algebra, random.Random(0), 1)
+    assert chosen == ["_envelope_minimal_ideals" if degenerate else "_semisimple_minimal_ideals"]
 
 
 def envelope_oracle(gens, n):
@@ -514,6 +557,10 @@ PINNED = {
             {"ideal_dim": 6, "centralizer_dim": 0, "span_dim": 6},
         ],
     },
+    ("so(5)", 5): {
+        **COMPLETE_NO,
+        "ideal_trace": [{"ideal_dim": 10, "centralizer_dim": 0, "span_dim": 10}],
+    },
     ("af+so(2,1)", 21): {
         "answer": "YES",
         "certificate": {
@@ -558,3 +605,22 @@ def test_isotypic_components_check_their_dimensions(monkeypatch):
     monkeypatch.setattr(lie, "column_space", lambda mat: column_space(mat)[1:])
     with pytest.raises(InternalVerificationError, match="isotypic"):
         lie_presentable(catalogue("sl2+sl2"))
+
+
+@pytest.mark.parametrize(
+    "name, components, message",
+    [
+        # sl2 + sl2 in its standard basis: e, f, h of the left copy, then of the right
+        ("sl2+sl2", [(0, 1, 3), (2, 4, 5)], "not an ideal"),
+        ("sl2+sl2", [(0, 1, 2)], "do not span"),
+        # af is no semisimple algebra: itself is an ideal, but [af, af] = ke
+        ("af", [(0, 1)], "not perfect"),
+    ],
+)
+def test_semisimple_components_are_rechecked(monkeypatch, name, components, message):
+    algebra = catalogue(name)
+    n = algebra.dim
+    rows = [tuple(unit(n, i) for i in comp) for comp in components]
+    monkeypatch.setattr(lie, "_isotypic_components", lambda *args: rows)
+    with pytest.raises(InternalVerificationError, match=message):
+        lie._semisimple_minimal_ideals(algebra, ad_matrices(algebra), random.Random(0), 1)
