@@ -8,7 +8,6 @@ left.  Equality of group elements is then a syntactic comparison.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -182,43 +181,6 @@ def britton_reduce(group: BSGroup, word: Word) -> BrittonForm:
             k0 += carry
         else:
             tail[i - 1][1] += carry
-    return BrittonForm(group, k0, tuple((e, k) for e, k in tail))
-
-
-def britton_reduce_random(group: BSGroup, word: Word, rng: random.Random) -> BrittonForm:
-    """Reduce by applying applicable rewrites in random order; same result."""
-    m, n = group.m, group.n
-    k0, tail = _parts_from_word(word)
-    while True:
-        moves = []
-        for i, (eps, k) in enumerate(tail):
-            inner = m if eps == 1 else n
-            if k % abs(inner) != k:
-                moves.append(("push", i))
-            if k % abs(inner) == 0 and i + 1 < len(tail) and tail[i + 1][0] == -eps:
-                moves.append(("pinch", i))
-        if not moves:
-            break
-        kind, i = rng.choice(moves)
-        eps, k = tail[i]
-        inner, outer = (m, n) if eps == 1 else (n, m)
-        if kind == "push":
-            rho = k % abs(inner)
-            q = (k - rho) // inner
-            tail[i][1] = rho
-            if i == 0:
-                k0 += q * outer
-            else:
-                tail[i - 1][1] += q * outer
-        else:
-            c = k // inner
-            carry = c * outer + tail[i + 1][1]
-            del tail[i : i + 2]
-            if i == 0:
-                k0 += carry
-            else:
-                tail[i - 1][1] += carry
-    k0 = _normalize_pass(k0, tail, m, n)
     return BrittonForm(group, k0, tuple((e, k) for e, k in tail))
 
 

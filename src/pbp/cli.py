@@ -86,9 +86,6 @@ def cmd_lie(args) -> int:
         algebra = lie_mod.algebra_from_json(_load(args.input))
     else:
         raise ValueError("provide -i algebra.json or --catalogue NAME")
-    problem = lie_mod.validate(algebra)
-    if problem is not None:
-        raise lie_mod.InvalidAlgebra(problem)
     result = lie_mod.lie_presentable(algebra)
     out = result.to_json(algebra)
     out["algebra"] = {"dim": algebra.dim, "basis": list(algebra.labels)}

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .linalg import (
@@ -44,7 +45,7 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .poly import factor_over_q, poly_divmod, poly_gcdext, poly_mul
+from .poly import factor_over_q, poly_divmod, poly_gcdext, poly_mul, squarefree_part
 from .verdict import Answer, InternalVerificationError
 
 
@@ -101,16 +102,8 @@ class LieAlgebra:
         return [list(row) for row in zip(*cols)]
 
     def ad(self, v: Sequence) -> list:
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for i, a in enumerate(v):
-            if not a:
-                continue
-            m = self.ad_basis(i)
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    if m[r][c]:
-                        out[r][c] += a * m[r][c]
-        return out
+        used = [i for i, a in enumerate(v) if a]
+        return _combine([v[i] for i in used], [self.ad_basis(i) for i in used], self.dim)
 
 
 def validate(algebra: LieAlgebra) -> str | None:
@@ -351,28 +344,20 @@ def _trace_radical(alg_basis: list, n: int) -> list:
     Valid in characteristic zero for an algebra given by matrices acting
     faithfully, which is the case here by construction.
     """
-    k = len(alg_basis)
-    out = []
-    for sol in nullspace(_trace_gram(alg_basis), k):
-        m = [[0] * n for _ in range(n)]
-        for c, b in zip(sol, alg_basis):
-            if c:
-                for r in range(n):
-                    for s in range(n):
-                        if b[r][s]:
-                            m[r][s] += c * b[r][s]
-        out.append(m)
+    kernel = nullspace(_trace_gram(alg_basis), len(alg_basis))
+    return [_combine(sol, alg_basis, n) for sol in kernel]
+
+
+def _combine(coeffs: Sequence, mats: list, n: int) -> list:
+    """The n x n matrix sum_i coeffs[i] * mats[i]."""
+    out = [[0] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for i in range(n):
+                for j in range(n):
+                    if m[i][j]:
+                        out[i][j] += c * m[i][j]
     return out
-
-
-def _annihilator_rows(mats: list, n: int) -> tuple[Vec, ...]:
-    """{v : m v = 0 for all m}, as rref rows."""
-    if not mats:
-        return Subspace.whole(n).rows
-    rows = []
-    for m in mats:
-        rows.extend(m)
-    return rref(nullspace(rows, n))
 
 
 def _restrict(mat, rows: tuple[Vec, ...]) -> list:
@@ -450,15 +435,7 @@ class IdealLattice:
 
 
 def _random_combo(rng: random.Random, mats: list, n: int) -> list:
-    out = [[0] * n for _ in range(n)]
-    for m in mats:
-        c = rng.randint(-9, 9)
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    if m[i][j]:
-                        out[i][j] += c * m[i][j]
-    return out
+    return _combine([rng.randint(-9, 9) for _ in mats], mats, n)
 
 
 def _simplicity(gens: list, dim: int, rng: random.Random, tries: int):
@@ -536,50 +513,31 @@ def _module_hom_nonzero(gens_a: list, gens_b: list, da: int, db: int) -> bool:
 def _minimal_ideals(algebra: LieAlgebra, rng: random.Random, tries: int):
     """(atoms, Completeness, witness): all minimal ideals, certified.
 
-    A nondegenerate Killing form tr(ad x ad y) proves the algebra semisimple
-    (Cartan's criterion), and then the associative envelope is not needed.
+    The minimal ideals are the simple submodules of the adjoint module.  They
+    span its socle, and each lies in one isotypic component of it: when that
+    component is simple it is a minimal ideal, and otherwise the minimal
+    ideals inside it form an infinite family.
     """
     n = algebra.dim
     ad_mats = [algebra.ad_basis(i) for i in range(n)]
-    if not nullspace(_trace_gram(ad_mats), n):
-        return _semisimple_minimal_ideals(algebra, ad_mats, rng, tries)
-    return _envelope_minimal_ideals(algebra, ad_mats, rng, tries)
-
-
-def _semisimple_minimal_ideals(algebra: LieAlgebra, ad_mats: list, rng, tries: int):
-    """Minimal ideals of a semisimple algebra: the isotypic components of ad.
-
-    The algebra is the direct sum of its simple ideals.  Each acts
-    nontrivially on itself and trivially on the others, so no two are
-    isomorphic as modules and every isotypic component is one simple ideal.
-    """
-    n = algebra.dim
-    components = _isotypic_components(ad_mats, n, rng, tries)
+    radical, soc_rows = _adjoint_socle(algebra, ad_mats)
+    ad_soc = [_restrict(m, soc_rows) for m in ad_mats] if radical else ad_mats
+    components = _isotypic_components(ad_soc, len(soc_rows), rng, tries)
     if components is None:
         return [], Completeness.UNKNOWN, None
-    atoms = [Subspace(n, c) for c in components]
-    for atom in atoms:
-        if not is_ideal(algebra, atom):
-            raise InternalVerificationError("a semisimple component is not an ideal")
-        if bracket_subspace(algebra, atom, atom) != atom:
-            raise InternalVerificationError("a semisimple component is not perfect")
-    if sum(atom.dim for atom in atoms) != n:
-        raise InternalVerificationError("the semisimple components do not span the algebra")
-    return atoms, Completeness.COMPLETE, None
-
-
-def _envelope_minimal_ideals(algebra: LieAlgebra, ad_mats: list, rng, tries: int):
-    """Minimal ideals from the socle of the adjoint module, via the envelope."""
-    n = algebra.dim
-    env = _envelope(ad_mats, n)
-    radical = _trace_radical(env, n)
-    soc_rows = _annihilator_rows(radical, n)
-    ad_soc = [_restrict(m, soc_rows) for m in ad_mats]
-    d = len(soc_rows)
-
-    components = _isotypic_components(ad_soc, d, rng, tries)
-    if components is None:
-        return [], Completeness.UNKNOWN, None
+    if not radical:
+        # a semisimple algebra is the direct sum of its simple ideals; each
+        # acts nontrivially only on itself, so no two are isomorphic modules
+        # and every isotypic component is one simple ideal
+        atoms = [Subspace(n, c) for c in components]
+        for atom in atoms:
+            if not is_ideal(algebra, atom):
+                raise InternalVerificationError("a semisimple component is not an ideal")
+            if bracket_subspace(algebra, atom, atom) != atom:
+                raise InternalVerificationError("a semisimple component is not perfect")
+        if sum(atom.dim for atom in atoms) != n:
+            raise InternalVerificationError("the semisimple components do not span the algebra")
+        return atoms, Completeness.COMPLETE, None
 
     atoms = []
     for comp in components:
@@ -599,6 +557,38 @@ def _envelope_minimal_ideals(algebra: LieAlgebra, ad_mats: list, rng, tries: int
             return [], Completeness.UNKNOWN, None
         return [], Completeness.INFINITE_FAMILY, wit
     return atoms, Completeness.COMPLETE, None
+
+
+def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec, ...]]:
+    """(radical, socle): a basis of the solvable radical R, and the rref rows
+    of the socle of the adjoint module.
+
+    R is the Killing-orthogonal of [L, L], and R = 0 when the Killing form is
+    nondegenerate (Cartan's criterion); then the socle is L.  Otherwise [L, R]
+    acts as zero on every simple module, so the socle lies in the centralizer
+    M of [L, R].  On M each ad z, z in R, commutes with ad L, so it acts on a
+    simple submodule by an element of a division ring and the socle is the
+    part of M on which every ad z is semisimple (Bourbaki, Lie Groups and Lie
+    Algebras I, 5.3, 5.5 and 6.5).  That part is the kernel in M of f(ad z),
+    f the square-free part of the characteristic polynomial of ad z.
+    """
+    n = algebra.dim
+    gram = _trace_gram(ad_mats)
+    if not nullspace(gram, n):
+        return [], Subspace.whole(n).rows
+    derived = rref(row for i, plane in enumerate(algebra.constants) for row in plane[i + 1 :])
+    radical = nullspace([mat_vec(gram, y) for y in derived], n)
+    ideal = rref(mat_vec(m, z) for m in ad_mats for z in radical)  # [L, R]
+    rows = [row for y in ideal for row in algebra.ad(y)]
+    # ad z vanishes on M for z in [L, R], so z running over R / [L, R] will do
+    span = SpanBuilder(n, ideal)
+    for z in radical:
+        if span.add(z):
+            ad_z = algebra.ad(z)
+            f = squarefree_part(char_poly(ad_z))
+            if len(f) <= n:  # otherwise f is the characteristic polynomial: f(ad z) = 0
+                rows.extend(poly_eval_matrix(f, ad_z))
+    return radical, rref(nullspace(rows, n))
 
 
 def _isotypic_components(ad_soc: list, d: int, rng, tries):
@@ -638,17 +628,7 @@ def _centre_of_span(mats: list, n: int) -> list:
                 rows.append(row)
     if not rows:
         return mats
-    out = []
-    for sol in nullspace(rows, k):
-        acc = [[0] * n for _ in range(n)]
-        for c, b in zip(sol, mats):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        if b[i][j]:
-                            acc[i][j] += c * b[i][j]
-        out.append(acc)
-    return out
+    return [_combine(sol, mats, n) for sol in nullspace(rows, k)]
 
 
 def _witness_pair(algebra, comp_ambient, inner, gens_c, ad_mats, rng, tries):
@@ -711,16 +691,17 @@ def _lattice_rec(algebra: LieAlgebra, rng, tries) -> IdealLattice:
     atoms, status, witness = _minimal_ideals(algebra, rng, tries)
     if status is not Completeness.COMPLETE:
         return IdealLattice((), status, witness)
-    found: dict[tuple, Subspace] = {}
-
-    def put(s: Subspace):
-        found.setdefault(s.rows, s)
-
-    put(Subspace.zero(n))
+    if sum(atom.dim for atom in atoms) == n:
+        # the algebra is the direct sum of its atoms, pairwise non-isomorphic
+        # simple modules, so its ideals are the sums of subsets of them
+        ideals = [
+            Subspace(n, rref([r for atom in subset for r in atom.rows]))
+            for k in range(len(atoms) + 1)
+            for subset in combinations(atoms, k)
+        ]
+        return IdealLattice(_ordered(ideals), Completeness.COMPLETE, None)
+    found = {(): Subspace.zero(n)}
     for atom in atoms:
-        if atom.dim == n:
-            put(atom)
-            continue
         quot, lift, _project = quotient_algebra(algebra, atom)
         sub = _lattice_rec(quot, rng, tries)
         if sub.completeness is not Completeness.COMPLETE:
@@ -732,10 +713,13 @@ def _lattice_rec(algebra: LieAlgebra, rng, tries) -> IdealLattice:
                 )
             return IdealLattice((), sub.completeness, lifted)
         for ideal in sub.ideals:
-            rows = list(atom.rows) + [lift(r) for r in ideal.rows]
-            put(Subspace(n, rref(rows)))
-    ordered = tuple(sorted(found.values(), key=lambda s: (s.dim, s.rows)))
-    return IdealLattice(ordered, Completeness.COMPLETE, None)
+            rows = rref(list(atom.rows) + [lift(r) for r in ideal.rows])
+            found.setdefault(rows, Subspace(n, rows))
+    return IdealLattice(_ordered(found.values()), Completeness.COMPLETE, None)
+
+
+def _ordered(ideals) -> tuple[Subspace, ...]:
+    return tuple(sorted(ideals, key=lambda s: (s.dim, s.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +755,8 @@ def _decomposability(algebra: LieAlgebra, rng: random.Random, tries: int):
     for _ in range(tries):
         z = _random_combo(rng, cen, n)
         # minimal polynomial of z in centroid / radical
-        stack: list[Vec] = []
         power = identity_matrix(n)
         builder = SpanBuilder(n * n, list(rad_rref))
-        base = builder.dim
         reduced_stack: list[Vec] = []
         while True:
             red = reduce_vector(rad_rref, flatten(power))

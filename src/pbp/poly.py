@@ -120,9 +120,14 @@ def _primitive(coeffs: Sequence) -> tuple[int, ...]:
 
 
 def _gcd_z(a: tuple, b: tuple) -> tuple[int, ...]:
-    """Primitive gcd of primitive integer polynomials (primitive remainder sequence)."""
+    """Primitive gcd of integer polynomials (primitive pseudo-remainder sequence)."""
     while b:
-        a, b = b, _primitive(poly_divmod(a, b)[1])
+        r = list(a)
+        while len(r) >= len(b):  # r <- lc(b) r - lc(r) x^k b lowers the degree
+            k, c = len(r) - len(b), r[-1]
+            r = list(poly_trim([x * b[-1] - (c * b[i - k] if i >= k else 0)
+                                for i, x in enumerate(r)]))
+        a, b = b, _primitive(r)
     return _primitive(a)
 
 
@@ -314,6 +319,14 @@ def _factor_squarefree(f: tuple) -> list[tuple]:
         else:
             size += 1
     return out + [f]
+
+
+def squarefree_part(coeffs: Sequence) -> tuple[int, ...]:
+    """The product of the distinct irreducible factors of a nonconstant
+    rational polynomial, as a primitive integer polynomial."""
+    f = _primitive(coeffs)
+    g = _gcd_z(f, _primitive(poly_derivative(f)))
+    return f if len(g) == 1 else _div_exact_z(f, g)
 
 
 def factor_over_q(coeffs: Sequence) -> list[tuple[tuple[Fraction, ...], int]]:

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bs_oracles import britton_reduce_random
 from pbp import lie
 from pbp.abels import acentral_check
 from pbp.bs import (
     BSGroup,
     britton_reduce,
-    britton_reduce_random,
     bs_presentable,
     cm_x_c2_images,
     verify_witness,

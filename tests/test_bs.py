@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bs_oracles import britton_reduce_random
 from pbp.bs import (
     BSGroup,
     SubgroupWitness,
     ZeroParameter,
     affine_rep,
     britton_reduce,
-    britton_reduce_random,
     bs_presentable,
     cm_x_c2_images,
     pi_image,

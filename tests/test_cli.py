@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -194,3 +195,20 @@ def test_no_subcommand_imports_sympy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert not [p for p in SRC.rglob("*.py") if "sympy" in p.read_text()]
+
+
+def test_src_imports_only_stdlib():
+    """Every import in src/pbp is relative, of pbp itself, or of the standard library."""
+    foreign = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names}
+            foreign += [(path.name, name) for name in top - sys.stdlib_module_names - {"pbp"}]
+    assert not foreign
+

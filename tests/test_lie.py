@@ -4,10 +4,10 @@ from functools import lru_cache
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linalg_oracles import SpanOracle
+from linalg_oracles import SpanOracle, nullspace_oracle, rref_oracle
 from pbp import lie
 from pbp.lie import (
     Completeness,
@@ -471,28 +471,13 @@ def test_answers_survive_change_of_basis(data):
 
 SEMISIMPLE = ["so(3)", "so(2,1)", "sl2", "so(4)", "so(3,1)", "so(2,2)", "sl2+sl2"]
 NOT_SEMISIMPLE = [name for name in SMALL_CATALOGUE if name not in SEMISIMPLE]
+# dimension of the solvable radical; af+so(2,1) has radical af, vr(p,q,1) the Q^(p+q)
+RADICAL_DIM = {"af": 2, "sol": 3, "heisenberg": 3, "abelian(2)": 2, "abelian(3)": 3,
+               "af+af": 4, "af+so(2,1)": 2, "sol+sl2": 3, "vr(2,1,1)": 3, "vr(3,0,1)": 3}
 
 
 def ad_matrices(algebra):
     return [algebra.ad_basis(i) for i in range(algebra.dim)]
-
-
-def minimal_ideal_rows(path, algebra):
-    budget = EnumerationBudget()
-    atoms, status, witness = path(algebra, ad_matrices(algebra), random.Random(budget.seed),
-                                  budget.tries)
-    assert status is Completeness.COMPLETE and witness is None
-    return sorted(atom.rows for atom in atoms)
-
-
-@settings(max_examples=20)
-@given(st.data())
-def test_semisimple_shortcut_matches_envelope_path(data):
-    algebra = catalogue(data.draw(st.sampled_from(SEMISIMPLE)))
-    rebased = rebase(algebra, draw_basis(data, algebra.dim))
-    assert minimal_ideal_rows(lie._semisimple_minimal_ideals, rebased) == minimal_ideal_rows(
-        lie._envelope_minimal_ideals, rebased
-    )
 
 
 @pytest.mark.parametrize("name", SEMISIMPLE + NOT_SEMISIMPLE)
@@ -502,11 +487,119 @@ def test_killing_form_gate(name, monkeypatch):
     n = algebra.dim
     degenerate = bool(lie.nullspace(lie._trace_gram(ad_matrices(algebra)), n))
     assert degenerate == (name in NOT_SEMISIMPLE)
-    chosen = []
-    for path in ("_semisimple_minimal_ideals", "_envelope_minimal_ideals"):
-        monkeypatch.setattr(lie, path, lambda *args, path=path: chosen.append(path))
-    lie._minimal_ideals(algebra, random.Random(0), 1)
-    assert chosen == ["_envelope_minimal_ideals" if degenerate else "_semisimple_minimal_ideals"]
+    radical, _socle = lie._adjoint_socle(algebra, ad_matrices(algebra))
+    assert len(radical) == RADICAL_DIM.get(name, 0)
+    calls = []
+
+    def spy(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    for fn in (lie._simplicity, lie._trace_radical):
+        monkeypatch.setattr(lie, fn.__name__, spy(fn))
+    lie._minimal_ideals(algebra, random.Random(0), 12)
+    assert ("_simplicity" in calls) == degenerate
+    ideal_lattice(algebra)
+    assert "_trace_radical" not in calls
+
+
+def lie_closure(gens):
+    """The Lie algebra of matrices spanned by the gens and their iterated commutators."""
+    m = len(gens[0])
+    span, queue = SpanOracle(), []
+    for g in gens:
+        if span.add([x for row in g for x in row]):
+            queue.append(g)
+    basis = list(queue)
+    while queue:
+        a = queue.pop()
+        for b in list(basis):
+            c = [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(m)) for j in range(m)]
+                 for i in range(m)]
+            if span.add([x for row in c for x in row]):
+                basis.append(c)
+                queue.append(c)
+    rows = span.basis()
+    piv = [next(i for i, x in enumerate(r) if x) for r in rows]
+    n = len(rows)
+    mats = [[list(r[i * m:(i + 1) * m]) for i in range(m)] for r in rows]
+    constants = []
+    for a in mats:
+        plane = []
+        for b in mats:
+            c = [sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(m))
+                 for i in range(m) for j in range(m)]
+            plane.append(tuple(c[p] for p in piv))  # coordinates in the rref basis
+        constants.append(tuple(plane))
+    return LieAlgebra(n, tuple(constants), tuple(f"x{i}" for i in range(n)))
+
+
+@st.composite
+def matrix_lie_algebras(draw):
+    """The Lie closure of 2-3 integer matrices in gl3 or gl4, each with 1-3 nonzero entries."""
+    m = draw(st.sampled_from((3, 4)))
+    upper = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        g = [[0] * m for _ in range(m)]
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2))
+            if upper:
+                i, j = min(i, j), max(i, j)
+            g[i][j] = draw(st.sampled_from((1, -1, 2)))
+        gens.append(g)
+    algebra = lie_closure(gens)
+    assume(algebra.dim <= 10)  # the envelope oracle has up to dim^2 elements
+    return algebra
+
+
+def envelope_socle_oracle(algebra):
+    """The annihilator of the trace-form radical of the envelope of ad L."""
+    n = algebra.dim
+    env = envelope_oracle(ad_matrices(algebra), n)
+    gram = [[sum(a[r][s] * b[s][r] for r in range(n) for s in range(n)) for b in env]
+            for a in env]
+    rows = []
+    for sol in nullspace_oracle(gram, len(env)):
+        rows += [[sum(c * m[r][s] for c, m in zip(sol, env)) for s in range(n)]
+                 for r in range(n)]
+    return rref_oracle(nullspace_oracle(rows, n))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_socle_matches_envelope_oracle(data):
+    if data.draw(st.booleans()):
+        algebra = catalogue(data.draw(st.sampled_from(SMALL_CATALOGUE)))
+        algebra = rebase(algebra, draw_basis(data, algebra.dim))
+    else:
+        algebra = data.draw(matrix_lie_algebras())
+    _radical, socle = lie._adjoint_socle(algebra, ad_matrices(algebra))
+    assert socle == envelope_socle_oracle(algebra)
+    budget = EnumerationBudget()
+    atoms, status, _witness = lie._minimal_ideals(algebra, random.Random(budget.seed),
+                                                  budget.tries)
+    if status is Completeness.COMPLETE:
+        assert rref_oracle(r for atom in atoms for r in atom.rows) == socle
+
+
+def test_socle_leaves_out_a_jordan_block():
+    # L = Qx + [L, L] with ad x a Jordan block on [L, L], which is also the
+    # centralizer of [L, R]: the socle is the block's eigenline alone
+    jordan = lie_closure([[[1, 1, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]]])
+    _radical, socle = lie._adjoint_socle(jordan, ad_matrices(jordan))
+    assert len(socle) == 1 and socle == envelope_socle_oracle(jordan)
+
+
+@pytest.mark.parametrize("name, atoms", [("sl2+sl2", 2), ("so(4)+so(4)", 4), ("sl2+abelian(1)", 2)])
+def test_lattice_of_a_direct_sum_of_atoms(name, atoms, monkeypatch):
+    # when the minimal ideals span the algebra, its ideals are their 2^k partial sums
+    algebra = catalogue(name)
+    calls = []
+    minimal_ideals = lie._minimal_ideals
+    monkeypatch.setattr(lie, "_minimal_ideals", lambda *a: calls.append(1) or minimal_ideals(*a))
+    lattice = ideal_lattice(algebra)
+    assert lattice.completeness is Completeness.COMPLETE
+    assert len(lattice.ideals) == 2 ** atoms and len(calls) == 1
 
 
 def envelope_oracle(gens, n):
@@ -622,5 +715,7 @@ def test_semisimple_components_are_rechecked(monkeypatch, name, components, mess
     n = algebra.dim
     rows = [tuple(unit(n, i) for i in comp) for comp in components]
     monkeypatch.setattr(lie, "_isotypic_components", lambda *args: rows)
+    # a nondegenerate Killing Gram sends af down the semisimple path too
+    monkeypatch.setattr(lie, "_trace_gram", lambda mats: lie.identity_matrix(len(mats)))
     with pytest.raises(InternalVerificationError, match=message):
-        lie._semisimple_minimal_ideals(algebra, ad_matrices(algebra), random.Random(0), 1)
+        lie._minimal_ideals(algebra, random.Random(0), 1)

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbp.poly import factor_over_q, poly_mul
+from pbp.poly import factor_over_q, poly_mul, squarefree_part
 
 
 def sympy_factors(coeffs):
@@ -67,6 +67,15 @@ def test_factor_over_q_matches_sympy(coeffs):
     assert got == expected
     if any(coeffs):
         assert rebuilt(got) == monic(coeffs)
+
+
+@settings(max_examples=60)
+@given(products())
+def test_squarefree_part_is_the_product_of_distinct_factors(coeffs):
+    if len(coeffs) > 1:
+        part = squarefree_part(coeffs)
+        assert all(type(c) is int for c in part)
+        assert monic(part) == rebuilt((f, 1) for f, _mult in sympy_factors(coeffs))
 
 
 SWINNERTON_DYER_2_3 = (1, 0, -10, 0, 1)  # irreducible over Q, splits modulo every prime
