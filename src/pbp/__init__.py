@@ -68,7 +68,7 @@ from .bs import (
     verify_witness,
     witness_subgroup,
 )
-from .abels import A3Matrix, GammaElement, ZInvP, acentral_check, gamma_commutes
+from .abels import A3Matrix, GammaElement, acentral_check, gamma_commutes
 from .classifier import Flags, GroupDescriptor, InconsistentInput, classify, explain
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,91 +94,38 @@ def _is_p_power_denominator(value: Fraction, p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ZInvP:
-    """Element of Z[1/p]: a rational whose denominator is a power of p."""
-
-    p: int
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.p < 2 or not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if not _is_p_power_denominator(self.value, self.p):
-            raise ValueError(f"{self.value} is not in Z[1/{self.p}]")
-
-    def _coerce(self, other) -> "ZInvP":
-        if isinstance(other, ZInvP):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        return ZInvP(self.p, Fraction(other))
-
-    def __add__(self, other):
-        return ZInvP(self.p, self.value + self._coerce(other).value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ZInvP(self.p, self.value - self._coerce(other).value)
-
-    def __rsub__(self, other):
-        return ZInvP(self.p, self._coerce(other).value - self.value)
-
-    def __mul__(self, other):
-        return ZInvP(self.p, self.value * self._coerce(other).value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ZInvP(self.p, -self.value)
-
-    def times_p_power(self, k: int) -> "ZInvP":
-        """Multiply by p^k (k may be negative; the result stays in Z[1/p])."""
-        return ZInvP(self.p, self.value * Fraction(self.p) ** k)
-
-    def is_integer(self) -> bool:
-        return self.value.denominator == 1
-
-
-@dataclass(frozen=True)
 class A3Matrix:
-    """Group element (x, y, z, u) with u encoded as sign * p^exp."""
+    """The matrix [[1, x, z], [0, u, y], [0, 0, 1]] with x, y, z in Z[1/p] and
+    u = +-p^k, all stored as plain Fractions.
+
+    Only ``make`` checks its arguments.  Z[1/p] is a ring and u is a unit in
+    it, so ``a3_mul`` and ``a3_inv`` of checked matrices stay in the group
+    without a check."""
 
     p: int
-    x: ZInvP
-    y: ZInvP
-    z: ZInvP
-    u_sign: int
-    u_exp: int
-
-    def __post_init__(self):
-        if self.u_sign not in (1, -1):
-            raise ValueError("unit sign must be +-1")
-        for entry in (self.x, self.y, self.z):
-            if entry.p != self.p:
-                raise ValueError("mixed primes")
+    x: Fraction
+    y: Fraction
+    z: Fraction
+    u: Fraction
 
     @staticmethod
     def make(p: int, x, y, z, u_sign: int = 1, u_exp: int = 0) -> "A3Matrix":
-        return A3Matrix(p, ZInvP(p, x), ZInvP(p, y), ZInvP(p, z), u_sign, u_exp)
-
-    @property
-    def u(self) -> Fraction:
-        return self.u_sign * Fraction(self.p) ** self.u_exp
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if u_sign not in (1, -1) or not isinstance(u_exp, int):
+            raise ValueError(f"the unit must be +-p^k with k an integer, got {u_sign} * {p}^{u_exp}")
+        entries = [Fraction(v) for v in (x, y, z)]
+        for value in entries:
+            if not _is_p_power_denominator(value, p):
+                raise ValueError(f"{value} is not in Z[1/{p}]")
+        return A3Matrix(p, *entries, u_sign * Fraction(p) ** u_exp)
 
     def is_identity(self) -> bool:
-        return (
-            self.x.value == 0
-            and self.y.value == 0
-            and self.z.value == 0
-            and self.u_sign == 1
-            and self.u_exp == 0
-        )
+        return self.is_central() and self.z == 0
 
     def is_central(self) -> bool:
         """Members of the centre: u = 1 and x = y = 0."""
-        return self.x.value == 0 and self.y.value == 0 and self.u_sign == 1 and self.u_exp == 0
+        return self.x == 0 and self.y == 0 and self.u == 1
 
 
 def a3_identity(p: int) -> A3Matrix:
@@ -189,27 +136,11 @@ def a3_mul(a: A3Matrix, b: A3Matrix) -> A3Matrix:
     if a.p != b.p:
         raise ValueError("mixed primes")
     # [[1,x1,z1],[0,u1,y1],[0,0,1]] * [[1,x2,z2],[0,u2,y2],[0,0,1]]
-    x = b.x + a.x.times_p_power(b.u_exp) * b.u_sign
-    y = a.y + b.y.times_p_power(a.u_exp) * a.u_sign
-    z = b.z + a.x * b.y + a.z
-    return A3Matrix(a.p, x, y, z, a.u_sign * b.u_sign, a.u_exp + b.u_exp)
+    return A3Matrix(a.p, b.x + a.x * b.u, a.y + a.u * b.y, b.z + a.x * b.y + a.z, a.u * b.u)
 
 
 def a3_inv(a: A3Matrix) -> A3Matrix:
-    x = -(a.x.times_p_power(-a.u_exp) * a.u_sign)
-    y = -(a.y.times_p_power(-a.u_exp) * a.u_sign)
-    z = -a.z + (a.x * a.y).times_p_power(-a.u_exp) * a.u_sign
-    return A3Matrix(a.p, x, y, z, a.u_sign, -a.u_exp)
-
-
-def a3_op(op: str, *args: A3Matrix) -> A3Matrix:
-    if op == "mul":
-        a, b = args
-        return a3_mul(a, b)
-    if op == "inv":
-        (a,) = args
-        return a3_inv(a)
-    raise ValueError(f"unknown operation {op!r}")
+    return A3Matrix(a.p, -a.x / a.u, -a.y / a.u, a.x * a.y / a.u - a.z, 1 / a.u)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +155,7 @@ class GammaElement:
 
     def __post_init__(self):
         m = self.matrix
-        frac = m.z.value - (m.z.value.numerator // m.z.value.denominator)
-        reduced = A3Matrix(m.p, m.x, m.y, ZInvP(m.p, frac), m.u_sign, m.u_exp)
-        object.__setattr__(self, "matrix", reduced)
-
-    def __eq__(self, other):
-        return isinstance(other, GammaElement) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
+        object.__setattr__(self, "matrix", replace(m, z=m.z - math.floor(m.z)))
 
 
 def gamma_commutes(g: GammaElement, h: GammaElement) -> bool:
@@ -240,13 +163,7 @@ def gamma_commutes(g: GammaElement, h: GammaElement) -> bool:
     commutator must be trivial up to an integer z-entry."""
     a, b = g.matrix, h.matrix
     comm = a3_mul(a3_mul(a, b), a3_mul(a3_inv(a), a3_inv(b)))
-    return (
-        comm.x.value == 0
-        and comm.y.value == 0
-        and comm.u_sign == 1
-        and comm.u_exp == 0
-        and comm.z.is_integer()
-    )
+    return comm.is_central() and comm.z.denominator == 1
 
 
 def diagonal_element(p: int, exponent: int, sign: int = 1) -> GammaElement:
@@ -369,6 +286,8 @@ def acentral_check(
     """
     if exponent == 0:
         raise ValueError("the diagonal element needs a nonzero exponent")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     symbolic_ok = symbolic_commutator_identities()
     g = diagonal_element(p, exponent, sign)
     rng = random.Random(seed)
@@ -379,22 +298,18 @@ def acentral_check(
         if gamma_commutes(g, h):
             commuting += 1
             hm = h.matrix
-            if hm.x.value != 0 or hm.y.value != 0:
-                counterexamples.append(
-                    f"x={hm.x.value} y={hm.y.value} u={hm.u} z={hm.z.value}"
-                )
+            if hm.x != 0 or hm.y != 0:
+                counterexamples.append(f"x={hm.x} y={hm.y} u={hm.u} z={hm.z}")
     # positive controls: x = y = 0 classes must land in the centralizer,
     # otherwise the implication above would hold vacuously
     for _ in range(max(1, trials // 10)):
         sample = random_gamma_element(p, rng).matrix
-        control = GammaElement(
-            A3Matrix(p, ZInvP(p, 0), ZInvP(p, 0), sample.z, sample.u_sign, sample.u_exp)
-        )
+        control = GammaElement(replace(sample, x=Fraction(0), y=Fraction(0)))
         if gamma_commutes(g, control):
             commuting += 1
         else:
             counterexamples.append(
-                f"diagonal class u={control.matrix.u} z={control.matrix.z.value} "
+                f"diagonal class u={control.matrix.u} z={control.matrix.z} "
                 "failed to commute"
             )
     return AcentralReport(p, symbolic_ok, trials, commuting, tuple(counterexamples))

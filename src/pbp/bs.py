@@ -292,6 +292,8 @@ def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int =
     bounded freeness of the conjugate basis, and the kernel's abelianization."""
     if abs(group.m) != abs(group.n) or abs(group.m) < 2:
         raise ValueError("witness checks apply to BS(m, +-m) with |m| >= 2")
+    if length_bound < 1:
+        raise ValueError(f"the length bound must be at least 1, got {length_bound}")
     m = witness.m
     names = ("s", "t")
     failures: list[str] = []

@@ -110,11 +110,11 @@ def poly_gcdext(a: Sequence, b: Sequence) -> tuple[tuple, tuple, tuple]:
 def _primitive(coeffs: Sequence) -> tuple[int, ...]:
     """The primitive integer polynomial with positive lead that is a rational
     multiple of ``coeffs``; () for zero."""
-    fracs = [Fraction(c) for c in poly_trim(coeffs)]
-    if not fracs:
+    coeffs = poly_trim(coeffs)
+    if not coeffs:
         return ()
-    den = math.lcm(*(c.denominator for c in fracs))
-    ints = [c.numerator * (den // c.denominator) for c in fracs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
     return tuple(c // g for c in ints)
 

@@ -1,18 +1,20 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pbp import abels
 from pbp.abels import (
     A3Matrix,
     GammaElement,
-    ZInvP,
     a3_identity,
     a3_inv,
     a3_mul,
-    a3_op,
     acentral_check,
     diagonal_element,
     gamma_commutes,
@@ -25,31 +27,83 @@ def rand_matrix(p, rng):
     return random_gamma_element(p, rng).matrix
 
 
-# --- Z[1/p] -------------------------------------------------------------------
+# --- Z[1/p] entries, checked on entry -------------------------------------------
 
 
-def test_zinvp_accepts_p_power_denominators():
-    ZInvP(3, Fraction(5, 27))
-    ZInvP(2, Fraction(-7, 8))
-    ZInvP(5, 4)
+def is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
-def test_zinvp_rejects_other_denominators():
-    with pytest.raises(ValueError):
-        ZInvP(3, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ZInvP(4, 1)  # not prime
+def test_make_accepts_p_power_denominators():
+    m = A3Matrix.make(3, Fraction(5, 27), Fraction(-7, 3), 4, -1, -2)
+    assert (m.x, m.y, m.z, m.u) == (Fraction(5, 27), Fraction(-7, 3), 4, Fraction(-1, 9))
+    assert all(type(v) is Fraction for v in (m.x, m.y, m.z, m.u))
+    A3Matrix.make(2, Fraction(-7, 8), 0, 0)
+    A3Matrix.make(5, 4, 0, 0, 1, 3)
 
 
-def test_zinvp_ring_closure():
-    rng = random.Random(1)
-    for p in (2, 3, 5):
-        for _ in range(50):
-            k1, k2 = rng.randint(0, 3), rng.randint(0, 3)
-            a = ZInvP(p, Fraction(rng.randint(-20, 20), p**k1))
-            b = ZInvP(p, Fraction(rng.randint(-20, 20), p**k2))
-            for value in (a + b, a - b, a * b, -a, a.times_p_power(-2)):
-                assert isinstance(value, ZInvP)
+def test_make_rejects_outside_values():
+    with pytest.raises(ValueError, match="not prime"):
+        A3Matrix.make(4, 1, 0, 0)
+    with pytest.raises(ValueError, match="not prime"):
+        A3Matrix.make(1, 0, 0, 0)
+    for entries in [(Fraction(1, 2), 0, 0), (0, Fraction(1, 2), 0), (0, 0, Fraction(1, 6))]:
+        with pytest.raises(ValueError, match=r"Z\[1/3\]"):
+            A3Matrix.make(3, *entries)
+    for sign, exp in [(2, 1), (0, 1), (-3, 0), (1, 0.5), (-1, Fraction(1, 2))]:
+        with pytest.raises(ValueError, match="unit"):
+            A3Matrix.make(3, 0, 0, 0, sign, exp)
+
+
+def z_inv_p(p):
+    return st.builds(lambda a, k: Fraction(a, p**k), st.integers(-50, 50), st.integers(0, 4))
+
+
+@st.composite
+def a3_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def matrix():
+        sign, exp = draw(st.sampled_from([1, -1])), draw(st.integers(-4, 4))
+        return A3Matrix.make(p, draw(z_inv_p(p)), draw(z_inv_p(p)), draw(z_inv_p(p)), sign, exp)
+
+    return matrix(), matrix()
+
+
+def as_rows(m):
+    return [[1, m.x, m.z], [0, m.u, m.y], [0, 0, 1]]
+
+
+def rows_matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def rows_inverse(rows):
+    """Gauss-Jordan over Q, independent of the closed forms in a3_inv."""
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(3)]
+           for i, row in enumerate(rows)]
+    for col in range(3):
+        pivot = next(r for r in range(col, 3) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(3):
+            if r != col:
+                aug[r] = [v - aug[r][col] * w for v, w in zip(aug[r], aug[col])]
+    return [row[3:] for row in aug]
+
+
+@given(a3_pairs())
+def test_mul_and_inv_are_the_fraction_matrix_product_and_inverse(pair):
+    a, b = pair
+    for result, expected in [
+        (a3_mul(a, b), rows_matmul(as_rows(a), as_rows(b))),
+        (a3_inv(a), rows_inverse(as_rows(a))),
+    ]:
+        assert as_rows(result) == expected
+        assert all(is_p_power(v.denominator, a.p) for v in (result.x, result.y, result.z, result.u))
+        assert is_p_power(abs(result.u.numerator), a.p)  # u stays a unit +-p^k
 
 
 # --- group arithmetic -----------------------------------------------------------
@@ -85,14 +139,6 @@ def test_inverse_of_diagonal_unit():
     assert a3_inv(m).u == Fraction(1, 3)
 
 
-def test_a3_op_dispatch():
-    e = a3_identity(5)
-    assert a3_op("mul", e, e) == e
-    assert a3_op("inv", e) == e
-    with pytest.raises(ValueError):
-        a3_op("pow", e)
-
-
 def test_central_elements_commute_with_everything():
     rng = random.Random(5)
     central = GammaElement(A3Matrix.make(3, 0, 0, Fraction(7, 9)))
@@ -112,7 +158,7 @@ def test_centre_matches_commuting_with_generators():
         h = random_gamma_element(p, rng)
         central = gamma_commutes(gen1, h) and gamma_commutes(gen2, h)
         hm = h.matrix
-        literally = hm.x.value == 0 and hm.y.value == 0 and hm.u == 1
+        literally = hm.x == 0 and hm.y == 0 and hm.u == 1
         assert central == literally
 
 
@@ -199,3 +245,39 @@ def test_report_json_shape():
     assert obj["symbolic"] == "pass"
     assert obj["randomized"] == "pass"
     assert obj["counterexamples"] == []
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_acentral_check_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        acentral_check(3, trials=trials)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("exponent,sign", [(1, 1), (-2, -1), (3, 1), (-1, -1)])
+def test_acentral_report_is_pinned(p, exponent, sign):
+    # 300 trials hit no random commuting class, so all 30 cases are the controls
+    report = acentral_check(p, trials=300, exponent=exponent, sign=sign)
+    assert json.dumps(report.to_json()) == (
+        f'{{"prime": {p}, "symbolic": "pass", "randomized": "pass", "trials": 300, '
+        '"commuting_cases": 30, "counterexamples": []}'
+    )
+
+
+def test_acentral_report_counts_random_commuting_classes():
+    # three of the 3000 random classes over Z[1/2] have x = y = 0
+    report = acentral_check(2, trials=3000, exponent=-1, sign=-1)
+    assert report.commuting_cases == 300 + 3
+    assert report.passed
+
+
+def test_random_gamma_element_stream_is_pinned():
+    rng = random.Random(0x5EED)
+    rows = []
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(200):
+            m = random_gamma_element(p, rng).matrix
+            rows.append((m.x, m.y, m.z, m.u))
+    assert rows[0] == (Fraction(19, 2), Fraction(-15, 4), Fraction(7, 16), Fraction(-1, 2))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "3f42d6928cb1c6a580cd8a1359fddadbbdcbb46e32d10893bd4356b415479e86"

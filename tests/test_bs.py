@@ -281,3 +281,9 @@ def test_kernel_index_2m(m, eta):
     group = BSGroup(m, eta * m)
     table = coset_enumerate(group.presentation(), cm_x_c2_images(m))
     assert table.d == 2 * m
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_verify_witness_rejects_nonpositive_bound(bound):
+    with pytest.raises(ValueError, match="length bound"):
+        verify_witness(BSGroup(2, 2), witness_subgroup(2, 1), bound)

@@ -84,6 +84,13 @@ def test_bs_command_compact_certificate(capsys):
     assert out["certificate"] == {"kind": "finite-index-direct-product", "index": 6}
 
 
+def test_bs_rejects_nonpositive_verify_bound(capsys):
+    code, out, err = run(capsys, ["bs", "2", "2", "--verify-bound", "-1"])
+    assert code == 2
+    assert out is None
+    assert "length bound" in err
+
+
 def test_bs_zero_parameter(capsys):
     code, out, err = run(capsys, ["bs", "0", "3"])
     assert code == 2
@@ -160,6 +167,19 @@ def test_abels_command(capsys):
     assert out["symbolic"] == "pass"
     assert out["randomized"] == "pass"
     assert out["counterexamples"] == []
+
+
+def test_abels_rejects_nonpositive_trials(capsys):
+    code, out, err = run(capsys, ["abels", "--prime", "3", "--trials", "-5"])
+    assert code == 2
+    assert out is None
+    assert "trials" in err
+
+
+def test_abels_rejects_composite_prime(capsys):
+    code, out, err = run(capsys, ["abels", "--prime", "4", "--trials", "20"])
+    assert code == 2
+    assert "not prime" in err
 
 
 def test_missing_file_exits_two(capsys):
