@@ -125,63 +125,66 @@ class BrittonForm:
         return f"BrittonForm({format_word(self.as_word(), ('s', 't'))!r} in BS{(self.group.m, self.group.n)})"
 
 
-def _parts_from_word(word: Word) -> tuple[int, list[list[int]]]:
-    k0 = 0
-    tail: list[list[int]] = []
-    for letter in word.raw:
-        if abs(letter) == S:
-            if tail:
-                tail[-1][1] += 1 if letter > 0 else -1
-            else:
-                k0 += 1 if letter > 0 else -1
+def _britton_push(
+    state: tuple[int, tuple[tuple[int, int], ...]], letters: Iterable[int], m: int, n: int
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Extend a pinch-free state by letters; returns the new state.
+
+    A state (k0, ((eps, k), ...)) is s^k0 t^eps s^k ... with exponents left
+    unnormalized and no pinch: no t s^k t^-1 with m | k, no t^-1 s^k t with
+    n | k.  Appending a letter can only make a pinch at the right end, so each
+    t-letter either cancels against the top syllable or is pushed, and one
+    left-to-right stack pass reduces the letters.  The word is trivial iff the
+    state is (0, ()).
+    """
+    k0, syllables = state
+    stack = [(0, k0), *syllables]  # eps 0 marks the leading power of s
+    eps, k = stack.pop()
+    for letter in letters:
+        if letter == S:
+            k += 1
+        elif letter == -S:
+            k -= 1
         else:
-            tail.append([1 if letter > 0 else -1, 0])
-    return k0, tail
+            e = 1 if letter == T else -1
+            if eps == -e:
+                inner, outer = (m, n) if eps == 1 else (n, m)
+                if k % inner == 0:
+                    # t^eps s^(c inner) t^-eps = s^(c outer) merges into the syllable below
+                    carry = k // inner * outer
+                    eps, k = stack.pop()
+                    k += carry
+                    continue
+            stack.append((eps, k))
+            eps, k = e, 0
+    stack.append((eps, k))
+    return stack[0][1], tuple(stack[1:])
 
 
-def _normalize_pass(k0: int, tail: list[list[int]], m: int, n: int) -> int:
-    # push multiples of the associated subgroup's exponent to the left
+def _normalize_pass(k0: int, tail: list[tuple[int, int]], m: int, n: int) -> int:
+    # push multiples of the associated subgroup's exponent to the left; where
+    # syllables i-1 and i could pinch, outer is i-1's modulus, so none appears
     for i in range(len(tail) - 1, -1, -1):
         eps, k = tail[i]
         inner, outer = (m, n) if eps == 1 else (n, m)
         rho = k % abs(inner)
         if rho != k:
             q = (k - rho) // inner
-            tail[i][1] = rho
+            tail[i] = (eps, rho)
             if i == 0:
                 k0 += q * outer
             else:
-                tail[i - 1][1] += q * outer
+                tail[i - 1] = (tail[i - 1][0], tail[i - 1][1] + q * outer)
     return k0
-
-
-def _find_pinch(tail: list[list[int]], m: int, n: int) -> int | None:
-    for i in range(len(tail) - 1):
-        eps, k = tail[i]
-        if k == 0 and eps == -tail[i + 1][0]:
-            return i
-    return None
 
 
 def britton_reduce(group: BSGroup, word: Word) -> BrittonForm:
     """Canonical pinch-free form of a word; equal elements compare equal."""
     m, n = group.m, group.n
-    k0, tail = _parts_from_word(word)
-    while True:
-        k0 = _normalize_pass(k0, tail, m, n)
-        i = _find_pinch(tail, m, n)
-        if i is None:
-            break
-        eps, k = tail[i]
-        assert k == 0
-        # t t^-1 (or t^-1 t) cancels; the trailing exponent merges left
-        carry = tail[i + 1][1]
-        del tail[i : i + 2]
-        if i == 0:
-            k0 += carry
-        else:
-            tail[i - 1][1] += carry
-    return BrittonForm(group, k0, tuple((e, k) for e, k in tail))
+    k0, syllables = _britton_push((0, ()), word.raw, m, n)
+    tail = list(syllables)
+    k0 = _normalize_pass(k0, tail, m, n)
+    return BrittonForm(group, k0, tuple(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +269,25 @@ def _substitute(word: Word, images: Sequence[Word]) -> Word:
     return Word(letters)
 
 
-def _free_words(alphabet: int, max_len: int) -> Iterable[Word]:
-    """All freely reduced nonempty words over the alphabet, up to max_len."""
-    letters = [i for i in range(1, alphabet + 1)] + [-i for i in range(1, alphabet + 1)]
-    stack: list[list[int]] = [[x] for x in letters]
+def _first_relation(group: BSGroup, conjugates: Sequence[Word], length_bound: int) -> int | None:
+    """Length of the first word in the conjugates, in the order that
+    ``verify_witness`` states, that is trivial in the group; else None.
+    A word's state is its parent's pushed through its last letter's image."""
+    m, n = group.m, group.n
+    images: dict[int, tuple[int, ...]] = {}
+    for i, word in enumerate(conjugates, 1):
+        images[i], images[-i] = word.raw, (~word).raw
+    letters = [*range(1, len(conjugates) + 1), *range(-1, -len(conjugates) - 1, -1)]
+    # pending words: (state of the word without its last letter, last letter, length)
+    stack = [((0, ()), x, 1) for x in letters]
     while stack:
-        word = stack.pop()
-        yield Word(word)
-        if len(word) < max_len:
-            for x in letters:
-                if x != -word[-1]:
-                    stack.append(word + [x])
+        parent, x, length = stack.pop()
+        state = _britton_push(parent, images[x], m, n)
+        if state == (0, ()):
+            return length
+        if length < length_bound:
+            stack.extend((state, y, length + 1) for y in letters if y != -x)
+    return None
 
 
 @dataclass(frozen=True)
@@ -289,11 +300,20 @@ class WitnessReport:
 
 def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int = 6) -> WitnessReport:
     """Machine-check the witness: commutation, kernel membership, index,
-    bounded freeness of the conjugate basis, and the kernel's abelianization."""
+    bounded freeness of the conjugate basis, and the kernel's abelianization.
+
+    The freeness check searches every freely reduced word of length 1 to
+    ``length_bound`` in the m conjugates, depth first in preorder with
+    children in reversed letter order, and reports the first one that is
+    trivial in the group.  There are sum_{k=1..L} 2m (2m-1)^(k-1) such
+    words, and each costs one Britton stack step over one conjugate.
+    """
     if abs(group.m) != abs(group.n) or abs(group.m) < 2:
         raise ValueError("witness checks apply to BS(m, +-m) with |m| >= 2")
     if length_bound < 1:
         raise ValueError(f"the length bound must be at least 1, got {length_bound}")
+    if witness.m != abs(group.m):
+        raise ValueError(f"the witness is for |m| = {witness.m}, the group has |m| = {abs(group.m)}")
     m = witness.m
     names = ("s", "t")
     failures: list[str] = []
@@ -312,10 +332,9 @@ def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int =
     if table.d != 2 * m:
         failures.append(f"kernel index is {table.d}, expected {2 * m}")
 
-    for word in _free_words(m, length_bound):
-        if britton_reduce(group, _substitute(word, witness.T)).is_identity():
-            failures.append(f"nontrivial relation of length {len(word)} among the conjugates")
-            break
+    length = _first_relation(group, witness.T, length_bound)
+    if length is not None:
+        failures.append(f"nontrivial relation of length {length} among the conjugates")
 
     sub = reidemeister_schreier_data(pres, table).presentation
     invariants = abelianization(sub)

@@ -1,14 +1,34 @@
-"""Britton reduction with its rewrites applied in random order.
+"""From-scratch references for ``pbp.bs``.
 
-The tests compare ``pbp.bs.britton_reduce``, which rewrites left to right,
-against this: the rewrite system is confluent, so every order of rewrites
-must reach the same normal form.
+``britton_reduce_random`` applies the Britton rewrites in random order.
+``pbp.bs.britton_reduce`` rewrites left to right; the rewrite system is
+confluent, so every order must reach the same normal form.
+
+``first_relation_oracle`` is the bounded freeness search done the plain
+way: every freely reduced word in the conjugates is substituted and
+Britton-reduced from scratch, where ``pbp.bs._first_relation`` extends
+each word's parent state by one conjugate.
 """
 
 import random
+from typing import Iterable, Sequence
 
-from pbp.bs import BrittonForm, BSGroup, _normalize_pass, _parts_from_word
+from pbp.bs import S, BrittonForm, BSGroup, _substitute, britton_reduce
 from pbp.words import Word
+
+
+def _parts_from_word(word: Word) -> tuple[int, list[list[int]]]:
+    k0 = 0
+    tail: list[list[int]] = []
+    for letter in word.raw:
+        if abs(letter) == S:
+            if tail:
+                tail[-1][1] += 1 if letter > 0 else -1
+            else:
+                k0 += 1 if letter > 0 else -1
+        else:
+            tail.append([1 if letter > 0 else -1, 0])
+    return k0, tail
 
 
 def britton_reduce_random(group: BSGroup, word: Word, rng: random.Random) -> BrittonForm:
@@ -44,5 +64,27 @@ def britton_reduce_random(group: BSGroup, word: Word, rng: random.Random) -> Bri
                 k0 += carry
             else:
                 tail[i - 1][1] += carry
-    k0 = _normalize_pass(k0, tail, m, n)
+    # no move left: every interior exponent is already normalized
     return BrittonForm(group, k0, tuple((e, k) for e, k in tail))
+
+
+def free_words(alphabet: int, max_len: int) -> Iterable[Word]:
+    """All freely reduced nonempty words over the alphabet, up to max_len,
+    depth first in preorder with children in reversed letter order."""
+    letters = [i for i in range(1, alphabet + 1)] + [-i for i in range(1, alphabet + 1)]
+    stack: list[list[int]] = [[x] for x in letters]
+    while stack:
+        word = stack.pop()
+        yield Word(word)
+        if len(word) < max_len:
+            for x in letters:
+                if x != -word[-1]:
+                    stack.append(word + [x])
+
+
+def first_relation_oracle(group: BSGroup, conjugates: Sequence[Word], length_bound: int) -> int | None:
+    """Length of the first word of ``free_words`` trivial in the group, or None."""
+    for word in free_words(len(conjugates), length_bound):
+        if britton_reduce(group, _substitute(word, conjugates)).is_identity():
+            return len(word)
+    return None

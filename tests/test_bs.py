@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bs_oracles import britton_reduce_random
+from bs_oracles import britton_reduce_random, first_relation_oracle, free_words
+from pbp import bs
 from pbp.bs import (
     BSGroup,
     SubgroupWitness,
@@ -25,6 +26,7 @@ from pbp.verdict import Answer
 from pbp.words import Word, parse_word
 
 NAMES = ("s", "t")
+NONZERO_5 = st.integers(-5, 5).filter(bool)
 
 
 def w(text):
@@ -94,6 +96,16 @@ def test_confluence_exhaustive_short():
         canonical = britton_reduce(group, word)
         randomized = britton_reduce_random(group, word, rng)
         assert canonical == randomized
+
+
+LETTERS = st.sampled_from((1, -1, 2, -2))
+
+
+@given(NONZERO_5, NONZERO_5, st.lists(LETTERS, max_size=40), st.integers(0, 2**32))
+def test_britton_reduce_matches_random_order(m, n, letters, seed):
+    group = BSGroup(m, n)
+    word = Word(letters)
+    assert britton_reduce(group, word) == britton_reduce_random(group, word, random.Random(seed))
 
 
 def test_equal_elements_get_equal_forms():
@@ -166,7 +178,10 @@ def test_witness_words_even_and_in_kernel():
             assert pi_image(group, word) == (0, 0)
 
 
-@pytest.mark.parametrize("m,eta,bound", [(2, 1, 8), (2, -1, 8), (3, 1, 6), (3, -1, 6)])
+@pytest.mark.parametrize(
+    "m,eta,bound",
+    [(2, 1, 8), (2, -1, 8), (3, 1, 6), (3, -1, 6), (4, 1, 6), (4, -1, 6), (5, 1, 4), (5, -1, 4)],
+)
 def test_verify_witness_passes(m, eta, bound):
     group = BSGroup(m, eta * m)
     report = verify_witness(group, witness_subgroup(m, eta), bound)
@@ -184,6 +199,71 @@ def test_tampered_witness_fails_kernel_check():
     report = verify_witness(BSGroup(2, 2), tampered, 4)
     assert not report.passed
     assert any("ker" in f for f in report.failures)
+
+
+def test_verify_witness_rejects_witness_for_another_group():
+    with pytest.raises(ValueError, match="witness"):
+        verify_witness(BSGroup(3, 3), witness_subgroup(2, 1), 3)
+
+
+def _reports_match_from_scratch_search(monkeypatch, group, witness, bound):
+    report = verify_witness(group, witness, bound)
+    with monkeypatch.context() as patch:
+        patch.setattr(bs, "_first_relation", first_relation_oracle)
+        expected = verify_witness(group, witness, bound)
+    assert (report.passed, report.failures) == (expected.passed, expected.failures)
+    return report
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("eta", [1, -1])
+def test_freeness_search_matches_from_scratch_search(monkeypatch, m, eta):
+    group, witness = BSGroup(m, eta * m), witness_subgroup(m, eta)
+    for bound in range(1, 6):
+        report = _reports_match_from_scratch_search(monkeypatch, group, witness, bound)
+        assert report.passed, report.failures
+
+
+def _mutations(witness):
+    # (conjugates, length of their shortest relation)
+    T, m = witness.T, witness.m
+    yield (T[0],) + T[:-1], 2  # x1 x2^-1
+    yield (~T[0],) + T[1:], None  # still a free basis
+    yield T[:-1] + (s_word(m),), 4  # s^m commutes with t up to sign: x1 xm x1^-1 xm^+-1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("eta", [1, -1])
+def test_mutated_conjugates_match_from_scratch_search(monkeypatch, m, eta):
+    group, witness = BSGroup(m, eta * m), witness_subgroup(m, eta)
+    for T, shortest in _mutations(witness):
+        tampered = SubgroupWitness(m, eta, witness.zs_generator, T, witness.fII_basis)
+        for bound in range(1, 6):
+            report = _reports_match_from_scratch_search(monkeypatch, group, tampered, bound)
+            # depth first, so the relation reported need not be the shortest
+            found = shortest is not None and bound >= shortest
+            assert len(report.failures) == found, (T, bound, report.failures)
+            assert all("nontrivial relation" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("m,bound", [(2, 5), (3, 4)])
+def test_freeness_search_visits_every_word(monkeypatch, m, bound):
+    # a pruned search would weaken the freeness check without changing a verdict
+    calls = 0
+    push = bs._britton_push
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return push(*args)
+
+    monkeypatch.setattr(bs, "_britton_push", spy)
+    witness = witness_subgroup(m, 1)
+    assert verify_witness(BSGroup(m, m), witness, bound).passed
+    words = sum(2 * m * (2 * m - 1) ** (k - 1) for k in range(1, bound + 1))
+    assert words == sum(1 for _ in free_words(m, bound))
+    # one push per word, plus one Britton reduction per commutator check
+    assert calls == words + len(witness.fII_basis)
 
 
 def test_odd_words_do_not_commute_when_eta_is_minus_one():

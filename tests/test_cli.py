@@ -78,6 +78,13 @@ def test_bs_command_with_checks(capsys):
     assert out["checks"]["abelianization_free_rank"] == 4
 
 
+def test_bs_command_checks_bs4_at_bound_6(capsys):
+    code, out, _ = run(capsys, ["bs", "4", "-4", "--verify-bound", "6"])
+    assert code == 0
+    assert out["checks"]["passed"] is True
+    assert out["checks"]["abelianization_free_rank"] == 8
+
+
 def test_bs_command_compact_certificate(capsys):
     code, out, _ = run(capsys, ["bs", "3", "3"])
     assert code == 0
