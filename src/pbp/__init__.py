@@ -4,7 +4,8 @@ A group is presentable by a product when two commuting infinite subgroups
 generate a finite-index subgroup.  This package decides the question for
 Coxeter systems (exact bilinear-form signatures), Baumslag-Solitar groups
 (Britton normal forms plus an explicit finite-index witness), rational Lie
-algebras (complete ideal-lattice enumeration with certified fallbacks), and
+algebras (complete ideal-lattice enumeration, and the centroid's idempotents
+wherever the lattice is infinite or its enumeration does not finish), and
 flag-annotated finitely presented groups (a citation-producing rule base).
 YES verdicts carry certificates that are re-verified before they are
 returned; NO verdicts carry citation traces.
@@ -40,7 +41,6 @@ from .coxeter import classify as coxeter_classify
 from .coxeter import components as coxeter_components
 from .coxeter import signature as form_signature
 from .lie import (
-    EnumerationBudget,
     IdealLattice,
     InvalidAlgebra,
     LieAlgebra,

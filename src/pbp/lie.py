@@ -5,7 +5,10 @@ lattice is finite, and the decision whether the algebra splits as a sum of
 two commuting nonzero subalgebras.  The enumeration is certified: it
 answers Complete only when every minimal ideal was provably found, flags a
 provably infinite family otherwise, and degrades to Unknown rather than
-guess when its randomized steps fail to certify anything.
+guess when its randomized steps fail to certify anything.  Every lattice
+that is not Complete is decided by the centroid instead: a centreless
+algebra splits exactly when its centroid, which is then commutative, has an
+idempotent other than 0 and 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .linalg import (
     Vec,
     char_poly,
     column_space,
-    dependence,
     express,
     flatten,
     identity_matrix,
@@ -40,7 +42,6 @@ from .linalg import (
     rref,
     solve_commutant,
     transpose,
-    vec,
     vec_add,
     vec_scale,
     zero_vec,
@@ -434,11 +435,12 @@ class IdealLattice:
     witness: tuple[Subspace, Subspace] | None = None
 
 
-def _random_combo(rng: random.Random, mats: list, n: int) -> list:
-    return _combine([rng.randint(-9, 9) for _ in mats], mats, n)
+# random elements tried per simplicity test, and the seed of each enumeration
+TRIES = 12
+SEED = 20259
 
 
-def _simplicity(gens: list, dim: int, rng: random.Random, tries: int):
+def _simplicity(gens: list, dim: int, rng: random.Random):
     """'simple' | ('proper', rows) | None (= could not certify)."""
     if dim == 1:
         return "simple"
@@ -448,8 +450,8 @@ def _simplicity(gens: list, dim: int, rng: random.Random, tries: int):
             return ("proper", w)
     env = _envelope(gens, dim)
     gens_t = [transpose(g) for g in gens]
-    for _ in range(tries):
-        z = _random_combo(rng, env, dim)
+    for _ in range(TRIES):
+        z = _combine([rng.randint(-9, 9) for _ in env], env, dim)
         cp = char_poly(z)
         if all(c == 0 for c in cp[:-1]):
             continue
@@ -474,12 +476,12 @@ def _simplicity(gens: list, dim: int, rng: random.Random, tries: int):
     return None
 
 
-def _find_simple_inside(rows: tuple[Vec, ...], gens: list, rng, tries):
+def _find_simple_inside(rows: tuple[Vec, ...], gens: list, rng):
     """A certified-simple submodule inside span(rows), in ambient rows; or None."""
     cur_rows = rows
     cur_gens = [_restrict(g, rows) for g in gens]
     while True:
-        res = _simplicity(cur_gens, len(cur_rows), rng, tries)
+        res = _simplicity(cur_gens, len(cur_rows), rng)
         if res == "simple":
             return cur_rows
         if res is None:
@@ -510,7 +512,7 @@ def _module_hom_nonzero(gens_a: list, gens_b: list, da: int, db: int) -> bool:
     return len(nullspace(rows, db * da)) > 0
 
 
-def _minimal_ideals(algebra: LieAlgebra, rng: random.Random, tries: int):
+def _minimal_ideals(algebra: LieAlgebra, rng: random.Random):
     """(atoms, Completeness, witness): all minimal ideals, certified.
 
     The minimal ideals are the simple submodules of the adjoint module.  They
@@ -522,9 +524,7 @@ def _minimal_ideals(algebra: LieAlgebra, rng: random.Random, tries: int):
     ad_mats = [algebra.ad_basis(i) for i in range(n)]
     radical, soc_rows = _adjoint_socle(algebra, ad_mats)
     ad_soc = [_restrict(m, soc_rows) for m in ad_mats] if radical else ad_mats
-    components = _isotypic_components(ad_soc, len(soc_rows), rng, tries)
-    if components is None:
-        return [], Completeness.UNKNOWN, None
+    components = _isotypic_components(ad_soc, len(soc_rows))
     if not radical:
         # a semisimple algebra is the direct sum of its simple ideals; each
         # acts nontrivially only on itself, so no two are isomorphic modules
@@ -543,7 +543,7 @@ def _minimal_ideals(algebra: LieAlgebra, rng: random.Random, tries: int):
     for comp in components:
         comp_ambient = _compose_rows(soc_rows, comp)
         gens_c = [_restrict(m, comp_ambient) for m in ad_mats]
-        res = _simplicity(gens_c, len(comp_ambient), rng, tries)
+        res = _simplicity(gens_c, len(comp_ambient), rng)
         if res == "simple":
             atoms.append(Subspace(n, comp_ambient))
             continue
@@ -552,7 +552,7 @@ def _minimal_ideals(algebra: LieAlgebra, rng: random.Random, tries: int):
         # a proper submodule inside one isotypic component: the component has
         # multiplicity >= 2, so its minimal submodules form an infinite family
         _, inner = res
-        wit = _witness_pair(algebra, comp_ambient, inner, gens_c, ad_mats, rng, tries)
+        wit = _witness_pair(algebra, comp_ambient, inner, ad_mats, rng)
         if wit is None:
             return [], Completeness.UNKNOWN, None
         return [], Completeness.INFINITE_FAMILY, wit
@@ -591,29 +591,51 @@ def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec,
     return radical, rref(nullspace(rows, n))
 
 
-def _isotypic_components(ad_soc: list, d: int, rng, tries):
-    """Split the socle into isotypic components; rref rows each, or None."""
+def _isotypic_components(ad_soc: list, d: int) -> list:
+    """Split the socle into isotypic components, rref rows each.
+
+    They are the images of the primitive idempotents of the centre of the
+    socle's endomorphism ring, a product of number fields.
+    """
     endo = solve_commutant(ad_soc, d)
     if len(endo) == 1:
         return [Subspace.whole(d).rows]
     zcent = _centre_of_span(endo, d)
-    if len(zcent) == 1:
-        return [Subspace.whole(d).rows]
-    for _ in range(tries):
-        z = _random_combo(rng, zcent, d)
-        mu = min_poly_of_matrix(z)
-        if len(mu) - 1 != len(zcent):
-            continue  # z does not generate the centre; retry
-        factors = factor_over_q(mu)
-        comps = []
-        for f, _m in factors:
-            h = _crt_idempotent_poly(mu, f)
-            e = poly_eval_matrix(h, z)
-            comps.append(column_space(e))
-        if sum(len(c) for c in comps) != d:
-            raise InternalVerificationError("isotypic components do not span the socle")
-        return comps
-    return None
+    comps = [column_space(e) for e in _primitive_idempotents(zcent, d, ())]
+    if sum(len(c) for c in comps) != d:
+        raise InternalVerificationError("isotypic components do not span the socle")
+    return comps
+
+
+def _primitive_idempotents(basis: list, n: int, radical: Sequence[Vec]) -> list:
+    """The primitive idempotents of the commutative algebra A spanned by ``basis``.
+
+    ``radical`` holds the rref rows of rad A, as flattened matrices.  A/rad A
+    is a product of number fields of total degree d, and z = sum_i c^i b_i
+    generates it unless two of its d embeddings agree on z.  For each pair
+    that happens only at the roots of a nonzero polynomial in c of degree
+    < k = len(basis), so one of c = 1, ..., (k-1) d(d-1)/2 + 1 generates it;
+    when none does, A is not commutative.  The CRT idempotents of the
+    factors of z's minimal polynomial mod rad A lift to A by e <- 3e^2 - 2e^3,
+    which ends because rad A is nilpotent.
+    """
+    k, d = len(basis), len(basis) - len(radical)
+    for c in range(1, (k - 1) * d * (d - 1) // 2 + 2):
+        z = _combine([c**i for i in range(k)], basis, n)
+        mu = min_poly_of_matrix(z, radical)
+        if len(mu) - 1 == d:
+            break
+    else:
+        raise InternalVerificationError("no element generates A / rad A: A is not commutative")
+    idempotents = []
+    for f, _mult in factor_over_q(mu):
+        e = poly_eval_matrix(_crt_idempotent_poly(mu, f), z)
+        square = mat_mul(e, e)
+        while not mat_eq(square, e):
+            e = mat_sub(mat_scale(square, 3), mat_scale(mat_mul(square, e), 2))
+            square = mat_mul(e, e)
+        idempotents.append(e)
+    return idempotents
 
 
 def _centre_of_span(mats: list, n: int) -> list:
@@ -631,22 +653,22 @@ def _centre_of_span(mats: list, n: int) -> list:
     return [_combine(sol, mats, n) for sol in nullspace(rows, k)]
 
 
-def _witness_pair(algebra, comp_ambient, inner, gens_c, ad_mats, rng, tries):
+def _witness_pair(algebra, comp_ambient, inner, ad_mats, rng):
     """Two distinct isomorphic minimal ideals with equal centralizers, or None."""
     n = algebra.dim
     first_rows = _compose_rows(comp_ambient, inner)
-    w1 = _find_simple_inside(first_rows, ad_mats, rng, tries)
+    w1 = _find_simple_inside(first_rows, ad_mats, rng)
     if w1 is None:
         return None
     s1 = Subspace(n, w1)
     candidates = [r for r in comp_ambient] + [
-        tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(tries)
+        tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(TRIES)
     ]
     for v in candidates:
         if s1.contains(v) or not Subspace(n, comp_ambient).contains(v):
             continue
         spun = _spin([tuple(v)], ad_mats, n)
-        w2 = _find_simple_inside(spun, ad_mats, rng, tries)
+        w2 = _find_simple_inside(spun, ad_mats, rng)
         if w2 is None or w2 == w1 or len(w2) != len(w1):
             continue
         s2 = Subspace(n, w2)
@@ -664,14 +686,7 @@ def _witness_pair(algebra, comp_ambient, inner, gens_c, ad_mats, rng, tries):
 # the ideal lattice
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_dim: int = 12
-    tries: int = 12
-    seed: int = 20259
-
-
-def ideal_lattice(algebra: LieAlgebra, budget: EnumerationBudget | None = None) -> IdealLattice:
+def ideal_lattice(algebra: LieAlgebra) -> IdealLattice:
     """Enumerate all ideals, flag an infinite family, or give up explicitly.
 
     Every nonzero ideal contains a minimal one, so the lattice is the union,
@@ -679,16 +694,12 @@ def ideal_lattice(algebra: LieAlgebra, budget: EnumerationBudget | None = None) 
     The recursion is complete whenever every minimal-ideal computation
     certifies completeness along the way.
     """
-    budget = budget or EnumerationBudget()
-    if algebra.dim > budget.max_dim:
-        raise ValueError(f"dimension {algebra.dim} exceeds the enumeration bound {budget.max_dim}")
-    rng = random.Random(budget.seed)
-    return _lattice_rec(algebra, rng, budget.tries)
+    return _lattice_rec(algebra, random.Random(SEED))
 
 
-def _lattice_rec(algebra: LieAlgebra, rng, tries) -> IdealLattice:
+def _lattice_rec(algebra: LieAlgebra, rng) -> IdealLattice:
     n = algebra.dim
-    atoms, status, witness = _minimal_ideals(algebra, rng, tries)
+    atoms, status, witness = _minimal_ideals(algebra, rng)
     if status is not Completeness.COMPLETE:
         return IdealLattice((), status, witness)
     if sum(atom.dim for atom in atoms) == n:
@@ -703,7 +714,7 @@ def _lattice_rec(algebra: LieAlgebra, rng, tries) -> IdealLattice:
     found = {(): Subspace.zero(n)}
     for atom in atoms:
         quot, lift, _project = quotient_algebra(algebra, atom)
-        sub = _lattice_rec(quot, rng, tries)
+        sub = _lattice_rec(quot, rng)
         if sub.completeness is not Completeness.COMPLETE:
             lifted = None
             if sub.witness is not None:
@@ -731,64 +742,27 @@ def centroid(algebra: LieAlgebra) -> list:
     return solve_commutant([algebra.ad_basis(i) for i in range(algebra.dim)], algebra.dim)
 
 
-def _decomposability(algebra: LieAlgebra, rng: random.Random, tries: int):
-    """('decomposable', (U, W)) | ('indecomposable', reason) | ('unknown',).
+def _decomposability(algebra: LieAlgebra):
+    """('decomposable', (U, W)) | ('indecomposable', reason), for Z(L) = 0.
 
-    The algebra is a sum of two commuting nonzero ideals iff its centroid
-    contains a nontrivial idempotent; when the centroid is a local ring no
-    such idempotent exists.
+    A centreless algebra is a sum of two commuting nonzero ideals iff its
+    centroid, which is then commutative (Jacobson, Lie Algebras, ch. X, sec. 1),
+    has a nontrivial idempotent, that is, iff the centroid is not local.
+    U is the least (dim, rows) image eL of a primitive idempotent e, and W
+    = (1 - e)L is the sum of the other images.
     """
     n = algebra.dim
     cen = centroid(algebra)
     if len(cen) == 1:
         return ("indecomposable", "the centroid is Q, hence local")
-    radical = _trace_radical(cen, n)
-    rad_rref = rref([flatten(m) for m in radical])
-    ss_dim = len(cen) - len(rad_rref)
-    if ss_dim == 1:
-        return ("indecomposable", "the centroid is local with residue field Q")
-    for a in cen:
-        for b in cen:
-            comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
-            if not is_zero_vec(reduce_vector(rad_rref, flatten(comm))):
-                return ("unknown",)  # noncommutative semisimple quotient
-    for _ in range(tries):
-        z = _random_combo(rng, cen, n)
-        # minimal polynomial of z in centroid / radical
-        power = identity_matrix(n)
-        builder = SpanBuilder(n * n, list(rad_rref))
-        reduced_stack: list[Vec] = []
-        while True:
-            red = reduce_vector(rad_rref, flatten(power))
-            if not builder.add(red):
-                coeffs = dependence(reduced_stack, red)
-                mu = tuple(coeffs + [Fraction(1)])
-                break
-            reduced_stack.append(red)
-            power = mat_mul(power, z)
-        if len(mu) - 1 != ss_dim:
-            continue  # z does not generate the residue algebra; retry
-        factors = factor_over_q(mu)
-        if len(factors) == 1 and factors[0][1] == 1:
-            return (
-                "indecomposable",
-                f"the centroid is local with residue field of degree {ss_dim}",
-            )
-        h = _crt_idempotent_poly(mu, factors[0][0])
-        e = poly_eval_matrix(h, z)
-        for _lift in range(24):
-            if mat_eq(mat_mul(e, e), e):
-                break
-            e2 = mat_mul(e, e)
-            e = mat_sub(mat_scale(e2, 3), mat_scale(mat_mul(e2, e), 2))
-        else:
-            continue
-        u = Subspace(n, column_space(e))
-        w = Subspace(n, rref(nullspace(e, n)))
-        if u.is_zero() or w.is_zero():
-            continue
-        return ("decomposable", (u, w))
-    return ("unknown",)
+    radical = rref(flatten(m) for m in _trace_radical(cen, n))
+    idempotents = _primitive_idempotents(cen, n, radical)
+    if len(idempotents) == 1:
+        d = len(cen) - len(radical)
+        field = "Q" if d == 1 else f"of degree {d}"
+        return ("indecomposable", f"the centroid is local with residue field {field}")
+    u, *rest = _ordered(Subspace(n, column_space(e)) for e in idempotents)
+    return ("decomposable", (u, Subspace(n, rref(r for part in rest for r in part.rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -834,18 +808,16 @@ def _accept_or_die(algebra: LieAlgebra, cert: LieCertificate) -> LieCertificate:
     return cert
 
 
-def lie_presentable(algebra: LieAlgebra, budget: EnumerationBudget | None = None) -> LieResult:
+def lie_presentable(algebra: LieAlgebra) -> LieResult:
     """Decide whether two commuting nonzero subalgebras sum onto the algebra.
 
     YES answers carry a certificate that has been re-verified; NO answers
     carry the per-ideal trace (finite lattice) or a locality argument for
-    the centroid (infinite lattice).  UNKNOWN is returned rather than an
-    uncertified claim.
+    the centroid (any other lattice, whose trace is cut short).
     """
     problem = validate(algebra)
     if problem is not None:
         raise InvalidAlgebra(problem)
-    budget = budget or EnumerationBudget()
     n = algebra.dim
     whole = Subspace.whole(n)
 
@@ -854,7 +826,7 @@ def lie_presentable(algebra: LieAlgebra, budget: EnumerationBudget | None = None
         cert = _accept_or_die(algebra, LieCertificate(z, whole))
         return LieResult(Answer.YES, cert, (), None, "the centre is nonzero")
 
-    lattice = ideal_lattice(algebra, budget)
+    lattice = ideal_lattice(algebra)
     if lattice.completeness is Completeness.COMPLETE:
         entries = []
         for ideal in lattice.ideals:
@@ -874,29 +846,24 @@ def lie_presentable(algebra: LieAlgebra, budget: EnumerationBudget | None = None
             "every nonzero ideal fails: its centralizer does not complement it",
         )
 
-    if lattice.completeness is Completeness.INFINITE_FAMILY:
-        rng = random.Random(budget.seed + 1)
-        outcome = _decomposability(algebra, rng, budget.tries)
-        if outcome[0] == "decomposable":
-            u, w = outcome[1]
-            cert = _accept_or_die(algebra, LieCertificate(u, w))
-            return LieResult(
-                Answer.YES, cert, (), lattice,
-                "a centroid idempotent splits the algebra into two commuting ideals",
-            )
-        if outcome[0] == "indecomposable":
-            entries = []
-            if lattice.witness:
-                for wit in lattice.witness:
-                    cent = centralizer(algebra, wit)
-                    entries.append(IdealTrace(wit, cent, wit.add(cent).dim))
-            return LieResult(
-                Answer.NO, None, tuple(entries), lattice,
-                "infinitely many ideals, but the centre is zero and "
-                + outcome[1]
-                + "; no pair of commuting complementary ideals exists",
-            )
-    return LieResult(Answer.UNKNOWN, None, (), lattice, "enumeration budget exhausted")
+    infinite = lattice.completeness is Completeness.INFINITE_FAMILY
+    outcome = _decomposability(algebra)
+    if outcome[0] == "decomposable":
+        cert = _accept_or_die(algebra, LieCertificate(*outcome[1]))
+        note = "a centroid idempotent splits the algebra into two commuting ideals"
+        if not infinite:
+            note = "the ideal enumeration did not finish; " + note
+        return LieResult(Answer.YES, cert, (), lattice, note)
+    entries = []
+    for wit in lattice.witness or ():
+        cent = centralizer(algebra, wit)
+        entries.append(IdealTrace(wit, cent, wit.add(cent).dim))
+    lead = "infinitely many ideals" if infinite else "the ideal enumeration did not finish"
+    return LieResult(
+        Answer.NO, None, tuple(entries), lattice,
+        lead + ", but the centre is zero and " + outcome[1]
+        + "; no pair of commuting complementary ideals exists",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +931,8 @@ def _so_basis_matrices(p: int, q: int) -> list:
 def so(p: int, q: int = 0) -> LieAlgebra:
     """Matrices X with X^T G + G X = 0 for G = diag(1^p, -1^q), standard basis."""
     n = p + q
-    if n < 2:
-        raise UnsupportedParams("so(p, q) needs p + q >= 2")
+    if min(p, q) < 0 or n < 2:
+        raise UnsupportedParams("so(p, q) needs p, q >= 0 and p + q >= 2")
     eps = [1] * p + [-1] * q
     basis = _so_basis_matrices(p, q)
     index = {ij: a for a, (ij, _) in enumerate(basis)}
@@ -990,8 +957,8 @@ def so(p: int, q: int = 0) -> LieAlgebra:
 def vr_semidirect(p: int, q: int, r: int) -> LieAlgebra:
     """(Q^(p+q))^r x| so(p, q): r commuting copies of the standard module."""
     n0 = p + q
-    if n0 < 1 or r < 0:
-        raise UnsupportedParams("need p + q >= 1 and r >= 0")
+    if min(p, q, r) < 0 or n0 < 1:
+        raise UnsupportedParams("need p, q, r >= 0 and p + q >= 1")
     if n0 < 2:
         if r < 1:
             raise UnsupportedParams("so(1) is trivial; need r >= 1")

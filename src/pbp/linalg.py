@@ -287,14 +287,15 @@ def char_poly(m: Sequence[Sequence]) -> tuple:
     return tuple(reversed(chi))
 
 
-def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:
-    """Monic minimal polynomial via the first linear dependence among powers."""
+def min_poly_of_matrix(m: Sequence[Sequence], modulo: Sequence[Vec] = ()) -> tuple:
+    """Monic minimal polynomial via the first linear dependence among powers,
+    taken modulo the span of ``modulo``, rref rows of flattened matrices."""
     n = len(m)
     power = identity_matrix(n)
     builder = SpanBuilder(n * n)
     stack: list[Vec] = []
     while True:
-        v = flatten(power)
+        v = reduce_vector(modulo, flatten(power))
         if not builder.add(v):
             coeffs = dependence(stack, v)
             return tuple(coeffs + [ONE])

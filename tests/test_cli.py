@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pbp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -114,6 +116,14 @@ def test_lie_catalogue_dimension_twelve(capsys):
     code, out, _ = run(capsys, ["lie", "--catalogue", "so(4)+so(4)"])
     assert code == 0
     assert out["answer"] == "YES"
+
+
+@pytest.mark.parametrize("name, answer", [("so(6)", "NO"), ("so(7)", "NO"),
+                                          ("vr(2,1,2)+vr(2,1,2)", "YES")])
+def test_lie_catalogue_past_dimension_twelve(capsys, name, answer):
+    code, out, _ = run(capsys, ["lie", "--catalogue", name])
+    assert code == 0
+    assert out["answer"] == answer
 
 
 def test_lie_json_command(tmp_path, capsys):

@@ -11,7 +11,6 @@ from linalg_oracles import SpanOracle, nullspace_oracle, rref_oracle
 from pbp import lie
 from pbp.lie import (
     Completeness,
-    EnumerationBudget,
     InvalidAlgebra,
     LieAlgebra,
     LieCertificate,
@@ -126,6 +125,9 @@ def test_catalogue_rejects_unknown():
         catalogue("so(1)")
     with pytest.raises(UnsupportedParams):
         catalogue("vr(1,2)")
+    for name in ["so(-1,3)", "so(3,-1)", "vr(-1,3,1)", "vr(-1,2,1)"]:
+        with pytest.raises(UnsupportedParams):
+            catalogue(name)
 
 
 # --- subspace operations ------------------------------------------------------
@@ -277,11 +279,6 @@ def test_lattice_infinite_families():
     )
 
 
-def test_lattice_dimension_bound():
-    with pytest.raises(ValueError):
-        ideal_lattice(vr_semidirect(3, 1, 1), EnumerationBudget(max_dim=9))
-
-
 # --- quotients ----------------------------------------------------------------
 
 
@@ -299,9 +296,9 @@ def test_quotient_of_sol_by_ke_is_af_like():
 # --- presentability verdicts --------------------------------------------------
 
 
-def expect(name, answer, budget=None):
+def expect(name, answer):
     algebra = catalogue(name) if isinstance(name, str) else name
-    res = lie_presentable(algebra, budget)
+    res = lie_presentable(algebra)
     assert res.answer == answer, f"{name}: got {res.answer}, note: {res.note}"
     if answer == Answer.YES:
         ok, reason = verify_product_certificate(algebra, res.certificate)
@@ -329,7 +326,7 @@ def test_yes_verdicts():
     expect("heisenberg", Answer.YES)
     expect("sl2+sl2", Answer.YES)
     expect("so(2,2)", Answer.YES)  # splits as two commuting copies of sl2
-    expect("so(4)+so(4)", Answer.YES)  # dimension 12, at the default budget
+    expect("so(4)+so(4)", Answer.YES)  # dimension 12
 
 
 def test_direct_sums_are_presentable():
@@ -342,7 +339,7 @@ def test_decomposable_with_infinite_lattice():
     # socle carries an infinite minimal-ideal family, yet the algebra splits;
     # the centroid idempotent must find the decomposition
     both = direct_sum(sol(), vr_semidirect(2, 1, 2))
-    res = expect(both, Answer.YES, EnumerationBudget(max_dim=12))
+    res = expect(both, Answer.YES)
     assert res.lattice.completeness is Completeness.INFINITE_FAMILY
 
 
@@ -352,6 +349,17 @@ def test_infinite_family_no_keeps_witness_trace():
     assert len(res.trace) == 2  # the witness pair with its centralizers
     for entry in res.trace:
         assert entry.sum_dim < catalogue("vr(2,1,2)").dim
+
+
+def test_unfinished_enumeration_is_decided_by_the_centroid(monkeypatch):
+    # no simplicity test certifies anything, so every socle with a radical is left Unknown
+    monkeypatch.setattr(lie, "_simplicity", lambda *args: None)
+    for algebra, answer in [(catalogue("vr(2,1,2)"), Answer.NO),
+                            (direct_sum(sol(), vr_semidirect(2, 1, 2)), Answer.YES)]:
+        res = expect(algebra, answer)
+        assert res.lattice.completeness is Completeness.UNKNOWN
+        assert res.note.startswith("the ideal enumeration did not finish")
+        assert res.trace == ()
 
 
 def test_presentable_requires_valid_algebra():
@@ -496,7 +504,7 @@ def test_killing_form_gate(name, monkeypatch):
 
     for fn in (lie._simplicity, lie._trace_radical):
         monkeypatch.setattr(lie, fn.__name__, spy(fn))
-    lie._minimal_ideals(algebra, random.Random(0), 12)
+    lie._minimal_ideals(algebra, random.Random(0))
     assert ("_simplicity" in calls) == degenerate
     ideal_lattice(algebra)
     assert "_trace_radical" not in calls
@@ -575,11 +583,30 @@ def test_socle_matches_envelope_oracle(data):
         algebra = data.draw(matrix_lie_algebras())
     _radical, socle = lie._adjoint_socle(algebra, ad_matrices(algebra))
     assert socle == envelope_socle_oracle(algebra)
-    budget = EnumerationBudget()
-    atoms, status, _witness = lie._minimal_ideals(algebra, random.Random(budget.seed),
-                                                  budget.tries)
+    atoms, status, _witness = lie._minimal_ideals(algebra, random.Random(lie.SEED))
     if status is Completeness.COMPLETE:
         assert rref_oracle(r for atom in atoms for r in atom.rows) == socle
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_centroid_agrees_with_the_lattice_scan(data):
+    # without a centre, the first ideal the scan finds complemented by its centralizer
+    # is the least image of a primitive centroid idempotent, and the rest is the other part
+    if data.draw(st.booleans()):
+        algebra = catalogue(data.draw(st.sampled_from(SMALL_CATALOGUE)))
+        algebra = rebase(algebra, draw_basis(data, algebra.dim))
+    else:
+        algebra = data.draw(matrix_lie_algebras())
+    assume(centre(algebra).is_zero())
+    res = lie_presentable(algebra)
+    assume(res.lattice.completeness is Completeness.COMPLETE)
+    kind, parts = lie._decomposability(algebra)
+    if res.answer == Answer.YES:
+        assert kind == "decomposable"
+        assert parts == (res.certificate.g1, res.certificate.g2)
+    else:
+        assert kind == "indecomposable"
 
 
 def test_socle_leaves_out_a_jordan_block():
@@ -618,7 +645,7 @@ def envelope_oracle(gens, n):
 
 @pytest.mark.parametrize("name, seed", [("sol", 1), ("so(3)", 2), ("vr(2,1,1)", 3), ("so(2,2)", 4)])
 def test_envelope_basis_and_order(name, seed):
-    # _random_combo draws follow the envelope basis, so its order is pinned too
+    # _simplicity's random elements follow the envelope basis, so its order is pinned too
     algebra = pinned_dense(name, seed)
     ad = [algebra.ad_basis(i) for i in range(algebra.dim)]
     assert lie._envelope(ad, algebra.dim) == envelope_oracle(ad, algebra.dim)
@@ -677,6 +704,17 @@ def test_dense_basis_certificates_are_pinned(name, seed):
     assert lie_presentable(algebra).to_json(algebra) == PINNED[name, seed]
 
 
+def test_centroid_certificate_is_pinned():
+    # both copies of af have dimension 2; the right-hand one has the lesser rows
+    algebra = catalogue("af+af")
+    first, second = (lie_presentable(algebra).to_json(algebra) for _ in range(2))
+    assert first == second
+    assert first["certificate"] == {
+        "g1": [["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        "g2": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+    }
+
+
 # --- internal checks that survive python -O --------------------------------------
 
 
@@ -691,6 +729,14 @@ def test_crt_idempotent_checks_coprimality(monkeypatch):
     monkeypatch.setattr(lie, "poly_gcdext", non_coprime)
     with pytest.raises(InternalVerificationError, match="coprime"):
         lie_presentable(catalogue("sl2+sl2"))
+
+
+def test_primitive_idempotents_need_a_commutative_algebra():
+    # M2(Q) has dimension 4 and no radical, but no element of it has degree 4
+    basis = [[[int((r, s) == (i, j)) for s in range(2)] for r in range(2)]
+             for i in range(2) for j in range(2)]
+    with pytest.raises(InternalVerificationError, match="not commutative"):
+        lie._primitive_idempotents(basis, 2, ())
 
 
 def test_isotypic_components_check_their_dimensions(monkeypatch):
@@ -718,4 +764,4 @@ def test_semisimple_components_are_rechecked(monkeypatch, name, components, mess
     # a nondegenerate Killing Gram sends af down the semisimple path too
     monkeypatch.setattr(lie, "_trace_gram", lambda mats: lie.identity_matrix(len(mats)))
     with pytest.raises(InternalVerificationError, match=message):
-        lie._minimal_ideals(algebra, random.Random(0), 1)
+        lie._minimal_ideals(algebra, random.Random(0))
