@@ -9,66 +9,71 @@ wherever the lattice is infinite or its enumeration does not finish), and
 flag-annotated finitely presented groups (a citation-producing rule base).
 YES verdicts carry certificates that are re-verified before they are
 returned; NO verdicts carry citation traces.
+
+The namespace is lazy (PEP 562): ``import pbp`` loads no submodule, and a
+public name such as ``pbp.lie_presentable`` or a submodule such as
+``pbp.lie`` loads its module on first use; ``from pbp import *`` binds
+every public name.  Each ``pbp`` subcommand loads only the modules it runs,
+besides ``pbp.cli`` and ``pbp.verdict``:
+
+    abels      abels
+    bs         bs, presentations, words
+    coxeter    coxeter, algebraic, linalg
+    lie        lie, linalg, poly
+    subgroup   presentations, words
+    classify   classifier, presentations, words; coxeter (with algebraic
+               and linalg) or bs only for those descriptor kinds
+
+The README's "CLI start" section gives the import times.
 """
 
-from .verdict import Answer, FG_QUALIFIER, InternalVerificationError, TraceEntry, Verdict
-from .words import Word, format_word, free_reduce, generator, parse_word
-from .presentations import (
-    AbelianInvariants,
-    BoundExceeded,
-    CosetTable,
-    FinitePresentation,
-    RelatorNotKilled,
-    abelianization,
-    coset_enumerate,
-    deficiency_count,
-    kunneth_bound,
-    reidemeister_schreier,
-    reidemeister_schreier_data,
-    rs_counts,
-    smith_normal_form,
-)
-from .coxeter import (
-    CoxeterMatrix,
-    Signature,
-    SymmetricForm,
-    coxeter_presentable,
-    of_algebra,
-    standard_diagram,
-    tits_form,
-)
-from .coxeter import classify as coxeter_classify
-from .coxeter import components as coxeter_components
-from .coxeter import signature as form_signature
-from .lie import (
-    IdealLattice,
-    InvalidAlgebra,
-    LieAlgebra,
-    LieCertificate,
-    Subspace,
-    UnsupportedParams,
-    centralizer,
-    centre,
-    ideal_closure,
-    ideal_lattice,
-    lie_presentable,
-    verify_product_certificate,
-)
-from .lie import catalogue as lie_catalogue
-from .lie import validate as lie_validate
-from .bs import (
-    BrittonForm,
-    BSGroup,
-    SubgroupWitness,
-    ZeroParameter,
-    affine_rep,
-    britton_reduce,
-    bs_presentable,
-    pi_image,
-    verify_witness,
-    witness_subgroup,
-)
-from .abels import A3Matrix, GammaElement, acentral_check, gamma_commutes
-from .classifier import Flags, GroupDescriptor, InconsistentInput, classify, explain
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset(
+    "abels algebraic bs classifier cli coxeter lie linalg poly presentations verdict words".split()
+)
+
+# public name -> (submodule, the name it has there)
+_EXPORTS = {
+    name: (module, name)
+    for module, names in {
+        "verdict": "Answer FG_QUALIFIER InternalVerificationError TraceEntry Verdict",
+        "words": "Word format_word free_reduce generator parse_word",
+        "presentations": "AbelianInvariants BoundExceeded CosetTable FinitePresentation"
+        " RelatorNotKilled abelianization coset_enumerate deficiency_count kunneth_bound"
+        " reidemeister_schreier reidemeister_schreier_data rs_counts smith_normal_form",
+        "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable of_algebra"
+        " standard_diagram tits_form",
+        "lie": "IdealLattice InvalidAlgebra LieAlgebra LieCertificate Subspace UnsupportedParams"
+        " centralizer centre ideal_closure ideal_lattice lie_presentable"
+        " verify_product_certificate",
+        "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter affine_rep britton_reduce"
+        " bs_presentable pi_image verify_witness witness_subgroup",
+        "abels": "A3Matrix GammaElement acentral_check gamma_commutes",
+        "classifier": "Flags GroupDescriptor InconsistentInput classify explain",
+    }.items()
+    for name in names.split()
+} | {
+    "coxeter_classify": ("coxeter", "classify"),
+    "coxeter_components": ("coxeter", "components"),
+    "form_signature": ("coxeter", "signature"),
+    "lie_catalogue": ("lie", "catalogue"),
+    "lie_validate": ("lie", "validate"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _EXPORTS[name]
+    return getattr(importlib.import_module(f"{__name__}.{module}"), attr)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -7,7 +7,8 @@ the result always contains the exact result of the operation on any points
 of the operands (Johansson, "Arb", IEEE Trans. Comput. 66, 2017).  Integers
 combine with balls exactly.
 
-pi comes from Machin's formula and 2 cos(pi/m) from a Taylor series with an
+pi comes from the Chudnovsky series summed by binary splitting (Haible
+and Papanikolaou, 1998) and 2 cos(pi/m) from a Taylor series with an
 explicit remainder, after halving the argument and before doubling it back
 (Brent, J. ACM 23, 1976).  No floating point is involved.
 """
@@ -73,26 +74,44 @@ class _Ball:
         return not top or (bits < 2 * self.prec and top * top * base**exponent < 1 << 2 * self.prec)
 
 
-def _atan_inverse(q: int, prec: int) -> _Ball:
-    """atan(1/q) for an integer q >= 2, by its alternating Taylor series.
+_C3_OVER_24 = 640320**3 // 24
 
-    ``power`` is exactly floor(2**prec / q**(2k+1)) and each term its floor
-    over 2k+1, so each of the k terms errs by under one unit, and the series
-    stops once the next term is below one unit.
+
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) for terms a..b-1 of the Chudnovsky series, by binary splitting.
+
+    Term k is t_k = (-1)^k L(k) prod_{j=1..k} p(j) / q(j), with L(k) =
+    13591409 + 545140134 k, p(j) = (6j-5)(2j-1)(6j-1), q(j) = j^3 C^3 / 24
+    and C = 640320.  P and Q are the products of p(j) and q(j) over
+    a <= j < b, taking p(0) = q(0) = 1, and T / Q is the sum over a <= k < b
+    of (-1)^k L(k) prod_{j=a..k} p(j) / q(j): the sum of those t_k for a = 0.
     """
-    power, total, k = (1 << prec) // q, 0, 0
-    while power:
-        term = power // (2 * k + 1)
-        total += -term if k % 2 else term
-        power //= q * q
-        k += 1
-    return _Ball(total, k + 1, prec)
+    if b - a == 1:
+        p, q = ((6 * a - 5) * (2 * a - 1) * (6 * a - 1), a**3 * _C3_OVER_24) if a else (1, 1)
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a % 2 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 @lru_cache(maxsize=16)
 def _pi(prec: int) -> _Ball:
-    """pi by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239)."""
-    return 16 * _atan_inverse(5, prec) - 4 * _atan_inverse(239, prec)
+    """pi = 426880 sqrt(10005) / S, S the sum of the Chudnovsky series.
+
+    p(j) / q(j) < 1728 / C^3 < 2^-47 and L(k + 1) / L(k) < 42, so every
+    |t_(k+1) / t_k| is below 2^-41 and |t_k| < L(k) 2^(-47 k) <
+    2^30 (k + 1) 2^(-47 k).  The first N terms thus miss S by under 2 |t_N|;
+    as S > 2^23 and pi < 4, that moves pi by under 2^10 (N + 1) 2^(-47 N),
+    at most one unit once 47 N >= prec + 10 + log2(N + 1), as for the N
+    below.  Flooring sqrt(10005) costs under 426880 / S < 0.06 units and
+    the final floor under one more.
+    """
+    n = (prec + 10 + prec.bit_length()) // 47 + 1
+    _, q, t = _chudnovsky(0, n)
+    root = math.isqrt(10005 << 2 * prec)
+    return _Ball(426880 * root * q // t, 3, prec)
 
 
 @lru_cache(maxsize=256)

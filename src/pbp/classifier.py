@@ -9,11 +9,13 @@ Conflicting conclusions raise InconsistentInput instead of picking a side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from . import bs as bs_mod
-from . import coxeter as coxeter_mod
 from .presentations import FinitePresentation, presentation_from_json
 from .verdict import FG_QUALIFIER, Answer, TraceEntry, Verdict
+
+if TYPE_CHECKING:
+    from .coxeter import CoxeterMatrix
 
 
 class InconsistentInput(Exception):
@@ -165,7 +167,7 @@ _FLAG_KEYS = {
 @dataclass(frozen=True)
 class GroupDescriptor:
     kind: str  # coxeter | bs | free_product | direct_product_of_infinite | flagged
-    coxeter: coxeter_mod.CoxeterMatrix | None = None
+    coxeter: CoxeterMatrix | None = None
     bs: tuple[int, int] | None = None
     factors: tuple | None = None
     count: int | None = None
@@ -176,7 +178,9 @@ class GroupDescriptor:
 def descriptor_from_json(obj: dict) -> GroupDescriptor:
     kind = obj.get("kind")
     if kind == "coxeter":
-        return GroupDescriptor("coxeter", coxeter=coxeter_mod.coxeter_from_json(obj["matrix"]))
+        from .coxeter import coxeter_from_json
+
+        return GroupDescriptor("coxeter", coxeter=coxeter_from_json(obj["matrix"]))
     if kind == "bs":
         return GroupDescriptor("bs", bs=(int(obj["m"]), int(obj["n"])))
     if kind == "free_product":
@@ -354,11 +358,15 @@ def _virtually_conclusions(spec: dict) -> list[_Conclusion]:
 def classify(descriptor: GroupDescriptor) -> Verdict:
     """Verdict for a descriptor; deterministic, most specific rule first."""
     if descriptor.kind == "coxeter":
-        inner = coxeter_mod.coxeter_presentable(descriptor.coxeter)
+        from .coxeter import coxeter_presentable
+
+        inner = coxeter_presentable(descriptor.coxeter)
         return inner.with_prefix(TraceEntry("delegate/coxeter", CITE_DELEGATE_COXETER))
     if descriptor.kind == "bs":
+        from .bs import bs_presentable
+
         m, n = descriptor.bs
-        inner = bs_mod.bs_presentable(m, n)
+        inner = bs_presentable(m, n)
         return inner.with_prefix(TraceEntry("delegate/bs", CITE_DELEGATE_BS))
     if descriptor.kind == "free_product":
         return _classify_free_product(descriptor.factors)

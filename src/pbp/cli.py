@@ -2,6 +2,9 @@
 
 Exit codes: 0 a verdict was produced (UNKNOWN included), 2 invalid or
 inconsistent input, 3 an internal verification failed.
+
+Each subcommand imports its own modules when it runs, so a process loads
+only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -10,22 +13,7 @@ import argparse
 import json
 import sys
 
-from . import abels as abels_mod
-from . import bs as bs_mod
-from . import classifier as classifier_mod
-from . import coxeter as coxeter_mod
-from . import lie as lie_mod
-from .presentations import (
-    BoundExceeded,
-    PresentationFormatError,
-    RelatorNotKilled,
-    abelianization,
-    coset_enumerate,
-    presentation_from_json,
-    reidemeister_schreier_data,
-)
 from .verdict import InternalVerificationError
-from .words import format_word
 
 
 def _load(path: str) -> dict:
@@ -39,20 +27,24 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_classify(args) -> int:
-    descriptor = classifier_mod.descriptor_from_json(_load(args.input))
-    verdict = classifier_mod.classify(descriptor)
+    from .classifier import classify, descriptor_from_json
+
+    verdict = classify(descriptor_from_json(_load(args.input)))
     _emit(verdict.to_json())
     return 0
 
 
 def cmd_coxeter(args) -> int:
-    matrix = coxeter_mod.coxeter_from_json(_load(args.input))
-    _emit(coxeter_mod.coxeter_report(matrix))
+    from .coxeter import coxeter_from_json, coxeter_report
+
+    _emit(coxeter_report(coxeter_from_json(_load(args.input))))
     return 0
 
 
 def cmd_bs(args) -> int:
-    verdict = bs_mod.bs_presentable(args.m, args.n)
+    from .bs import BSGroup, bs_presentable, verify_witness, witness_subgroup
+
+    verdict = bs_presentable(args.m, args.n)
     out = verdict.to_json()
     if not args.witness and out.get("certificate"):
         out["certificate"] = {
@@ -64,8 +56,8 @@ def cmd_bs(args) -> int:
         if abs(args.m) != abs(args.n) or abs(args.m) < 2:
             raise ValueError("--verify-bound applies to BS(m, +-m) with |m| >= 2")
         big, eta = abs(args.m), (1 if args.m * args.n > 0 else -1)
-        group = bs_mod.BSGroup(big, eta * big)
-        report = bs_mod.verify_witness(group, bs_mod.witness_subgroup(big, eta), args.verify_bound)
+        group = BSGroup(big, eta * big)
+        report = verify_witness(group, witness_subgroup(big, eta), args.verify_bound)
         out["checks"] = {
             "passed": report.passed,
             "index": report.index,
@@ -80,13 +72,15 @@ def cmd_bs(args) -> int:
 
 
 def cmd_lie(args) -> int:
+    from .lie import algebra_from_json, catalogue, lie_presentable
+
     if args.catalogue:
-        algebra = lie_mod.catalogue(args.catalogue)
+        algebra = catalogue(args.catalogue)
     elif args.input:
-        algebra = lie_mod.algebra_from_json(_load(args.input))
+        algebra = algebra_from_json(_load(args.input))
     else:
         raise ValueError("provide -i algebra.json or --catalogue NAME")
-    result = lie_mod.lie_presentable(algebra)
+    result = lie_presentable(algebra)
     out = result.to_json(algebra)
     out["algebra"] = {"dim": algebra.dim, "basis": list(algebra.labels)}
     _emit(out)
@@ -94,6 +88,14 @@ def cmd_lie(args) -> int:
 
 
 def cmd_subgroup(args) -> int:
+    from .presentations import (
+        abelianization,
+        coset_enumerate,
+        presentation_from_json,
+        reidemeister_schreier_data,
+    )
+    from .words import format_word
+
     pres = presentation_from_json(_load(args.input))
     hom = _load(args.hom)
     images = [tuple(p) for p in hom["images"]]
@@ -118,7 +120,9 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_abels(args) -> int:
-    report = abels_mod.acentral_check(args.prime, trials=args.trials)
+    from .abels import acentral_check
+
+    report = acentral_check(args.prime, trials=args.trials)
     _emit(report.to_json())
     if not report.passed:
         raise InternalVerificationError("acentrality check found counterexamples")
@@ -165,17 +169,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# pbp errors reported as invalid input (exit 2) beside ValueError, which covers
+# json.JSONDecodeError, PresentationFormatError, ZeroParameter and UnsupportedParams
 _INPUT_ERRORS = (
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-    classifier_mod.InconsistentInput,
-    PresentationFormatError,
-    RelatorNotKilled,
-    BoundExceeded,
-    lie_mod.InvalidAlgebra,
+    ("pbp.classifier", "InconsistentInput"),
+    ("pbp.presentations", "RelatorNotKilled"),
+    ("pbp.presentations", "BoundExceeded"),
+    ("pbp.lie", "InvalidAlgebra"),
 )
+
+
+def _input_errors() -> tuple:
+    """The exception classes main reports as invalid input.
+
+    A pbp error can only have been raised once its module is loaded, so the
+    classes of modules not loaded are left out rather than imported.
+    """
+    return (ValueError, KeyError, OSError) + tuple(
+        getattr(sys.modules[module], name) for module, name in _INPUT_ERRORS if module in sys.modules
+    )
 
 
 def main(argv=None) -> int:
@@ -186,7 +198,7 @@ def main(argv=None) -> int:
     except InternalVerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
+    except _input_errors() as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

@@ -737,9 +737,32 @@ def _ordered(ideals) -> tuple[Subspace, ...]:
 # decomposability via the commuting-projection ring
 
 
+def _generators(algebra: LieAlgebra) -> list[int]:
+    """The indices i, in order, of each e_i outside the subalgebra that the
+    earlier picks generate; together they generate the algebra."""
+    n = algebra.dim
+    span, elements, picks = SpanBuilder(n), [], []
+    for i in range(n):
+        e = _unit(n, i)
+        if span.contains(e):
+            continue
+        picks.append(i)
+        queue = [e]
+        while queue:
+            v = queue.pop()
+            if span.add(v):
+                queue.extend(algebra.bracket(u, v) for u in elements)
+                elements.append(v)
+    return picks
+
+
 def centroid(algebra: LieAlgebra) -> list:
-    """Basis of {X : X ad(v) = ad(v) X for all v} = End of the adjoint module."""
-    return solve_commutant([algebra.ad_basis(i) for i in range(algebra.dim)], algebra.dim)
+    """Basis of {X : X ad(v) = ad(v) X for all v} = End of the adjoint module.
+
+    X commutes with ad [a, b] = [ad a, ad b] once it commutes with ad a and
+    ad b, so the commutant of the ad of a generating set is the same space.
+    """
+    return solve_commutant([algebra.ad_basis(i) for i in _generators(algebra)], algebra.dim)
 
 
 def _decomposability(algebra: LieAlgebra):

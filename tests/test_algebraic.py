@@ -16,7 +16,7 @@ from cyclotomic_field import (
     poly_negate_variable,
     two_cos_minpoly,
 )
-from pbp.algebraic import two_cos_pi_over
+from pbp.algebraic import _pi, two_cos_pi_over
 from pbp.linalg import char_poly
 
 
@@ -190,6 +190,16 @@ def test_berkowitz_matches_sympy_charpoly(rows):
 
 
 # --- the integer-ball enclosures that pbp.coxeter uses ------------------------
+
+
+@pytest.mark.parametrize("prec", [0, 1, 46, 47, 48, 64, 1000, 65_536])
+def test_pi_enclosure_holds_the_value(prec):
+    # the reference carries 64 bits beyond the ball's precision
+    with mp.workprec(prec + 64):
+        ball = _pi(prec)
+        assert ball.prec == prec and ball.rad == 3
+        value = mp.pi * mp.mpf(2) ** prec
+        assert ball.mid - ball.rad + mp.mpf(2) ** -32 <= value <= ball.mid + ball.rad - mp.mpf(2) ** -32
 
 
 @pytest.mark.parametrize("prec", [64, 128, 1024])

@@ -10,6 +10,7 @@ import pytest
 from pbp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, obj):
@@ -23,6 +24,18 @@ def run(capsys, argv):
     captured = capsys.readouterr()
     out = json.loads(captured.out) if captured.out.strip() else None
     return code, out, captured.err
+
+
+# fails the Jacobi identity
+JACOBI_FAILS = {
+    "dim": 3,
+    "basis": ["x", "y", "z"],
+    "brackets": [
+        {"x": "x", "y": "y", "value": {"x": "1"}},
+        {"x": "y", "y": "z", "value": {"y": "1"}},
+        {"x": "z", "y": "x", "value": {"z": "1"}},
+    ],
+}
 
 
 def test_classify_command(tmp_path, capsys):
@@ -139,16 +152,7 @@ def test_lie_json_command(tmp_path, capsys):
 
 
 def test_lie_invalid_algebra(tmp_path, capsys):
-    algebra = {
-        "dim": 3,
-        "basis": ["x", "y", "z"],
-        "brackets": [
-            {"x": "x", "y": "y", "value": {"x": "1"}},
-            {"x": "y", "y": "z", "value": {"y": "1"}},
-            {"x": "z", "y": "x", "value": {"z": "1"}},
-        ],
-    }
-    path = write(tmp_path, "alg.json", algebra)
+    path = write(tmp_path, "alg.json", JACOBI_FAILS)
     code, out, err = run(capsys, ["lie", "-i", path])
     assert code == 2
     assert "Jacobi" in err
@@ -204,10 +208,33 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def python(script):
+    """Run a Python script in a fresh interpreter that imports pbp from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def run_fresh(argv):
+    """main(argv) in a fresh interpreter: (exit code, stderr, loaded pbp modules)."""
+    proc = python(
+        "import contextlib, io, json, sys\n"
+        "from pbp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('pbp'))]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    return code, proc.stderr, set(loaded)
+
+
 def test_no_subcommand_imports_sympy(tmp_path):
     """The runtime is the standard library: no subcommand loads sympy."""
     runs = []
-    for golden in sorted(Path(__file__).parent.glob("golden/*.json")):
+    for golden in sorted(GOLDEN.glob("*.json")):
         descriptor = json.loads(golden.read_text())["descriptor"]
         runs.append(["classify", "-i", write(tmp_path, golden.name, descriptor)])
     runs += [
@@ -225,13 +252,45 @@ def test_no_subcommand_imports_sympy(tmp_path):
         "        assert main(argv) == 0, argv\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=300,
-    )
+    proc = python(script)
     assert proc.returncode == 0, proc.stderr
     assert not [p for p in SRC.rglob("*.py") if "sympy" in p.read_text()]
+
+
+def test_subcommands_load_only_their_modules(tmp_path):
+    """Each subcommand, in a fresh interpreter, leaves the deciders it does not run unloaded."""
+    matrix = write(tmp_path, "m.json", {"n": 3, "m": [[1, 3, 3], [3, 1, 7], [3, 7, 1]]})
+    cases = [
+        (["abels", "--prime", "3", "--trials", "20"], "pbp.abels",
+         {"pbp.lie", "pbp.coxeter", "pbp.presentations"}),
+        (["coxeter", "-i", matrix], "pbp.coxeter", {"pbp.lie", "pbp.bs", "pbp.poly"}),
+    ]
+    for golden in sorted(GOLDEN.glob("*.json")):
+        descriptor = json.loads(golden.read_text())["descriptor"]
+        if descriptor["kind"] not in ("coxeter", "bs"):
+            cases.append((["classify", "-i", write(tmp_path, golden.name, descriptor)],
+                          "pbp.classifier", {"pbp.coxeter", "pbp.bs", "pbp.lie"}))
+    assert len(cases) == 12
+    for argv, own, absent in cases:
+        code, _, loaded = run_fresh(argv)
+        assert code == 0, argv
+        assert own in loaded and not loaded & absent, (argv, sorted(loaded))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-i", {"kind": "flagged", "flags": {"ends": 2, "simple": True}}],
+    ["subgroup", "-i", {"generators": [], "relators": []}, "--hom", {"images": [[0]]}],
+    ["subgroup", "-i", {"generators": ["s"], "relators": ["s^2"]}, "--hom", {"images": [[1, 2, 0]]}],
+    ["lie", "-i", JACOBI_FAILS],
+    ["bs", "0", "1"],
+], ids=["InconsistentInput", "PresentationFormatError", "RelatorNotKilled", "InvalidAlgebra",
+        "ZeroParameter"])
+def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
+    """Each pbp input error exits 2 although main loads its module only on demand."""
+    argv = [write(tmp_path, f"{i}.json", a) if isinstance(a, dict) else a for i, a in enumerate(argv)]
+    code, err, _ = run_fresh(argv)
+    assert code == 2
+    assert err.startswith("invalid input: ") and "Traceback" not in err
 
 
 def test_src_imports_only_stdlib():

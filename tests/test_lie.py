@@ -38,6 +38,7 @@ from pbp.lie import (
     verify_product_certificate,
     vr_semidirect,
 )
+from pbp.linalg import solve_commutant
 from pbp.verdict import Answer, InternalVerificationError
 
 
@@ -713,6 +714,26 @@ def test_centroid_certificate_is_pinned():
         "g1": [["0", "0", "1", "0"], ["0", "0", "0", "1"]],
         "g2": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
     }
+
+
+# the catalogue algebras with the verdicts the benchmark's reference pins, and so(6)
+CENTROID_CASES = ["af", "sol", "sl2", "so(3)", "so(2,1)", "so(3,1)", "vr(2,1,1)", "vr(3,0,1)",
+                  "vr(3,1,1)", "vr(2,1,2)", "so(5)", "abelian(2)", "abelian(3)", "heisenberg",
+                  "sl2+sl2", "so(2,2)", "so(4)", "af+af", "sol+sl2", "af+so(2,1)", "so(4)+so(4)",
+                  "so(6)"]
+
+
+@pytest.mark.parametrize("name", CENTROID_CASES)
+def test_centroid_from_generators_is_the_all_basis_commutant(name):
+    algebra = catalogue(name)
+    n = algebra.dim
+    picks = lie._generators(algebra)
+    span = Subspace.from_vectors(n, [unit(n, i) for i in picks])
+    while (grown := span.add(bracket_subspace(algebra, span, span))).dim > span.dim:
+        span = grown
+    assert span.dim == n
+    everything = solve_commutant([algebra.ad_basis(i) for i in range(n)], n)
+    assert lie.centroid(algebra) == everything
 
 
 # --- internal checks that survive python -O --------------------------------------
