@@ -304,9 +304,11 @@ def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int =
 
     The freeness check searches every freely reduced word of length 1 to
     ``length_bound`` in the m conjugates, depth first in preorder with
-    children in reversed letter order, and reports the first one that is
+    children in reversed letter order, and stops at the first one that is
     trivial in the group.  There are sum_{k=1..L} 2m (2m-1)^(k-1) such
-    words, and each costs one Britton stack step over one conjugate.
+    words, and each costs one Britton stack step over one conjugate.  When
+    it finds a relation of length l, the search runs again with bound l - 1
+    until it finds none, so the failure names the shortest relation's length.
     """
     if abs(group.m) != abs(group.n) or abs(group.m) < 2:
         raise ValueError("witness checks apply to BS(m, +-m) with |m| >= 2")
@@ -333,6 +335,12 @@ def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int =
         failures.append(f"kernel index is {table.d}, expected {2 * m}")
 
     length = _first_relation(group, witness.T, length_bound)
+    while length is not None and length > 1:
+        # the depth-first search finds a relation, not the shortest one
+        shorter = _first_relation(group, witness.T, length - 1)
+        if shorter is None:
+            break
+        length = shorter
     if length is not None:
         failures.append(f"nontrivial relation of length {length} among the conjugates")
 

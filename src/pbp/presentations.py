@@ -4,12 +4,27 @@ The coset machinery is deliberately narrow: every subgroup we ever need is
 the kernel of a map onto an explicitly given finite permutation group, so
 tables are built from the permutation action instead of a general
 Todd-Coxeter search.  This always terminates on valid input.
+
+The kernel path works on flat per-letter arrays.  With d cosets, a
+generators and relators of total length R:
+
+- ``coset_enumerate`` fills the action rows during its one breadth-first
+  pass over the image group: one permutation product per element and
+  generator.
+- ``CosetTable.is_closed`` composes each relator as one permutation of all
+  the cosets, d list lookups per letter, R * d in all.  Both
+  ``coset_enumerate`` and ``reidemeister_schreier_data`` run it.
+- The Reidemeister-Schreier rewrite reads, per letter x and coset c, the
+  signed Schreier generator ``gen_at[x][c]`` and the next coset: again
+  R * d lookups, plus the Word output.
+- ``abelianization`` takes the one- and two-entry rows with a +-1 from a
+  queue, each costing the length of its column, and only then the
+  remaining +-1 pivots from a Markowitz heap.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -119,10 +134,16 @@ def is_permutation(p: Sequence[int]) -> bool:
 
 
 def word_image(w: Word, images: Sequence[tuple[int, ...]], degree: int) -> tuple[int, ...]:
+    inverses: dict[int, tuple[int, ...]] = {}  # each image inverted once, on first use
     out = perm_identity(degree)
     for x in w.raw:
-        g = images[abs(x) - 1]
-        out = perm_mul(out, g if x > 0 else perm_inv(g))
+        if x > 0:
+            g = images[x - 1]
+        else:
+            g = inverses.get(x)
+            if g is None:
+                g = inverses[x] = perm_inv(images[-x - 1])
+        out = perm_mul(out, g)
     return out
 
 
@@ -150,32 +171,44 @@ class CosetTable:
 
     def act(self, coset: int, letter: int) -> int:
         """Apply one signed letter to a coset."""
-        if letter > 0:
-            return self.action[letter - 1][coset]
-        return self.inverse[-letter - 1][coset]
+        return self.step(letter)[coset]
 
     def act_word(self, coset: int, w: Word) -> int:
         for x in w.raw:
             coset = self.act(coset, x)
         return coset
 
+    def step(self, letter: int) -> tuple[int, ...]:
+        """The permutation of the cosets that one signed letter applies."""
+        return self.action[letter - 1] if letter > 0 else self.inverse[-letter - 1]
+
     def is_closed(self, pres: FinitePresentation) -> bool:
-        """Every relator fixes every coset."""
-        return all(
-            self.act_word(c, r) == c for r in pres.relators for c in range(self.d)
-        )
+        """Every relator fixes every coset.
+
+        Each relator is composed as one permutation of all the cosets, a
+        letter at a time, and compared with the identity.
+        """
+        identity = list(range(self.d))
+        for r in pres.relators:
+            at = identity
+            for x in r.raw:
+                at = list(map(self.step(x).__getitem__, at))
+            if at != identity:
+                return False
+        return True
 
     def is_transitive(self) -> bool:
-        seen = {0}
+        # on finitely many cosets each inverse is a power of its permutation,
+        # so the generators alone reach every coset of the orbit
+        seen = [False] * self.d
+        seen[0] = True
         queue = [0]
-        while queue:
-            c = queue.pop()
-            for p, q in zip(self.action, self.inverse):
-                for nxt in (p[c], q[c]):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-        return len(seen) == self.d
+        for c in queue:  # grows while it is read
+            for p in self.action:
+                if not seen[p[c]]:
+                    seen[p[c]] = True
+                    queue.append(p[c])
+        return len(queue) == self.d
 
     def check(self, pres: FinitePresentation) -> None:
         if len(self.action) != pres.generator_count:
@@ -213,26 +246,24 @@ def coset_enumerate(
             raise RelatorNotKilled(f"relator {format_word(r, pres.names())!r} survives in the image")
 
     # Cosets of the kernel biject with elements of the image subgroup; the
-    # generator action is right multiplication.
+    # generator action is right multiplication.  Elements are numbered in
+    # breadth-first order, and element k is expanded k-th, so one pass
+    # fills column k of every action row.
     elements: dict[tuple[int, ...], int] = {identity: 0}
     order: list[tuple[int, ...]] = [identity]
-    queue = deque([identity])
-    while queue:
-        e = queue.popleft()
-        for p in imgs:
-            f = perm_mul(e, p)
-            if f not in elements:
-                if len(elements) >= coset_cap:
+    rows: list[list[int]] = [[] for _ in imgs]
+    for e in order:  # grows while it is read
+        for p, row in zip(imgs, rows):
+            f = tuple(map(p.__getitem__, e))  # perm_mul(e, p)
+            k = elements.get(f)
+            if k is None:
+                if len(order) >= coset_cap:
                     raise BoundExceeded(f"more than {coset_cap} cosets")
-                elements[f] = len(order)
+                k = elements[f] = len(order)
                 order.append(f)
-                queue.append(f)
+            row.append(k)
 
-    d = len(order)
-    action = tuple(
-        tuple(elements[perm_mul(e, p)] for e in order) for p in imgs
-    )
-    table = CosetTable(d, action)
+    table = CosetTable(len(order), tuple(rows))
     table.check(pres)
     return table
 
@@ -255,70 +286,82 @@ class SchreierData:
     transversal: tuple[Word, ...]
 
 
-def _schreier_transversal(pres: FinitePresentation, table: CosetTable):
-    # Breadth-first search from the base coset, letters tried in the fixed
-    # order g0, g0^-1, g1, g1^-1, ...  This yields the lexicographically
-    # least shortest representative of every coset (by induction on BFS
-    # level: parents are dequeued in lex order and letters in alphabet order).
-    a = pres.generator_count
-    letter_order = [s * (i + 1) for i in range(a) for s in (1, -1)]
-    rep: list[Word | None] = [None] * table.d
+def _schreier_transversal(table: CosetTable):
+    """Coset representatives and the spanning tree they use.
+
+    Breadth-first search from the base coset, letters tried in the fixed
+    order g0, g0^-1, g1, g1^-1, ...  This yields the lexicographically
+    least shortest representative of every coset (by induction on BFS
+    level: parents are dequeued in lex order and letters in alphabet order).
+    ``in_tree[i][c]`` says whether the edge c -> c.g_i is a tree edge, in
+    either direction.
+    """
+    d = table.d
+    rep: list[Word | None] = [None] * d
     rep[0] = Word()
-    tree: set[tuple[int, int]] = set()  # (coset, letter) edges used by the BFS
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
-        for letter in letter_order:
-            nxt = table.act(c, letter)
+    in_tree = [[False] * d for _ in table.action]
+    letters = [(i, x, table.step(x)) for i in range(len(table.action)) for x in (i + 1, -i - 1)]
+    queue = [0]
+    for c in queue:  # grows while it is read
+        for i, x, perm in letters:
+            nxt = perm[c]
             if rep[nxt] is None:
-                rep[nxt] = rep[c] * Word((letter,))
-                tree.add((c, letter))
+                # rep[c] cannot end in x^-1, which leads back to the parent
+                # of c, so the product is reduced
+                rep[nxt] = Word._from_reduced(rep[c].raw + (x,))
+                in_tree[i][c if x > 0 else nxt] = True
                 queue.append(nxt)
-    assert all(r is not None for r in rep), "table must be transitive"
-    return rep, tree
+    assert len(queue) == d, "table must be transitive"
+    return rep, in_tree
 
 
 def reidemeister_schreier_data(
     pres: FinitePresentation, table: CosetTable
 ) -> SchreierData:
-    """Rewrite ``pres`` to a presentation of the subgroup given by ``table``."""
+    """Rewrite ``pres`` to a presentation of the subgroup given by ``table``.
+
+    The rewrite reads two flat tables per signed letter x: ``step(x)``, the
+    permutation of the cosets it applies, and ``gen_at[x][c]``, the signed
+    subgroup generator that x traces from coset c (0 on a tree edge).
+    """
     table.check(pres)
     a, d = pres.generator_count, table.d
-    rep, tree = _schreier_transversal(pres, table)
+    rep, in_tree = _schreier_transversal(table)
 
     # A subgroup generator for every non-tree edge (coset, positive letter).
-    gen_index: dict[tuple[int, int], int] = {}
+    gen_at: dict[int, list[int]] = {i + 1: [0] * d for i in range(a)}
     gen_words: list[Word] = []
     for c in range(d):
         for i in range(a):
-            letter = i + 1
-            nxt = table.act(c, letter)
-            if (c, letter) in tree or (nxt, -letter) in tree:
-                continue
-            gen_index[(c, i)] = len(gen_words)
-            gen_words.append(rep[c] * Word((letter,)) * ~rep[nxt])
+            if not in_tree[i][c]:
+                letter = Word((i + 1,))
+                gen_words.append(rep[c] * letter * ~rep[table.action[i][c]])
+                gen_at[i + 1][c] = len(gen_words)
+    for i in range(a):
+        # x^-1 at c runs the edge of x from c.x^-1 backwards
+        forward = gen_at[i + 1]
+        gen_at[-i - 1] = [-forward[b] for b in table.inverse[i]]
 
-    def rewrite(w: Word, start: int) -> Word:
+    def rewrite(path: list[tuple[list[int], tuple[int, ...]]], c: int) -> Word:
         out: list[int] = []
-        c = start
-        for x in w.raw:
-            if x > 0:
-                key = (c, x - 1)
-                if key in gen_index:
-                    out.append(gen_index[key] + 1)
-                c = table.act(c, x)
-            else:
-                c = table.act(c, x)
-                key = (c, -x - 1)
-                if key in gen_index:
-                    out.append(-(gen_index[key] + 1))
-        return Word(out)
+        for gens, perm in path:
+            g = gens[c]
+            if g:
+                if out and out[-1] == -g:
+                    out.pop()
+                else:
+                    out.append(g)
+            c = perm[c]
+        return Word._from_reduced(tuple(out))
 
-    relators = tuple(rewrite(r, c) for r in pres.relators for c in range(d))
+    relators = []
+    for r in pres.relators:
+        path = [(gen_at[x], table.step(x)) for x in r.raw]
+        relators.extend(rewrite(path, c) for c in range(d))
     n_gens = len(gen_words)
     expected = rs_counts(a, pres.relator_count, d)
     assert (n_gens, len(relators)) == expected, "subgroup counts disagree with (a-1)d+1, bd"
-    sub = FinitePresentation(n_gens, relators)
+    sub = FinitePresentation(n_gens, tuple(relators))
     return SchreierData(sub, tuple(gen_words), tuple(rep))
 
 
@@ -457,10 +500,16 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[list[i
 
     A pivot at (i, j) clears column j by row operations; column operations
     then clear row i without touching any other row, so row i and column j
-    drop out.  Pivots go in Markowitz order, least (row nnz - 1) * (column nnz - 1)
-    first, which keeps fill-in low (Havas-Holt-Rees, "Recognizing badly
-    presented Z-modules", 1993).  The heap holds each candidate with its cost
-    when pushed; a candidate whose cost has grown since is pushed back.
+    drop out.  Two stages choose the pivots (Havas-Holt-Rees, "Recognizing
+    badly presented Z-modules", 1993):
+
+    - a queue takes every row of one or two entries with a +-1 among them.
+      A one-entry row only deletes its column; a two-entry row substitutes
+      one column for the other, so neither lengthens any row.
+    - a heap takes the rest in Markowitz order, least (row nnz - 1) *
+      (column nnz - 1) first, which keeps fill-in low.  It holds each row
+      with the cost of its cheapest +-1 when pushed; a row whose cost has
+      grown since is pushed back.
     """
     distinct = {frozenset(row.items()): row for row in rows if row}
     live = dict(enumerate(distinct.values()))
@@ -468,32 +517,16 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[list[i
     for i, row in live.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    heap: list[tuple[int, int, int]] = []
 
-    def push(i: int) -> None:
-        row = live[i]
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
-
-    for i in live:
-        push(i)
-    pivots = 0
-    while heap:
-        cost, i, j = heapq.heappop(heap)
-        pivot_row = live.get(i)
-        if pivot_row is None or pivot_row.get(j) not in (1, -1):
-            continue
-        now = (len(pivot_row) - 1) * (len(cols[j]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, i, j))
-            continue
+    def eliminate(i: int, j: int) -> list[int]:
+        # pivot on the +-1 at (i, j); returns the other rows it changed
+        pivot_row = live.pop(i)
         p = pivot_row.pop(j)
-        del live[i]
         for l in pivot_row:
             cols[l].discard(i)
         others = cols.pop(j)
         others.discard(i)
+        changed = []
         for k in others:
             row = live[k]
             f = row.pop(j) * p  # p is its own inverse
@@ -507,9 +540,51 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[list[i
                     del row[l]
                     cols[l].discard(k)
             if row:
-                push(k)
+                changed.append(k)
             else:
                 del live[k]
+        return changed
+
+    def cheapest(i: int) -> tuple[int, int] | None:
+        # least Markowitz cost of a +-1 in live row i, and its column
+        if i not in live:  # emptied or taken since it was queued
+            return None
+        row = live[i]
+        units = [(len(cols[j]), j) for j, v in row.items() if v == 1 or v == -1]
+        if not units:
+            return None
+        count, j = min(units)
+        return (len(row) - 1) * (count - 1), j
+
+    pivots = 0
+    queue = [i for i, row in live.items() if len(row) <= 2]
+    while queue:
+        i = queue.pop()
+        best = cheapest(i)
+        if best is not None:
+            queue.extend(k for k in eliminate(i, best[1]) if len(live[k]) <= 2)
+            pivots += 1
+
+    heap: list[tuple[int, int]] = []
+
+    def push(i: int) -> None:
+        best = cheapest(i)
+        if best is not None:
+            heapq.heappush(heap, (best[0], i))
+
+    for i in live:
+        push(i)
+    while heap:
+        cost, i = heapq.heappop(heap)
+        best = cheapest(i)
+        if best is None:
+            continue
+        now, j = best
+        if now > cost:
+            heapq.heappush(heap, (now, i))
+            continue
+        for k in eliminate(i, j):
+            push(k)
         pivots += 1
 
     used = sorted({j for row in live.values() for j in row})

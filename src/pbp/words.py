@@ -8,6 +8,7 @@ same element of the free group.
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 
@@ -57,7 +58,7 @@ class Word:
         return Word._from_reduced(a[: len(a) - k] + b[k:])
 
     def __invert__(self) -> "Word":
-        return Word._from_reduced(tuple(-x for x in reversed(self._letters)))
+        return Word._from_reduced(tuple(map(neg, reversed(self._letters))))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -89,7 +90,7 @@ class Word:
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
-        return max((abs(x) - 1 for x in self._letters), default=-1)
+        return max(map(abs, self._letters), default=0) - 1
 
 
 IDENTITY = Word()

@@ -1,0 +1,104 @@
+"""From-scratch references for ``pbp.presentations``.
+
+``coset_table_oracle`` enumerates the image group breadth first and then
+fills the action rows in a second sweep over every element and generator.
+``is_closed_oracle`` applies every relator to every coset, letter by
+letter, with ``CosetTable.act_word``.  ``schreier_data_oracle`` rewrites
+each relator at each coset one letter at a time, looking the Schreier
+generator of every edge up in a dict keyed by (coset, generator).
+``pbp.presentations`` does the same work from flat per-letter tables; the
+results must be equal Word for Word.
+"""
+
+from collections import deque
+from typing import Sequence
+
+from pbp.presentations import (
+    CosetTable,
+    FinitePresentation,
+    SchreierData,
+    perm_identity,
+    perm_mul,
+    rs_counts,
+)
+from pbp.words import Word
+
+
+def coset_table_oracle(images: Sequence[Sequence[int]]) -> CosetTable:
+    """Right regular action of the group the images generate."""
+    imgs = [tuple(p) for p in images]
+    identity = perm_identity(len(imgs[0]))
+    elements = {identity: 0}
+    order = [identity]
+    queue = deque([identity])
+    while queue:
+        e = queue.popleft()
+        for p in imgs:
+            f = perm_mul(e, p)
+            if f not in elements:
+                elements[f] = len(order)
+                order.append(f)
+                queue.append(f)
+    action = tuple(tuple(elements[perm_mul(e, p)] for e in order) for p in imgs)
+    return CosetTable(len(order), action)
+
+
+def is_closed_oracle(table: CosetTable, pres: FinitePresentation) -> bool:
+    """Every relator fixes every coset, checked one coset at a time."""
+    return all(table.act_word(c, r) == c for r in pres.relators for c in range(table.d))
+
+
+def _transversal(pres: FinitePresentation, table: CosetTable):
+    letter_order = [s * (i + 1) for i in range(pres.generator_count) for s in (1, -1)]
+    rep: list = [None] * table.d
+    rep[0] = Word()
+    tree: set[tuple[int, int]] = set()  # (coset, letter) edges used by the BFS
+    queue = deque([0])
+    while queue:
+        c = queue.popleft()
+        for letter in letter_order:
+            nxt = table.act(c, letter)
+            if rep[nxt] is None:
+                rep[nxt] = rep[c] * Word((letter,))
+                tree.add((c, letter))
+                queue.append(nxt)
+    return rep, tree
+
+
+def schreier_data_oracle(pres: FinitePresentation, table: CosetTable) -> SchreierData:
+    """Reidemeister-Schreier rewriting, one ``act`` call per letter."""
+    if not is_closed_oracle(table, pres):
+        raise ValueError("table is not closed under the relators")
+    a, d = pres.generator_count, table.d
+    rep, tree = _transversal(pres, table)
+
+    gen_index: dict[tuple[int, int], int] = {}
+    gen_words: list[Word] = []
+    for c in range(d):
+        for i in range(a):
+            letter = i + 1
+            nxt = table.act(c, letter)
+            if (c, letter) in tree or (nxt, -letter) in tree:
+                continue
+            gen_index[(c, i)] = len(gen_words)
+            gen_words.append(rep[c] * Word((letter,)) * ~rep[nxt])
+
+    def rewrite(w: Word, start: int) -> Word:
+        out: list[int] = []
+        c = start
+        for x in w.raw:
+            if x > 0:
+                key = (c, x - 1)
+                if key in gen_index:
+                    out.append(gen_index[key] + 1)
+                c = table.act(c, x)
+            else:
+                c = table.act(c, x)
+                key = (c, -x - 1)
+                if key in gen_index:
+                    out.append(-(gen_index[key] + 1))
+        return Word(out)
+
+    relators = tuple(rewrite(r, c) for r in pres.relators for c in range(d))
+    assert (len(gen_words), len(relators)) == rs_counts(a, pres.relator_count, d)
+    return SchreierData(FinitePresentation(len(gen_words), relators), tuple(gen_words), tuple(rep))

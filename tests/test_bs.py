@@ -240,10 +240,11 @@ def test_mutated_conjugates_match_from_scratch_search(monkeypatch, m, eta):
         tampered = SubgroupWitness(m, eta, witness.zs_generator, T, witness.fII_basis)
         for bound in range(1, 6):
             report = _reports_match_from_scratch_search(monkeypatch, group, tampered, bound)
-            # depth first, so the relation reported need not be the shortest
             found = shortest is not None and bound >= shortest
             assert len(report.failures) == found, (T, bound, report.failures)
-            assert all("nontrivial relation" in f for f in report.failures)
+            # the search runs again below each length it finds, down to the shortest
+            want = f"nontrivial relation of length {shortest} among the conjugates"
+            assert all(f == want for f in report.failures), (T, bound, report.failures)
 
 
 @pytest.mark.parametrize("m,bound", [(2, 5), (3, 4)])

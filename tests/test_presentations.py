@@ -28,6 +28,7 @@ from pbp.presentations import (
     smith_normal_form,
 )
 from pbp.words import Word, parse_word
+from presentations_oracles import coset_table_oracle, is_closed_oracle, schreier_data_oracle
 
 
 def bs_presentation(m, n):
@@ -114,6 +115,14 @@ def test_bound_exceeded():
     pres = FinitePresentation(1, (), ("s",))
     with pytest.raises(BoundExceeded):
         coset_enumerate(pres, [cyclic_perm(12)], coset_cap=5)
+    # the cap bounds the coset count exactly: d cosets fit under a cap of d, not d - 1
+    for group, images, d in [
+        (pres, [cyclic_perm(12)], 12),
+        (bs_presentation(3, 3), cm_x_c2_images(3), 6),
+    ]:
+        assert coset_enumerate(group, images, coset_cap=d).d == d
+        with pytest.raises(BoundExceeded):
+            coset_enumerate(group, images, coset_cap=d - 1)
 
 
 # --- Reidemeister-Schreier ---------------------------------------------------
@@ -181,6 +190,63 @@ def random_quotient_pair(rng):
             order += 1
         relators.append(w**order)
     return FinitePresentation(a, tuple(relators)), images
+
+
+def perm_order(p):
+    order, acc = 1, tuple(p)
+    while acc != perm_identity(len(p)):
+        acc, order = perm_mul(acc, p), order + 1
+    return order
+
+
+def triangle_kernel(a, b):
+    """The triangle group (l, m, n) of a, b and ab, with images a and b."""
+    l, m, n = perm_order(a), perm_order(b), perm_order(perm_mul(a, b))
+    relators = (Word([1] * l), Word([2] * m), Word([1, 2] * n))
+    return FinitePresentation(2, relators, ("a", "b")), [a, b]
+
+
+TRIANGLE_KERNELS = [
+    # onto S4 as (2, 4, 3), A5 as (2, 3, 5), S5 as (2, 5, 4)
+    (triangle_kernel((1, 0, 2, 3), cyclic_perm(4)), 24),
+    (triangle_kernel((1, 0, 3, 2, 4), (2, 1, 4, 3, 0)), 60),
+    (triangle_kernel((1, 0, 2, 3, 4), cyclic_perm(5)), 120),
+]
+
+
+def test_rs_matches_per_letter_oracle():
+    rng = random.Random(13)
+    cases = [random_quotient_pair(rng) for _ in range(30)]
+    cases += [case for case, _ in TRIANGLE_KERNELS]
+    for pres, images in cases:
+        table = coset_enumerate(pres, images)
+        assert table.action == coset_table_oracle(images).action
+        assert table.is_closed(pres) and is_closed_oracle(table, pres)
+        data, oracle = reidemeister_schreier_data(pres, table), schreier_data_oracle(pres, table)
+        assert data.presentation.relators == oracle.presentation.relators
+        assert data.generator_words == oracle.generator_words
+        assert data.transversal == oracle.transversal
+        assert abelianization(data.presentation) == abelianization(oracle.presentation)
+    assert [coset_enumerate(*case).d for case, _ in TRIANGLE_KERNELS] == [d for _, d in TRIANGLE_KERNELS]
+
+
+def test_table_broken_by_one_relator_is_rejected():
+    # S4 on four points: a swaps 1 and 2, b is a 4-cycle.  The table is closed
+    # under a^2, b^4 and (ab)^3.  A relator that moves a coset moves at least
+    # two; b a b a b moves exactly two, and neither is the base coset.
+    names = ("a", "b")
+    relators = ("a^2", "b a b a b", "b^4", "a b a b a b")
+    pres = FinitePresentation(2, tuple(parse_word(r, names) for r in relators), names)
+    table = CosetTable(4, ((0, 2, 1, 3), (1, 2, 3, 0)))
+    moved = [c for c in range(4) if table.act_word(c, pres.relators[1]) != c]
+    assert len(moved) == 2 and 0 not in moved
+    closed = FinitePresentation(2, pres.relators[:1] + pres.relators[2:], names)
+    assert table.is_closed(closed) and table.is_transitive()
+    assert not table.is_closed(pres) and not is_closed_oracle(table, pres)
+    with pytest.raises(ValueError, match="table is not closed under the relators"):
+        reidemeister_schreier_data(pres, table)
+    with pytest.raises(ValueError, match="table is not closed under the relators"):
+        schreier_data_oracle(pres, table)
 
 
 def test_rs_count_identity_on_random_pairs():
@@ -303,8 +369,29 @@ def sparse_matrices(draw):
     return rows, n
 
 
+@st.composite
+def singleton_chains(draw):
+    """Chains of rows in which row k has a +-1 in column c_k and entries
+    only in c_0..c_(k-1) besides: row 0 is a +-1 singleton, and each
+    elimination leaves the next row of its chain one.  A few random rows
+    share the columns."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        chain = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        for k, j in enumerate(chain):
+            row = [0] * n
+            for l in chain[:k]:
+                row[l] = draw(st.sampled_from([0, 1, -1, 2, -3]))
+            row[j] = draw(st.sampled_from([1, -1]))
+            rows.append(row)
+    entry = st.sampled_from([0] * 6 + [1, -1, 2, -2, 3])
+    rows += draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    return draw(st.permutations(rows)), n
+
+
 @settings(max_examples=60, deadline=None)
-@given(sparse_matrices())
+@given(st.one_of(sparse_matrices(), singleton_chains()))
 def test_sparse_abelianization_matches_dense_snf(case):
     rows, n = case
     pres = pres_from_matrix(rows, n)
