@@ -18,11 +18,11 @@ besides ``pbp.cli`` and ``pbp.verdict``:
 
     abels      abels
     bs         bs, presentations, words
-    coxeter    coxeter, algebraic, linalg
+    coxeter    coxeter, algebraic
     lie        lie, linalg, poly
     subgroup   presentations, words
-    classify   classifier, presentations, words; coxeter (with algebraic
-               and linalg) or bs only for those descriptor kinds
+    classify   classifier, presentations, words; coxeter (with algebraic)
+               or bs only for those descriptor kinds
 
 The README's "CLI start" section gives the import times.
 """

@@ -5,7 +5,8 @@ stands for every real within rad / 2**p of mid / 2**p.  Ring operations on
 balls round the midpoint down and widen the radius by the rounding error, so
 the result always contains the exact result of the operation on any points
 of the operands (Johansson, "Arb", IEEE Trans. Comput. 66, 2017).  Integers
-combine with balls exactly.
+combine with balls exactly.  Division rounds outward too: by a nonzero
+integer, or by a ball that excludes 0.
 
 pi comes from the Chudnovsky series summed by binary splitting (Haible
 and Papanikolaou, 1998) and 2 cos(pi/m) from a Taylor series with an
@@ -38,7 +39,12 @@ class _Ball:
         return _Ball(-self.mid, self.rad, self.prec)
 
     def __sub__(self, other):
-        return self + -other
+        if isinstance(other, int):
+            return _Ball(self.mid - (other << self.prec), self.rad, self.prec)
+        return _Ball(self.mid - other.mid, self.rad + other.rad, self.prec)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -49,9 +55,17 @@ class _Ball:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, d: int):
-        """The ball around x / d, for an integer d > 0."""
-        return _Ball(self.mid // d, -(-self.rad // d) + 1, self.prec)
+    def __truediv__(self, other):
+        """The ball around x / y, for an integer y != 0 or a ball y that excludes 0."""
+        if isinstance(other, int):
+            return _Ball(self.mid // other, -(-self.rad // abs(other)) + 1, self.prec)
+        m = abs(other.mid)
+        if m <= other.rad:
+            raise ZeroDivisionError("division by a ball that holds 0")
+        # |x/y - mx/my| <= (rx |my| + ry |mx|) / ((|my| - ry) |my|) for every x
+        # and y in the balls; flooring the midpoint costs under one unit more
+        err = (self.rad * m + other.rad * abs(self.mid)) << self.prec
+        return _Ball((self.mid << self.prec) // other.mid, -(-err // ((m - other.rad) * m)) + 1, self.prec)
 
     def rounded(self, prec: int) -> "_Ball":
         """The same enclosure at a precision prec <= self.prec."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .presentations import FinitePresentation, presentation_from_json
-from .verdict import FG_QUALIFIER, Answer, TraceEntry, Verdict
+from .verdict import FG_QUALIFIER, Answer, TraceEntry, Verdict, json_int
 
 if TYPE_CHECKING:
     from .coxeter import CoxeterMatrix
@@ -182,14 +182,14 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
 
         return GroupDescriptor("coxeter", coxeter=coxeter_from_json(obj["matrix"]))
     if kind == "bs":
-        return GroupDescriptor("bs", bs=(int(obj["m"]), int(obj["n"])))
+        return GroupDescriptor("bs", bs=(json_int(obj["m"], "m"), json_int(obj["n"], "n")))
     if kind == "free_product":
         factors = tuple(
-            INF_ENDS if f == "inf" else int(f) for f in obj.get("factors", [])
+            INF_ENDS if f == "inf" else json_int(f, "a factor") for f in obj.get("factors", [])
         )
         return GroupDescriptor("free_product", factors=factors)
     if kind == "direct_product_of_infinite":
-        return GroupDescriptor("direct_product_of_infinite", count=int(obj["count"]))
+        return GroupDescriptor("direct_product_of_infinite", count=json_int(obj["count"], "count"))
     if kind == "flagged":
         pres = None
         if obj.get("presentation") is not None:
@@ -336,11 +336,11 @@ def _virtually_conclusions(spec: dict) -> list[_Conclusion]:
     form = spec.get("form")
     if form not in CITE_VIRTUAL_FORM:
         raise ValueError(f"unknown virtually form {form!r}")
-    if form == "free-abelian" and int(spec.get("rank", 1)) < 1:
+    if form == "free-abelian" and json_int(spec.get("rank", 1), "rank") < 1:
         raise ValueError("free-abelian form needs rank >= 1")
     if form == "product-of-free-groups":
         ranks = spec.get("ranks", [1, 1])
-        if len(ranks) != 2 or min(int(r) for r in ranks) < 1:
+        if len(ranks) != 2 or min(json_int(r, "a rank") for r in ranks) < 1:
             raise ValueError("product-of-free-groups needs two ranks >= 1")
     return [
         _Conclusion(

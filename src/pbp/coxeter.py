@@ -1,10 +1,11 @@
 """Coxeter systems: exact bilinear form, signature, classification, verdicts.
 
 The form attached to a Coxeter matrix has entries -cos(pi/m[i][j]).  Twice
-the form has algebraic-integer entries, so the coefficients of its
-characteristic polynomial are algebraic integers: their signs come from
-certified integer balls, and a norm bound proves the zero ones.  Floats
-never influence a classification.
+the form has algebraic-integer entries, and so has every minor of it.  The
+signature comes from a fraction-free symmetric elimination whose pivots and
+trailing entries are such minors: their signs come from certified integer
+balls, and a norm bound proves the zero ones.  Floats never influence a
+classification.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .algebraic import two_cos_pi_over
-from .linalg import char_poly
-from .verdict import Answer, InternalVerificationError, TraceEntry, Verdict
+from .verdict import Answer, InternalVerificationError, TraceEntry, Verdict, json_int
 
 INF = math.inf
 
@@ -85,9 +85,9 @@ class CoxeterMatrix:
 def coxeter_from_json(obj: dict) -> CoxeterMatrix:
     """Parse ``{"n": 3, "m": [[1,3,2],...]}``; the string "inf" marks infinity."""
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
         raw = obj["m"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"bad Coxeter matrix object: {exc}") from exc
     if len(raw) != n:
         raise ValueError("matrix size disagrees with n")
@@ -95,7 +95,7 @@ def coxeter_from_json(obj: dict) -> CoxeterMatrix:
     for row in raw:
         if len(row) != n:
             raise ValueError("matrix size disagrees with n")
-        rows.append(tuple(INF if v == "inf" else int(v) for v in row))
+        rows.append(tuple(INF if v == "inf" else json_int(v, "a Coxeter label") for v in row))
     return CoxeterMatrix(tuple(rows))
 
 
@@ -152,13 +152,12 @@ class SymmetricForm:
         for i in range(self.n):
             if self.rows[i][i] != 1:
                 raise ValueError("diagonal entries must be exactly 1")
-            for j in range(self.n):
+            for j in range(i + 1, self.n):
                 v = self.rows[i][j]
-                if i != j:
-                    if v != self.rows[j][i]:
-                        raise ValueError("form must be symmetric")
-                    if not isinstance(v, _NegCos) and not -1 <= v <= 0:
-                        raise ValueError("off-diagonal entries must lie in [-1, 0]")
+                if v != self.rows[j][i]:
+                    raise ValueError("form must be symmetric")
+                if not isinstance(v, _NegCos) and not -1 <= v <= 0:
+                    raise ValueError("off-diagonal entries must lie in [-1, 0]")
 
     @staticmethod
     def from_rational_matrix(rows: Sequence[Sequence]) -> "SymmetricForm":
@@ -191,79 +190,140 @@ def tits_form(matrix: CoxeterMatrix) -> SymmetricForm:
     return SymmetricForm([[entry(1 if i == j else matrix.m(i, j)) for j in range(n)] for i in range(n)])
 
 
-def _sign(x) -> int:
-    return -1 if x < 0 else (1 if x > 0 else 0)
-
-
-def _sign_changes(signs: list[int]) -> int:
-    nonzero = [s for s in signs if s]
-    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
-
-
 def signature(form: SymmetricForm) -> Signature:
     """Exact (p, q, r), summed over the blocks of the form.
 
     A block is a connected set of indices under the nonzero off-diagonal
-    entries; the form is the direct sum of its blocks.  For each block,
-    chi(x) = det(xI - sB) with s the scale of ``_char_poly_signs`` comes
-    from Berkowitz's division-free recurrence.  chi is real-rooted, so
-    Descartes' rule is exact: r is the number of vanishing low-order
-    coefficients, p the sign changes of the rest and q those of chi(-x).
+    entries; the form is the direct sum of its blocks, and ``_inertia``
+    counts each one.
     """
     p = q = r = 0
     for block in _connected(form.n, lambda i, j: form.rows[i][j] != 0):
-        signs = _char_poly_signs([[form.rows[i][j] for j in block] for i in block])
-        r += next(k for k, s in enumerate(signs) if s)
-        p += _sign_changes(signs)
-        q += _sign_changes([s if k % 2 == 0 else -s for k, s in enumerate(signs)])
+        bp, bq, br = _inertia([[form.rows[i][j] for j in block] for i in block])
+        p, q, r = p + bp, q + bq, r + br
     if p + q + r != form.n:
-        raise InternalVerificationError(
-            f"Descartes counts (p, q, r) = ({p}, {q}, {r}) do not add up to {form.n}"
-        )
+        raise InternalVerificationError(f"inertia (p, q, r) = ({p}, {q}, {r}) does not add up to {form.n}")
     return Signature(p, q, r)
 
 
-def _char_poly_signs(rows) -> list[int]:
-    """Certified signs of the coefficients of det(xI - sB), low to high.
+def _inertia(rows) -> tuple[int, int, int]:
+    """(p, q, r) of one block B, by symmetric fraction-free elimination of sB.
 
     Rational entries are scaled to integers by the lcm s of their
     denominators.  With entries -cos(pi/m), s is also even, so sB has
-    algebraic-integer entries s/2 * (-2 cos(pi/m)), and the determinant
-    runs on integer balls at a precision that doubles from 64 bits until
-    each coefficient's ball excludes 0 or proves it is 0.
+    algebraic-integer entries s/2 * (-2 cos(pi/m)): integer balls at a
+    precision that doubles from 64 + n bits until ``_eliminate`` certifies
+    the sign of every pivot it takes and proves the rest of the block 0.
 
-    The proof: every coefficient c_k lies in K = Q(cos(pi/m) : m a label),
-    of degree at most D = min(prod phi(2m)/2, phi(2N)/2) with N the lcm of
-    the labels.  Each Galois conjugate of c_k is a sum of C(n, j) principal
-    j-minors, j = n - k, of a real symmetric matrix with entries in [-s, s],
-    so by Hadamard's bound its absolute value is at most
-    H = C(n, j) (s sqrt(j))**j.  The norm of a nonzero algebraic integer is
-    at least 1 in absolute value, so c_k != 0 forces |c_k| >= H**-(D - 1),
-    and a ball inside that bound holds only 0.
+    The proof: after k pivots every entry of the trailing block is a
+    j-minor of sB, j = k + 1 (Sylvester's identity), so it lies in
+    K = Q(cos(pi/m) : m a label), of degree at most D = min(prod phi(2m)/2,
+    phi(2N)/2) with N the lcm of the labels.  Each Galois conjugate of it is
+    a j-minor of a real symmetric matrix with entries in [-s, s], so by
+    Hadamard's bound its absolute value is at most H = (s sqrt(j))**j.  The
+    norm of a nonzero algebraic integer is at least 1 in absolute value, so
+    a nonzero entry has |c| >= H**-(D - 1), and a ball inside that bound
+    holds only 0.
     """
     labels = frozenset(v.m for row in rows for v in row if isinstance(v, _NegCos))
-    rational = [Fraction(v).denominator for row in rows for v in row if not isinstance(v, _NegCos)]
-    scale = math.lcm(2 if labels else 1, *rational)
+    scale = math.lcm(2 if labels else 1, *{v.denominator for row in rows for v in row if not isinstance(v, _NegCos)})
     if not labels:
-        return [_sign(c) for c in char_poly([[int(v * scale) for v in row] for row in rows])]
-    n, half = len(rows), scale // 2
+        return _eliminate([[v.numerator * scale // v.denominator for v in row] for row in rows],
+                          lambda j, c: c == 0, 0)
+    half = scale // 2
     # D >= phi(2m)/2 >= sqrt(m)/2 for each label: that cheaper exponent rules
     # most balls out before the factorizations behind D are needed
     low = max(math.isqrt(m) for m in labels) // 2
 
-    def proved_zero(k: int, c) -> bool:
-        j = n - k  # H**2 = C(n, j)**2 s**(2j) j**j is an integer
-        h2 = math.comb(n, j) ** 2 * scale ** (2 * j) * j**j
+    def proved_zero(j: int, c) -> bool:
+        if isinstance(c, int):
+            return c == 0
+        h2 = _hadamard_sq(scale, j)
         return c.below(h2, low - 1) and c.below(h2, _degree_bound(labels) - 1)
 
-    prec = 64
+    # random forms of rank n up to 100 need fewer than 64 + n bits
+    prec = 64 + len(rows)
     while True:
-        chi = char_poly([[-half * two_cos_pi_over(v.m, prec) if isinstance(v, _NegCos) else int(v * scale)
-                          for v in row] for row in rows])
-        signs = [_sign(c) if isinstance(c, int) else c.sign() for c in chi]
-        if all(s or isinstance(c, int) or proved_zero(k, c) for k, (c, s) in enumerate(zip(chi, signs))):
-            return signs
+        counts = _eliminate([[-half * two_cos_pi_over(v.m, prec) if isinstance(v, _NegCos)
+                              else v.numerator * scale // v.denominator for v in row] for row in rows],
+                            proved_zero, prec)
+        if counts:
+            return counts
         prec *= 2
+
+
+def _hadamard_sq(scale: int, j: int) -> int:
+    """H**2 for H = (scale sqrt(j))**j, Hadamard's bound on a j-minor with entries in [-scale, scale]."""
+    return scale ** (2 * j) * j**j
+
+
+def _sign(c) -> int:
+    if isinstance(c, int):
+        return (c > 0) - (c < 0)
+    return c.sign()
+
+
+def _eliminate(s: list[list], proved_zero: Callable, prec: int) -> tuple[int, int, int] | None:
+    """(p, q, r) of the symmetric matrix ``s`` of ints and balls at ``prec``,
+    or None when a sign is neither certified nor proved 0.
+
+    Bareiss's fraction-free elimination with symmetric pivoting: after k
+    pivots, prev is the leading principal k-minor in pivot order and the
+    trailing block holds the bordered (k + 1)-minors, so every division is
+    exact.  By Jacobi's rule on those leading minors (Gantmacher, Theory of
+    Matrices I, X.3) a pivot adds to p when its sign is that of prev and
+    to q otherwise.  When the trailing diagonal is 0 and an entry b is not,
+    one step on the pair [[0, b], [b, 0]] adds one to each and prev becomes
+    -b**2 / prev; a trailing block of zeros adds its size to r.  ``s`` is
+    overwritten; ``proved_zero(j, c)`` says whether the j-minor c is 0.
+    """
+    n = len(s)
+    rest = list(range(n))
+    prev, prev_sign, p, q = 1, 1, 0, 0
+
+    def size(c):
+        return abs(c) << prec if isinstance(c, int) else abs(c.mid)
+
+    def div(a, b):
+        return a // b if isinstance(a, int) and isinstance(b, int) else a / b
+
+    while rest:
+        j = n - len(rest) + 1
+        signed = [i for i in rest if _sign(s[i][i])]
+        if signed:
+            t = max(signed, key=lambda i: size(s[i][i]))
+            rest.remove(t)
+            piv, top = s[t][t], s[t]
+            for at, i in enumerate(rest):
+                row, left = s[i], s[i][t]
+                for k in rest[at:]:
+                    row[k] = s[k][i] = div(piv * row[k] - left * top[k], prev)
+            sign = _sign(piv)
+            p, q = (p + 1, q) if sign == prev_sign else (p, q + 1)
+            prev, prev_sign = piv, sign
+            continue
+        if not all(proved_zero(j, s[i][i]) for i in rest):
+            return None
+        pairs = [(i, k) for at, i in enumerate(rest) for k in rest[at + 1:] if _sign(s[i][k])]
+        if not pairs:
+            zero = all(proved_zero(j, s[i][k]) for at, i in enumerate(rest) for k in rest[at + 1:])
+            return (p, q, len(rest)) if zero else None
+        u, v = max(pairs, key=lambda ik: size(s[ik[0]][ik[1]]))
+        b, prev2 = s[u][v], prev * prev
+        if not _sign(prev2):
+            return None
+        rest.remove(u)
+        rest.remove(v)
+        # each new entry times prev**2 is det [[0, b, S_uk], [b, 0, S_vk], [S_iu, S_iv, S_ik]]
+        for at, i in enumerate(rest):
+            row, su, sv = s[i], s[i][u], s[i][v]
+            for k in rest[at:]:
+                row[k] = s[k][i] = div(b * (s[v][k] * su + s[u][k] * sv - b * row[k]), prev2)
+        prev, prev_sign = div(-(b * b), prev), -prev_sign
+        if _sign(prev) != prev_sign:  # a ball that holds 0
+            return None
+        p, q = p + 1, q + 1
+    return p, q, 0
 
 
 @lru_cache(maxsize=256)

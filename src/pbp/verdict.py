@@ -1,4 +1,5 @@
-"""Verdict values shared by the deciders and the rules engine."""
+"""Verdict values shared by the deciders and the rules engine, and their
+strict reading of integers in JSON input."""
 
 from __future__ import annotations
 
@@ -61,3 +62,17 @@ class Verdict:
             "certificate": self.certificate,
             "trace": [t.to_json() for t in self.trace],
         }
+
+
+def json_int(value, what: str) -> int:
+    """``value`` as ``int`` reads it, refusing bools and non-integral floats.
+
+    Every refusal is a ValueError naming ``what``, so the CLI reports it as
+    invalid input.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from exc

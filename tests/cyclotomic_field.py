@@ -10,7 +10,9 @@ Newton's method refines the enclosure of theta, and an outward-rounded sign
 change of the minimal polynomial inside a seed interval that isolates theta
 certifies it.  Floating point only places the seed, which is certified by a
 sign change as well.  ``zeta_signature`` reads the signature of a Coxeter
-matrix's form from a Berkowitz characteristic polynomial over Z[theta].
+matrix's form from a Berkowitz characteristic polynomial over Z[theta];
+``berkowitz_signature`` reads it from the same polynomial over the integer
+balls of ``pbp.algebraic``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from pbp.algebraic import two_cos_pi_over
+from pbp.coxeter import _degree_bound, _NegCos
 from pbp.linalg import char_poly
 from pbp.poly import poly_divmod_monic, poly_gcdext, poly_mul, poly_scale, poly_trim
 
@@ -447,3 +451,62 @@ def zeta_signature(matrix) -> tuple[int, int, int]:
 
     r = next(k for k, s in enumerate(signs) if s)
     return changes(signs), changes([s if k % 2 == 0 else -s for k, s in enumerate(signs)]), r
+
+
+# ---------------------------------------------------------------------------
+# the signature of a form from its characteristic polynomial on integer balls
+
+
+def _sign_changes(signs: list[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+
+
+def berkowitz_signature(form) -> tuple[int, int, int]:
+    """(p, q, r) of a ``pbp.coxeter.SymmetricForm``, by Descartes' rule.
+
+    chi(x) = det(xI - sB), s the scale of ``char_poly_signs``, is
+    real-rooted, so the count is exact: r is the number of vanishing
+    low-order coefficients, p the sign changes of the rest and q those of
+    chi(-x).  The form is taken as one block.
+    """
+    signs = char_poly_signs(form.rows)
+    r = next(k for k, s in enumerate(signs) if s)
+    return _sign_changes(signs), _sign_changes([s if k % 2 == 0 else -s for k, s in enumerate(signs)]), r
+
+
+def char_poly_signs(rows) -> list[int]:
+    """Certified signs of the coefficients of det(xI - sB), low to high.
+
+    Rational entries are scaled to integers by the lcm s of their
+    denominators.  With entries -cos(pi/m), s is also even, so sB has
+    algebraic-integer entries s/2 * (-2 cos(pi/m)), and Berkowitz's
+    recurrence runs on integer balls at a precision that doubles from 64
+    bits until each coefficient's ball excludes 0 or proves it is 0.
+
+    The proof: every coefficient c_k lies in K = Q(cos(pi/m) : m a label),
+    of degree at most D (``pbp.coxeter._degree_bound``).  Each Galois
+    conjugate of c_k is a sum of C(n, j) principal j-minors, j = n - k, of a
+    real symmetric matrix with entries in [-s, s], so its absolute value is
+    at most H = C(n, j) (s sqrt(j))**j.  A nonzero c_k thus has
+    |c_k| >= H**-(D - 1).
+    """
+    labels = frozenset(v.m for row in rows for v in row if isinstance(v, _NegCos))
+    rational = [Fraction(v).denominator for row in rows for v in row if not isinstance(v, _NegCos)]
+    scale = math.lcm(2 if labels else 1, *rational)
+    if not labels:
+        return [(c > 0) - (c < 0) for c in char_poly([[int(v * scale) for v in row] for row in rows])]
+    n, half = len(rows), scale // 2
+
+    def proved_zero(k: int, c) -> bool:
+        j = n - k  # H**2 = C(n, j)**2 s**(2j) j**j is an integer
+        return c.below(math.comb(n, j) ** 2 * scale ** (2 * j) * j**j, _degree_bound(labels) - 1)
+
+    prec = 64
+    while True:
+        chi = char_poly([[-half * two_cos_pi_over(v.m, prec) if isinstance(v, _NegCos) else int(v * scale)
+                          for v in row] for row in rows])
+        signs = [(c > 0) - (c < 0) if isinstance(c, int) else c.sign() for c in chi]
+        if all(s or isinstance(c, int) or proved_zero(k, c) for k, (c, s) in enumerate(zip(chi, signs))):
+            return signs
+        prec *= 2

@@ -16,7 +16,7 @@ from cyclotomic_field import (
     poly_negate_variable,
     two_cos_minpoly,
 )
-from pbp.algebraic import _pi, two_cos_pi_over
+from pbp.algebraic import _Ball, _pi, two_cos_pi_over
 from pbp.linalg import char_poly
 
 
@@ -213,3 +213,46 @@ def test_two_cos_enclosure_holds_the_value(prec):
             assert ball.prec == prec and ball.rad <= 4, m
             value = 2 * mp.cos(mp.pi / m) * mp.mpf(2) ** prec
             assert ball.mid - ball.rad - tol <= value <= ball.mid + ball.rad + tol, m
+
+
+def _points(ball):
+    """Exact reals of the ball, as multiples of 2**-prec: both ends, the midpoint and two inside."""
+    lo, hi = ball.mid - ball.rad, ball.mid + ball.rad
+    return [Fraction(v) for v in (lo, hi, ball.mid)] + [lo + Fraction(k, 3) * (hi - lo) for k in (1, 2)]
+
+
+def _encloses(ball, scaled):
+    return ball.mid - ball.rad <= scaled <= ball.mid + ball.rad
+
+
+def _balls(min_mid=-(1 << 80)):
+    return st.builds(lambda mid, rad, prec: _Ball(mid, rad, prec),
+                     st.integers(min_mid, 1 << 80), st.integers(0, 1 << 20), st.integers(0, 96))
+
+
+@settings(max_examples=300)
+@given(_balls(), _balls(), st.integers(-(1 << 40), 1 << 40))
+def test_ball_division_encloses_every_exact_quotient(x, y, d):
+    # x / y and y's precision made equal; the quotient of any two points of
+    # the operands lies in the result, to the last unit
+    y = _Ball(y.mid, y.rad, x.prec)
+    if abs(y.mid) > y.rad:
+        q = x / y
+        assert q.prec == x.prec
+        for a in _points(x):
+            for b in _points(y):
+                assert _encloses(q, a / b * 2**x.prec), (a, b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if d:
+        q = x / d
+        assert all(_encloses(q, a / d) for a in _points(x))
+
+
+@given(_balls(), st.integers(-(1 << 40), 1 << 40))
+def test_integer_minus_ball_encloses_every_difference(x, k):
+    diff = k - x
+    assert diff.prec == x.prec
+    assert all(_encloses(diff, (k << x.prec) - a) for a in _points(x))
+    assert all(_encloses(x - k, a - (k << x.prec)) for a in _points(x))

@@ -84,6 +84,54 @@ def test_coxeter_large_labels(tmp_path, capsys):
     assert out["components"][0]["signature"] == [2, 1, 0]
 
 
+@pytest.mark.parametrize("matrix", [
+    {"n": 2, "m": [[1, 3.7], [3.7, 1]]},
+    {"n": 2, "m": [[1, 2.5], [2.5, 1]]},
+    {"n": 2, "m": [[1, True], [True, 1]]},
+    {"n": 2.5, "m": [[1, 3], [3, 1]]},
+    {"n": 2, "m": [[1, None], [None, 1]]},
+], ids=["label-3.7", "label-2.5", "label-true", "n-2.5", "label-null"])
+def test_coxeter_refuses_non_integral_entries(tmp_path, capsys, matrix):
+    code, out, err = run(capsys, ["coxeter", "-i", write(tmp_path, "m.json", matrix)])
+    assert code == 2 and out is None
+    assert err.startswith("invalid input:") and "must be an integer" in err
+
+
+def test_coxeter_accepts_integral_floats(tmp_path, capsys):
+    floats = write(tmp_path, "f.json", {"n": 3.0, "m": [[1, 3.0, 2], [3.0, 1.0, "inf"], [2, "inf", 1]]})
+    ints = write(tmp_path, "i.json", {"n": 3, "m": [[1, 3, 2], [3, 1, "inf"], [2, "inf", 1]]})
+    assert run(capsys, ["coxeter", "-i", floats]) == run(capsys, ["coxeter", "-i", ints])
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "bs", "m": 2.5, "n": -2},
+    {"kind": "bs", "m": 2, "n": True},
+    {"kind": "free_product", "factors": [2.5, 2]},
+    {"kind": "free_product", "factors": [2, False]},
+    {"kind": "direct_product_of_infinite", "count": 2.5},
+    {"kind": "direct_product_of_infinite", "count": True},
+    {"kind": "coxeter", "matrix": {"n": 2, "m": [[1, 3.7], [3.7, 1]]}},
+    {"kind": "flagged", "flags": {"virtually": {"form": "free-abelian", "rank": 2.5}}},
+    {"kind": "flagged", "flags": {"virtually": {"form": "product-of-free-groups", "ranks": [2.7, 3]}}},
+], ids=["bs-m", "bs-n-bool", "factor", "factor-bool", "count", "count-bool", "coxeter-label",
+        "virtually-rank", "virtually-ranks"])
+def test_classify_refuses_non_integral_numbers(tmp_path, capsys, descriptor):
+    code, out, err = run(capsys, ["classify", "-i", write(tmp_path, "d.json", descriptor)])
+    assert code == 2 and out is None
+    assert err.startswith("invalid input:") and "must be an integer" in err
+
+
+@pytest.mark.parametrize("floats, ints", [
+    ({"kind": "bs", "m": 2.0, "n": -2.0}, {"kind": "bs", "m": 2, "n": -2}),
+    ({"kind": "free_product", "factors": [2.0, "inf"]}, {"kind": "free_product", "factors": [2, "inf"]}),
+    ({"kind": "direct_product_of_infinite", "count": 2.0}, {"kind": "direct_product_of_infinite", "count": 2}),
+])
+def test_classify_accepts_integral_floats(tmp_path, capsys, floats, ints):
+    a = run(capsys, ["classify", "-i", write(tmp_path, "f.json", floats)])
+    b = run(capsys, ["classify", "-i", write(tmp_path, "i.json", ints)])
+    assert a == b and a[0] == 0
+
+
 def test_bs_command_with_checks(capsys):
     code, out, _ = run(capsys, ["bs", "2", "-2", "--witness", "--verify-bound", "5"])
     assert code == 0
@@ -263,7 +311,7 @@ def test_subcommands_load_only_their_modules(tmp_path):
     cases = [
         (["abels", "--prime", "3", "--trials", "20"], "pbp.abels",
          {"pbp.lie", "pbp.coxeter", "pbp.presentations"}),
-        (["coxeter", "-i", matrix], "pbp.coxeter", {"pbp.lie", "pbp.bs", "pbp.poly"}),
+        (["coxeter", "-i", matrix], "pbp.coxeter", {"pbp.lie", "pbp.bs", "pbp.poly", "pbp.linalg"}),
     ]
     for golden in sorted(GOLDEN.glob("*.json")):
         descriptor = json.loads(golden.read_text())["descriptor"]
@@ -275,6 +323,18 @@ def test_subcommands_load_only_their_modules(tmp_path):
         code, _, loaded = run_fresh(argv)
         assert code == 0, argv
         assert own in loaded and not loaded & absent, (argv, sorted(loaded))
+
+
+@pytest.mark.parametrize("argv", [["bs", "2", "3"], ["bs", "0", "1"]], ids=["verdict", "invalid"])
+def test_python_dash_m_runs_the_cli(capsys, argv):
+    """``python -m pbp`` from a checkout prints what main prints and exits with its code."""
+    proc = subprocess.run([sys.executable, "-m", "pbp", *argv], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    loaded = python("import json, sys, pbp\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('pbp'))))")
+    assert json.loads(loaded.stdout) == ["pbp"]
 
 
 @pytest.mark.parametrize("argv", [
