@@ -176,6 +176,8 @@ class GroupDescriptor:
 
 
 def descriptor_from_json(obj: dict) -> GroupDescriptor:
+    if not isinstance(obj, dict):
+        raise ValueError("a descriptor must be a JSON object")
     kind = obj.get("kind")
     if kind == "coxeter":
         from .coxeter import coxeter_from_json
@@ -184,9 +186,10 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
     if kind == "bs":
         return GroupDescriptor("bs", bs=(json_int(obj["m"], "m"), json_int(obj["n"], "n")))
     if kind == "free_product":
-        factors = tuple(
-            INF_ENDS if f == "inf" else json_int(f, "a factor") for f in obj.get("factors", [])
-        )
+        raw = obj.get("factors", [])
+        if not isinstance(raw, list):
+            raise ValueError("factors must be a list")
+        factors = tuple(INF_ENDS if f == "inf" else json_int(f, "a factor") for f in raw)
         return GroupDescriptor("free_product", factors=factors)
     if kind == "direct_product_of_infinite":
         return GroupDescriptor("direct_product_of_infinite", count=json_int(obj["count"], "count"))
@@ -195,6 +198,8 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
         if obj.get("presentation") is not None:
             pres = presentation_from_json(obj["presentation"])
         raw = obj.get("flags", {})
+        if not isinstance(raw, dict):
+            raise ValueError("flags must be a JSON object")
         unknown = set(raw) - set(_FLAG_KEYS)
         if unknown:
             raise ValueError(f"unknown flags: {sorted(unknown)}")

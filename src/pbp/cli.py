@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .verdict import InternalVerificationError
+from .verdict import InternalVerificationError, json_int
 
 
 def _load(path: str) -> dict:
@@ -98,7 +98,10 @@ def cmd_subgroup(args) -> int:
 
     pres = presentation_from_json(_load(args.input))
     hom = _load(args.hom)
-    images = [tuple(p) for p in hom["images"]]
+    images = hom.get("images") if isinstance(hom, dict) else None
+    if not isinstance(images, list) or any(not isinstance(p, list) for p in images):
+        raise ValueError('the --hom file must hold {"images": [permutation, ...]}')
+    images = [tuple(json_int(v, "a permutation entry") for v in p) for p in images]
     table = coset_enumerate(pres, images)
     data = reidemeister_schreier_data(pres, table)
     invariants = abelianization(data.presentation)

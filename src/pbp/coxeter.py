@@ -89,12 +89,12 @@ def coxeter_from_json(obj: dict) -> CoxeterMatrix:
         raw = obj["m"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad Coxeter matrix object: {exc}") from exc
-    if len(raw) != n:
-        raise ValueError("matrix size disagrees with n")
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ValueError("m must be a list of n rows")
     rows = []
     for row in raw:
-        if len(row) != n:
-            raise ValueError("matrix size disagrees with n")
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError("each row of m must be a list of n labels")
         rows.append(tuple(INF if v == "inf" else json_int(v, "a Coxeter label") for v in row))
     return CoxeterMatrix(tuple(rows))
 
@@ -150,6 +150,8 @@ class SymmetricForm:
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
         for i in range(self.n):
+            if len(self.rows[i]) != self.n:
+                raise ValueError("form must be square")
             if self.rows[i][i] != 1:
                 raise ValueError("diagonal entries must be exactly 1")
             for j in range(i + 1, self.n):

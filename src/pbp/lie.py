@@ -47,7 +47,7 @@ from .linalg import (
     zero_vec,
 )
 from .poly import factor_over_q, poly_divmod, poly_gcdext, poly_mul, squarefree_part
-from .verdict import Answer, InternalVerificationError
+from .verdict import Answer, InternalVerificationError, json_int
 
 
 class InvalidAlgebra(Exception):
@@ -1062,22 +1062,29 @@ def algebra_from_json(obj: dict) -> LieAlgebra:
     conflicting duplicate entries are rejected.
     """
     try:
-        dim = int(obj["dim"])
-        labels = tuple(obj["basis"])
+        dim = json_int(obj["dim"], "dim")
+        labels = obj["basis"]
         entries = list(obj.get("brackets", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"bad algebra object: {exc}") from exc
+    if not isinstance(labels, list) or any(not isinstance(lab, str) for lab in labels):
+        raise ValueError("basis must be a list of labels")
+    labels = tuple(labels)
     if len(labels) != dim or len(set(labels)) != dim:
         raise ValueError("basis must list dim distinct labels")
     index = {lab: i for i, lab in enumerate(labels)}
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for entry in entries:
+        if not isinstance(entry, dict) or not isinstance(entry.get("value"), dict):
+            raise ValueError(f"bad bracket {entry!r}")
         try:
             i, j = index[entry["x"]], index[entry["y"]]
             value = {index[lab]: Fraction(text) for lab, text in entry["value"].items()}
         except KeyError as exc:
             raise ValueError(f"unknown basis label {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"bad bracket {entry!r}: {exc}") from exc
         if (i, j) in seen or (j, i) in seen:
             raise ValueError(f"duplicate bracket for ({entry['x']}, {entry['y']})")
         seen.add((i, j))

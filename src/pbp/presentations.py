@@ -17,14 +17,17 @@ generators and relators of total length R:
 - The Reidemeister-Schreier rewrite reads, per letter x and coset c, the
   signed Schreier generator ``gen_at[x][c]`` and the next coset: again
   R * d lookups, plus the Word output.
-- ``abelianization`` takes the one- and two-entry rows with a +-1 from a
-  queue, each costing the length of its column, and only then the
-  remaining +-1 pivots from a Markowitz heap.
+- ``abelianization`` and ``smith_normal_form`` run one sparse
+  elimination, ``_sparse_smith``.  It takes the one- and two-entry rows
+  with a +-1 from a stack, each costing the length of its column, and the
+  other pivots from a heap, least |entry| and then least Markowitz cost
+  first.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -396,75 +399,14 @@ class AbelianInvariants:
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Returns nonnegative d_1 | d_2 | ... (zeros included), computed with
-    exact arbitrary-precision arithmetic.
+    Returns nonnegative d_1 | d_2 | ..., min(m, n) entries with the zeros
+    last, computed exactly by the sparse elimination ``_sparse_smith``.
     """
-    a = [list(map(int, row)) for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        # find a pivot of least absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        # clear row and column t; swapping in smaller remainders until done
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # enforce divisibility of everything below-right by the pivot
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
-            continue
-        diag.append(abs(p))
-        t += 1
-    while len(diag) < min(m, n):
-        diag.append(0)
-    return diag
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    units, chain = _sparse_smith([{j: int(v) for j, v in enumerate(row) if v} for row in rows])
+    diag = [1] * units + chain
+    return diag + [0] * (min(m, n) - len(diag))
 
 
 def _exponent_rows(pres: FinitePresentation) -> list[dict[int, int]]:
@@ -490,26 +432,38 @@ def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
     return out
 
 
-def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
-    """Eliminate the +-1 pivots of a sparse integer matrix, in place.
+def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
+    """Smith diagonal of a sparse integer matrix, rows ``{column: entry}``.
 
-    Returns the number of pivots taken, each a 1 on the Smith diagonal, and
-    the dense remainder, whose Smith diagonal supplies the rest.  Repeated
-    rows are dropped first: Reidemeister-Schreier rewrites a relator at every
-    coset on its cycle to the same exponent row.
+    Returns the number of +-1 pivots, each a 1 on the diagonal, and the
+    other nonzero diagonal entries as a chain d_1 | d_2 | ... (which may
+    begin with 1s); the rest of the diagonal is 0.  The rows are consumed.
+    Repeated rows are dropped first: Reidemeister-Schreier rewrites a
+    relator at every coset on its cycle to the same exponent row.
 
-    A pivot at (i, j) clears column j by row operations; column operations
-    then clear row i without touching any other row, so row i and column j
-    drop out.  Two stages choose the pivots (Havas-Holt-Rees, "Recognizing
-    badly presented Z-modules", 1993):
+    A pivot p at (i, j) runs in two steps:
 
-    - a queue takes every row of one or two entries with a +-1 among them.
-      A one-entry row only deletes its column; a two-entry row substitutes
-      one column for the other, so neither lengthens any row.
-    - a heap takes the rest in Markowitz order, least (row nnz - 1) *
-      (column nnz - 1) first, which keeps fill-in low.  It holds each row
-      with the cost of its cheapest +-1 when pushed; a row whose cost has
-      grown since is pushed back.
+    - row operations with floor quotients reduce column j modulo p;
+    - once column j is clear, column operations reduce row i modulo p, and
+      they touch row i alone.
+
+    When both are clear, |p| is a diagonal entry; a +-1 clears both at
+    once.  Otherwise the changed rows are keyed again, with a remainder
+    smaller than |p| among them.  Pivots are chosen as in Havas-Holt-Rees,
+    "Recognizing badly presented Z-modules" (1993):
+
+    - a stack takes the rows of one or two entries with a +-1 among them.
+      Such a pivot substitutes one column for another, or deletes one, so
+      it lengthens no row;
+    - when the stack is empty, a heap takes the row of least |entry|, and
+      among those the least Markowitz cost (row nnz - 1) * (column nnz - 1),
+      which keeps fill-in low.  It is built when the stack first runs dry;
+      rows changed after that are keyed again before the next heap pivot,
+      and a row whose cost has grown is pushed back.  So p is the least
+      entry of the matrix, each remainder makes the next pivot smaller, and
+      the elimination ends.
+
+    One gcd/lcm pass over the non-unit entries folds them into the chain.
     """
     distinct = {frozenset(row.items()): row for row in rows if row}
     live = dict(enumerate(distinct.values()))
@@ -518,20 +472,64 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[list[i
         for j in row:
             cols.setdefault(j, set()).add(i)
 
-    def eliminate(i: int, j: int) -> list[int]:
-        # pivot on the +-1 at (i, j); returns the other rows it changed
-        pivot_row = live.pop(i)
+    def key(i: int) -> tuple[int, int, int]:
+        row = live[i]
+        values = row.values()
+        least = 1 if 1 in values or -1 in values else min(map(abs, values))
+        count = min([len(cols[l]) for l, v in row.items() if v == least or v == -least])
+        return least, (len(row) - 1) * (count - 1), i
+
+    units = 0
+    chain: list[int] = []
+    stack = list(live)
+    heap: list[tuple[int, int, int]] | None = None  # built when the stack first runs dry
+    dirty: set[int] = set()  # rows changed since, to key before the next heap pivot
+    while True:
+        if stack:
+            i = stack.pop()
+            pivot_row = live.get(i)
+            if pivot_row is None or len(pivot_row) > 2:
+                continue
+            values = pivot_row.values()
+            if 1 not in values and -1 not in values:
+                continue
+            least = 1
+        else:
+            if heap is None:
+                heap = [key(k) for k in live]
+                heapq.heapify(heap)
+            for k in dirty:
+                if k in live:
+                    heapq.heappush(heap, key(k))
+            dirty.clear()
+            if not heap:
+                break
+            popped = heapq.heappop(heap)
+            i = popped[2]
+            if i not in live:  # emptied or taken since it was pushed
+                continue
+            best = key(i)
+            if best > popped:
+                heapq.heappush(heap, best)
+                continue
+            pivot_row = live[i]
+            least = best[0]
+        # the entry of absolute value least in the shortest column
+        j = min((len(cols[l]), l) for l, v in pivot_row.items() if v == least or v == -least)[1]
+
         p = pivot_row.pop(j)
-        for l in pivot_row:
-            cols[l].discard(i)
-        others = cols.pop(j)
-        others.discard(i)
+        column = cols.pop(j)
+        column.discard(i)
         changed = []
-        for k in others:
+        kept = [i]  # rows left with an entry in column j
+        for k in column:
             row = live[k]
-            f = row.pop(j) * p  # p is its own inverse
+            q, r = divmod(row.pop(j), p)  # q != 0: no entry is smaller than p
+            if r:
+                row[j] = r
+                kept.append(k)
             for l, v in pivot_row.items():
-                w = row.get(l, 0) - f * v
+                w = row.get(l, 0) - q * v
                 if w:
                     if l not in row:
                         cols[l].add(k)
@@ -543,66 +541,45 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[list[i
                 changed.append(k)
             else:
                 del live[k]
-        return changed
+        if p == 1 or p == -1:
+            # column operations clear row i and touch no other row
+            for l in pivot_row:
+                cols[l].discard(i)
+            del live[i]
+            units += 1
+        else:
+            if len(kept) == 1:
+                # column j is clear, so column operations change row i alone
+                for l, v in list(pivot_row.items()):
+                    if v % p:
+                        pivot_row[l] = v % p
+                    else:
+                        del pivot_row[l]
+                        cols[l].discard(i)
+            if len(kept) > 1 or pivot_row:
+                pivot_row[j] = p
+                cols[j] = set(kept)
+                changed.append(i)
+            else:
+                del live[i]
+                chain.append(abs(p))
+        stack.extend(k for k in changed if len(live[k]) <= 2)
+        if heap is not None:
+            dirty.update(changed)
 
-    def cheapest(i: int) -> tuple[int, int] | None:
-        # least Markowitz cost of a +-1 in live row i, and its column
-        if i not in live:  # emptied or taken since it was queued
-            return None
-        row = live[i]
-        units = [(len(cols[j]), j) for j, v in row.items() if v == 1 or v == -1]
-        if not units:
-            return None
-        count, j = min(units)
-        return (len(row) - 1) * (count - 1), j
-
-    pivots = 0
-    queue = [i for i, row in live.items() if len(row) <= 2]
-    while queue:
-        i = queue.pop()
-        best = cheapest(i)
-        if best is not None:
-            queue.extend(k for k in eliminate(i, best[1]) if len(live[k]) <= 2)
-            pivots += 1
-
-    heap: list[tuple[int, int]] = []
-
-    def push(i: int) -> None:
-        best = cheapest(i)
-        if best is not None:
-            heapq.heappush(heap, (best[0], i))
-
-    for i in live:
-        push(i)
-    while heap:
-        cost, i = heapq.heappop(heap)
-        best = cheapest(i)
-        if best is None:
-            continue
-        now, j = best
-        if now > cost:
-            heapq.heappush(heap, (now, i))
-            continue
-        for k in eliminate(i, j):
-            push(k)
-        pivots += 1
-
-    used = sorted({j for row in live.values() for j in row})
-    return pivots, [[row.get(j, 0) for j in used] for row in live.values()]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = math.gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] // g * chain[b]
+    return units, chain
 
 
 def abelianization(pres: FinitePresentation) -> AbelianInvariants:
-    """Invariants of the abelianized group, via Smith normal form.
-
-    Unit pivots of the sparse exponent-sum matrix are eliminated first, and
-    only what remains goes to the dense ``smith_normal_form``.
-    """
-    units, rest = _eliminate_unit_pivots(_exponent_rows(pres))
-    diag = smith_normal_form(rest) if rest else []
-    rank = units + sum(1 for v in diag if v)
-    torsion = tuple(v for v in diag if v > 1)
-    return AbelianInvariants(pres.generator_count - rank, torsion)
-
+    """Invariants of the abelianized group, from the Smith normal form of
+    the sparse exponent-sum matrix."""
+    units, chain = _sparse_smith(_exponent_rows(pres))
+    torsion = tuple(v for v in chain if v > 1)
+    return AbelianInvariants(pres.generator_count - units - len(chain), torsion)
 
 # ---------------------------------------------------------------------------
 # JSON interface
@@ -611,12 +588,14 @@ def abelianization(pres: FinitePresentation) -> AbelianInvariants:
 def presentation_from_json(obj: dict) -> FinitePresentation:
     """Parse ``{"generators": [...], "relators": ["t s^2 t^-1 s^-2", ...]}``."""
     try:
-        names = list(obj["generators"])
-        relator_texts = list(obj.get("relators", []))
+        names = obj["generators"]
+        relator_texts = obj.get("relators", [])
     except (KeyError, TypeError) as exc:
         raise PresentationFormatError(f"bad presentation object: {exc}") from exc
-    if not names or any(not isinstance(s, str) for s in names):
+    if not isinstance(names, list) or not names or any(not isinstance(s, str) for s in names):
         raise PresentationFormatError("generators must be a nonempty list of names")
+    if not isinstance(relator_texts, list) or any(not isinstance(s, str) for s in relator_texts):
+        raise PresentationFormatError("relators must be a list of words")
     try:
         relators = tuple(parse_word(text, names) for text in relator_texts)
     except ValueError as exc:

@@ -222,6 +222,14 @@ def test_subgroup_command(tmp_path, capsys):
     assert out["subgroup_relators"] == 4
     assert out["abelianization"] == {"free_rank": 4, "torsion": []}
 
+    # <a | a^4> onto the trivial group: the whole group, Z/4
+    pres = write(tmp_path, "c4.json", {"generators": ["a"], "relators": ["a^4"]})
+    hom = write(tmp_path, "trivial.json", {"images": [[0]]})
+    code, out, _ = run(capsys, ["subgroup", "-i", pres, "--hom", hom])
+    assert code == 0
+    assert (out["index"], out["subgroup_generators"], out["subgroup_relators"]) == (1, 1, 1)
+    assert out["abelianization"] == {"free_rank": 0, "torsion": [4]}
+
 
 def test_subgroup_relator_not_killed(tmp_path, capsys):
     pres = write(tmp_path, "p.json", {"generators": ["s"], "relators": ["s^2"]})
@@ -343,11 +351,28 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
     ["subgroup", "-i", {"generators": ["s"], "relators": ["s^2"]}, "--hom", {"images": [[1, 2, 0]]}],
     ["lie", "-i", JACOBI_FAILS],
     ["bs", "0", "1"],
+    ["coxeter", "-i", {"n": 2, "m": 5}],
+    ["coxeter", "-i", {"n": 2, "m": [[1, 3], 3]}],
+    ["classify", "-i", {"kind": "coxeter", "matrix": {"n": 2, "m": 5}}],
+    ["subgroup", "-i", {"generators": ["s"], "relators": ["s^2"]}, "--hom", {"images": 5}],
+    ["lie", "-i", {"dim": True, "basis": ["x"]}],
+    ["lie", "-i", {"dim": 2.5, "basis": ["x", "y"]}],
+    ["lie", "-i", {"dim": 2, "basis": "xy"}],
+    ["lie", "-i", {"dim": 1, "basis": ["x"], "brackets": [5]}],
+    ["subgroup", "-i", {"generators": ["s"], "relators": ["s^2"]}, "--hom", {"images": [[1, "a"]]}],
+    ["subgroup", "-i", {"generators": ["s"], "relators": [5]}, "--hom", {"images": [[0]]}],
+    ["subgroup", "-i", {"generators": "st", "relators": []}, "--hom", {"images": [[0], [0]]}],
+    ["classify", "-i", [1]],
+    ["classify", "-i", {"kind": "flagged", "flags": 5}],
+    ["classify", "-i", {"kind": "free_product", "factors": 5}],
 ], ids=["InconsistentInput", "PresentationFormatError", "RelatorNotKilled", "InvalidAlgebra",
-        "ZeroParameter"])
+        "ZeroParameter", "CoxeterRowsNotAList", "CoxeterRowNotAList", "ClassifyCoxeterRowsNotAList",
+        "ImagesNotAList", "LieDimBool", "LieDimFloat", "LieBasisNotAList", "LieBracketNotAnObject",
+        "ImageEntryNotAnInteger", "RelatorNotAString", "GeneratorsNotAList", "DescriptorNotAnObject",
+        "FlagsNotAnObject", "FactorsNotAList"])
 def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     """Each pbp input error exits 2 although main loads its module only on demand."""
-    argv = [write(tmp_path, f"{i}.json", a) if isinstance(a, dict) else a for i, a in enumerate(argv)]
+    argv = [a if isinstance(a, str) else write(tmp_path, f"{i}.json", a) for i, a in enumerate(argv)]
     code, err, _ = run_fresh(argv)
     assert code == 2
     assert err.startswith("invalid input: ") and "Traceback" not in err

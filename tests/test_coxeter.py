@@ -290,6 +290,13 @@ def test_json_rejects_bad_input():
         CoxeterMatrix(((1, 3), (4, 1)))
 
 
+@pytest.mark.parametrize("rows", [[[1, 0, 5], [0, 1]], [[1], [0, 1]], [[1, 0], [0]]])
+def test_symmetric_form_refuses_ragged_rows(rows):
+    """A form with n rows must have n entries in each."""
+    with pytest.raises(ValueError, match="square"):
+        SymmetricForm.from_rational_matrix(rows)
+
+
 # --- high-degree fields, relabelling, classical triangle rule -----------------
 
 
