@@ -203,11 +203,28 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
         unknown = set(raw) - set(_FLAG_KEYS)
         if unknown:
             raise ValueError(f"unknown flags: {sorted(unknown)}")
-        values = {_FLAG_KEYS[key]: value for key, value in raw.items()}
-        if values.get("ends") == "inf":
-            values["ends"] = INF_ENDS
+        values = {_FLAG_KEYS[key]: _flag_value(key, value) for key, value in raw.items()}
         return GroupDescriptor("flagged", presentation=pres, flags=Flags(**values))
     raise ValueError(f"unknown descriptor kind {kind!r}")
+
+
+_BOOL_FLAGS = {"infinite", "finitely-generated", "schreier", "l2-betti1-positive", "hyperbolic",
+               "elementary", "simple", "seifert"}
+
+
+def _flag_value(key: str, value):
+    """The value of flag ``key`` as the rules read it; ValueError if its JSON type is wrong."""
+    if value is None:
+        return None
+    if key in _BOOL_FLAGS and not isinstance(value, bool):
+        raise ValueError(f"flag {key} must be true or false, not {value!r}")
+    if key in ("vcd", "deficiency"):
+        return json_int(value, f"flag {key}")
+    if key == "ends" and value != INF_ENDS:
+        return json_int(value, "flag ends")
+    if key == "virtually" and not isinstance(value, dict):
+        raise ValueError(f"flag virtually must be a JSON object, not {value!r}")
+    return value
 
 
 # --- flag validation and derivations --------------------------------------------
@@ -339,13 +356,13 @@ def _virtually_conclusions(spec: dict) -> list[_Conclusion]:
         )
         return [head] + [_Conclusion(strength, entry) for entry in inner.trace]
     form = spec.get("form")
-    if form not in CITE_VIRTUAL_FORM:
+    if not isinstance(form, str) or form not in CITE_VIRTUAL_FORM:
         raise ValueError(f"unknown virtually form {form!r}")
     if form == "free-abelian" and json_int(spec.get("rank", 1), "rank") < 1:
         raise ValueError("free-abelian form needs rank >= 1")
     if form == "product-of-free-groups":
         ranks = spec.get("ranks", [1, 1])
-        if len(ranks) != 2 or min(json_int(r, "a rank") for r in ranks) < 1:
+        if not isinstance(ranks, list) or len(ranks) != 2 or min(json_int(r, "a rank") for r in ranks) < 1:
             raise ValueError("product-of-free-groups needs two ranks >= 1")
     return [
         _Conclusion(

@@ -27,6 +27,7 @@ from .linalg import (
     column_space,
     express,
     flatten,
+    hom_dimension,
     identity_matrix,
     is_zero_vec,
     mat_eq,
@@ -493,23 +494,7 @@ def _find_simple_inside(rows: tuple[Vec, ...], gens: list, rng):
 
 def _module_hom_nonzero(gens_a: list, gens_b: list, da: int, db: int) -> bool:
     """Is Hom(A, B) nonzero for modules given by parallel generator actions?"""
-    rows = []
-    for ga, gb in zip(gens_a, gens_b):
-        # phi ga = gb phi, phi is db x da
-        for i in range(db):
-            for j in range(da):
-                row = [0] * (db * da)
-                for k in range(da):
-                    if ga[k][j]:
-                        row[i * da + k] += ga[k][j]
-                for k in range(db):
-                    if gb[i][k]:
-                        row[k * da + j] -= gb[i][k]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return da > 0 and db > 0
-    return len(nullspace(rows, db * da)) > 0
+    return hom_dimension(gens_a, gens_b, da, db) > 0
 
 
 def _minimal_ideals(algebra: LieAlgebra, rng: random.Random):
@@ -523,7 +508,10 @@ def _minimal_ideals(algebra: LieAlgebra, rng: random.Random):
     n = algebra.dim
     ad_mats = [algebra.ad_basis(i) for i in range(n)]
     radical, soc_rows = _adjoint_socle(algebra, ad_mats)
-    ad_soc = [_restrict(m, soc_rows) for m in ad_mats] if radical else ad_mats
+    # the socle is an ideal, so ad restricts to it as a Lie homomorphism, and
+    # what commutes with the generators' restrictions commutes with all of ad L
+    ad_gens = [ad_mats[i] for i in _generators(algebra)]
+    ad_soc = [_restrict(m, soc_rows) for m in ad_gens] if radical else ad_gens
     components = _isotypic_components(ad_soc, len(soc_rows))
     if not radical:
         # a semisimple algebra is the direct sum of its simple ideals; each
@@ -594,39 +582,53 @@ def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec,
 def _isotypic_components(ad_soc: list, d: int) -> list:
     """Split the socle into isotypic components, rref rows each.
 
-    They are the images of the primitive idempotents of the centre of the
-    socle's endomorphism ring, a product of number fields.
+    ``ad_soc`` acts on the socle as a generating set of ad L does.  The
+    components are the images of the primitive idempotents of the centre C
+    of the socle's endomorphism ring.  The socle is a semisimple module, so
+    C is a product of number fields, and an element z generating C is
+    semisimple with one irreducible factor f of its minimal polynomial per
+    field.  The idempotent of that field projects onto ker f(z), so each
+    component is read off as that kernel.
     """
     endo = solve_commutant(ad_soc, d)
     if len(endo) == 1:
         return [Subspace.whole(d).rows]
     zcent = _centre_of_span(endo, d)
-    comps = [column_space(e) for e in _primitive_idempotents(zcent, d, ())]
+    z, mu = _generating_element(zcent, d, ())
+    comps = [rref(nullspace(poly_eval_matrix(f, z), d)) for f, _mult in factor_over_q(mu)]
     if sum(len(c) for c in comps) != d:
         raise InternalVerificationError("isotypic components do not span the socle")
     return comps
 
 
-def _primitive_idempotents(basis: list, n: int, radical: Sequence[Vec]) -> list:
-    """The primitive idempotents of the commutative algebra A spanned by ``basis``.
+def _generating_element(basis: list, n: int, radical: Sequence[Vec]) -> tuple[list, tuple]:
+    """(z, mu): an element z generating A / rad A, for the commutative algebra A
+    spanned by ``basis``, and its minimal polynomial mu mod rad A.
 
     ``radical`` holds the rref rows of rad A, as flattened matrices.  A/rad A
     is a product of number fields of total degree d, and z = sum_i c^i b_i
     generates it unless two of its d embeddings agree on z.  For each pair
     that happens only at the roots of a nonzero polynomial in c of degree
     < k = len(basis), so one of c = 1, ..., (k-1) d(d-1)/2 + 1 generates it;
-    when none does, A is not commutative.  The CRT idempotents of the
-    factors of z's minimal polynomial mod rad A lift to A by e <- 3e^2 - 2e^3,
-    which ends because rad A is nilpotent.
+    when none does, A is not commutative.
     """
     k, d = len(basis), len(basis) - len(radical)
     for c in range(1, (k - 1) * d * (d - 1) // 2 + 2):
         z = _combine([c**i for i in range(k)], basis, n)
         mu = min_poly_of_matrix(z, radical)
         if len(mu) - 1 == d:
-            break
-    else:
-        raise InternalVerificationError("no element generates A / rad A: A is not commutative")
+            return z, mu
+    raise InternalVerificationError("no element generates A / rad A: A is not commutative")
+
+
+def _primitive_idempotents(basis: list, n: int, radical: Sequence[Vec]) -> list:
+    """The primitive idempotents of the commutative algebra A spanned by ``basis``.
+
+    The CRT idempotents of the factors of the minimal polynomial mod rad A of
+    a generating element (``_generating_element``) lift to A by
+    e <- 3e^2 - 2e^3, which ends because rad A is nilpotent.
+    """
+    z, mu = _generating_element(basis, n, radical)
     idempotents = []
     for f, _mult in factor_over_q(mu):
         e = poly_eval_matrix(_crt_idempotent_poly(mu, f), z)
@@ -739,20 +741,28 @@ def _ordered(ideals) -> tuple[Subspace, ...]:
 
 def _generators(algebra: LieAlgebra) -> list[int]:
     """The indices i, in order, of each e_i outside the subalgebra that the
-    earlier picks generate; together they generate the algebra."""
+    earlier picks generate; together they generate the algebra.
+
+    Every Lie monomial in a set S is a combination of right-normed ones
+    [s_1, [s_2, ..., s_k]], so the subalgebra S generates is the span of S
+    and its images under iterated ad s, s in S: a spin.  Its vectors grow by
+    one ad matrix per step, where nested brackets of spun vectors add up
+    their sizes, which in a dense basis doubles them at every step.
+    """
     n = algebra.dim
-    span, elements, picks = SpanBuilder(n), [], []
+    span, elements, picks, ads = SpanBuilder(n), [], [], []
     for i in range(n):
         e = _unit(n, i)
         if span.contains(e):
             continue
         picks.append(i)
-        queue = [e]
+        ads.append(algebra.ad_basis(i))
+        queue = [mat_vec(ads[-1], v) for v in elements] + [e]
         while queue:
             v = queue.pop()
             if span.add(v):
-                queue.extend(algebra.bracket(u, v) for u in elements)
                 elements.append(v)
+                queue.extend(mat_vec(a, v) for a in ads)
     return picks
 
 

@@ -8,7 +8,13 @@ scaled to a primitive integer row and reduced in integers against them.  A
 vector that grows the span enters by one fraction-free Gauss-Jordan step
 (Bareiss, Math. Comp. 22, 1968).  No Fraction is built until the canonical
 rref, with pivots 1, is asked for; matrix products likewise run in integers
-over a common denominator.  Everything here is desk-scale (dimensions in the
+over a common denominator.
+
+Module maps, and so commutants, come from spinning, as in the MeatAxe (Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 7): a
+map is fixed by its values on the seeds of a spanning tree of the module, so
+a Hom space of Q^n into Q^p is solved in r p unknowns, r the number of
+seeds, instead of n p.  Everything here is desk-scale (dimensions in the
 low tens).
 """
 
@@ -88,16 +94,21 @@ class _Echelon:
         self.rows: list[list[int]] = []
         self.den = 1
 
+    def reduce(self, v: Sequence) -> list:
+        """den v minus the combination of rows that clears v at every pivot, for
+        an integer v; a new list."""
+        w = [self.den * x for x in v]
+        for p, r in zip(self.pivots, self.rows):
+            c = v[p]
+            if c:
+                w = [a - c * b for a, b in zip(w, r)]
+        return w
+
     def residue(self, v: Sequence) -> list | None:
         """A positive multiple of v minus its projection on the span; None if v is in it."""
         if len(self.rows) == len(v):
             return None
-        u = _int_row(v)
-        w = [self.den * x for x in u]
-        for p, r in zip(self.pivots, self.rows):
-            c = u[p]
-            if c:
-                w = [a - c * b for a, b in zip(w, r)]
+        w = self.reduce(_int_row(v))
         return w if any(w) else None
 
     def insert(self, v: Sequence) -> bool:
@@ -105,11 +116,19 @@ class _Echelon:
         w = self.residue(v)
         if w is None:
             return False
-        p = next(i for i, x in enumerate(w) if x)
-        g = gcd(*w) if w[p] > 0 else -gcd(*w)
+        self.push(w)
+        return True
+
+    def push(self, w: list) -> None:
+        """Add a nonzero residue w, pivoting on its first nonzero entry."""
+        for p, e in enumerate(w):
+            if e:
+                break
+        g = gcd(*w) if e > 0 else -gcd(*w)
         if g != 1:
             w = [x // g for x in w]
-        e, den, rows = w[p], self.den, self.rows
+            e //= g
+        den, rows = self.den, self.rows
         # rows are replaced one at a time, so at most one old row is alive
         for i, r in enumerate(rows):
             c = r[p]
@@ -117,7 +136,7 @@ class _Echelon:
                 rows[i] = [e * a - c * b for a, b in zip(r, w)]
             elif e != 1:
                 rows[i] = [e * a for a in r]
-        rows.append([den * x for x in w])
+        rows.append([den * x for x in w] if den != 1 else w)
         self.pivots.append(p)
         den *= e
         g = den
@@ -130,7 +149,6 @@ class _Echelon:
                 rows[i] = [x // g for x in r]
             den //= g
         self.den = den
-        return True
 
     def canonical(self) -> tuple[Vec, ...]:
         """The rref rows, pivots 1 and Fraction entries, sorted by pivot."""
@@ -324,21 +342,201 @@ def poly_eval_matrix(coeffs: Sequence, m: Sequence[Sequence]) -> Matrix:
     return acc
 
 
+# ---------------------------------------------------------------------------
+# module maps by spinning
+
+
+def _is_scalar(m: Sequence[Sequence], c) -> bool:
+    """Is m = c I?"""
+    for i, row in enumerate(m):
+        if row[i] != c or any(row[:i]) or any(row[i + 1 :]):
+            return False
+    return True
+
+
+def _spin_tree(gens: list, n: int) -> tuple[list, list, _Echelon]:
+    """Spin Q^n from unit vectors, breadth first, under integer matrices.
+
+    Returns (parents, edges, echelon).  The spun basis vector b_t is a seed,
+    the first unit vector outside the span so far (parents[t] None), or the
+    product gens[j] b_i of a tree edge (parents[t] = (i, j)).  Every other
+    product is a non-tree edge (last, i, j, d, coords): d gens[j] b_i is the
+    sum of c b_t over (t, c) in coords, and last is the largest t the edge
+    uses.  The echelon rows are [r | a] with r = sum_t a_t b_t, so after the
+    spin the row [den e_k | a] gives e_k = sum_t (a_t / den) b_t: its tail is
+    column k of the inverse of the spun basis, scaled by den.
+    """
+    echelon = _Echelon()
+    basis: list = []
+    parents: list = []
+    edges: list = []
+    pad = [0] * n
+    for s in range(n):
+        if len(basis) == n:
+            break
+        unit = [0] * n
+        unit[s] = 1
+        w = echelon.reduce(unit + pad)
+        if not any(w[:n]):
+            continue
+        head = len(basis)
+        w[n + head] += echelon.den
+        echelon.push(w)
+        basis.append(unit)
+        parents.append(None)
+        while head < len(basis):
+            b = basis[head]
+            for j, g in enumerate(gens):
+                y = [sum(map(mul, row, b)) for row in g]
+                w = echelon.reduce(y + pad)
+                if any(w[:n]):
+                    w[n + len(basis)] += echelon.den
+                    echelon.push(w)
+                    basis.append(y)
+                    parents.append((head, j))
+                else:
+                    coords = [(t, -x) for t, x in enumerate(w[n:]) if x]
+                    last = max(head, coords[-1][0]) if coords else head
+                    edges.append((last, head, j, echelon.den, coords))
+            head += 1
+    return parents, edges, echelon
+
+
+def _kernel_combinations(states: list, images: list) -> list:
+    """A basis of the combinations of ``states`` whose ``images`` sum to zero.
+
+    Each combination den s_f - sum_k r_k[f] s_k is a null vector of the
+    matrix with columns ``images``, read off its integer echelon, and is
+    divided by the gcd of its entries.
+    """
+    echelon = _Echelon()
+    k = len(states)
+    for row in zip(*images):
+        w = echelon.reduce(row)
+        if any(w):
+            echelon.push(w)
+            if len(echelon.rows) == k:
+                return []
+    den, pivot_set = echelon.den, set(echelon.pivots)
+    out = []
+    for f in range(k):
+        if f in pivot_set:
+            continue
+        x = [den * v for v in states[f]]
+        for p, r in zip(echelon.pivots, echelon.rows):
+            c = r[f]
+            if c:
+                x = [a - c * b for a, b in zip(x, states[p])]
+        g = gcd(*x)
+        out.append([v // g for v in x] if g > 1 else x)
+    return out
+
+
+def _module_maps(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> tuple[list, _Echelon]:
+    """A basis of Hom_A(V, W) = {X : X g = h X for each pair (g, h)}, by spinning V.
+
+    V = Q^n and W = Q^p are modules over the algebra A that the pairs (g, h)
+    of ``gens_v`` and ``gens_w`` generate.  Spin V from unit vectors under
+    the g (``_spin_tree``), so that every spun basis vector b_t is a seed or
+    some g_j b_i.  Returns (states, echelon): a state lists X(b_0), ...,
+    X(b_(n-1)) of one map X of the basis, scaled to integers, and the spin's
+    echelon maps them back to X.
+
+    A module map X satisfies X(g_j b_i) = h_j X(b_i) on every edge, so it is
+    fixed by its values on the r seeds, and it meets the constraint
+    sum_t c_t X(b_t) = d h_j X(b_i) of each non-tree edge.  Conversely, take
+    any values on the seeds, define X on the spun basis along the tree edges
+    and extend it linearly.  If the non-tree constraints hold, then
+    X g_j b_i = h_j X b_i for every basis vector b_i and every j: on a tree
+    edge by construction, on a non-tree edge by its constraint.  So
+    X g_j = h_j X on all of V.  Hom is therefore the solution space of the
+    non-tree constraints in the r p unknown seed values.
+
+    That space is cut down edge by edge.  The states start as the p unit
+    values of each seed once the spin order reaches it, images along tree
+    edges are appended as it reaches them, and each non-tree edge keeps the
+    combinations of states that meet its constraint.  Edges are taken in
+    order of the last basis vector they use, so the space shrinks before
+    most images are formed.  Entries stay integers: each pair shares one
+    denominator (X g = h X iff X (den g) = (den h) X), and the spin carries
+    the integer inverse of its basis.
+    """
+    if not n:
+        return [], _Echelon()
+    # a pair (c I, c I) constrains nothing
+    if gens_v is gens_w:
+        gs = hs = [_int_matrix(g)[0] for g in gens_v if not _is_scalar(g, g[0][0])]
+    else:
+        pairs = [
+            _int_matrix(list(g) + list(h))[0]
+            for g, h in zip(gens_v, gens_w)
+            if not (_is_scalar(g, g[0][0]) and _is_scalar(h, g[0][0]))
+        ]
+        gs, hs = [m[:n] for m in pairs], [m[n:] for m in pairs]
+    parents, edges, echelon = _spin_tree(gs, n)
+    edges.sort()
+    edges.append((n - 1, None, None, None, None))  # reach the last basis vector
+    states: list = []
+    done = 0
+    for last, i, j, d, coords in edges:
+        while done <= last:
+            # append the image of b_done to every state, or add its seed's p states
+            if parents[done] is None:
+                zeros = [0] * p
+                for x in states:
+                    x.extend(zeros)
+                for a in range(done * p, done * p + p):
+                    x = [0] * (done * p + p)
+                    x[a] = 1
+                    states.append(x)
+            else:
+                src, g = parents[done]
+                h = hs[g]
+                for x in states:
+                    xs = x[src * p : src * p + p]
+                    x.extend([sum(map(mul, row, xs)) for row in h])
+            done += 1
+        if i is None or not states:
+            continue
+        h = hs[j]
+        images = []
+        for x in states:
+            xi = x[i * p : i * p + p]
+            q = [-d * sum(map(mul, row, xi)) for row in h]
+            for t, c in coords:
+                q = [u + c * v for u, v in zip(q, x[t * p : t * p + p])]
+            images.append(q)
+        if any(map(any, images)):
+            states = _kernel_combinations(states, images)
+    return states, echelon
+
+
+def hom_dimension(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> int:
+    """dim Hom_A(V, W) for V = Q^n and W = Q^p acted on by parallel generators."""
+    return len(_module_maps(gens_v, gens_w, n, p)[0])
+
+
 def solve_commutant(mats: Sequence[Sequence[Sequence]], n: int) -> list[Matrix]:
-    """Basis of {X in M_n(Q) : X M = M X for every M in mats}."""
-    rows = []
-    for m in mats:
-        # (XM - MX)[i][j] = sum_k X[i][k] M[k][j] - M[i][k] X[k][j]
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    if m[k][j]:
-                        row[i * n + k] += m[k][j]
-                    if m[i][k]:
-                        row[k * n + j] -= m[i][k]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        rows = [[0] * (n * n)]
-    return [unflatten(x, n, n) for x in nullspace(rows, n * n)]
+    """Basis of {X in M_n(Q) : X M = M X for every M in mats}.
+
+    The maps come from ``_module_maps`` with V = W.  The basis returned is
+    the canonical null-space basis of the n^2 equations (XM - MX)_ij = 0 in
+    the entries of X, flattened row by row: one X per free column j, with
+    1 at j and 0 at the other free columns.  It depends only on the space:
+    each such X has its last nonzero entry at its own j, so read from the
+    last entry to the first the basis is the space's reduced row echelon
+    form, and an rref of the reversed maps recomputes it.
+    """
+    states, spun = _module_maps(mats, mats, n, n)
+    # X = Y B^-1 with Y the columns X(b_t); column k of den B^-1 is the tail
+    # of the spun row with pivot k, and X is taken times den
+    cols = [r[n:] for _k, r in sorted(zip(spun.pivots, spun.rows), reverse=True)]
+    echelon = _Echelon()
+    for x in states:
+        echelon.push(echelon.reduce([sum(map(mul, x[i::n], col)) for i in range(n - 1, -1, -1) for col in cols]))
+    den = echelon.den
+    out = []
+    for _k, row in sorted(zip(echelon.pivots, echelon.rows), reverse=True):
+        flat = row[::-1] if den == 1 else [x // den if x % den == 0 else Fraction(x, den) for x in reversed(row)]
+        out.append([flat[i : i + n] for i in range(0, n * n, n)])
+    return out

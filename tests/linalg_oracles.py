@@ -75,3 +75,31 @@ def nullspace_oracle(rows, ncols):
             x[p] = -row[j]
         out.append(tuple(x))
     return out
+
+
+def hom_oracle(gens_v, gens_w, n, p):
+    """Basis of {X (p x n) : X g = h X for each pair}: the n p-unknown system, row by row.
+
+    Row (i, j) of the block of a pair is (X g - h X)[i][j] = sum_k X[i][k] g[k][j]
+    - sum_k h[i][k] X[k][j], in the entries X[i][k] flattened row by row;
+    the basis is that system's canonical null-space basis, unflattened.
+    """
+    rows = []
+    for g, h in zip(gens_v, gens_w):
+        for i in range(p):
+            for j in range(n):
+                row = [0] * (p * n)
+                for k in range(n):
+                    if g[k][j]:
+                        row[i * n + k] += g[k][j]
+                for k in range(p):
+                    if h[i][k]:
+                        row[k * n + j] -= h[i][k]
+                if any(row):
+                    rows.append(row)
+    return [[list(x[i * n : i * n + n]) for i in range(p)] for x in nullspace_oracle(rows, p * n)]
+
+
+def solve_commutant_oracle(mats, n):
+    """Basis of the commutant of ``mats`` in M_n(Q), as ``hom_oracle`` orders it."""
+    return hom_oracle(mats, mats, n, n)

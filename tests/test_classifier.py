@@ -195,6 +195,23 @@ def test_unknown_flag_rejected():
         descriptor_from_json({"kind": "flagged", "flags": {"amenable": True}})
 
 
+@pytest.mark.parametrize("flags", [
+    {"deficiency": "a", "infinite": False},
+    {"vcd": "x"},
+    {"deficiency": True},
+    {"ends": [1]},
+    {"infinite": "false"},
+    {"seifert": 1},
+    {"virtually": 5},
+    {"virtually": {"form": ["free-abelian"]}},
+    {"virtually": {"form": "product-of-free-groups", "ranks": 5}},
+])
+def test_wrongly_typed_flags_rejected(flags):
+    """A flag of the wrong JSON type is invalid input, not a crash in the rules."""
+    with pytest.raises(ValueError):
+        classify(descriptor_from_json({"kind": "flagged", "flags": flags}))
+
+
 # --- explain -------------------------------------------------------------------------
 
 

@@ -365,11 +365,13 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
     ["classify", "-i", [1]],
     ["classify", "-i", {"kind": "flagged", "flags": 5}],
     ["classify", "-i", {"kind": "free_product", "factors": 5}],
+    ["classify", "-i", {"kind": "flagged", "flags": {"deficiency": "a", "infinite": False}}],
+    ["classify", "-i", {"kind": "flagged", "flags": {"vcd": "x"}}],
 ], ids=["InconsistentInput", "PresentationFormatError", "RelatorNotKilled", "InvalidAlgebra",
         "ZeroParameter", "CoxeterRowsNotAList", "CoxeterRowNotAList", "ClassifyCoxeterRowsNotAList",
         "ImagesNotAList", "LieDimBool", "LieDimFloat", "LieBasisNotAList", "LieBracketNotAnObject",
         "ImageEntryNotAnInteger", "RelatorNotAString", "GeneratorsNotAList", "DescriptorNotAnObject",
-        "FlagsNotAnObject", "FactorsNotAList"])
+        "FlagsNotAnObject", "FactorsNotAList", "DeficiencyNotAnInteger", "VcdNotAnInteger"])
 def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     """Each pbp input error exits 2 although main loads its module only on demand."""
     argv = [a if isinstance(a, str) else write(tmp_path, f"{i}.json", a) for i, a in enumerate(argv)]

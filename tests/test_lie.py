@@ -740,7 +740,8 @@ def test_centroid_from_generators_is_the_all_basis_commutant(name):
 
 
 def test_crt_idempotent_checks_coprimality(monkeypatch):
-    # sl2 + sl2 splits its socle with CRT idempotents of the centre of End
+    # af + af has infinitely many ideals, so its verdict splits the centroid
+    # with CRT idempotents in _decomposability
     gcdext = lie.poly_gcdext
 
     def non_coprime(a, b):
@@ -749,7 +750,7 @@ def test_crt_idempotent_checks_coprimality(monkeypatch):
 
     monkeypatch.setattr(lie, "poly_gcdext", non_coprime)
     with pytest.raises(InternalVerificationError, match="coprime"):
-        lie_presentable(catalogue("sl2+sl2"))
+        lie_presentable(catalogue("af+af"))
 
 
 def test_primitive_idempotents_need_a_commutative_algebra():
@@ -761,10 +762,58 @@ def test_primitive_idempotents_need_a_commutative_algebra():
 
 
 def test_isotypic_components_check_their_dimensions(monkeypatch):
-    column_space = lie.column_space
-    monkeypatch.setattr(lie, "column_space", lambda mat: column_space(mat)[1:])
+    # sl2 + sl2 reads one component per factor of z's minimal polynomial;
+    # losing a factor loses a component
+    factor_over_q = lie.factor_over_q
+    monkeypatch.setattr(lie, "factor_over_q", lambda f: factor_over_q(f)[:-1])
     with pytest.raises(InternalVerificationError, match="isotypic"):
         lie_presentable(catalogue("sl2+sl2"))
+
+
+def test_isotypic_components_solve_over_the_generators(monkeypatch):
+    """The socle's commutant is solved once, over the generators' restrictions."""
+    solve = lie.solve_commutant
+    handed = []
+    monkeypatch.setattr(lie, "solve_commutant", lambda mats, n: handed.append(len(mats)) or solve(mats, n))
+    for name in ["so(5)", "sol+sl2", "vr(2,1,2)"]:
+        algebra = catalogue(name)
+        handed.clear()
+        lie._minimal_ideals(algebra, random.Random(0))
+        assert handed == [len(lie._generators(algebra))]
+        assert handed[0] < algebra.dim
+
+
+@pytest.mark.parametrize("algebra", [catalogue("so(8)"), pinned_dense("so(7)", 7)], ids=["so(8)", "dense so(7)"])
+def test_large_simple_algebras_decide_no(algebra):
+    # a simple algebra's one nonzero ideal is itself, with zero centralizer
+    n = algebra.dim
+    assert lie_presentable(algebra).to_json(algebra) == {
+        **COMPLETE_NO,
+        "ideal_trace": [{"ideal_dim": n, "centralizer_dim": 0, "span_dim": n}],
+    }
+
+
+def generators_by_brackets(algebra):
+    """The generator picks of ``lie._generators``, closing each span under brackets of pairs."""
+    n = algebra.dim
+    span, elements, picks = SpanOracle(), [], []
+    for i in range(n):
+        if span.contains(unit(n, i)):
+            continue
+        picks.append(i)
+        queue = [unit(n, i)]
+        while queue:
+            v = queue.pop()
+            if span.add(v):
+                queue.extend(algebra.bracket(u, v) for u in elements)
+                elements.append(v)
+    return picks
+
+
+@pytest.mark.parametrize("name", SMALL_CATALOGUE + ["so(5)"])
+def test_generators_match_the_bracket_closure(name):
+    for algebra in (catalogue(name), pinned_dense(name, 5)):
+        assert lie._generators(algebra) == generators_by_brackets(algebra)
 
 
 @pytest.mark.parametrize(

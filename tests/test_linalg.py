@@ -1,4 +1,4 @@
-"""The integer echelon kernel against Fraction Gauss-Jordan and sympy."""
+"""The integer echelon and spin kernels against Fraction Gauss-Jordan and sympy."""
 
 from fractions import Fraction
 
@@ -6,11 +6,20 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linalg_oracles import SpanOracle, nullspace_oracle, reduce_vector_oracle, rref_oracle
+from linalg_oracles import (
+    SpanOracle,
+    hom_oracle,
+    nullspace_oracle,
+    reduce_vector_oracle,
+    rref_oracle,
+    solve_commutant_oracle,
+)
+from pbp import lie
 from pbp.linalg import (
     SpanBuilder,
     dependence,
     express,
+    hom_dimension,
     nullspace,
     pivots,
     reduce_vector,
@@ -170,3 +179,93 @@ def test_solve_commutant_of_a_jordan_block():
         xm = [[sum(x[i][k] * jordan[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         mx = [[sum(jordan[i][k] * x[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         assert xm == mx
+
+
+# --- the spin kernel for module maps ------------------------------------------------
+
+ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+def square(n):
+    return st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def unimodular(draw, n):
+    """A random integer matrix of determinant 1, and its inverse."""
+    ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)), max_size=2 * n))
+    p, q = [[int(i == j) for j in range(n)] for i in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i != j:
+            # p <- (I + c E_ij) p, q <- q (I - c E_ij)
+            p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+            for row in q:
+                row[j] -= c * row[i]
+    return p, q
+
+
+def conjugate(m, p, q):
+    return [[sum(p[i][k] * m[k][l] * q[l][j] for k in range(len(m)) for l in range(len(m)))
+             for j in range(len(m))] for i in range(len(m))]
+
+
+@st.composite
+def matrix_sets(draw):
+    """1-4 matrices of size 1-7: random and mostly sparse, some replaced by scalar
+    ones (zero included), or block-diagonal repeats of one module (not cyclic,
+    so the spin needs several seeds)."""
+    kind = draw(st.sampled_from(["random", "scalars", "blocks", "blocks"]))
+    k = draw(st.integers(1, 4))
+    if kind == "blocks":
+        b = draw(st.integers(1, 3))
+        copies = draw(st.integers(2, 7 // b))
+        mats = [draw(square(b)) for _ in range(k)]
+        extra = draw(st.integers(0, 7 - b * copies))
+        tails = [draw(square(extra)) for _ in range(k)]
+        mats = [block_diagonal([m] * copies + ([t] if extra else [])) for m, t in zip(mats, tails)]
+        n = len(mats[0])
+        if draw(st.booleans()):
+            p, q = unimodular(draw, n)
+            mats = [conjugate(m, p, q) for m in mats]
+        return n, mats
+    n = draw(st.integers(1, 7))
+    mats = [draw(square(n)) for _ in range(k)]
+    if kind == "scalars":
+        cs = [draw(st.sampled_from([None, 0, 0, 1, -2, Fraction(1, 2)])) for _ in mats]
+        mats = [m if c is None else [[c * (i == j) for j in range(n)] for i in range(n)] for m, c in zip(mats, cs)]
+    return n, mats
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_sets())
+def test_solve_commutant_matches_the_oracle_basis_for_basis(case):
+    n, mats = case
+    assert solve_commutant(mats, n) == solve_commutant_oracle(mats, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_sets(), st.data())
+def test_module_maps_match_the_oracle(case, data):
+    """dim Hom(V, W) from the spin equals the n p-unknown system's, for W
+    isomorphic to V (a unimodular change of basis) and for an unrelated W."""
+    n, gens_v = case
+    isomorphic = data.draw(st.booleans(), label="isomorphic")
+    if isomorphic:
+        p, q = unimodular(data.draw, n)
+        gens_w, dim_w = [conjugate(m, p, q) for m in gens_v], n
+    else:
+        dim_w = data.draw(st.integers(1, 6), label="dim W")
+        gens_w = [data.draw(square(dim_w), label="h") for _ in gens_v]
+    expected = len(hom_oracle(gens_v, gens_w, n, dim_w))
+    assert hom_dimension(gens_v, gens_w, n, dim_w) == expected
+    assert lie._module_hom_nonzero(gens_v, gens_w, n, dim_w) == (expected > 0)
+    assert expected > 0 or not isomorphic
