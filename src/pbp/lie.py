@@ -2,13 +2,14 @@
 
 Provides ideals, centralizers, complete ideal-lattice enumeration where the
 lattice is finite, and the decision whether the algebra splits as a sum of
-two commuting nonzero subalgebras.  The enumeration is certified: it
-answers Complete only when every minimal ideal was provably found, flags a
-provably infinite family otherwise, and degrades to Unknown rather than
-guess when its randomized steps fail to certify anything.  Every lattice
-that is not Complete is decided by the centroid instead: a centreless
-algebra splits exactly when its centroid, which is then commutative, has an
-idempotent other than 0 and 1.
+two commuting nonzero subalgebras.  The enumeration walks the ideals J of
+the algebra L once each, splitting L / J by its minimal ideals.  It is
+certified: it answers Complete only when every minimal ideal was provably
+found, flags a provably infinite family otherwise, and degrades to Unknown
+rather than guess when its randomized steps fail to certify anything.
+Every lattice that is not Complete is decided by the centroid instead: a
+centreless algebra splits exactly when its centroid, which is then
+commutative, has an idempotent other than 0 and 1.
 """
 
 from __future__ import annotations
@@ -222,16 +223,9 @@ def centre(algebra: LieAlgebra) -> Subspace:
 
 
 def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
-    """Least ideal containing the seed: repeated bracketing with the basis."""
-    builder = SpanBuilder(algebra.dim, seed.rows)
-    queue = list(seed.rows)
-    while queue:
-        v = queue.pop()
-        for i in range(algebra.dim):
-            w = algebra.bracket(_unit(algebra.dim, i), v)
-            if builder.add(w):
-                queue.append(w)
-    return Subspace(algebra.dim, builder.basis())
+    """Least ideal containing the seed: its spin under ad e_i, [e_i, v] = ad(e_i) v."""
+    n = algebra.dim
+    return Subspace(n, _spin(list(seed.rows), [algebra.ad_basis(i) for i in range(n)], n))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +422,8 @@ class IdealLattice:
 
     The witness pair consists of two distinct ideals exhibiting an infinite
     family (at socle level these are isomorphic minimal ideals with equal
-    centralizers; families detected inside a quotient are lifted preimages).
+    centralizers; a family detected in a quotient L / J is lifted once, to
+    its preimages in L).
     """
 
     ideals: tuple[Subspace, ...]
@@ -490,11 +485,6 @@ def _find_simple_inside(rows: tuple[Vec, ...], gens: list, rng):
         _, inner = res
         cur_rows = _compose_rows(cur_rows, inner)
         cur_gens = [_restrict(g, cur_rows) for g in gens]
-
-
-def _module_hom_nonzero(gens_a: list, gens_b: list, da: int, db: int) -> bool:
-    """Is Hom(A, B) nonzero for modules given by parallel generator actions?"""
-    return hom_dimension(gens_a, gens_b, da, db) > 0
 
 
 def _minimal_ideals(algebra: LieAlgebra, rng: random.Random):
@@ -645,11 +635,8 @@ def _centre_of_span(mats: list, n: int) -> list:
     k = len(mats)
     rows = []
     for m in mats:
-        comms = [mat_sub(mat_mul(b, m), mat_mul(m, b)) for b in mats]
-        for pos in range(n * n):
-            row = [flatten(c)[pos] for c in comms]
-            if any(row):
-                rows.append(row)
+        comms = [flatten(mat_sub(mat_mul(b, m), mat_mul(m, b))) for b in mats]
+        rows.extend(list(row) for row in zip(*comms) if any(row))
     if not rows:
         return mats
     return [_combine(sol, mats, n) for sol in nullspace(rows, k)]
@@ -676,7 +663,7 @@ def _witness_pair(algebra, comp_ambient, inner, ad_mats, rng):
         s2 = Subspace(n, w2)
         gens1 = [_restrict(m, w1) for m in ad_mats]
         gens2 = [_restrict(m, w2) for m in ad_mats]
-        if not _module_hom_nonzero(gens1, gens2, len(w1), len(w2)):
+        if not hom_dimension(gens1, gens2, len(w1), len(w2)):
             continue
         if centralizer(algebra, s1) != centralizer(algebra, s2):
             continue
@@ -691,43 +678,42 @@ def _witness_pair(algebra, comp_ambient, inner, ad_mats, rng):
 def ideal_lattice(algebra: LieAlgebra) -> IdealLattice:
     """Enumerate all ideals, flag an infinite family, or give up explicitly.
 
-    Every nonzero ideal contains a minimal one, so the lattice is the union,
-    over minimal ideals m, of preimages of the lattice of the quotient by m.
-    The recursion is complete whenever every minimal-ideal computation
-    certifies completeness along the way.
+    Every ideal K above an ideal J contains J + m for a minimal ideal m / J
+    of L / J, so the ideals are reached from 0 by such covers.  A depth-first
+    worklist splits each ideal J once, by the minimal ideals of L / J, and
+    lifts each cover and witness to L once.  The enumeration is complete
+    whenever every split certifies completeness.
     """
-    return _lattice_rec(algebra, random.Random(SEED))
+    n, rng = algebra.dim, random.Random(SEED)
+    found: dict = {}
+    stack = [Subspace.zero(n)]
+    while stack:
+        ideal = stack.pop()
+        if ideal.rows in found:
+            continue
+        found[ideal.rows] = ideal
+        quot, lift = algebra, tuple
+        if not ideal.is_zero():
+            quot, lift, _project = quotient_algebra(algebra, ideal)
 
+        def preimage(rows):
+            return Subspace(n, rref(list(ideal.rows) + [lift(r) for r in rows]))
 
-def _lattice_rec(algebra: LieAlgebra, rng) -> IdealLattice:
-    n = algebra.dim
-    atoms, status, witness = _minimal_ideals(algebra, rng)
-    if status is not Completeness.COMPLETE:
-        return IdealLattice((), status, witness)
-    if sum(atom.dim for atom in atoms) == n:
-        # the algebra is the direct sum of its atoms, pairwise non-isomorphic
-        # simple modules, so its ideals are the sums of subsets of them
-        ideals = [
-            Subspace(n, rref([r for atom in subset for r in atom.rows]))
-            for k in range(len(atoms) + 1)
-            for subset in combinations(atoms, k)
-        ]
-        return IdealLattice(_ordered(ideals), Completeness.COMPLETE, None)
-    found = {(): Subspace.zero(n)}
-    for atom in atoms:
-        quot, lift, _project = quotient_algebra(algebra, atom)
-        sub = _lattice_rec(quot, rng)
-        if sub.completeness is not Completeness.COMPLETE:
-            lifted = None
-            if sub.witness is not None:
-                lifted = tuple(
-                    Subspace(n, rref(list(atom.rows) + [lift(r) for r in w.rows]))
-                    for w in sub.witness
-                )
-            return IdealLattice((), sub.completeness, lifted)
-        for ideal in sub.ideals:
-            rows = rref(list(atom.rows) + [lift(r) for r in ideal.rows])
-            found.setdefault(rows, Subspace(n, rows))
+        atoms, status, witness = _minimal_ideals(quot, rng)
+        if status is not Completeness.COMPLETE:
+            lifted = None if witness is None else tuple(preimage(w.rows) for w in witness)
+            return IdealLattice((), status, lifted)
+        if sum(atom.dim for atom in atoms) == quot.dim:
+            # L / J is the direct sum of its atoms, pairwise non-isomorphic
+            # simple modules, so the ideals above J are the subset sums
+            for k in range(len(atoms) + 1):
+                for subset in combinations(atoms, k):
+                    sub = preimage([r for atom in subset for r in atom.rows])
+                    found.setdefault(sub.rows, sub)
+        else:
+            # marked when popped and pushed in reverse, so the ideals are
+            # split in depth-first preorder, the first cover's first
+            stack.extend(reversed([preimage(atom.rows) for atom in atoms]))
     return IdealLattice(_ordered(found.values()), Completeness.COMPLETE, None)
 
 

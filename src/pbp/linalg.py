@@ -260,11 +260,6 @@ def flatten(a: Sequence[Sequence]) -> Vec:
     return tuple(x for row in a for x in row)
 
 
-def unflatten(v: Sequence, n: int, m: int) -> Matrix:
-    it = iter(v)
-    return [[next(it) for _ in range(m)] for _ in range(n)]
-
-
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     """Basis of {x : A x = 0} for the matrix with the given rows."""
     basis = rref(rows)

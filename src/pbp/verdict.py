@@ -65,12 +65,12 @@ class Verdict:
 
 
 def json_int(value, what: str) -> int:
-    """``value`` as ``int`` reads it, refusing bools and non-integral floats.
+    """``value`` as ``int`` reads it, refusing bools, strings and non-integral floats.
 
     Every refusal is a ValueError naming ``what``, so the CLI reports it as
     invalid input.
     """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, not {value!r}")
     try:
         return int(value)

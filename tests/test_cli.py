@@ -367,11 +367,14 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
     ["classify", "-i", {"kind": "free_product", "factors": 5}],
     ["classify", "-i", {"kind": "flagged", "flags": {"deficiency": "a", "infinite": False}}],
     ["classify", "-i", {"kind": "flagged", "flags": {"vcd": "x"}}],
+    ["classify", "-i", {"kind": "bs", "m": "2", "n": "3"}],
+    ["classify", "-i", {"kind": "flagged", "flags": {"deficiency": "3"}}],
 ], ids=["InconsistentInput", "PresentationFormatError", "RelatorNotKilled", "InvalidAlgebra",
         "ZeroParameter", "CoxeterRowsNotAList", "CoxeterRowNotAList", "ClassifyCoxeterRowsNotAList",
         "ImagesNotAList", "LieDimBool", "LieDimFloat", "LieBasisNotAList", "LieBracketNotAnObject",
         "ImageEntryNotAnInteger", "RelatorNotAString", "GeneratorsNotAList", "DescriptorNotAnObject",
-        "FlagsNotAnObject", "FactorsNotAList", "DeficiencyNotAnInteger", "VcdNotAnInteger"])
+        "FlagsNotAnObject", "FactorsNotAList", "DeficiencyNotAnInteger", "VcdNotAnInteger",
+         "BsParameterNumericString", "DeficiencyNumericString"])
 def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     """Each pbp input error exits 2 although main loads its module only on demand."""
     argv = [a if isinstance(a, str) else write(tmp_path, f"{i}.json", a) for i, a in enumerate(argv)]
@@ -394,4 +397,20 @@ def test_src_imports_only_stdlib():
             top = {name.partition(".")[0] for name in names}
             foreign += [(path.name, name) for name in top - sys.stdlib_module_names - {"pbp"}]
     assert not foreign
+
+
+def test_src_private_definitions_are_used():
+    """Every module-level private function or class in src/pbp is referenced
+    somewhere in src/pbp outside its own definition."""
+    defined, used = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_") \
+                    and not own.startswith("__"):
+                defined.add((path.name, own))
+            nodes = list(ast.walk(top))
+            used |= {node.id for node in nodes if isinstance(node, ast.Name)} - {own}
+            used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)} - {own}
+    assert sorted((module, name) for module, name in defined if name not in used) == []
 

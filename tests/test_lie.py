@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lie_oracles import lattice_recursion_oracle
 from linalg_oracles import SpanOracle, nullspace_oracle, rref_oracle
 from pbp import lie
 from pbp.lie import (
@@ -628,6 +629,33 @@ def test_lattice_of_a_direct_sum_of_atoms(name, atoms, monkeypatch):
     lattice = ideal_lattice(algebra)
     assert lattice.completeness is Completeness.COMPLETE
     assert len(lattice.ideals) == 2 ** atoms and len(calls) == 1
+
+
+@pytest.mark.parametrize("name, splits, ideals", [("sol+sl2", 8, 10), ("sol", 4, 5)])
+def test_lattice_splits_each_ideal_once(name, splits, ideals, monkeypatch):
+    # each ideal is split at most once, and an ideal that is a sum of atoms
+    # above a split one is not split at all: sol+sl2 has 2 such ideals
+    calls = []
+    minimal_ideals = lie._minimal_ideals
+    monkeypatch.setattr(lie, "_minimal_ideals", lambda *a: calls.append(1) or minimal_ideals(*a))
+    lattice = ideal_lattice(catalogue(name))
+    assert lattice.completeness is Completeness.COMPLETE
+    assert (len(calls), len(lattice.ideals)) == (splits, ideals)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_lattice_matches_the_recursion_oracle(data):
+    if data.draw(st.booleans()):
+        algebra = catalogue(data.draw(st.sampled_from(SMALL_CATALOGUE)))
+        algebra = rebase(algebra, draw_basis(data, algebra.dim))
+    else:
+        algebra = data.draw(matrix_lie_algebras())
+    lattice, expected = ideal_lattice(algebra), lattice_recursion_oracle(algebra)
+    assert (lattice.completeness, lattice.ideals) == (expected.completeness, expected.ideals)
+    dims = [None if lat.witness is None else [w.dim for w in lat.witness]
+            for lat in (lattice, expected)]
+    assert dims[0] == dims[1]
 
 
 def envelope_oracle(gens, n):

@@ -14,7 +14,6 @@ from linalg_oracles import (
     rref_oracle,
     solve_commutant_oracle,
 )
-from pbp import lie
 from pbp.linalg import (
     SpanBuilder,
     dependence,
@@ -267,5 +266,4 @@ def test_module_maps_match_the_oracle(case, data):
         gens_w = [data.draw(square(dim_w), label="h") for _ in gens_v]
     expected = len(hom_oracle(gens_v, gens_w, n, dim_w))
     assert hom_dimension(gens_v, gens_w, n, dim_w) == expected
-    assert lie._module_hom_nonzero(gens_v, gens_w, n, dim_w) == (expected > 0)
     assert expected > 0 or not isomorphic
