@@ -8,7 +8,7 @@ Conflicting conclusions raise InconsistentInput instead of picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from .presentations import FinitePresentation, presentation_from_json
@@ -147,21 +147,8 @@ class Flags:
     virtually: dict | None = None
 
 
-_FLAG_KEYS = {
-    "infinite": "infinite",
-    "finitely-generated": "finitely_generated",
-    "schreier": "schreier",
-    "ends": "ends",
-    "vcd": "vcd",
-    "deficiency": "deficiency",
-    "l2-betti1-positive": "l2_betti1_positive",
-    "hyperbolic": "hyperbolic",
-    "elementary": "elementary",
-    "simple": "simple",
-    "centre": "centre",
-    "seifert": "seifert",
-    "virtually": "virtually",
-}
+# JSON key -> Flags field: the field name with dashes for underscores
+_FLAG_KEYS = {f.name.replace("_", "-"): f.name for f in fields(Flags)}
 
 
 @dataclass(frozen=True)

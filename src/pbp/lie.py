@@ -9,7 +9,10 @@ found, flags a provably infinite family otherwise, and degrades to Unknown
 rather than guess when its randomized steps fail to certify anything.
 Every lattice that is not Complete is decided by the centroid instead: a
 centreless algebra splits exactly when its centroid, which is then
-commutative, has an idempotent other than 0 and 1.
+commutative, has an idempotent other than 0 and 1.  The centroid and the
+centre of the socle's endomorphism ring are split by one reader: the images
+of a commutative algebra's primitive idempotents are the primary components
+of one element that generates it modulo its radical.
 """
 
 from __future__ import annotations
@@ -25,15 +28,12 @@ from .linalg import (
     SpanBuilder,
     Vec,
     char_poly,
-    column_space,
     express,
     flatten,
     hom_dimension,
     identity_matrix,
     is_zero_vec,
-    mat_eq,
     mat_mul,
-    mat_scale,
     mat_sub,
     mat_vec,
     min_poly_of_matrix,
@@ -48,7 +48,7 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .poly import factor_over_q, poly_divmod, poly_gcdext, poly_mul, squarefree_part
+from .poly import factor_over_q, squarefree_part
 from .verdict import Answer, InternalVerificationError, json_int
 
 
@@ -334,16 +334,6 @@ def _trace_gram(mats: list) -> list:
     return gram
 
 
-def _trace_radical(alg_basis: list, n: int) -> list:
-    """Radical of the algebra spanned by ``alg_basis``: the trace-form kernel.
-
-    Valid in characteristic zero for an algebra given by matrices acting
-    faithfully, which is the case here by construction.
-    """
-    kernel = nullspace(_trace_gram(alg_basis), len(alg_basis))
-    return [_combine(sol, alg_basis, n) for sol in kernel]
-
-
 def _combine(coeffs: Sequence, mats: list, n: int) -> list:
     """The n x n matrix sum_i coeffs[i] * mats[i]."""
     out = [[0] * n for _ in range(n)]
@@ -395,15 +385,6 @@ def _spin(vectors: list, gens: list, n: int) -> tuple[Vec, ...]:
             if builder.add(w):
                 queue.append(w)
     return builder.basis()
-
-
-def _crt_idempotent_poly(mu: Sequence, factor: Sequence) -> tuple:
-    """h with h = 1 mod factor and h = 0 mod mu/factor (mu squarefree)."""
-    g = poly_divmod(mu, factor)[0]
-    gcd, u, _ = poly_gcdext(g, factor)
-    if len(gcd) != 1:
-        raise InternalVerificationError("factor must be coprime to the cofactor")
-    return poly_divmod(poly_mul(u, g), mu)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -575,59 +556,48 @@ def _isotypic_components(ad_soc: list, d: int) -> list:
     ``ad_soc`` acts on the socle as a generating set of ad L does.  The
     components are the images of the primitive idempotents of the centre C
     of the socle's endomorphism ring.  The socle is a semisimple module, so
-    C is a product of number fields, and an element z generating C is
-    semisimple with one irreducible factor f of its minimal polynomial per
-    field.  The idempotent of that field projects onto ker f(z), so each
-    component is read off as that kernel.
+    C is a product of number fields: it has no radical.
     """
     endo = solve_commutant(ad_soc, d)
     if len(endo) == 1:
         return [Subspace.whole(d).rows]
     zcent = _centre_of_span(endo, d)
-    z, mu = _generating_element(zcent, d, ())
-    comps = [rref(nullspace(poly_eval_matrix(f, z), d)) for f, _mult in factor_over_q(mu)]
-    if sum(len(c) for c in comps) != d:
-        raise InternalVerificationError("isotypic components do not span the socle")
-    return comps
+    return _primary_components(zcent, d, len(zcent))
 
 
-def _generating_element(basis: list, n: int, radical: Sequence[Vec]) -> tuple[list, tuple]:
-    """(z, mu): an element z generating A / rad A, for the commutative algebra A
-    spanned by ``basis``, and its minimal polynomial mu mod rad A.
+def _primary_components(basis: list, n: int, d: int) -> list:
+    """The images in Q^n of the primitive idempotents of the commutative
+    algebra A spanned by ``basis``, rref rows each; d = dim A / rad A.
 
-    ``radical`` holds the rref rows of rad A, as flattened matrices.  A/rad A
-    is a product of number fields of total degree d, and z = sum_i c^i b_i
-    generates it unless two of its d embeddings agree on z.  For each pair
-    that happens only at the roots of a nonzero polynomial in c of degree
+    A / rad A is a product of number fields of total degree d, and z = sum_i
+    c^i b_i generates it unless two of its d embeddings agree on z.  For each
+    pair that happens only at the roots of a nonzero polynomial in c of degree
     < k = len(basis), so one of c = 1, ..., (k-1) d(d-1)/2 + 1 generates it;
-    when none does, A is not commutative.
+    when none does, A is not commutative.  rad A is the set of nilpotents of
+    A, so the minimal polynomial of z mod rad A is the square-free part mu of
+    z's own.  The idempotent e of the field of a factor f of mu is a
+    polynomial in z, and f(z) is nilpotent on eQ^n and invertible on
+    (1 - e)Q^n, so ker f(z)^j lies in eQ^n and fills it once j >= n (Hoffman
+    and Kunze, Linear Algebra, 6.8).  The kernels are therefore the images as
+    soon as their dimensions add up to n.  When rad A = 0, z is semisimple and
+    j = 1 will do.
     """
-    k, d = len(basis), len(basis) - len(radical)
+    k = len(basis)
     for c in range(1, (k - 1) * d * (d - 1) // 2 + 2):
         z = _combine([c**i for i in range(k)], basis, n)
-        mu = min_poly_of_matrix(z, radical)
+        mu = squarefree_part(min_poly_of_matrix(z))
         if len(mu) - 1 == d:
-            return z, mu
-    raise InternalVerificationError("no element generates A / rad A: A is not commutative")
-
-
-def _primitive_idempotents(basis: list, n: int, radical: Sequence[Vec]) -> list:
-    """The primitive idempotents of the commutative algebra A spanned by ``basis``.
-
-    The CRT idempotents of the factors of the minimal polynomial mod rad A of
-    a generating element (``_generating_element``) lift to A by
-    e <- 3e^2 - 2e^3, which ends because rad A is nilpotent.
-    """
-    z, mu = _generating_element(basis, n, radical)
-    idempotents = []
-    for f, _mult in factor_over_q(mu):
-        e = poly_eval_matrix(_crt_idempotent_poly(mu, f), z)
-        square = mat_mul(e, e)
-        while not mat_eq(square, e):
-            e = mat_sub(mat_scale(square, 3), mat_scale(mat_mul(square, e), 2))
-            square = mat_mul(e, e)
-        idempotents.append(e)
-    return idempotents
+            break
+    else:
+        raise InternalVerificationError("no element generates A / rad A: A is not commutative")
+    powers, j = [poly_eval_matrix(f, z) for f, _mult in factor_over_q(mu)], 1
+    while True:
+        parts = [rref(nullspace(p, n)) for p in powers]
+        if sum(len(part) for part in parts) == n:
+            return parts
+        if j >= n:
+            raise InternalVerificationError("the primary components do not span Q^n")
+        powers, j = [mat_mul(p, p) for p in powers], 2 * j
 
 
 def _centre_of_span(mats: list, n: int) -> list:
@@ -774,13 +744,14 @@ def _decomposability(algebra: LieAlgebra):
     cen = centroid(algebra)
     if len(cen) == 1:
         return ("indecomposable", "the centroid is Q, hence local")
-    radical = rref(flatten(m) for m in _trace_radical(cen, n))
-    idempotents = _primitive_idempotents(cen, n, radical)
-    if len(idempotents) == 1:
-        d = len(cen) - len(radical)
+    # the radical of a faithful matrix algebra in characteristic 0 is the
+    # kernel of its trace form
+    d = len(cen) - len(nullspace(_trace_gram(cen), len(cen)))
+    parts = _primary_components(cen, n, d)
+    if len(parts) == 1:
         field = "Q" if d == 1 else f"of degree {d}"
         return ("indecomposable", f"the centroid is local with residue field {field}")
-    u, *rest = _ordered(Subspace(n, column_space(e)) for e in idempotents)
+    u, *rest = _ordered(Subspace(n, part) for part in parts)
     return ("decomposable", (u, Subspace(n, rref(r for part in rest for r in part.rows))))
 
 
@@ -1055,7 +1026,8 @@ def algebra_from_json(obj: dict) -> LieAlgebra:
     """Parse ``{"dim", "basis", "brackets": [{"x","y","value": {label: "p/q"}}]}``.
 
     Omitted brackets are zero; the antisymmetric completion is applied, and
-    conflicting duplicate entries are rejected.
+    conflicting duplicate entries are rejected.  A value is a rational
+    number, so a bool, a zero denominator or an infinite float is refused.
     """
     try:
         dim = json_int(obj["dim"], "dim")
@@ -1076,10 +1048,10 @@ def algebra_from_json(obj: dict) -> LieAlgebra:
             raise ValueError(f"bad bracket {entry!r}")
         try:
             i, j = index[entry["x"]], index[entry["y"]]
-            value = {index[lab]: Fraction(text) for lab, text in entry["value"].items()}
+            value = {index[lab]: _json_rational(text) for lab, text in entry["value"].items()}
         except KeyError as exc:
             raise ValueError(f"unknown basis label {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"bad bracket {entry!r}: {exc}") from exc
         if (i, j) in seen or (j, i) in seen:
             raise ValueError(f"duplicate bracket for ({entry['x']}, {entry['y']})")
@@ -1093,6 +1065,12 @@ def algebra_from_json(obj: dict) -> LieAlgebra:
         dim, tuple(tuple(tuple(r) for r in p) for p in c), labels
     )
     return algebra
+
+
+def _json_rational(value) -> Fraction:
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a rational number")
+    return Fraction(value)
 
 
 def algebra_to_json(algebra: LieAlgebra) -> dict:

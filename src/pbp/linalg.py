@@ -240,10 +240,6 @@ def mat_sub(a, b) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -276,10 +272,6 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     return out
 
 
-def column_space(mat: Sequence[Sequence]) -> tuple[Vec, ...]:
-    return rref(transpose(mat))
-
-
 def char_poly(m: Sequence[Sequence]) -> tuple:
     """Characteristic polynomial det(xI - M), coefficients low to high, monic.
 
@@ -300,15 +292,14 @@ def char_poly(m: Sequence[Sequence]) -> tuple:
     return tuple(reversed(chi))
 
 
-def min_poly_of_matrix(m: Sequence[Sequence], modulo: Sequence[Vec] = ()) -> tuple:
-    """Monic minimal polynomial via the first linear dependence among powers,
-    taken modulo the span of ``modulo``, rref rows of flattened matrices."""
+def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:
+    """Monic minimal polynomial via the first linear dependence among powers."""
     n = len(m)
     power = identity_matrix(n)
     builder = SpanBuilder(n * n)
     stack: list[Vec] = []
     while True:
-        v = reduce_vector(modulo, flatten(power))
+        v = flatten(power)
         if not builder.add(v):
             coeffs = dependence(stack, v)
             return tuple(coeffs + [ONE])

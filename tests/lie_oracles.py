@@ -7,10 +7,19 @@ removal is split once per order.  ``pbp.lie.ideal_lattice`` splits each
 ideal of L once, in a worklist over L itself, and must find the same ideals,
 the same completeness and, when it flags an infinite family, a witness pair
 of the same dimensions.
+
+``decomposability_oracle`` splits the centroid as ``pbp.lie`` did before it
+read primary components as kernels: it reduces powers of a generating
+element modulo the rows of the trace radical, builds the CRT idempotent of
+each factor of the minimal polynomial mod the radical, lifts it by Newton's
+iteration e <- 3e^2 - 2e^3 and takes its column space.
+``pbp.lie._decomposability`` must return the same split and the same
+reason.
 """
 
 import random
 from itertools import combinations
+from typing import Sequence
 
 from pbp.lie import (
     SEED,
@@ -18,11 +27,32 @@ from pbp.lie import (
     IdealLattice,
     LieAlgebra,
     Subspace,
+    _combine,
     _minimal_ideals,
     _ordered,
+    _trace_gram,
+    centroid,
     quotient_algebra,
 )
-from pbp.linalg import rref
+from pbp.linalg import (
+    ONE,
+    SpanBuilder,
+    Vec,
+    dependence,
+    flatten,
+    identity_matrix,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    nullspace,
+    poly_eval_matrix,
+    reduce_vector,
+    rref,
+    transpose,
+)
+from pbp.poly import factor_over_q, poly_divmod, poly_mul
+from pbp.verdict import InternalVerificationError
+from poly_oracles import poly_gcdext
 
 
 def lattice_recursion_oracle(algebra: LieAlgebra) -> IdealLattice:
@@ -59,3 +89,100 @@ def _lattice_rec(algebra: LieAlgebra, rng) -> IdealLattice:
             rows = rref(list(atom.rows) + [lift(r) for r in ideal.rows])
             found.setdefault(rows, Subspace(n, rows))
     return IdealLattice(_ordered(found.values()), Completeness.COMPLETE, None)
+
+
+def decomposability_oracle(algebra: LieAlgebra):
+    n = algebra.dim
+    cen = centroid(algebra)
+    if len(cen) == 1:
+        return ("indecomposable", "the centroid is Q, hence local")
+    radical = rref(flatten(m) for m in _trace_radical(cen, n))
+    idempotents = _primitive_idempotents(cen, n, radical)
+    if len(idempotents) == 1:
+        d = len(cen) - len(radical)
+        field = "Q" if d == 1 else f"of degree {d}"
+        return ("indecomposable", f"the centroid is local with residue field {field}")
+    u, *rest = _ordered(Subspace(n, _column_space(e)) for e in idempotents)
+    return ("decomposable", (u, Subspace(n, rref(r for part in rest for r in part.rows))))
+
+
+def _trace_radical(alg_basis: list, n: int) -> list:
+    """Radical of the algebra spanned by ``alg_basis``: the trace-form kernel.
+
+    Valid in characteristic zero for an algebra given by matrices acting
+    faithfully, which is the case here by construction.
+    """
+    kernel = nullspace(_trace_gram(alg_basis), len(alg_basis))
+    return [_combine(sol, alg_basis, n) for sol in kernel]
+
+
+def _generating_element(basis: list, n: int, radical: Sequence[Vec]) -> tuple[list, tuple]:
+    """(z, mu): an element z generating A / rad A, for the commutative algebra A
+    spanned by ``basis``, and its minimal polynomial mu mod rad A.
+
+    ``radical`` holds the rref rows of rad A, as flattened matrices.  A/rad A
+    is a product of number fields of total degree d, and z = sum_i c^i b_i
+    generates it unless two of its d embeddings agree on z.  For each pair
+    that happens only at the roots of a nonzero polynomial in c of degree
+    < k = len(basis), so one of c = 1, ..., (k-1) d(d-1)/2 + 1 generates it;
+    when none does, A is not commutative.
+    """
+    k, d = len(basis), len(basis) - len(radical)
+    for c in range(1, (k - 1) * d * (d - 1) // 2 + 2):
+        z = _combine([c**i for i in range(k)], basis, n)
+        mu = _min_poly_of_matrix(z, radical)
+        if len(mu) - 1 == d:
+            return z, mu
+    raise InternalVerificationError("no element generates A / rad A: A is not commutative")
+
+
+def _primitive_idempotents(basis: list, n: int, radical: Sequence[Vec]) -> list:
+    """The primitive idempotents of the commutative algebra A spanned by ``basis``.
+
+    The CRT idempotents of the factors of the minimal polynomial mod rad A of
+    a generating element (``_generating_element``) lift to A by
+    e <- 3e^2 - 2e^3, which ends because rad A is nilpotent.
+    """
+    z, mu = _generating_element(basis, n, radical)
+    idempotents = []
+    for f, _mult in factor_over_q(mu):
+        e = poly_eval_matrix(_crt_idempotent_poly(mu, f), z)
+        square = mat_mul(e, e)
+        while not _mat_eq(square, e):
+            e = mat_sub(mat_scale(square, 3), mat_scale(mat_mul(square, e), 2))
+            square = mat_mul(e, e)
+        idempotents.append(e)
+    return idempotents
+
+
+def _crt_idempotent_poly(mu: Sequence, factor: Sequence) -> tuple:
+    """h with h = 1 mod factor and h = 0 mod mu/factor (mu squarefree)."""
+    g = poly_divmod(mu, factor)[0]
+    gcd, u, _ = poly_gcdext(g, factor)
+    if len(gcd) != 1:
+        raise InternalVerificationError("factor must be coprime to the cofactor")
+    return poly_divmod(poly_mul(u, g), mu)[1]
+
+
+def _min_poly_of_matrix(m: Sequence[Sequence], modulo: Sequence[Vec] = ()) -> tuple:
+    """Monic minimal polynomial via the first linear dependence among powers,
+    taken modulo the span of ``modulo``, rref rows of flattened matrices."""
+    n = len(m)
+    power = identity_matrix(n)
+    builder = SpanBuilder(n * n)
+    stack: list[Vec] = []
+    while True:
+        v = reduce_vector(modulo, flatten(power))
+        if not builder.add(v):
+            coeffs = dependence(stack, v)
+            return tuple(coeffs + [ONE])
+        stack.append(v)
+        power = mat_mul(power, m)
+
+
+def _mat_eq(a, b) -> bool:
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _column_space(mat: Sequence[Sequence]) -> tuple[Vec, ...]:
+    return rref(transpose(mat))

@@ -14,9 +14,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, obj):
+    """Write obj as JSON; bytes are written as they are, for JSON that json.dumps cannot emit."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
     return str(path)
+
+
+def lie_bracket_value(text):
+    """A one-bracket algebra [g, e] = value * e, its value given as JSON text."""
+    return (b'{"dim": 2, "basis": ["e", "g"], "brackets": [{"x": "g", "y": "e", "value": {"e": '
+            + text.encode() + b'}}]}')
 
 
 def run(capsys, argv):
@@ -369,12 +376,17 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
     ["classify", "-i", {"kind": "flagged", "flags": {"vcd": "x"}}],
     ["classify", "-i", {"kind": "bs", "m": "2", "n": "3"}],
     ["classify", "-i", {"kind": "flagged", "flags": {"deficiency": "3"}}],
+    ["lie", "-i", lie_bracket_value('"1/0"')],
+    ["lie", "-i", lie_bracket_value("Infinity")],
+    ["lie", "-i", lie_bracket_value("1e400")],
+    ["lie", "-i", lie_bracket_value("true")],
 ], ids=["InconsistentInput", "PresentationFormatError", "RelatorNotKilled", "InvalidAlgebra",
         "ZeroParameter", "CoxeterRowsNotAList", "CoxeterRowNotAList", "ClassifyCoxeterRowsNotAList",
         "ImagesNotAList", "LieDimBool", "LieDimFloat", "LieBasisNotAList", "LieBracketNotAnObject",
         "ImageEntryNotAnInteger", "RelatorNotAString", "GeneratorsNotAList", "DescriptorNotAnObject",
         "FlagsNotAnObject", "FactorsNotAList", "DeficiencyNotAnInteger", "VcdNotAnInteger",
-         "BsParameterNumericString", "DeficiencyNumericString"])
+         "BsParameterNumericString", "DeficiencyNumericString", "LieValueZeroDenominator",
+         "LieValueInfinity", "LieValueOverflow", "LieValueBool"])
 def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     """Each pbp input error exits 2 although main loads its module only on demand."""
     argv = [a if isinstance(a, str) else write(tmp_path, f"{i}.json", a) for i, a in enumerate(argv)]
@@ -397,6 +409,19 @@ def test_src_imports_only_stdlib():
             top = {name.partition(".")[0] for name in names}
             foreign += [(path.name, name) for name in top - sys.stdlib_module_names - {"pbp"}]
     assert not foreign
+
+
+def test_src_imports_are_used():
+    """Every name a src/pbp module imports, at any depth, is used in that module."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - used - {"annotations"})]
+    assert unused == []
 
 
 def test_src_private_definitions_are_used():

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lie_oracles import lattice_recursion_oracle
+from lie_oracles import decomposability_oracle, lattice_recursion_oracle
 from linalg_oracles import SpanOracle, nullspace_oracle, rref_oracle
 from pbp import lie
 from pbp.lie import (
@@ -504,12 +504,12 @@ def test_killing_form_gate(name, monkeypatch):
     def spy(fn):
         return lambda *args: calls.append(fn.__name__) or fn(*args)
 
-    for fn in (lie._simplicity, lie._trace_radical):
+    for fn in (lie._simplicity, lie._decomposability):
         monkeypatch.setattr(lie, fn.__name__, spy(fn))
     lie._minimal_ideals(algebra, random.Random(0))
     assert ("_simplicity" in calls) == degenerate
     ideal_lattice(algebra)
-    assert "_trace_radical" not in calls
+    assert "_decomposability" not in calls
 
 
 def lie_closure(gens):
@@ -764,21 +764,35 @@ def test_centroid_from_generators_is_the_all_basis_commutant(name):
     assert lie.centroid(algebra) == everything
 
 
+@settings(max_examples=40)
+@given(st.data())
+def test_decomposability_matches_the_crt_oracle(data):
+    # the primary kernels of one generating element split the centroid as its
+    # CRT idempotents, lifted by Newton's iteration, do; vr(2,1,1) and vr(3,0,1)
+    # put a radical into the centroid
+    if data.draw(st.booleans()):
+        algebra = catalogue(data.draw(st.sampled_from(SMALL_CATALOGUE)))
+        algebra = rebase(algebra, draw_basis(data, algebra.dim))
+    else:
+        algebra = data.draw(matrix_lie_algebras())
+    extra = data.draw(st.sampled_from((None, "vr(2,1,1)", "vr(3,0,1)")))
+    if extra is not None:
+        algebra = direct_sum(algebra, catalogue(extra))
+    assume(centre(algebra).is_zero())
+    assert lie._decomposability(algebra) == decomposability_oracle(algebra)
+
+
+def test_a_radical_in_the_centroid_is_split_by_squaring():
+    # the centroid of vr(2,1,1) + sl2 is Q[e]/(e^2) x Q: on the vr(2,1,1) part
+    # z - a is a nonzero nilpotent, whose kernel is only half of that part
+    algebra = catalogue("vr(2,1,1)+sl2")
+    kind, parts = lie._decomposability(algebra)
+    assert kind == "decomposable"
+    assert parts == (span(algebra, *(unit(9, i) for i in range(6, 9))),
+                     span(algebra, *(unit(9, i) for i in range(6))))
+
+
 # --- internal checks that survive python -O --------------------------------------
-
-
-def test_crt_idempotent_checks_coprimality(monkeypatch):
-    # af + af has infinitely many ideals, so its verdict splits the centroid
-    # with CRT idempotents in _decomposability
-    gcdext = lie.poly_gcdext
-
-    def non_coprime(a, b):
-        _gcd, u, v = gcdext(a, b)
-        return (Fraction(-1), Fraction(1)), u, v
-
-    monkeypatch.setattr(lie, "poly_gcdext", non_coprime)
-    with pytest.raises(InternalVerificationError, match="coprime"):
-        lie_presentable(catalogue("af+af"))
 
 
 def test_primitive_idempotents_need_a_commutative_algebra():
@@ -786,7 +800,7 @@ def test_primitive_idempotents_need_a_commutative_algebra():
     basis = [[[int((r, s) == (i, j)) for s in range(2)] for r in range(2)]
              for i in range(2) for j in range(2)]
     with pytest.raises(InternalVerificationError, match="not commutative"):
-        lie._primitive_idempotents(basis, 2, ())
+        lie._primary_components(basis, 2, 4)
 
 
 def test_isotypic_components_check_their_dimensions(monkeypatch):
@@ -794,7 +808,7 @@ def test_isotypic_components_check_their_dimensions(monkeypatch):
     # losing a factor loses a component
     factor_over_q = lie.factor_over_q
     monkeypatch.setattr(lie, "factor_over_q", lambda f: factor_over_q(f)[:-1])
-    with pytest.raises(InternalVerificationError, match="isotypic"):
+    with pytest.raises(InternalVerificationError, match="primary components"):
         lie_presentable(catalogue("sl2+sl2"))
 
 
