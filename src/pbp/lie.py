@@ -306,7 +306,7 @@ def quotient_algebra(
 def _envelope(gens: list, n: int) -> list:
     """Basis of the unital matrix algebra generated by ``gens``."""
     basis: list = []
-    builder = SpanBuilder(n * n)
+    builder = SpanBuilder()
     # depth-first over words in the generators; a product m g is formed only
     # when its (m, g) pair is popped, so pending products cost no memory
     stack = [(identity_matrix(n), None)] + [(g, None) for g in gens]
@@ -373,7 +373,7 @@ def _compose_rows(outer: tuple[Vec, ...], inner: tuple[Vec, ...]) -> tuple[Vec, 
 
 def _spin(vectors: list, gens: list, n: int) -> tuple[Vec, ...]:
     """Smallest gens-invariant subspace containing the vectors (rref rows)."""
-    builder = SpanBuilder(n)
+    builder = SpanBuilder()
     queue = []
     for v in vectors:
         if builder.add(v):
@@ -540,7 +540,7 @@ def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec,
     ideal = rref(mat_vec(m, z) for m in ad_mats for z in radical)  # [L, R]
     rows = [row for y in ideal for row in algebra.ad(y)]
     # ad z vanishes on M for z in [L, R], so z running over R / [L, R] will do
-    span = SpanBuilder(n, ideal)
+    span = SpanBuilder(ideal)
     for z in radical:
         if span.add(z):
             ad_z = algebra.ad(z)
@@ -706,7 +706,7 @@ def _generators(algebra: LieAlgebra) -> list[int]:
     their sizes, which in a dense basis doubles them at every step.
     """
     n = algebra.dim
-    span, elements, picks, ads = SpanBuilder(n), [], [], []
+    span, elements, picks, ads = SpanBuilder(), [], [], []
     for i in range(n):
         e = _unit(n, i)
         if span.contains(e):

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Entries are Python ints or Fractions; mixed arithmetic is exact either way,
-and keeping ints where possible is markedly faster.  Elimination runs on an
-integer echelon: a span's reduced row echelon form is kept as integer rows
-over one common denominator, with cached pivot columns, and a new vector is
+and keeping ints where possible is markedly faster.  One integer echelon,
+``SpanBuilder``, serves spans, null spaces, module maps and minimal
+polynomials: a span's reduced row echelon form is kept as integer rows over
+one common denominator, with cached pivot columns, and a new vector is
 scaled to a primitive integer row and reduced in integers against them.  A
 vector that grows the span enters by one fraction-free Gauss-Jordan step
-(Bareiss, Math. Comp. 22, 1968).  No Fraction is built until the canonical
-rref, with pivots 1, is asked for; matrix products likewise run in integers
-over a common denominator.
+(Bareiss, Math. Comp. 22, 1968).  Null vectors are read off the same rows,
+and a dependence among vectors is found by carrying their coordinates in
+extra columns.  No Fraction is built until the canonical rref, with pivots
+1, is asked for; matrix products likewise run in integers over a common
+denominator.
 
 Module maps, and so commutants, come from spinning, as in the MeatAxe (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 7): a
@@ -28,12 +31,7 @@ from typing import Iterable, Sequence
 Vec = tuple
 Matrix = list
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
-
-
-def vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
 
 
 def zero_vec(n: int) -> Vec:
@@ -42,10 +40,6 @@ def zero_vec(n: int) -> Vec:
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(a: Vec, c) -> Vec:
@@ -57,7 +51,7 @@ def is_zero_vec(a: Vec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the integer echelon kernel
+# the integer echelon
 
 
 def _int_matrix(a: Sequence[Sequence]) -> tuple[Sequence, int]:
@@ -79,8 +73,9 @@ def _int_row(v: Sequence) -> Sequence:
     return [x // g for x in row] if g > 1 else row
 
 
-class _Echelon:
-    """The reduced row echelon form of a span, as integer rows over one denominator.
+class SpanBuilder:
+    """A growing span, kept as its reduced row echelon form in integer rows
+    over one denominator.
 
     Row i holds ``den`` at its cached pivot column ``pivots[i]`` and every
     other row holds 0 there, so ``rows[i] / den`` is a row of the canonical
@@ -89,12 +84,35 @@ class _Echelon:
     insertion order.
     """
 
-    def __init__(self):
+    def __init__(self, vectors: Iterable[Sequence] = ()):
         self.pivots: list[int] = []
         self.rows: list[list[int]] = []
         self.den = 1
+        for v in vectors:
+            self.add(v)
 
-    def reduce(self, v: Sequence) -> list:
+    def add(self, v: Sequence) -> bool:
+        """Add v to the span by one fraction-free Gauss-Jordan step; True if it grew."""
+        w = self._residue(v)
+        if w is None:
+            return False
+        self._push(w)
+        return True
+
+    def contains(self, v: Sequence) -> bool:
+        return self._residue(v) is None
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> tuple[Vec, ...]:
+        """The rref rows, pivots 1 and Fraction entries, sorted by pivot."""
+        den = self.den
+        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
+        return tuple(tuple(Fraction(x, den) if x else ZERO for x in self.rows[i]) for i in order)
+
+    def _reduce(self, v: Sequence) -> list:
         """den v minus the combination of rows that clears v at every pivot, for
         an integer v; a new list."""
         w = [self.den * x for x in v]
@@ -104,22 +122,14 @@ class _Echelon:
                 w = [a - c * b for a, b in zip(w, r)]
         return w
 
-    def residue(self, v: Sequence) -> list | None:
+    def _residue(self, v: Sequence) -> list | None:
         """A positive multiple of v minus its projection on the span; None if v is in it."""
         if len(self.rows) == len(v):
             return None
-        w = self.reduce(_int_row(v))
+        w = self._reduce(_int_row(v))
         return w if any(w) else None
 
-    def insert(self, v: Sequence) -> bool:
-        """Add v to the span by one fraction-free Gauss-Jordan step; True if it grew."""
-        w = self.residue(v)
-        if w is None:
-            return False
-        self.push(w)
-        return True
-
-    def push(self, w: list) -> None:
+    def _push(self, w: list) -> None:
         """Add a nonzero residue w, pivoting on its first nonzero entry."""
         for p, e in enumerate(w):
             if e:
@@ -150,19 +160,23 @@ class _Echelon:
             den //= g
         self.den = den
 
-    def canonical(self) -> tuple[Vec, ...]:
-        """The rref rows, pivots 1 and Fraction entries, sorted by pivot."""
-        den = self.den
-        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
-        return tuple(tuple(Fraction(x, den) if x else ZERO for x in self.rows[i]) for i in order)
+    def _kernel(self, ncols: int) -> list[list[int]]:
+        """den times the canonical null vectors of the rows: one per free column
+        f, with den at f and -rows[i][f] at pivot i."""
+        free = set(range(ncols)).difference(self.pivots)
+        out = []
+        for f in sorted(free):
+            x = [0] * ncols
+            x[f] = self.den
+            for p, r in zip(self.pivots, self.rows):
+                x[p] = -r[f]
+            out.append(x)
+        return out
 
 
 def rref(rows: Iterable[Sequence]) -> tuple[Vec, ...]:
     """Reduced row echelon form; zero rows dropped, pivots normalized to 1."""
-    echelon = _Echelon()
-    for row in rows:
-        echelon.insert(row)
-    return echelon.canonical()
+    return SpanBuilder(rows).basis()
 
 
 def reduce_vector(basis: Sequence[Vec], v: Vec) -> Vec:
@@ -181,36 +195,7 @@ def pivots(basis: Sequence[Vec]) -> list[int]:
 
 def express(basis: Sequence[Vec], v: Vec) -> list | None:
     """Coefficients of v in an rref basis, or None if v is outside the span."""
-    coeffs = [v[p] for p in pivots(basis)]
-    rem = v
-    for c, row in zip(coeffs, basis):
-        if c:
-            rem = vec_sub(rem, vec_scale(row, c))
-    return coeffs if is_zero_vec(rem) else None
-
-
-class SpanBuilder:
-    """Incrementally maintained basis of a growing span."""
-
-    def __init__(self, ncols: int, vectors: Iterable[Vec] = ()):
-        self.ncols = ncols
-        self.echelon = _Echelon()
-        for v in vectors:
-            self.add(v)
-
-    def add(self, v: Sequence) -> bool:
-        """Add a vector; True if the span grew."""
-        return self.echelon.insert(v)
-
-    def contains(self, v: Sequence) -> bool:
-        return self.echelon.residue(v) is None
-
-    @property
-    def dim(self) -> int:
-        return len(self.echelon.rows)
-
-    def basis(self) -> tuple[Vec, ...]:
-        return self.echelon.canonical()
+    return [v[p] for p in pivots(basis)] if is_zero_vec(reduce_vector(basis, v)) else None
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
@@ -228,24 +213,12 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x, den) if x else ZERO for x in row] for row in prod]
 
 
-def mat_add(a, b) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
 def mat_sub(a, b) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n: int, m: int | None = None) -> Matrix:
-    return [[0] * (m if m is not None else n) for _ in range(n)]
 
 
 def transpose(a: Sequence[Sequence]) -> Matrix:
@@ -257,19 +230,12 @@ def flatten(a: Sequence[Sequence]) -> Vec:
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
-    basis = rref(rows)
-    piv = set(pivots(basis))
-    free = [j for j in range(ncols) if j not in piv]
-    out = []
-    for j in free:
-        x = [0] * ncols
-        x[j] = 1
-        for row in basis:
-            p = next(i for i, v in enumerate(row) if v)
-            x[p] = -row[j]
-        out.append(tuple(x))
-    return out
+    """Basis of {x : A x = 0} for the matrix with the given rows: one vector
+    per free column, with 1 there and 0 at the other free columns.  Entries
+    are ints where integral and Fractions otherwise."""
+    span = SpanBuilder(rows)
+    den = span.den
+    return [tuple(a // den if a % den == 0 else Fraction(a, den) for a in x) for x in span._kernel(ncols)]
 
 
 def char_poly(m: Sequence[Sequence]) -> tuple:
@@ -293,38 +259,36 @@ def char_poly(m: Sequence[Sequence]) -> tuple:
 
 
 def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:
-    """Monic minimal polynomial via the first linear dependence among powers."""
+    """Monic minimal polynomial, from the first power of m that depends on the lower ones.
+
+    Power k enters one echelon as the row [flatten(m^k) | e_k], scaled to
+    integers.  Every echelon row [r | a] then has r = sum_t a_t flatten(m^t),
+    so the first power whose row reduces to 0 on the left leaves on the right
+    the coefficients a_t of a vanishing polynomial of degree k, a_k > 0.
+    """
     n = len(m)
+    span = SpanBuilder()
     power = identity_matrix(n)
-    builder = SpanBuilder(n * n)
-    stack: list[Vec] = []
-    while True:
-        v = flatten(power)
-        if not builder.add(v):
-            coeffs = dependence(stack, v)
-            return tuple(coeffs + [ONE])
-        stack.append(v)
+    for k in range(n + 1):
+        tail = [0] * (n + 1)
+        tail[k] = 1
+        w = span._reduce(_int_row([*flatten(power), *tail]))
+        if not any(w[: n * n]):
+            a = w[n * n : n * n + k + 1]
+            return tuple(Fraction(c, a[k]) for c in a)
+        span._push(w)
         power = mat_mul(power, m)
-
-
-def dependence(stack: list[Vec], v: Vec) -> list:
-    """Coefficients c with sum_i c_i stack[i] + v = 0 (the stack is independent)."""
-    aug = rref([list(s) for s in zip(*([list(s) for s in stack] + [list(v)]))])
-    ncols = len(stack) + 1
-    sol = [0] * len(stack)
-    for row in aug:
-        p = next(i for i, x in enumerate(row) if x)
-        if p == ncols - 1:
-            raise ValueError("vector not in span")
-        sol[p] = row[ncols - 1]
-    return [-c for c in sol]
+    raise AssertionError("Cayley-Hamilton bounds the degree by n")
 
 
 def poly_eval_matrix(coeffs: Sequence, m: Sequence[Sequence]) -> Matrix:
+    """sum_i coeffs[i] m^i, by Horner's rule."""
     n = len(m)
-    acc = zero_matrix(n)
-    for c in reversed(list(coeffs)):
-        acc = mat_add(mat_mul(acc, m), mat_scale(identity_matrix(n), c))
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = mat_mul(acc, m)
+        for i in range(n):
+            acc[i][i] += c
     return acc
 
 
@@ -340,7 +304,7 @@ def _is_scalar(m: Sequence[Sequence], c) -> bool:
     return True
 
 
-def _spin_tree(gens: list, n: int) -> tuple[list, list, _Echelon]:
+def _spin_tree(gens: list, n: int) -> tuple[list, list, SpanBuilder]:
     """Spin Q^n from unit vectors, breadth first, under integer matrices.
 
     Returns (parents, edges, echelon).  The spun basis vector b_t is a seed,
@@ -352,7 +316,7 @@ def _spin_tree(gens: list, n: int) -> tuple[list, list, _Echelon]:
     spin the row [den e_k | a] gives e_k = sum_t (a_t / den) b_t: its tail is
     column k of the inverse of the spun basis, scaled by den.
     """
-    echelon = _Echelon()
+    echelon = SpanBuilder()
     basis: list = []
     parents: list = []
     edges: list = []
@@ -362,22 +326,22 @@ def _spin_tree(gens: list, n: int) -> tuple[list, list, _Echelon]:
             break
         unit = [0] * n
         unit[s] = 1
-        w = echelon.reduce(unit + pad)
+        w = echelon._reduce(unit + pad)
         if not any(w[:n]):
             continue
         head = len(basis)
         w[n + head] += echelon.den
-        echelon.push(w)
+        echelon._push(w)
         basis.append(unit)
         parents.append(None)
         while head < len(basis):
             b = basis[head]
             for j, g in enumerate(gens):
                 y = [sum(map(mul, row, b)) for row in g]
-                w = echelon.reduce(y + pad)
+                w = echelon._reduce(y + pad)
                 if any(w[:n]):
                     w[n + len(basis)] += echelon.den
-                    echelon.push(w)
+                    echelon._push(w)
                     basis.append(y)
                     parents.append((head, j))
                 else:
@@ -391,34 +355,30 @@ def _spin_tree(gens: list, n: int) -> tuple[list, list, _Echelon]:
 def _kernel_combinations(states: list, images: list) -> list:
     """A basis of the combinations of ``states`` whose ``images`` sum to zero.
 
-    Each combination den s_f - sum_k r_k[f] s_k is a null vector of the
-    matrix with columns ``images``, read off its integer echelon, and is
-    divided by the gcd of its entries.
+    The coefficients of each are a null vector of the matrix with columns
+    ``images``, read off its integer echelon (``SpanBuilder._kernel``), and
+    the combination is divided by the gcd of its entries.
     """
-    echelon = _Echelon()
+    echelon = SpanBuilder()
     k = len(states)
     for row in zip(*images):
-        w = echelon.reduce(row)
+        w = echelon._reduce(row)
         if any(w):
-            echelon.push(w)
+            echelon._push(w)
             if len(echelon.rows) == k:
                 return []
-    den, pivot_set = echelon.den, set(echelon.pivots)
     out = []
-    for f in range(k):
-        if f in pivot_set:
-            continue
-        x = [den * v for v in states[f]]
-        for p, r in zip(echelon.pivots, echelon.rows):
-            c = r[f]
+    for coeffs in echelon._kernel(k):
+        x = [0] * len(states[0])
+        for c, s in zip(coeffs, states):
             if c:
-                x = [a - c * b for a, b in zip(x, states[p])]
+                x = [a + c * b for a, b in zip(x, s)]
         g = gcd(*x)
         out.append([v // g for v in x] if g > 1 else x)
     return out
 
 
-def _module_maps(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> tuple[list, _Echelon]:
+def _module_maps(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> tuple[list, SpanBuilder]:
     """A basis of Hom_A(V, W) = {X : X g = h X for each pair (g, h)}, by spinning V.
 
     V = Q^n and W = Q^p are modules over the algebra A that the pairs (g, h)
@@ -448,7 +408,7 @@ def _module_maps(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> tuple[li
     the integer inverse of its basis.
     """
     if not n:
-        return [], _Echelon()
+        return [], SpanBuilder()
     # a pair (c I, c I) constrains nothing
     if gens_v is gens_w:
         gs = hs = [_int_matrix(g)[0] for g in gens_v if not _is_scalar(g, g[0][0])]
@@ -517,9 +477,9 @@ def solve_commutant(mats: Sequence[Sequence[Sequence]], n: int) -> list[Matrix]:
     # X = Y B^-1 with Y the columns X(b_t); column k of den B^-1 is the tail
     # of the spun row with pivot k, and X is taken times den
     cols = [r[n:] for _k, r in sorted(zip(spun.pivots, spun.rows), reverse=True)]
-    echelon = _Echelon()
+    echelon = SpanBuilder()
     for x in states:
-        echelon.push(echelon.reduce([sum(map(mul, x[i::n], col)) for i in range(n - 1, -1, -1) for col in cols]))
+        echelon._push(echelon._reduce([sum(map(mul, x[i::n], col)) for i in range(n - 1, -1, -1) for col in cols]))
     den = echelon.den
     out = []
     for _k, row in sorted(zip(echelon.pivots, echelon.rows), reverse=True):

@@ -115,25 +115,32 @@ _DEFAULT_NAMES = tuple("abcdefghijklmnopqrstuvwxyz")
 def parse_word(text: str, names: Sequence[str]) -> Word:
     """Parse whitespace-separated ``name^exp`` syllables into a word.
 
-    Rejects unknown generator names and zero exponents.
+    An exponent is an optional ``-`` followed by ASCII digits.  Rejects
+    unknown generator names, zero exponents and exponents too large to
+    expand into letters.
     """
     index = {name: i for i, name in enumerate(names)}
     letters: list[int] = []
     for token in text.split():
-        name, _, exp_text = token.partition("^")
+        name, caret, exp_text = token.partition("^")
         if name not in index:
             raise ValueError(f"unknown generator {name!r} in word {text!r}")
-        if exp_text:
+        exp = 1
+        if caret:
+            magnitude = exp_text.removeprefix("-")
+            if not (magnitude.isascii() and magnitude.isdigit()):
+                raise ValueError(f"bad exponent {exp_text!r} in word {text!r}")
             try:
                 exp = int(exp_text)
-            except ValueError:
-                raise ValueError(f"bad exponent {exp_text!r} in word {text!r}") from None
-        else:
-            exp = 1
+            except ValueError:  # more digits than int() converts
+                raise ValueError(f"exponent of {name!r} too large to expand in word {text!r}") from None
         if exp == 0:
             raise ValueError(f"zero exponent in word {text!r}")
         letter = index[name] + 1
-        letters.extend([letter if exp > 0 else -letter] * abs(exp))
+        try:
+            letters.extend([letter if exp > 0 else -letter] * abs(exp))
+        except (OverflowError, MemoryError):
+            raise ValueError(f"exponent of {name!r} too large to expand in word {text!r}") from None
     return Word(letters)
 
 

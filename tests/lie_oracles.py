@@ -21,6 +21,7 @@ import random
 from itertools import combinations
 from typing import Sequence
 
+from linalg_oracles import ONE, dependence
 from pbp.lie import (
     SEED,
     Completeness,
@@ -35,14 +36,11 @@ from pbp.lie import (
     quotient_algebra,
 )
 from pbp.linalg import (
-    ONE,
     SpanBuilder,
     Vec,
-    dependence,
     flatten,
     identity_matrix,
     mat_mul,
-    mat_scale,
     mat_sub,
     nullspace,
     poly_eval_matrix,
@@ -169,7 +167,7 @@ def _min_poly_of_matrix(m: Sequence[Sequence], modulo: Sequence[Vec] = ()) -> tu
     taken modulo the span of ``modulo``, rref rows of flattened matrices."""
     n = len(m)
     power = identity_matrix(n)
-    builder = SpanBuilder(n * n)
+    builder = SpanBuilder()
     stack: list[Vec] = []
     while True:
         v = reduce_vector(modulo, flatten(power))
@@ -178,6 +176,10 @@ def _min_poly_of_matrix(m: Sequence[Sequence], modulo: Sequence[Vec] = ()) -> tu
             return tuple(coeffs + [ONE])
         stack.append(v)
         power = mat_mul(power, m)
+
+
+def mat_scale(a, c) -> list:
+    return [[x * c for x in row] for row in a]
 
 
 def _mat_eq(a, b) -> bool:

@@ -4,9 +4,16 @@ Every row is kept in reduced echelon form with Fraction entries: a new
 vector is reduced against each stored row by the row's pivot, normalized to
 pivot 1, and then eliminated from the stored rows.  Slow, but obviously
 right.
+
+``min_poly_oracle`` is the Krylov search that ``pbp.linalg`` used before it
+read minimal polynomials off one echelon: it finds the first power of M in
+the span of the lower ones, then solves for the dependence by a second
+elimination (``dependence``).
 """
 
 from fractions import Fraction
+
+ONE = Fraction(1)
 
 
 def _pivot(row):
@@ -103,3 +110,31 @@ def hom_oracle(gens_v, gens_w, n, p):
 def solve_commutant_oracle(mats, n):
     """Basis of the commutant of ``mats`` in M_n(Q), as ``hom_oracle`` orders it."""
     return hom_oracle(mats, mats, n, n)
+
+
+def dependence(stack, v):
+    """Coefficients c with sum_i c_i stack[i] + v = 0 (the stack is independent)."""
+    aug = rref_oracle([list(s) for s in zip(*([list(s) for s in stack] + [list(v)]))])
+    ncols = len(stack) + 1
+    sol = [0] * len(stack)
+    for row in aug:
+        p = _pivot(row)
+        if p == ncols - 1:
+            raise ValueError("vector not in span")
+        sol[p] = row[ncols - 1]
+    return [-c for c in sol]
+
+
+def min_poly_oracle(m):
+    """Monic minimal polynomial via the first linear dependence among powers."""
+    n = len(m)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    span = SpanOracle()
+    stack = []
+    while True:
+        v = tuple(x for row in power for x in row)
+        if not span.add(v):
+            coeffs = dependence(stack, v)
+            return tuple(coeffs + [ONE])
+        stack.append(v)
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in power]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import pbp
 from pbp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -380,13 +381,16 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
     ["lie", "-i", lie_bracket_value("Infinity")],
     ["lie", "-i", lie_bracket_value("1e400")],
     ["lie", "-i", lie_bracket_value("true")],
+    ["subgroup", "-i", {"generators": ["s"], "relators": ["s^"]}, "--hom", {"images": [[0]]}],
+    ["subgroup", "-i", {"generators": ["s"], "relators": ["s^99999999999999999999"]}, "--hom", {"images": [[0]]}],
 ], ids=["InconsistentInput", "PresentationFormatError", "RelatorNotKilled", "InvalidAlgebra",
         "ZeroParameter", "CoxeterRowsNotAList", "CoxeterRowNotAList", "ClassifyCoxeterRowsNotAList",
         "ImagesNotAList", "LieDimBool", "LieDimFloat", "LieBasisNotAList", "LieBracketNotAnObject",
         "ImageEntryNotAnInteger", "RelatorNotAString", "GeneratorsNotAList", "DescriptorNotAnObject",
         "FlagsNotAnObject", "FactorsNotAList", "DeficiencyNotAnInteger", "VcdNotAnInteger",
          "BsParameterNumericString", "DeficiencyNumericString", "LieValueZeroDenominator",
-         "LieValueInfinity", "LieValueOverflow", "LieValueBool"])
+         "LieValueInfinity", "LieValueOverflow", "LieValueBool", "WordEmptyExponent",
+         "WordExponentTooLarge"])
 def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     """Each pbp input error exits 2 although main loads its module only on demand."""
     argv = [a if isinstance(a, str) else write(tmp_path, f"{i}.json", a) for i, a in enumerate(argv)]
@@ -437,5 +441,24 @@ def test_src_private_definitions_are_used():
             nodes = list(ast.walk(top))
             used |= {node.id for node in nodes if isinstance(node, ast.Name)} - {own}
             used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)} - {own}
+    assert sorted((module, name) for module, name in defined if name not in used) == []
+
+
+def test_src_internal_public_definitions_are_used():
+    """Every module-level public function or class of a module that the pbp
+    package exports nothing from is referenced somewhere in src/pbp outside
+    its own definition: such a module only serves the others."""
+    internal = set(pbp._SUBMODULES) - {module for module, _name in pbp._EXPORTS.values()}
+    defined, used = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_") \
+                    and path.stem in internal:
+                defined.add((path.stem, own))
+            nodes = list(ast.walk(top))
+            used |= {node.id for node in nodes if isinstance(node, ast.Name)} - {own}
+            used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)} - {own}
+    assert {"algebraic", "linalg", "poly"} <= internal
     assert sorted((module, name) for module, name in defined if name not in used) == []
 

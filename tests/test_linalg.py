@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from linalg_oracles import (
     SpanOracle,
+    dependence,
     hom_oracle,
+    min_poly_oracle,
     nullspace_oracle,
     reduce_vector_oracle,
     rref_oracle,
@@ -16,11 +18,12 @@ from linalg_oracles import (
 )
 from pbp.linalg import (
     SpanBuilder,
-    dependence,
     express,
     hom_dimension,
+    min_poly_of_matrix,
     nullspace,
     pivots,
+    poly_eval_matrix,
     reduce_vector,
     rref,
     solve_commutant,
@@ -103,11 +106,11 @@ def test_rref_matches_oracle_and_sympy(case):
 @given(matrices_with_probes())
 def test_span_builder_matches_oracle(case):
     ncols, rows, probes = case
-    builder, oracle = SpanBuilder(ncols), SpanOracle()
+    builder, oracle = SpanBuilder(), SpanOracle()
     assert [builder.add(r) for r in rows] == [oracle.add(r) for r in rows]
     assert builder.dim == len(oracle.rows)
     assert builder.basis() == oracle.basis() == rref(rows)
-    assert SpanBuilder(ncols, rows).basis() == builder.basis()
+    assert SpanBuilder(rows).basis() == builder.basis()
     _assert_canonical(builder.basis())
     for v in probes + rows:
         assert builder.contains(v) == oracle.contains(v)
@@ -148,8 +151,9 @@ def test_reduce_vector_and_express(case):
 
 @given(matrices_with_probes())
 def test_dependence_solves_for_the_new_vector(case):
+    """The oracle behind ``min_poly_oracle`` solves for a vector in the span."""
     ncols, rows, probes = case
-    builder = SpanBuilder(ncols)
+    builder = SpanBuilder()
     stack = [tuple(r) for r in rows if builder.add(r)]
     if not stack:
         return
@@ -267,3 +271,16 @@ def test_module_maps_match_the_oracle(case, data):
     expected = len(hom_oracle(gens_v, gens_w, n, dim_w))
     assert hom_dimension(gens_v, gens_w, n, dim_w) == expected
     assert expected > 0 or not isomorphic
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_sets())
+def test_min_poly_matches_the_krylov_oracle(case):
+    """The minimal polynomial read off one echelon equals the one the Krylov
+    search and a second elimination find, is monic, and vanishes at M."""
+    _n, mats = case
+    m = mats[0]
+    mu = min_poly_of_matrix(m)
+    assert mu == min_poly_oracle(m)
+    assert mu[-1] == 1
+    assert not any(x for row in poly_eval_matrix(mu, m) for x in row)

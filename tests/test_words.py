@@ -84,6 +84,24 @@ def test_parse_rejects_unknown_and_zero():
         parse_word("s^0", ("s", "t"))
 
 
+@pytest.mark.parametrize("text", ["s^", "s^-", "s^+2", "s^ 2", "s^1_0", "s^\u0663", "s^2^3"])
+def test_parse_rejects_exponents_that_are_not_ascii_integers(text):
+    with pytest.raises(ValueError, match="bad exponent"):
+        parse_word(text, ("s", "t"))
+
+
+@pytest.mark.parametrize("exp", ["9" * 20, "-" + "9" * 20, "9" * 5000], ids=["20 digits", "-20 digits", "5000 digits"])
+def test_parse_refuses_exponents_too_large_to_expand(exp):
+    text = f"t s^{exp}"
+    with pytest.raises(ValueError, match="too large to expand") as caught:
+        parse_word(text, ("s", "t"))
+    assert repr(text) in str(caught.value)
+
+
+def test_parse_reads_leading_zeros_and_minus():
+    assert parse_word("s^-02 t^003", ("s", "t")).raw == (-1, -1, 2, 2, 2)
+
+
 letter_lists = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30)
 
 
