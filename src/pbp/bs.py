@@ -252,21 +252,11 @@ def witness_subgroup(m: int, eta: int) -> SubgroupWitness:
     if eta not in (1, -1):
         raise ValueError("eta must be +1 or -1")
     conj = [s_word(i) * t_word(1) * s_word(-i) for i in range(m)]
-    # even-length words in the free group on T: rewrite the index-2 subgroup
-    free = FinitePresentation(m, ())
-    table = coset_enumerate(free, [(1, 0)] * m)
-    data = reidemeister_schreier_data(free, table)
-    basis = tuple(_substitute(w, conj) for w in data.generator_words)
-    assert len(basis) == 2 * m - 1
+    # the even-length words in the free group on T_0..T_(m-1) are its index-2
+    # subgroup; with the Schreier transversal {1, T_0}, its free basis is
+    # T_i T_0^-1 for i = 1..m-1, then T_0 T_i for i = 0..m-1
+    basis = tuple(t * ~conj[0] for t in conj[1:]) + tuple(conj[0] * t for t in conj)
     return SubgroupWitness(m, eta, s_word(m), tuple(conj), basis)
-
-
-def _substitute(word: Word, images: Sequence[Word]) -> Word:
-    letters: list[int] = []
-    for letter in word.raw:
-        img = images[abs(letter) - 1].raw
-        letters.extend(img if letter > 0 else [-x for x in reversed(img)])
-    return Word(letters)
 
 
 def _first_relation(group: BSGroup, conjugates: Sequence[Word], length_bound: int) -> int | None:

@@ -9,7 +9,7 @@ Conflicting conclusions raise InconsistentInput instead of picking a side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 from .presentations import FinitePresentation, presentation_from_json
 from .verdict import FG_QUALIFIER, Answer, TraceEntry, Verdict, json_int
@@ -149,6 +149,10 @@ class Flags:
 
 # JSON key -> Flags field: the field name with dashes for underscores
 _FLAG_KEYS = {f.name.replace("_", "-"): f.name for f in fields(Flags)}
+# the keys whose JSON value must be a bool, and those that must be an integer
+_FLAG_TYPES = get_type_hints(Flags)
+_BOOL_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == bool | None}
+_INT_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == int | None}
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,18 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
     if not isinstance(obj, dict):
         raise ValueError("a descriptor must be a JSON object")
     kind = obj.get("kind")
+
+    def required(key: str):
+        if key not in obj:
+            raise ValueError(f"a {kind} descriptor needs the key {key!r}")
+        return obj[key]
+
     if kind == "coxeter":
         from .coxeter import coxeter_from_json
 
-        return GroupDescriptor("coxeter", coxeter=coxeter_from_json(obj["matrix"]))
+        return GroupDescriptor("coxeter", coxeter=coxeter_from_json(required("matrix")))
     if kind == "bs":
-        return GroupDescriptor("bs", bs=(json_int(obj["m"], "m"), json_int(obj["n"], "n")))
+        return GroupDescriptor("bs", bs=(json_int(required("m"), "m"), json_int(required("n"), "n")))
     if kind == "free_product":
         raw = obj.get("factors", [])
         if not isinstance(raw, list):
@@ -179,7 +189,7 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
         factors = tuple(INF_ENDS if f == "inf" else json_int(f, "a factor") for f in raw)
         return GroupDescriptor("free_product", factors=factors)
     if kind == "direct_product_of_infinite":
-        return GroupDescriptor("direct_product_of_infinite", count=json_int(obj["count"], "count"))
+        return GroupDescriptor("direct_product_of_infinite", count=json_int(required("count"), "count"))
     if kind == "flagged":
         pres = None
         if obj.get("presentation") is not None:
@@ -195,17 +205,13 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 
-_BOOL_FLAGS = {"infinite", "finitely-generated", "schreier", "l2-betti1-positive", "hyperbolic",
-               "elementary", "simple", "seifert"}
-
-
 def _flag_value(key: str, value):
     """The value of flag ``key`` as the rules read it; ValueError if its JSON type is wrong."""
     if value is None:
         return None
     if key in _BOOL_FLAGS and not isinstance(value, bool):
         raise ValueError(f"flag {key} must be true or false, not {value!r}")
-    if key in ("vcd", "deficiency"):
+    if key in _INT_FLAGS:
         return json_int(value, f"flag {key}")
     if key == "ends" and value != INF_ENDS:
         return json_int(value, "flag ends")

@@ -1,7 +1,8 @@
 """Command-line interface: JSON verdicts on stdout.
 
 Exit codes: 0 a verdict was produced (UNKNOWN included), 2 invalid or
-inconsistent input, 3 an internal verification failed.
+inconsistent input, 3 an internal verification failed or any other error
+was raised, which is a bug; it is reported on one line, without a traceback.
 
 Each subcommand imports its own modules when it runs, so a process loads
 only what its subcommand needs.
@@ -188,7 +189,7 @@ def _input_errors() -> tuple:
     A pbp error can only have been raised once its module is loaded, so the
     classes of modules not loaded are left out rather than imported.
     """
-    return (ValueError, KeyError, OSError) + tuple(
+    return (ValueError, OSError) + tuple(
         getattr(sys.modules[module], name) for module, name in _INPUT_ERRORS if module in sys.modules
     )
 
@@ -204,6 +205,9 @@ def main(argv=None) -> int:
     except _input_errors() as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

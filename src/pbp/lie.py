@@ -3,10 +3,15 @@
 Provides ideals, centralizers, complete ideal-lattice enumeration where the
 lattice is finite, and the decision whether the algebra splits as a sum of
 two commuting nonzero subalgebras.  The enumeration walks the ideals J of
-the algebra L once each, splitting L / J by its minimal ideals.  It is
-certified: it answers Complete only when every minimal ideal was provably
-found, flags a provably infinite family otherwise, and degrades to Unknown
-rather than guess when its randomized steps fail to certify anything.
+the algebra L once each, splitting L / J by its minimal ideals, and draws
+no random numbers.  It is certified: each isotypic component S^k of the
+socle is decided from its commutant M_k(D), and is simple when that is
+commutative, which needs k = 1.  Otherwise a unit vector or a null vector
+of a generator may spin to a proper submodule; a simple w1 is found inside
+it, and a commutant map moves w1 to a second minimal ideal w2 = phi(w1),
+an infinite family.  The lattice is Unknown only when no seed spins to a
+proper submodule: in a basis of vr(3,1,2) where none lies in one copy of
+S, or when k = 1 and D is not commutative.
 Every lattice that is not Complete is decided by the centroid instead: a
 centreless algebra splits exactly when its centroid, which is then
 commutative, has an idempotent other than 0 and 1.  The centroid and the
@@ -17,11 +22,10 @@ of one element that generates it modulo its radical.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 from .linalg import (
@@ -30,8 +34,6 @@ from .linalg import (
     char_poly,
     express,
     flatten,
-    hom_dimension,
-    identity_matrix,
     is_zero_vec,
     mat_mul,
     mat_sub,
@@ -303,23 +305,6 @@ def quotient_algebra(
 # module machinery for the adjoint representation
 
 
-def _envelope(gens: list, n: int) -> list:
-    """Basis of the unital matrix algebra generated by ``gens``."""
-    basis: list = []
-    builder = SpanBuilder()
-    # depth-first over words in the generators; a product m g is formed only
-    # when its (m, g) pair is popped, so pending products cost no memory
-    stack = [(identity_matrix(n), None)] + [(g, None) for g in gens]
-    while stack:
-        m, g = stack.pop()
-        if g is not None:
-            m = mat_mul(m, g)
-        if builder.add(flatten(m)):
-            basis.append(m)
-            stack.extend((m, g) for g in gens)
-    return basis
-
-
 def _trace_gram(mats: list) -> list:
     """Gram matrix of the trace form (A, B) -> tr(AB) on ``mats``."""
     k = len(mats)
@@ -412,53 +397,38 @@ class IdealLattice:
     witness: tuple[Subspace, Subspace] | None = None
 
 
-# random elements tried per simplicity test, and the seed of each enumeration
-TRIES = 12
-SEED = 20259
+def _simplicity(gens: list, dim: int):
+    """'simple' | ('proper', rows) | None, for a semisimple isotypic module Q^dim.
 
-
-def _simplicity(gens: list, dim: int, rng: random.Random):
-    """'simple' | ('proper', rows) | None (= could not certify)."""
+    Such a module is S^k for a simple S, and its commutant E is M_k(D), D =
+    End(S) a division ring (Schur and Wedderburn; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 7).  M_k(D) is not
+    commutative once k >= 2, so a commutative E certifies k = 1.  Otherwise
+    the spin of a unit vector, then of one null vector of each singular
+    generator, may be a proper submodule.  None means that no seed gave one:
+    in a basis where no such vector lies in a single copy of S, or when k = 1
+    and D is not commutative.
+    """
     if dim == 1:
         return "simple"
-    for i in range(dim):
-        w = _spin([_unit(dim, i)], gens, dim)
-        if 0 < len(w) < dim:
+    endo = solve_commutant(gens, dim)
+    if all(mat_mul(a, b) == mat_mul(b, a) for a, b in combinations(endo, 2)):
+        return "simple"
+    units = (_unit(dim, i) for i in range(dim))
+    kernels = (ker[0] for g in gens if (ker := nullspace(g, dim)))
+    for v in chain(units, kernels):
+        w = _spin([v], gens, dim)
+        if len(w) < dim:
             return ("proper", w)
-    env = _envelope(gens, dim)
-    gens_t = [transpose(g) for g in gens]
-    for _ in range(TRIES):
-        z = _combine([rng.randint(-9, 9) for _ in env], env, dim)
-        cp = char_poly(z)
-        if all(c == 0 for c in cp[:-1]):
-            continue
-        for f, _mult in factor_over_q(cp):
-            if len(f) - 1 == dim:
-                # irreducible characteristic polynomial: no invariant subspace
-                return "simple"
-            ker = nullspace(poly_eval_matrix(f, z), dim)
-            if len(ker) != len(f) - 1:
-                continue  # not minimal nullity; this factor certifies nothing
-            w = _spin([ker[0]], gens, dim)
-            if len(w) < dim:
-                return ("proper", w)
-            ker_t = nullspace(poly_eval_matrix(f, transpose(z)), dim)
-            wd = _spin([ker_t[0]], gens_t, dim)
-            if len(wd) == dim:
-                # Norton's criterion: full spins on both sides at minimal
-                # nullity rule out proper invariant subspaces
-                return "simple"
-            ann = rref(nullspace([list(r) for r in wd], dim))
-            return ("proper", ann)
     return None
 
 
-def _find_simple_inside(rows: tuple[Vec, ...], gens: list, rng):
+def _find_simple_inside(rows: tuple[Vec, ...], gens: list):
     """A certified-simple submodule inside span(rows), in ambient rows; or None."""
     cur_rows = rows
     cur_gens = [_restrict(g, rows) for g in gens]
     while True:
-        res = _simplicity(cur_gens, len(cur_rows), rng)
+        res = _simplicity(cur_gens, len(cur_rows))
         if res == "simple":
             return cur_rows
         if res is None:
@@ -468,19 +438,21 @@ def _find_simple_inside(rows: tuple[Vec, ...], gens: list, rng):
         cur_gens = [_restrict(g, cur_rows) for g in gens]
 
 
-def _minimal_ideals(algebra: LieAlgebra, rng: random.Random):
+def _minimal_ideals(algebra: LieAlgebra):
     """(atoms, Completeness, witness): all minimal ideals, certified.
 
     The minimal ideals are the simple submodules of the adjoint module.  They
-    span its socle, and each lies in one isotypic component of it: when that
-    component is simple it is a minimal ideal, and otherwise the minimal
-    ideals inside it form an infinite family.
+    span its socle, and each lies in one isotypic component S^k of it: when
+    k = 1 the component is a minimal ideal, and otherwise the minimal ideals
+    inside it form an infinite family.  ``_simplicity`` tells the two apart
+    from the component's commutant.
     """
     n = algebra.dim
     ad_mats = [algebra.ad_basis(i) for i in range(n)]
     radical, soc_rows = _adjoint_socle(algebra, ad_mats)
-    # the socle is an ideal, so ad restricts to it as a Lie homomorphism, and
-    # what commutes with the generators' restrictions commutes with all of ad L
+    # a subspace invariant under ad a and ad b is invariant under ad [a, b],
+    # and a map commuting with both commutes with it, so the ad of a
+    # generating set has the invariant subspaces and commutants of all of ad L
     ad_gens = [ad_mats[i] for i in _generators(algebra)]
     ad_soc = [_restrict(m, soc_rows) for m in ad_gens] if radical else ad_gens
     components = _isotypic_components(ad_soc, len(soc_rows))
@@ -501,8 +473,8 @@ def _minimal_ideals(algebra: LieAlgebra, rng: random.Random):
     atoms = []
     for comp in components:
         comp_ambient = _compose_rows(soc_rows, comp)
-        gens_c = [_restrict(m, comp_ambient) for m in ad_mats]
-        res = _simplicity(gens_c, len(comp_ambient), rng)
+        gens_c = [_restrict(m, comp_ambient) for m in ad_gens]
+        res = _simplicity(gens_c, len(comp_ambient))
         if res == "simple":
             atoms.append(Subspace(n, comp_ambient))
             continue
@@ -511,7 +483,7 @@ def _minimal_ideals(algebra: LieAlgebra, rng: random.Random):
         # a proper submodule inside one isotypic component: the component has
         # multiplicity >= 2, so its minimal submodules form an infinite family
         _, inner = res
-        wit = _witness_pair(algebra, comp_ambient, inner, ad_mats, rng)
+        wit = _witness_pair(algebra, comp_ambient, _compose_rows(comp_ambient, inner), ad_gens)
         if wit is None:
             return [], Completeness.UNKNOWN, None
         return [], Completeness.INFINITE_FAMILY, wit
@@ -612,33 +584,33 @@ def _centre_of_span(mats: list, n: int) -> list:
     return [_combine(sol, mats, n) for sol in nullspace(rows, k)]
 
 
-def _witness_pair(algebra, comp_ambient, inner, ad_mats, rng):
-    """Two distinct isomorphic minimal ideals with equal centralizers, or None."""
+def _witness_pair(
+    algebra: LieAlgebra, comp_ambient: tuple[Vec, ...], proper: tuple[Vec, ...], ad_gens: list
+):
+    """Two distinct isomorphic minimal ideals with equal centralizers, or None.
+
+    The isotypic component S^k holds the proper submodule ``proper``, so
+    k >= 2.  w1 is a simple submodule of ``proper``, and w2 = phi(w1) for
+    the first basis map phi of the component's commutant M_k(D) with phi(w1)
+    not inside w1.  Such a phi exists, because M_k(D) fixes no proper
+    submodule of S^k.  phi is 0 or injective on the simple w1, so w2 is
+    isomorphic to w1.  The two then have one annihilator in L, which is the
+    centralizer of each.
+    """
     n = algebra.dim
-    first_rows = _compose_rows(comp_ambient, inner)
-    w1 = _find_simple_inside(first_rows, ad_mats, rng)
+    w1 = _find_simple_inside(proper, ad_gens)
     if w1 is None:
         return None
     s1 = Subspace(n, w1)
-    candidates = [r for r in comp_ambient] + [
-        tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(TRIES)
-    ]
-    for v in candidates:
-        if s1.contains(v) or not Subspace(n, comp_ambient).contains(v):
-            continue
-        spun = _spin([tuple(v)], ad_mats, n)
-        w2 = _find_simple_inside(spun, ad_mats, rng)
-        if w2 is None or w2 == w1 or len(w2) != len(w1):
-            continue
-        s2 = Subspace(n, w2)
-        gens1 = [_restrict(m, w1) for m in ad_mats]
-        gens2 = [_restrict(m, w2) for m in ad_mats]
-        if not hom_dimension(gens1, gens2, len(w1), len(w2)):
-            continue
-        if centralizer(algebra, s1) != centralizer(algebra, s2):
-            continue
-        return (s1, s2)
-    return None
+    local = [express(comp_ambient, r) for r in w1]
+    endo = solve_commutant([_restrict(m, comp_ambient) for m in ad_gens], len(comp_ambient))
+    for phi in endo:
+        s2 = Subspace(n, _compose_rows(comp_ambient, [mat_vec(phi, v) for v in local]))
+        if not s1.contains_space(s2):
+            if centralizer(algebra, s1) != centralizer(algebra, s2):
+                raise InternalVerificationError("isomorphic minimal ideals with different centralizers")
+            return (s1, s2)
+    raise InternalVerificationError("the commutant of a non-simple component fixes a simple submodule")
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +626,7 @@ def ideal_lattice(algebra: LieAlgebra) -> IdealLattice:
     lifts each cover and witness to L once.  The enumeration is complete
     whenever every split certifies completeness.
     """
-    n, rng = algebra.dim, random.Random(SEED)
+    n = algebra.dim
     found: dict = {}
     stack = [Subspace.zero(n)]
     while stack:
@@ -669,7 +641,7 @@ def ideal_lattice(algebra: LieAlgebra) -> IdealLattice:
         def preimage(rows):
             return Subspace(n, rref(list(ideal.rows) + [lift(r) for r in rows]))
 
-        atoms, status, witness = _minimal_ideals(quot, rng)
+        atoms, status, witness = _minimal_ideals(quot)
         if status is not Completeness.COMPLETE:
             lifted = None if witness is None else tuple(preimage(w.rows) for w in witness)
             return IdealLattice((), status, lifted)

@@ -13,12 +13,12 @@ extra columns.  No Fraction is built until the canonical rref, with pivots
 1, is asked for; matrix products likewise run in integers over a common
 denominator.
 
-Module maps, and so commutants, come from spinning, as in the MeatAxe (Holt,
-Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 7): a
-map is fixed by its values on the seeds of a spanning tree of the module, so
-a Hom space of Q^n into Q^p is solved in r p unknowns, r the number of
-seeds, instead of n p.  Everything here is desk-scale (dimensions in the
-low tens).
+Module maps serve only commutants, and come from spinning, as in the MeatAxe
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+ch. 7): a map of Q^n that commutes with the generators is fixed by its
+values on the seeds of a spanning tree of the module, so the commutant is
+solved in r n unknowns, r the number of seeds, instead of n^2.  Everything
+here is desk-scale (dimensions in the low tens).
 """
 
 from __future__ import annotations
@@ -296,8 +296,9 @@ def poly_eval_matrix(coeffs: Sequence, m: Sequence[Sequence]) -> Matrix:
 # module maps by spinning
 
 
-def _is_scalar(m: Sequence[Sequence], c) -> bool:
-    """Is m = c I?"""
+def _is_scalar(m: Sequence[Sequence]) -> bool:
+    """Is m a multiple of the identity?"""
+    c = m[0][0]
     for i, row in enumerate(m):
         if row[i] != c or any(row[:i]) or any(row[i + 1 :]):
             return False
@@ -378,47 +379,38 @@ def _kernel_combinations(states: list, images: list) -> list:
     return out
 
 
-def _module_maps(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> tuple[list, SpanBuilder]:
-    """A basis of Hom_A(V, W) = {X : X g = h X for each pair (g, h)}, by spinning V.
+def _module_maps(gens: Sequence, n: int) -> tuple[list, SpanBuilder]:
+    """A basis of End_A(V) = {X : X g = g X for each g in ``gens``}, by spinning V.
 
-    V = Q^n and W = Q^p are modules over the algebra A that the pairs (g, h)
-    of ``gens_v`` and ``gens_w`` generate.  Spin V from unit vectors under
-    the g (``_spin_tree``), so that every spun basis vector b_t is a seed or
-    some g_j b_i.  Returns (states, echelon): a state lists X(b_0), ...,
-    X(b_(n-1)) of one map X of the basis, scaled to integers, and the spin's
-    echelon maps them back to X.
+    V = Q^n is a module over the algebra A that ``gens`` generate.  Spin V
+    from unit vectors under the g (``_spin_tree``), so that every spun basis
+    vector b_t is a seed or some g_j b_i.  Returns (states, echelon): a state
+    lists X(b_0), ..., X(b_(n-1)) of one map X of the basis, scaled to
+    integers, and the spin's echelon maps them back to X.
 
-    A module map X satisfies X(g_j b_i) = h_j X(b_i) on every edge, so it is
+    A module map X satisfies X(g_j b_i) = g_j X(b_i) on every edge, so it is
     fixed by its values on the r seeds, and it meets the constraint
-    sum_t c_t X(b_t) = d h_j X(b_i) of each non-tree edge.  Conversely, take
+    sum_t c_t X(b_t) = d g_j X(b_i) of each non-tree edge.  Conversely, take
     any values on the seeds, define X on the spun basis along the tree edges
     and extend it linearly.  If the non-tree constraints hold, then
-    X g_j b_i = h_j X b_i for every basis vector b_i and every j: on a tree
+    X g_j b_i = g_j X b_i for every basis vector b_i and every j: on a tree
     edge by construction, on a non-tree edge by its constraint.  So
-    X g_j = h_j X on all of V.  Hom is therefore the solution space of the
-    non-tree constraints in the r p unknown seed values.
+    X g_j = g_j X on all of V.  End is therefore the solution space of the
+    non-tree constraints in the r n unknown seed values.
 
-    That space is cut down edge by edge.  The states start as the p unit
+    That space is cut down edge by edge.  The states start as the n unit
     values of each seed once the spin order reaches it, images along tree
     edges are appended as it reaches them, and each non-tree edge keeps the
     combinations of states that meet its constraint.  Edges are taken in
     order of the last basis vector they use, so the space shrinks before
-    most images are formed.  Entries stay integers: each pair shares one
-    denominator (X g = h X iff X (den g) = (den h) X), and the spin carries
-    the integer inverse of its basis.
+    most images are formed.  Entries stay integers: X g = g X iff
+    X (den g) = (den g) X, and the spin carries the integer inverse of its
+    basis.
     """
     if not n:
         return [], SpanBuilder()
-    # a pair (c I, c I) constrains nothing
-    if gens_v is gens_w:
-        gs = hs = [_int_matrix(g)[0] for g in gens_v if not _is_scalar(g, g[0][0])]
-    else:
-        pairs = [
-            _int_matrix(list(g) + list(h))[0]
-            for g, h in zip(gens_v, gens_w)
-            if not (_is_scalar(g, g[0][0]) and _is_scalar(h, g[0][0]))
-        ]
-        gs, hs = [m[:n] for m in pairs], [m[n:] for m in pairs]
+    # a scalar g constrains nothing
+    gs = [_int_matrix(g)[0] for g in gens if not _is_scalar(g)]
     parents, edges, echelon = _spin_tree(gs, n)
     edges.sort()
     edges.append((n - 1, None, None, None, None))  # reach the last basis vector
@@ -426,46 +418,41 @@ def _module_maps(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> tuple[li
     done = 0
     for last, i, j, d, coords in edges:
         while done <= last:
-            # append the image of b_done to every state, or add its seed's p states
+            # append the image of b_done to every state, or add its seed's n states
             if parents[done] is None:
-                zeros = [0] * p
+                zeros = [0] * n
                 for x in states:
                     x.extend(zeros)
-                for a in range(done * p, done * p + p):
-                    x = [0] * (done * p + p)
+                for a in range(done * n, done * n + n):
+                    x = [0] * (done * n + n)
                     x[a] = 1
                     states.append(x)
             else:
                 src, g = parents[done]
-                h = hs[g]
+                h = gs[g]
                 for x in states:
-                    xs = x[src * p : src * p + p]
+                    xs = x[src * n : src * n + n]
                     x.extend([sum(map(mul, row, xs)) for row in h])
             done += 1
         if i is None or not states:
             continue
-        h = hs[j]
+        h = gs[j]
         images = []
         for x in states:
-            xi = x[i * p : i * p + p]
+            xi = x[i * n : i * n + n]
             q = [-d * sum(map(mul, row, xi)) for row in h]
             for t, c in coords:
-                q = [u + c * v for u, v in zip(q, x[t * p : t * p + p])]
+                q = [u + c * v for u, v in zip(q, x[t * n : t * n + n])]
             images.append(q)
         if any(map(any, images)):
             states = _kernel_combinations(states, images)
     return states, echelon
 
 
-def hom_dimension(gens_v: Sequence, gens_w: Sequence, n: int, p: int) -> int:
-    """dim Hom_A(V, W) for V = Q^n and W = Q^p acted on by parallel generators."""
-    return len(_module_maps(gens_v, gens_w, n, p)[0])
-
-
 def solve_commutant(mats: Sequence[Sequence[Sequence]], n: int) -> list[Matrix]:
     """Basis of {X in M_n(Q) : X M = M X for every M in mats}.
 
-    The maps come from ``_module_maps`` with V = W.  The basis returned is
+    The maps come from ``_module_maps``.  The basis returned is
     the canonical null-space basis of the n^2 equations (XM - MX)_ij = 0 in
     the entries of X, flattened row by row: one X per free column j, with
     1 at j and 0 at the other free columns.  It depends only on the space:
@@ -473,7 +460,7 @@ def solve_commutant(mats: Sequence[Sequence[Sequence]], n: int) -> list[Matrix]:
     last entry to the first the basis is the space's reduced row echelon
     form, and an rref of the reversed maps recomputes it.
     """
-    states, spun = _module_maps(mats, mats, n, n)
+    states, spun = _module_maps(mats, n)
     # X = Y B^-1 with Y the columns X(b_t); column k of den B^-1 is the tail
     # of the spun row with pivot k, and X is taken times den
     cols = [r[n:] for _k, r in sorted(zip(spun.pivots, spun.rows), reverse=True)]

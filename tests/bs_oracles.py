@@ -8,13 +8,28 @@ confluent, so every order must reach the same normal form.
 way: every freely reduced word in the conjugates is substituted and
 Britton-reduced from scratch, where ``pbp.bs._first_relation`` extends
 each word's parent state by one conjugate.
+
+``witness_subgroup_oracle`` builds the BS(m, +-m) witness as ``pbp.bs``
+did before it wrote the free basis in closed form: a coset enumeration of
+the index-2 subgroup of the free group on the conjugates T_i = s^i t s^-i,
+then Reidemeister-Schreier.
 """
 
 import random
 from typing import Iterable, Sequence
 
-from pbp.bs import S, BrittonForm, BSGroup, _substitute, britton_reduce
+from pbp.bs import S, BrittonForm, BSGroup, SubgroupWitness, britton_reduce, s_word, t_word
+from pbp.presentations import FinitePresentation, coset_enumerate, reidemeister_schreier_data
 from pbp.words import Word
+
+
+def substitute(word: Word, images: Sequence[Word]) -> Word:
+    """The word with each letter i replaced by images[i - 1]."""
+    letters: list[int] = []
+    for letter in word.raw:
+        img = images[abs(letter) - 1].raw
+        letters.extend(img if letter > 0 else [-x for x in reversed(img)])
+    return Word(letters)
 
 
 def _parts_from_word(word: Word) -> tuple[int, list[list[int]]]:
@@ -85,6 +100,14 @@ def free_words(alphabet: int, max_len: int) -> Iterable[Word]:
 def first_relation_oracle(group: BSGroup, conjugates: Sequence[Word], length_bound: int) -> int | None:
     """Length of the first word of ``free_words`` trivial in the group, or None."""
     for word in free_words(len(conjugates), length_bound):
-        if britton_reduce(group, _substitute(word, conjugates)).is_identity():
+        if britton_reduce(group, substitute(word, conjugates)).is_identity():
             return len(word)
     return None
+
+
+def witness_subgroup_oracle(m: int, eta: int) -> SubgroupWitness:
+    conj = [s_word(i) * t_word(1) * s_word(-i) for i in range(m)]
+    free = FinitePresentation(m, ())
+    table = coset_enumerate(free, [(1, 0)] * m)
+    basis = tuple(substitute(w, conj) for w in reidemeister_schreier_data(free, table).generator_words)
+    return SubgroupWitness(m, eta, s_word(m), tuple(conj), basis)

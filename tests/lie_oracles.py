@@ -17,13 +17,11 @@ iteration e <- 3e^2 - 2e^3 and takes its column space.
 reason.
 """
 
-import random
 from itertools import combinations
 from typing import Sequence
 
 from linalg_oracles import ONE, dependence
 from pbp.lie import (
-    SEED,
     Completeness,
     IdealLattice,
     LieAlgebra,
@@ -54,12 +52,8 @@ from poly_oracles import poly_gcdext
 
 
 def lattice_recursion_oracle(algebra: LieAlgebra) -> IdealLattice:
-    return _lattice_rec(algebra, random.Random(SEED))
-
-
-def _lattice_rec(algebra: LieAlgebra, rng) -> IdealLattice:
     n = algebra.dim
-    atoms, status, witness = _minimal_ideals(algebra, rng)
+    atoms, status, witness = _minimal_ideals(algebra)
     if status is not Completeness.COMPLETE:
         return IdealLattice((), status, witness)
     if sum(atom.dim for atom in atoms) == n:
@@ -74,7 +68,7 @@ def _lattice_rec(algebra: LieAlgebra, rng) -> IdealLattice:
     found = {(): Subspace.zero(n)}
     for atom in atoms:
         quot, lift, _project = quotient_algebra(algebra, atom)
-        sub = _lattice_rec(quot, rng)
+        sub = lattice_recursion_oracle(quot)
         if sub.completeness is not Completeness.COMPLETE:
             lifted = None
             if sub.witness is not None:

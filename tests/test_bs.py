@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bs_oracles import britton_reduce_random, first_relation_oracle, free_words
+from bs_oracles import britton_reduce_random, first_relation_oracle, free_words, witness_subgroup_oracle
 from pbp import bs
 from pbp.bs import (
     BSGroup,
@@ -167,6 +168,17 @@ def test_witness_sizes():
         witness = witness_subgroup(m, 1)
         assert len(witness.T) == m
         assert len(witness.fII_basis) == 2 * m - 1
+
+
+def test_closed_form_basis_is_the_reidemeister_schreier_basis():
+    # the same witness as a coset enumeration and Reidemeister-Schreier give,
+    # and a certificate equal to theirs byte for byte
+    for m, eta in itertools.product(range(2, 13), (1, -1)):
+        expected = witness_subgroup_oracle(m, eta)
+        assert witness_subgroup(m, eta) == expected
+        certificate = {"kind": "finite-index-direct-product", **expected.to_json()}
+        assert json.dumps(bs_presentable(m, eta * m).certificate) == json.dumps(certificate)
+        assert json.dumps(bs_presentable(-m, -eta * m).certificate) == json.dumps(certificate)
 
 
 def test_witness_words_even_and_in_kernel():

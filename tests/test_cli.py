@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import pbp
+from pbp.classifier import Flags
 from pbp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -383,6 +385,9 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
     ["lie", "-i", lie_bracket_value("true")],
     ["subgroup", "-i", {"generators": ["s"], "relators": ["s^"]}, "--hom", {"images": [[0]]}],
     ["subgroup", "-i", {"generators": ["s"], "relators": ["s^99999999999999999999"]}, "--hom", {"images": [[0]]}],
+    ["classify", "-i", {"kind": "coxeter"}],
+    ["classify", "-i", {"kind": "bs", "m": 2}],
+    ["classify", "-i", {"kind": "direct_product_of_infinite"}],
 ], ids=["InconsistentInput", "PresentationFormatError", "RelatorNotKilled", "InvalidAlgebra",
         "ZeroParameter", "CoxeterRowsNotAList", "CoxeterRowNotAList", "ClassifyCoxeterRowsNotAList",
         "ImagesNotAList", "LieDimBool", "LieDimFloat", "LieBasisNotAList", "LieBracketNotAnObject",
@@ -390,13 +395,46 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
         "FlagsNotAnObject", "FactorsNotAList", "DeficiencyNotAnInteger", "VcdNotAnInteger",
          "BsParameterNumericString", "DeficiencyNumericString", "LieValueZeroDenominator",
          "LieValueInfinity", "LieValueOverflow", "LieValueBool", "WordEmptyExponent",
-         "WordExponentTooLarge"])
+         "WordExponentTooLarge", "CoxeterMatrixMissing", "BsParameterMissing", "CountMissing"])
 def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     """Each pbp input error exits 2 although main loads its module only on demand."""
     argv = [a if isinstance(a, str) else write(tmp_path, f"{i}.json", a) for i, a in enumerate(argv)]
     code, err, _ = run_fresh(argv)
     assert code == 2
     assert err.startswith("invalid input: ") and "Traceback" not in err
+
+
+def test_a_bug_exits_three_on_one_line(tmp_path, capsys, monkeypatch):
+    """An exception that is no input error, a KeyError included, is reported as
+    an internal error, not as invalid input."""
+    from pbp import classifier
+
+    def broken(descriptor):
+        raise KeyError("rule")
+
+    monkeypatch.setattr(classifier, "classify", broken)
+    code, out, err = run(capsys, ["classify", "-i", write(tmp_path, "d.json", {"kind": "bs", "m": 2, "n": 3})])
+    assert (code, out, err) == (3, None, "internal error: KeyError: 'rule'\n")
+
+
+BOOL_AND_INT_FLAGS = [f.name.replace("_", "-") for f in fields(Flags) if f.type in ("bool | None", "int | None")]
+
+
+@pytest.mark.parametrize("key", BOOL_AND_INT_FLAGS)
+def test_wrongly_typed_flags_exit_two(tmp_path, capsys, key):
+    """A bool flag given an integer, or an integer flag given a bool, is invalid input."""
+    wrong = True if key in ("vcd", "deficiency") else 1
+    path = write(tmp_path, "d.json", {"kind": "flagged", "flags": {key: wrong}})
+    code, out, err = run(capsys, ["classify", "-i", path])
+    assert (code, out) == (2, None)
+    assert err.startswith(f"invalid input: flag {key} must be")
+
+
+def test_flag_types_are_read_from_the_flags_class():
+    from pbp import classifier
+
+    assert (len(classifier._BOOL_FLAGS), len(classifier._INT_FLAGS)) == (8, 2)
+    assert classifier._BOOL_FLAGS | classifier._INT_FLAGS == set(BOOL_AND_INT_FLAGS)
 
 
 def test_src_imports_only_stdlib():
@@ -413,6 +451,23 @@ def test_src_imports_only_stdlib():
             top = {name.partition(".")[0] for name in names}
             foreign += [(path.name, name) for name in top - sys.stdlib_module_names - {"pbp"}]
     assert not foreign
+
+
+def test_src_draws_random_numbers_only_where_seeded():
+    """Only abels (sampling) and poly (seeded Cantor-Zassenhaus) import random;
+    every other verdict, the Lie ideal lattice included, is deterministic."""
+    users = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "random" in {name.partition(".")[0] for name in names}:
+                users.add(path.stem)
+    assert users == {"abels", "poly"}
 
 
 def test_src_imports_are_used():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from linalg_oracles import (
     SpanOracle,
     dependence,
-    hom_oracle,
     min_poly_oracle,
     nullspace_oracle,
     reduce_vector_oracle,
@@ -19,7 +18,6 @@ from linalg_oracles import (
 from pbp.linalg import (
     SpanBuilder,
     express,
-    hom_dimension,
     min_poly_of_matrix,
     nullspace,
     pivots,
@@ -253,24 +251,6 @@ def matrix_sets(draw):
 def test_solve_commutant_matches_the_oracle_basis_for_basis(case):
     n, mats = case
     assert solve_commutant(mats, n) == solve_commutant_oracle(mats, n)
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrix_sets(), st.data())
-def test_module_maps_match_the_oracle(case, data):
-    """dim Hom(V, W) from the spin equals the n p-unknown system's, for W
-    isomorphic to V (a unimodular change of basis) and for an unrelated W."""
-    n, gens_v = case
-    isomorphic = data.draw(st.booleans(), label="isomorphic")
-    if isomorphic:
-        p, q = unimodular(data.draw, n)
-        gens_w, dim_w = [conjugate(m, p, q) for m in gens_v], n
-    else:
-        dim_w = data.draw(st.integers(1, 6), label="dim W")
-        gens_w = [data.draw(square(dim_w), label="h") for _ in gens_v]
-    expected = len(hom_oracle(gens_v, gens_w, n, dim_w))
-    assert hom_dimension(gens_v, gens_w, n, dim_w) == expected
-    assert expected > 0 or not isomorphic
 
 
 @settings(max_examples=100, deadline=None)
