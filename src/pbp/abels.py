@@ -128,10 +128,6 @@ class A3Matrix:
         return self.x == 0 and self.y == 0 and self.u == 1
 
 
-def a3_identity(p: int) -> A3Matrix:
-    return A3Matrix.make(p, 0, 0, 0)
-
-
 def a3_mul(a: A3Matrix, b: A3Matrix) -> A3Matrix:
     if a.p != b.p:
         raise ValueError("mixed primes")

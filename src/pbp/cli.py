@@ -152,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--witness", action="store_true", help="include full witness data")
     p.add_argument("--verify-bound", type=int, default=None, metavar="L",
-                   help="run the witness checks with freeness bound L")
+                   help="run the witness checks with freeness bound L: no relation of "
+                        "length <= L among the conjugates, found by reducing the words of "
+                        "length <= ceil(L/2) and matching their normal forms")
     p.set_defaults(func=cmd_bs)
 
     p = sub.add_parser("lie", help="Lie algebra verdict")

@@ -165,9 +165,6 @@ class SymmetricForm:
     def from_rational_matrix(rows: Sequence[Sequence]) -> "SymmetricForm":
         return SymmetricForm([[Fraction(v) for v in row] for row in rows])
 
-    def float_matrix(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.rows]
-
 
 @dataclass(frozen=True)
 class _NegCos:

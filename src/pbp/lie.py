@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 from .linalg import (
     SpanBuilder,
     Vec,
+    _int_row,
     char_poly,
     express,
     flatten,
@@ -198,7 +199,9 @@ class Subspace:
 
 
 def bracket_subspace(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    vecs = [algebra.bracket(x, y) for x in a.rows for y in b.rows]
+    # the result is a span, so each row may be scaled to primitive integers
+    ints = [_int_row(y) for y in b.rows]
+    vecs = [algebra.bracket(_int_row(x), y) for x in a.rows for y in ints]
     return Subspace.from_vectors(algebra.dim, vecs)
 
 
@@ -397,8 +400,14 @@ class IdealLattice:
     witness: tuple[Subspace, Subspace] | None = None
 
 
-def _simplicity(gens: list, dim: int):
-    """'simple' | ('proper', rows) | None, for a semisimple isotypic module Q^dim.
+def _commutant(gens: list, dim: int) -> list:
+    # a 1-dimensional module's commutant is the scalars
+    return solve_commutant(gens, dim) if dim > 1 else [[[1]]]
+
+
+def _simplicity(gens: list, endo: list):
+    """'simple' | ('proper', rows) | None, for a semisimple isotypic module
+    Q^dim with commutant basis ``endo``.
 
     Such a module is S^k for a simple S, and its commutant E is M_k(D), D =
     End(S) a division ring (Schur and Wedderburn; Holt, Eick and O'Brien,
@@ -409,9 +418,7 @@ def _simplicity(gens: list, dim: int):
     in a basis where no such vector lies in a single copy of S, or when k = 1
     and D is not commutative.
     """
-    if dim == 1:
-        return "simple"
-    endo = solve_commutant(gens, dim)
+    dim = len(endo[0])
     if all(mat_mul(a, b) == mat_mul(b, a) for a, b in combinations(endo, 2)):
         return "simple"
     units = (_unit(dim, i) for i in range(dim))
@@ -428,7 +435,7 @@ def _find_simple_inside(rows: tuple[Vec, ...], gens: list):
     cur_rows = rows
     cur_gens = [_restrict(g, rows) for g in gens]
     while True:
-        res = _simplicity(cur_gens, len(cur_rows))
+        res = _simplicity(cur_gens, _commutant(cur_gens, len(cur_rows)))
         if res == "simple":
             return cur_rows
         if res is None:
@@ -455,7 +462,8 @@ def _minimal_ideals(algebra: LieAlgebra):
     # generating set has the invariant subspaces and commutants of all of ad L
     ad_gens = [ad_mats[i] for i in _generators(algebra)]
     ad_soc = [_restrict(m, soc_rows) for m in ad_gens] if radical else ad_gens
-    components = _isotypic_components(ad_soc, len(soc_rows))
+    soc_endo = solve_commutant(ad_soc, len(soc_rows))
+    components = _isotypic_components(soc_endo, len(soc_rows))
     if not radical:
         # a semisimple algebra is the direct sum of its simple ideals; each
         # acts nontrivially only on itself, so no two are isomorphic modules
@@ -474,7 +482,10 @@ def _minimal_ideals(algebra: LieAlgebra):
     for comp in components:
         comp_ambient = _compose_rows(soc_rows, comp)
         gens_c = [_restrict(m, comp_ambient) for m in ad_gens]
-        res = _simplicity(gens_c, len(comp_ambient))
+        # one component is the whole socle, in rref rows the identity, so
+        # the socle's commutant is the component's in the same coordinates
+        endo = soc_endo if len(components) == 1 else _commutant(gens_c, len(comp_ambient))
+        res = _simplicity(gens_c, endo)
         if res == "simple":
             atoms.append(Subspace(n, comp_ambient))
             continue
@@ -483,7 +494,7 @@ def _minimal_ideals(algebra: LieAlgebra):
         # a proper submodule inside one isotypic component: the component has
         # multiplicity >= 2, so its minimal submodules form an infinite family
         _, inner = res
-        wit = _witness_pair(algebra, comp_ambient, _compose_rows(comp_ambient, inner), ad_gens)
+        wit = _witness_pair(algebra, comp_ambient, _compose_rows(comp_ambient, inner), ad_gens, endo)
         if wit is None:
             return [], Completeness.UNKNOWN, None
         return [], Completeness.INFINITE_FAMILY, wit
@@ -522,15 +533,14 @@ def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec,
     return radical, rref(nullspace(rows, n))
 
 
-def _isotypic_components(ad_soc: list, d: int) -> list:
+def _isotypic_components(endo: list, d: int) -> list:
     """Split the socle into isotypic components, rref rows each.
 
-    ``ad_soc`` acts on the socle as a generating set of ad L does.  The
-    components are the images of the primitive idempotents of the centre C
-    of the socle's endomorphism ring.  The socle is a semisimple module, so
-    C is a product of number fields: it has no radical.
+    ``endo`` is a basis of the socle's endomorphism ring, the commutant of
+    ad L on it.  The components are the images of the primitive idempotents
+    of its centre C.  The socle is a semisimple module, so C is a product of
+    number fields: it has no radical.
     """
-    endo = solve_commutant(ad_soc, d)
     if len(endo) == 1:
         return [Subspace.whole(d).rows]
     zcent = _centre_of_span(endo, d)
@@ -585,17 +595,17 @@ def _centre_of_span(mats: list, n: int) -> list:
 
 
 def _witness_pair(
-    algebra: LieAlgebra, comp_ambient: tuple[Vec, ...], proper: tuple[Vec, ...], ad_gens: list
+    algebra: LieAlgebra, comp_ambient: tuple[Vec, ...], proper: tuple[Vec, ...], ad_gens: list, endo: list
 ):
     """Two distinct isomorphic minimal ideals with equal centralizers, or None.
 
     The isotypic component S^k holds the proper submodule ``proper``, so
     k >= 2.  w1 is a simple submodule of ``proper``, and w2 = phi(w1) for
-    the first basis map phi of the component's commutant M_k(D) with phi(w1)
-    not inside w1.  Such a phi exists, because M_k(D) fixes no proper
-    submodule of S^k.  phi is 0 or injective on the simple w1, so w2 is
-    isomorphic to w1.  The two then have one annihilator in L, which is the
-    centralizer of each.
+    the first basis map phi of the component's commutant M_k(D) (``endo``,
+    in the coordinates of ``comp_ambient``) with phi(w1) not inside w1.
+    Such a phi exists, because M_k(D) fixes no proper submodule of S^k.
+    phi is 0 or injective on the simple w1, so w2 is isomorphic to w1.  The
+    two then have one annihilator in L, which is the centralizer of each.
     """
     n = algebra.dim
     w1 = _find_simple_inside(proper, ad_gens)
@@ -603,7 +613,6 @@ def _witness_pair(
         return None
     s1 = Subspace(n, w1)
     local = [express(comp_ambient, r) for r in w1]
-    endo = solve_commutant([_restrict(m, comp_ambient) for m in ad_gens], len(comp_ambient))
     for phi in endo:
         s2 = Subspace(n, _compose_rows(comp_ambient, [mat_vec(phi, v) for v in local]))
         if not s1.contains_space(s2):

@@ -421,17 +421,6 @@ def _exponent_rows(pres: FinitePresentation) -> list[dict[int, int]]:
     return rows
 
 
-def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
-    """Relator-by-generator matrix of exponent sums."""
-    out = []
-    for row in _exponent_rows(pres):
-        dense = [0] * pres.generator_count
-        for g, v in row.items():
-            dense[g] = v
-        out.append(dense)
-    return out
-
-
 def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     """Smith diagonal of a sparse integer matrix, rows ``{column: entry}``.
 

@@ -6,8 +6,10 @@ confluent, so every order must reach the same normal form.
 
 ``first_relation_oracle`` is the bounded freeness search done the plain
 way: every freely reduced word in the conjugates is substituted and
-Britton-reduced from scratch, where ``pbp.bs._first_relation`` extends
-each word's parent state by one conjugate.
+Britton-reduced from scratch, depth first.  ``shortest_relation_oracle``
+runs it again below each length it finds, down to the shortest relation,
+where ``pbp.bs._shortest_relation`` reduces only the words up to half the
+bound and matches the normal forms of the two halves.
 
 ``witness_subgroup_oracle`` builds the BS(m, +-m) witness as ``pbp.bs``
 did before it wrote the free basis in closed form: a coset enumeration of
@@ -103,6 +105,18 @@ def first_relation_oracle(group: BSGroup, conjugates: Sequence[Word], length_bou
         if britton_reduce(group, substitute(word, conjugates)).is_identity():
             return len(word)
     return None
+
+
+def shortest_relation_oracle(group: BSGroup, conjugates: Sequence[Word], length_bound: int) -> int | None:
+    """Length of the shortest trivial word of ``free_words``, or None."""
+    length = first_relation_oracle(group, conjugates, length_bound)
+    while length is not None and length > 1:
+        # the depth-first search finds a relation, not the shortest one
+        shorter = first_relation_oracle(group, conjugates, length - 1)
+        if shorter is None:
+            break
+        length = shorter
+    return length
 
 
 def witness_subgroup_oracle(m: int, eta: int) -> SubgroupWitness:

@@ -7,7 +7,8 @@ letter, with ``CosetTable.act_word``.  ``schreier_data_oracle`` rewrites
 each relator at each coset one letter at a time, looking the Schreier
 generator of every edge up in a dict keyed by (coset, generator).
 ``pbp.presentations`` does the same work from flat per-letter tables; the
-results must be equal Word for Word.
+results must be equal Word for Word.  ``exponent_matrix`` is the dense
+relator-by-generator matrix of exponent sums that abelianization reduces.
 """
 
 from collections import deque
@@ -22,6 +23,11 @@ from pbp.presentations import (
     rs_counts,
 )
 from pbp.words import Word
+
+
+def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
+    """Relator-by-generator matrix of exponent sums."""
+    return [[r.exponent_sum(g) for g in range(pres.generator_count)] for r in pres.relators]
 
 
 def coset_table_oracle(images: Sequence[Sequence[int]]) -> CosetTable:

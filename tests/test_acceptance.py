@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from bs_oracles import britton_reduce_random
+from coxeter_oracles import float_matrix
 from pbp import lie
 from pbp.abels import acentral_check
 from pbp.bs import (
@@ -59,7 +60,7 @@ AFFINE_TYPES = ["A~1", "A~2", "C~2", "G~2", "F~4", "E~8"]
 
 
 def eig_counts(form, tol=1e-9):
-    vals = np.linalg.eigvalsh(np.array(form.float_matrix()))
+    vals = np.linalg.eigvalsh(np.array(float_matrix(form)))
     return (int((vals > tol).sum()), int((vals < -tol).sum()))
 
 

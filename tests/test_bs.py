@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bs_oracles import britton_reduce_random, first_relation_oracle, free_words, witness_subgroup_oracle
+from bs_oracles import britton_reduce_random, free_words, shortest_relation_oracle, witness_subgroup_oracle
 from pbp import bs
 from pbp.bs import (
     BSGroup,
@@ -221,7 +221,7 @@ def test_verify_witness_rejects_witness_for_another_group():
 def _reports_match_from_scratch_search(monkeypatch, group, witness, bound):
     report = verify_witness(group, witness, bound)
     with monkeypatch.context() as patch:
-        patch.setattr(bs, "_first_relation", first_relation_oracle)
+        patch.setattr(bs, "_shortest_relation", shortest_relation_oracle)
         expected = verify_witness(group, witness, bound)
     assert (report.passed, report.failures) == (expected.passed, expected.failures)
     return report
@@ -231,7 +231,7 @@ def _reports_match_from_scratch_search(monkeypatch, group, witness, bound):
 @pytest.mark.parametrize("eta", [1, -1])
 def test_freeness_search_matches_from_scratch_search(monkeypatch, m, eta):
     group, witness = BSGroup(m, eta * m), witness_subgroup(m, eta)
-    for bound in range(1, 6):
+    for bound in range(1, 7):
         report = _reports_match_from_scratch_search(monkeypatch, group, witness, bound)
         assert report.passed, report.failures
 
@@ -244,19 +244,33 @@ def _mutations(witness):
     yield T[:-1] + (s_word(m),), 4  # s^m commutes with t up to sign: x1 xm x1^-1 xm^+-1
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("eta", [1, -1])
 def test_mutated_conjugates_match_from_scratch_search(monkeypatch, m, eta):
     group, witness = BSGroup(m, eta * m), witness_subgroup(m, eta)
     for T, shortest in _mutations(witness):
         tampered = SubgroupWitness(m, eta, witness.zs_generator, T, witness.fII_basis)
-        for bound in range(1, 6):
+        for bound in range(1, 7):
             report = _reports_match_from_scratch_search(monkeypatch, group, tampered, bound)
             found = shortest is not None and bound >= shortest
             assert len(report.failures) == found, (T, bound, report.failures)
-            # the search runs again below each length it finds, down to the shortest
+            # a failure names the shortest relation, not the first one found
             want = f"nontrivial relation of length {shortest} among the conjugates"
             assert all(f == want for f in report.failures), (T, bound, report.failures)
+
+
+NONZERO_4 = st.integers(-4, 4).filter(bool)
+
+
+@given(
+    NONZERO_4,
+    NONZERO_4,
+    st.lists(st.lists(LETTERS, min_size=1, max_size=5), min_size=1, max_size=3),
+    st.integers(1, 5),
+)
+def test_shortest_relation_matches_from_scratch_search(m, n, conjugates, bound):
+    group, words = BSGroup(m, n), [Word(letters) for letters in conjugates]
+    assert bs._shortest_relation(group, words, bound) == shortest_relation_oracle(group, words, bound)
 
 
 @pytest.mark.parametrize("m,bound", [(2, 5), (3, 4)])
@@ -273,9 +287,11 @@ def test_freeness_search_visits_every_word(monkeypatch, m, bound):
     monkeypatch.setattr(bs, "_britton_push", spy)
     witness = witness_subgroup(m, 1)
     assert verify_witness(BSGroup(m, m), witness, bound).passed
-    words = sum(2 * m * (2 * m - 1) ** (k - 1) for k in range(1, bound + 1))
-    assert words == sum(1 for _ in free_words(m, bound))
-    # one push per word, plus one Britton reduction per commutator check
+    half = (bound + 1) // 2
+    words = sum(2 * m * (2 * m - 1) ** (k - 1) for k in range(1, half + 1))
+    assert words == sum(1 for _ in free_words(m, half))
+    # one push per word of length <= ceil(bound / 2), plus one Britton
+    # reduction per commutator check
     assert calls == words + len(witness.fII_basis)
 
 

@@ -15,7 +15,6 @@ from pbp.presentations import (
     abelianization,
     coset_enumerate,
     deficiency_count,
-    exponent_matrix,
     kunneth_bound,
     perm_identity,
     perm_inv,
@@ -28,7 +27,7 @@ from pbp.presentations import (
     smith_normal_form,
 )
 from pbp.words import Word, parse_word
-from presentations_oracles import coset_table_oracle, is_closed_oracle, schreier_data_oracle
+from presentations_oracles import coset_table_oracle, exponent_matrix, is_closed_oracle, schreier_data_oracle
 
 
 def bs_presentation(m, n):
