@@ -1,14 +1,16 @@
 """Exact arithmetic in the group of matrices [[1, x, z], [0, u, y], [0, 0, 1]]
 with x, y, z in Z[1/p] and u a unit +-p^k, and the machine check that the
 image of the diagonal subgroup is acentral in the quotient by the central
-copy of Z (where the centre is {u = 1, x = y = 0} with z free).
+copy of Z (where the centre is {u = 1, x = y = 0} with z free).  Classes
+commute there iff their lifts' products ab and ba agree but for an integer
+in z (``gamma_commutes``), so the check multiplies and never inverts.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -99,8 +101,8 @@ class A3Matrix:
     u = +-p^k, all stored as plain Fractions.
 
     Only ``make`` checks its arguments.  Z[1/p] is a ring and u is a unit in
-    it, so ``a3_mul`` and ``a3_inv`` of checked matrices stay in the group
-    without a check."""
+    it, so ``a3_mul`` of checked matrices stays in the group without a
+    check."""
 
     p: int
     x: Fraction
@@ -120,23 +122,12 @@ class A3Matrix:
                 raise ValueError(f"{value} is not in Z[1/{p}]")
         return A3Matrix(p, *entries, u_sign * Fraction(p) ** u_exp)
 
-    def is_identity(self) -> bool:
-        return self.is_central() and self.z == 0
-
-    def is_central(self) -> bool:
-        """Members of the centre: u = 1 and x = y = 0."""
-        return self.x == 0 and self.y == 0 and self.u == 1
-
 
 def a3_mul(a: A3Matrix, b: A3Matrix) -> A3Matrix:
     if a.p != b.p:
         raise ValueError("mixed primes")
     # [[1,x1,z1],[0,u1,y1],[0,0,1]] * [[1,x2,z2],[0,u2,y2],[0,0,1]]
     return A3Matrix(a.p, b.x + a.x * b.u, a.y + a.u * b.y, b.z + a.x * b.y + a.z, a.u * b.u)
-
-
-def a3_inv(a: A3Matrix) -> A3Matrix:
-    return A3Matrix(a.p, -a.x / a.u, -a.y / a.u, a.x * a.y / a.u - a.z, 1 / a.u)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +142,17 @@ class GammaElement:
 
     def __post_init__(self):
         m = self.matrix
-        object.__setattr__(self, "matrix", replace(m, z=m.z - math.floor(m.z)))
+        object.__setattr__(self, "matrix", A3Matrix(m.p, m.x, m.y, m.z - math.floor(m.z), m.u))
 
 
 def gamma_commutes(g: GammaElement, h: GammaElement) -> bool:
-    """Do the classes commute in the quotient?  Checked on lifts: the
-    commutator must be trivial up to an integer z-entry."""
+    """Do the classes commute in the quotient?  Checked on lifts a, b: ab and
+    ba must agree in x, y and u and differ in z by an integer.  Exact:
+    [a, b] = ab (ba)^-1 lies in the central Z iff ab = c ba for some
+    c = (0, 0, c_z, 1) with c_z in Z, and c M is M with c_z added to its z."""
     a, b = g.matrix, h.matrix
-    comm = a3_mul(a3_mul(a, b), a3_mul(a3_inv(a), a3_inv(b)))
-    return comm.is_central() and comm.z.denominator == 1
+    ab, ba = a3_mul(a, b), a3_mul(b, a)
+    return ab.x == ba.x and ab.y == ba.y and ab.u == ba.u and (ab.z - ba.z).denominator == 1
 
 
 def diagonal_element(p: int, exponent: int, sign: int = 1) -> GammaElement:
@@ -300,7 +293,7 @@ def acentral_check(
     # otherwise the implication above would hold vacuously
     for _ in range(max(1, trials // 10)):
         sample = random_gamma_element(p, rng).matrix
-        control = GammaElement(replace(sample, x=Fraction(0), y=Fraction(0)))
+        control = GammaElement(A3Matrix(p, Fraction(0), Fraction(0), sample.z, sample.u))
         if gamma_commutes(g, control):
             commuting += 1
         else:

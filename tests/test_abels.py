@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from abels_oracles import a3_inv, commutator_oracle, is_identity
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pbp import abels
 from pbp.abels import (
     A3Matrix,
     GammaElement,
-    a3_inv,
     a3_mul,
     acentral_check,
     diagonal_element,
@@ -122,8 +122,8 @@ def test_inverse_law():
     for p in (2, 3, 5):
         for _ in range(30):
             m = rand_matrix(p, rng)
-            assert a3_mul(m, a3_inv(m)).is_identity()
-            assert a3_mul(a3_inv(m), m).is_identity()
+            assert is_identity(a3_mul(m, a3_inv(m)))
+            assert is_identity(a3_mul(a3_inv(m), m))
 
 
 def test_associativity_random():
@@ -181,6 +181,66 @@ def test_y_entry_obstruction():
     g = diagonal_element(5, 1)
     h = GammaElement(A3Matrix.make(5, 0, Fraction(1, 5), 0))
     assert not gamma_commutes(g, h)
+
+
+@st.composite
+def gamma_pairs(draw):
+    """A pair of classes and whether they commute, when known by construction."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def matrix(x=None, y=None):
+        x = draw(z_inv_p(p)) if x is None else x
+        y = draw(z_inv_p(p)) if y is None else y
+        sign, exp = draw(st.sampled_from([1, -1])), draw(st.integers(-4, 4))
+        return A3Matrix.make(p, x, y, draw(z_inv_p(p)), sign, exp)
+
+    h = GammaElement(matrix())
+    kind = draw(st.sampled_from(["random", "unipotent", "diagonal", "central", "self", "square"]))
+    commute = True
+    if kind == "random":
+        g, commute = GammaElement(matrix()), None
+    elif kind == "unipotent":  # ab and ba differ only in z, by x y
+        x, y = draw(z_inv_p(p)), draw(z_inv_p(p)) * p ** draw(st.integers(0, 4))
+        g = GammaElement(A3Matrix.make(p, x, 0, draw(z_inv_p(p))))
+        h = GammaElement(A3Matrix.make(p, 0, y, draw(z_inv_p(p))))
+        commute = (x * y).denominator == 1
+    elif kind == "diagonal":  # x = y = 0 against a diagonal element
+        sign, exp = draw(st.sampled_from([1, -1])), draw(st.integers(-4, 4))
+        g, h = GammaElement(A3Matrix.make(p, 0, 0, 0, sign, exp)), GammaElement(matrix(0, 0))
+    elif kind == "central":
+        g = GammaElement(A3Matrix.make(p, 0, 0, draw(z_inv_p(p))))
+    elif kind == "self":
+        g = h
+    else:
+        g = GammaElement(a3_mul(h.matrix, h.matrix))
+    return ((g, h) if draw(st.booleans()) else (h, g)) + (commute,)
+
+
+def unipotent_pair(x, y):
+    return GammaElement(A3Matrix.make(3, x, 0, 0)), GammaElement(A3Matrix.make(3, 0, y, 0))
+
+
+@given(gamma_pairs())
+@example(unipotent_pair(Fraction(1, 3), 1) + (False,))  # x y = 1/3
+@example(unipotent_pair(Fraction(1, 3), 6) + (True,))  # x y = 2: central, but not the identity
+def test_gamma_commutes_matches_the_commutator(case):
+    g, h, commute = case
+    assert gamma_commutes(g, h) == commutator_oracle(g, h)
+    assert commute is None or gamma_commutes(g, h) == commute
+
+
+def test_acentral_check_makes_two_products_per_sample(monkeypatch):
+    calls = 0
+    mul = abels.a3_mul
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(abels, "a3_mul", counting)
+    assert acentral_check(3, trials=50).passed
+    assert calls == 2 * (50 + 5)  # 50 random samples and 50 // 10 positive controls
 
 
 def test_symbolic_identities():

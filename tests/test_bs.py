@@ -218,21 +218,36 @@ def test_verify_witness_rejects_witness_for_another_group():
         verify_witness(BSGroup(3, 3), witness_subgroup(2, 1), 3)
 
 
-def _reports_match_from_scratch_search(monkeypatch, group, witness, bound):
-    report = verify_witness(group, witness, bound)
-    with monkeypatch.context() as patch:
-        patch.setattr(bs, "_shortest_relation", shortest_relation_oracle)
-        expected = verify_witness(group, witness, bound)
-    assert (report.passed, report.failures) == (expected.passed, expected.failures)
-    return report
+ORACLE_BOUND = 6
+
+
+def _reports_match_from_scratch_search(monkeypatch, group, witness):
+    """The reports of ``verify_witness`` at bounds 1 to 6, each checked against
+    the from-scratch search.  That search runs once, at bound 6: the shortest
+    relation within bound L is the one within bound 6 if it is at most L
+    long, and there is none otherwise."""
+    shortest = shortest_relation_oracle(group, witness.T, ORACLE_BOUND)
+
+    def from_scratch(oracle_group, conjugates, length_bound):
+        assert (oracle_group, conjugates) == (group, witness.T)
+        return shortest if shortest is not None and shortest <= length_bound else None
+
+    reports = []
+    for bound in range(1, ORACLE_BOUND + 1):
+        report = verify_witness(group, witness, bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(bs, "_shortest_relation", from_scratch)
+            expected = verify_witness(group, witness, bound)
+        assert (report.passed, report.failures) == (expected.passed, expected.failures)
+        reports.append(report)
+    return reports
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("eta", [1, -1])
 def test_freeness_search_matches_from_scratch_search(monkeypatch, m, eta):
     group, witness = BSGroup(m, eta * m), witness_subgroup(m, eta)
-    for bound in range(1, 7):
-        report = _reports_match_from_scratch_search(monkeypatch, group, witness, bound)
+    for report in _reports_match_from_scratch_search(monkeypatch, group, witness):
         assert report.passed, report.failures
 
 
@@ -250,8 +265,8 @@ def test_mutated_conjugates_match_from_scratch_search(monkeypatch, m, eta):
     group, witness = BSGroup(m, eta * m), witness_subgroup(m, eta)
     for T, shortest in _mutations(witness):
         tampered = SubgroupWitness(m, eta, witness.zs_generator, T, witness.fII_basis)
-        for bound in range(1, 7):
-            report = _reports_match_from_scratch_search(monkeypatch, group, tampered, bound)
+        reports = _reports_match_from_scratch_search(monkeypatch, group, tampered)
+        for bound, report in enumerate(reports, start=1):
             found = shortest is not None and bound >= shortest
             assert len(report.failures) == found, (T, bound, report.failures)
             # a failure names the shortest relation, not the first one found
