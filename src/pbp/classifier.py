@@ -18,7 +18,7 @@ if TYPE_CHECKING:
     from .coxeter import CoxeterMatrix
 
 
-class InconsistentInput(Exception):
+class InconsistentInput(ValueError):
     """The asserted flags (or fired rules) contradict each other."""
 
 

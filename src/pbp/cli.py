@@ -175,27 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# pbp errors reported as invalid input (exit 2) beside ValueError, which covers
-# json.JSONDecodeError, PresentationFormatError, ZeroParameter and UnsupportedParams
-_INPUT_ERRORS = (
-    ("pbp.classifier", "InconsistentInput"),
-    ("pbp.presentations", "RelatorNotKilled"),
-    ("pbp.presentations", "BoundExceeded"),
-    ("pbp.lie", "InvalidAlgebra"),
-)
-
-
-def _input_errors() -> tuple:
-    """The exception classes main reports as invalid input.
-
-    A pbp error can only have been raised once its module is loaded, so the
-    classes of modules not loaded are left out rather than imported.
-    """
-    return (ValueError, OSError) + tuple(
-        getattr(sys.modules[module], name) for module, name in _INPUT_ERRORS if module in sys.modules
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -204,7 +183,7 @@ def main(argv=None) -> int:
     except InternalVerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
-    except _input_errors() as exc:
+    except (ValueError, OSError) as exc:  # every pbp input error is a ValueError
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -172,9 +172,6 @@ class _NegCos:
 
     m: int
 
-    def __float__(self):
-        return -math.cos(math.pi / self.m)
-
 
 # -cos(pi/m) for the labels where it is rational
 _RATIONAL_ENTRIES = {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2), INF: Fraction(-1)}

@@ -32,7 +32,6 @@ from .linalg import (
     SpanBuilder,
     Vec,
     _int_row,
-    char_poly,
     express,
     flatten,
     is_zero_vec,
@@ -55,7 +54,7 @@ from .poly import factor_over_q, squarefree_part
 from .verdict import Answer, InternalVerificationError, json_int
 
 
-class InvalidAlgebra(Exception):
+class InvalidAlgebra(ValueError):
     """The structure constants violate antisymmetry or the Jacobi identity."""
 
 
@@ -85,9 +84,6 @@ class LieAlgebra:
         object.__setattr__(self, "constants", c)
         if len(self.labels) != self.dim:
             raise ValueError("one label per basis vector")
-
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        return self.constants[i][j]
 
     def bracket(self, u: Sequence, v: Sequence) -> Vec:
         out = [0] * self.dim
@@ -178,24 +174,6 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace(self.ambient, rref(list(self.rows) + list(other.rows)))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient)
-        # v in both spans: v = x*A = y*B; solve [A^T | -B^T] kernel
-        a, b = list(self.rows), list(other.rows)
-        sys_rows = []
-        for coord in range(self.ambient):
-            sys_rows.append([r[coord] for r in a] + [-r[coord] for r in b])
-        sols = nullspace(sys_rows, len(a) + len(b))
-        vecs = []
-        for sol in sols:
-            v = zero_vec(self.ambient)
-            for c, row in zip(sol[: len(a)], a):
-                if c:
-                    v = vec_add(v, vec_scale(row, c))
-            vecs.append(v)
-        return Subspace.from_vectors(self.ambient, vecs)
 
 
 def bracket_subspace(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -400,11 +378,6 @@ class IdealLattice:
     witness: tuple[Subspace, Subspace] | None = None
 
 
-def _commutant(gens: list, dim: int) -> list:
-    # a 1-dimensional module's commutant is the scalars
-    return solve_commutant(gens, dim) if dim > 1 else [[[1]]]
-
-
 def _simplicity(gens: list, endo: list):
     """'simple' | ('proper', rows) | None, for a semisimple isotypic module
     Q^dim with commutant basis ``endo``.
@@ -435,7 +408,7 @@ def _find_simple_inside(rows: tuple[Vec, ...], gens: list):
     cur_rows = rows
     cur_gens = [_restrict(g, rows) for g in gens]
     while True:
-        res = _simplicity(cur_gens, _commutant(cur_gens, len(cur_rows)))
+        res = _simplicity(cur_gens, solve_commutant(cur_gens, len(cur_rows)))
         if res == "simple":
             return cur_rows
         if res is None:
@@ -484,7 +457,7 @@ def _minimal_ideals(algebra: LieAlgebra):
         gens_c = [_restrict(m, comp_ambient) for m in ad_gens]
         # one component is the whole socle, in rref rows the identity, so
         # the socle's commutant is the component's in the same coordinates
-        endo = soc_endo if len(components) == 1 else _commutant(gens_c, len(comp_ambient))
+        endo = soc_endo if len(components) == 1 else solve_commutant(gens_c, len(comp_ambient))
         res = _simplicity(gens_c, endo)
         if res == "simple":
             atoms.append(Subspace(n, comp_ambient))
@@ -512,7 +485,7 @@ def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec,
     simple submodule by an element of a division ring and the socle is the
     part of M on which every ad z is semisimple (Bourbaki, Lie Groups and Lie
     Algebras I, 5.3, 5.5 and 6.5).  That part is the kernel in M of f(ad z),
-    f the square-free part of the characteristic polynomial of ad z.
+    f the square-free part of the minimal polynomial of ad z.
     """
     n = algebra.dim
     gram = _trace_gram(ad_mats)
@@ -527,8 +500,9 @@ def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec,
     for z in radical:
         if span.add(z):
             ad_z = algebra.ad(z)
-            f = squarefree_part(char_poly(ad_z))
-            if len(f) <= n:  # otherwise f is the characteristic polynomial: f(ad z) = 0
+            mu = min_poly_of_matrix(ad_z)
+            f = squarefree_part(mu)
+            if len(f) < len(mu):  # otherwise f is a multiple of mu: f(ad z) = 0
                 rows.extend(poly_eval_matrix(f, ad_z))
     return radical, rref(nullspace(rows, n))
 
@@ -572,7 +546,7 @@ def _primary_components(basis: list, n: int, d: int) -> list:
             break
     else:
         raise InternalVerificationError("no element generates A / rad A: A is not commutative")
-    powers, j = [poly_eval_matrix(f, z) for f, _mult in factor_over_q(mu)], 1
+    powers, j = [poly_eval_matrix(f, z) for f in factor_over_q(mu)], 1
     while True:
         parts = [rref(nullspace(p, n)) for p in powers]
         if sum(len(part) for part in parts) == n:

@@ -11,7 +11,9 @@ vector that grows the span enters by one fraction-free Gauss-Jordan step
 and a dependence among vectors is found by carrying their coordinates in
 extra columns.  No Fraction is built until the canonical rref, with pivots
 1, is asked for; matrix products likewise run in integers over a common
-denominator.
+denominator.  The minimal polynomial is the one polynomial of a matrix kept
+here: it has the irreducible factors of the characteristic polynomial, so
+its square-free part is all the Lie decider needs.
 
 Module maps serve only commutants, and come from spinning, as in the MeatAxe
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
@@ -236,26 +238,6 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     span = SpanBuilder(rows)
     den = span.den
     return [tuple(a // den if a % den == 0 else Fraction(a, den) for a in x) for x in span._kernel(ncols)]
-
-
-def char_poly(m: Sequence[Sequence]) -> tuple:
-    """Characteristic polynomial det(xI - M), coefficients low to high, monic.
-
-    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) over
-    the leading principal blocks M_k, so it is exact over any commutative
-    ring: ints, Fractions, or elements of a number field.
-    """
-    chi = [1]  # det(xI - M_k), highest degree first
-    for k in range(len(m)):
-        row, v = m[k][:k], [m[i][k] for i in range(k)]
-        # Toeplitz column (1, -m_kk, -R C, -R M_k C, ..., -R M_k^(k-1) C)
-        t = [1, -m[k][k]]
-        for step in range(k):
-            t.append(-sum(r * x for r, x in zip(row, v)))
-            if step < k - 1:
-                v = [sum(a * x for a, x in zip(m[i][:k], v)) for i in range(k)]
-        chi = [sum(t[i - j] * chi[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) for i in range(k + 2)]
-    return tuple(reversed(chi))
 
 
 def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:

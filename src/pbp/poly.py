@@ -2,12 +2,17 @@
 over Q.
 
 The ring helpers work over Z or Q (any exact coefficients); the ``_mod``
-helpers work over Z/m with coefficients in [0, m).  ``factor_over_q`` is
-Zassenhaus' algorithm (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 14-15): Yun's square-free decomposition over Z, Cantor-Zassenhaus
-splitting modulo a small odd prime that keeps the degree and the square-free
-property, quadratic Hensel lifting past twice the Mignotte bound, and
-recombination of the lifted factors by exhaustive subsets and trial division.
+helpers work over Z/m with coefficients in [0, m).  Everything that feeds a
+factorization stays in integers: ``squarefree_part`` is f / gcd(f, f') for
+the primitive f, one pseudo-remainder gcd and one exact division, and exact
+division in Z[x] is long division that gives up at the first quotient
+coefficient that is not an integer.
+``factor_over_q`` returns the distinct irreducible factors of the square-free
+part, with no multiplicities, by Zassenhaus' algorithm (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 14-15): Cantor-Zassenhaus splitting
+modulo a small odd prime that keeps the degree and the square-free property,
+quadratic Hensel lifting past twice the Mignotte bound, and recombination of
+the lifted factors by exhaustive subsets and trial division.
 """
 
 from __future__ import annotations
@@ -62,32 +67,6 @@ def poly_derivative(p: Sequence) -> tuple:
     return poly_trim([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_divmod_monic(p: Sequence, d: Sequence) -> tuple[tuple, tuple]:
-    """Divide by a monic divisor; exact over the coefficient ring."""
-    assert d and d[-1] == 1
-    rem = list(p)
-    deg_d = len(d) - 1
-    low = d[:-1]
-    quot = [0] * max(len(p) - deg_d, 0)
-    for i in range(len(rem) - 1, deg_d - 1, -1):
-        c = rem[i]
-        if c:
-            k = i - deg_d
-            quot[k] = c
-            rem[k:i] = [r - c * b for r, b in zip(rem[k:i], low)]
-    return poly_trim(quot), poly_trim(rem[:deg_d])
-
-
-def poly_divmod(p: Sequence, d: Sequence) -> tuple[tuple, tuple]:
-    """Quotient and remainder over Q, as Fractions."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = Fraction(d[-1])
-    monic = [Fraction(c) / lead for c in d]
-    quot, rem = poly_divmod_monic([Fraction(c) for c in p], monic)
-    return tuple(c / lead for c in quot), rem
-
-
 # ---------------------------------------------------------------------------
 # Z[x] and Z/m[x]
 
@@ -117,11 +96,21 @@ def _gcd_z(a: tuple, b: tuple) -> tuple[int, ...]:
 
 
 def _div_exact_z(f: Sequence, g: Sequence) -> tuple[int, ...] | None:
-    """f / g if g divides f in Z[x], else None."""
-    q, r = poly_divmod(f, g)
-    if r or any(c.denominator != 1 for c in q):
-        return None
-    return tuple(int(c) for c in q)
+    """f / g if g divides f in Z[x], else None: long division in integers
+    that stops at the first quotient coefficient the lead of g does not
+    divide."""
+    rem = list(f)
+    deg_g, lead = len(g) - 1, g[-1]
+    quot = [0] * max(len(f) - deg_g, 0)
+    for i in range(len(rem) - 1, deg_g - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if c:
+            k = i - deg_g
+            quot[k] = c
+            rem[k:i] = [x - c * b for x, b in zip(rem[k:i], g)]
+    return None if any(rem[:deg_g]) else poly_trim(quot)
 
 
 def _mod(p: Sequence, m: int) -> tuple[int, ...]:
@@ -188,26 +177,6 @@ def _odd_primes() -> Iterator[int]:
         if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
             yield p
         p += 2
-
-
-def _squarefree_parts(f: tuple) -> list[tuple[tuple, int]]:
-    """Yun's decomposition of a primitive f: [(a_i, i)] with f = prod a_i**i,
-    each a_i primitive, square-free and of positive degree."""
-    df = poly_derivative(f)
-    a = _gcd_z(f, df)
-    if len(a) == 1:
-        return [(f, 1)]
-    b, c = _div_exact_z(f, a), _div_exact_z(df, a)
-    d = poly_sub(c, poly_derivative(b))
-    out, i = [], 1
-    while len(b) > 1:
-        a = _gcd_z(b, d)
-        b, c = _div_exact_z(b, a), _div_exact_z(d, a)
-        d = poly_sub(c, poly_derivative(b))
-        if len(a) > 1:
-            out.append((a, i))
-        i += 1
-    return out
 
 
 def _split_mod(f: tuple, p: int, rng: random.Random) -> list[tuple]:
@@ -314,16 +283,16 @@ def squarefree_part(coeffs: Sequence) -> tuple[int, ...]:
     return f if len(g) == 1 else _div_exact_z(f, g)
 
 
-def factor_over_q(coeffs: Sequence) -> list[tuple[tuple[Fraction, ...], int]]:
-    """Irreducible factors over Q of a rational polynomial, with multiplicities.
+def factor_over_q(coeffs: Sequence) -> list[tuple[Fraction, ...]]:
+    """The distinct irreducible factors over Q of a rational polynomial.
 
-    Each factor is monic with Fraction coefficients.  The factors are sorted
-    by degree, then multiplicity, then the primitive integer coefficients of
-    the factor read from the top.  A constant or zero polynomial has none.
+    They are the factors of ``squarefree_part(coeffs)``, each monic with
+    Fraction coefficients, sorted by degree, then by the primitive integer
+    coefficients of the factor read from the top.  A constant or zero
+    polynomial has none.
     """
     f = _primitive(coeffs)
     if len(f) < 2:
         return []
-    found = [(g, mult) for part, mult in _squarefree_parts(f) for g in _factor_squarefree(part)]
-    found.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
-    return [(tuple(Fraction(c, g[-1]) for c in g), mult) for g, mult in found]
+    found = sorted(_factor_squarefree(squarefree_part(f)), key=lambda g: (len(g), g[::-1]))
+    return [tuple(Fraction(c, g[-1]) for c in g) for g in found]

@@ -36,11 +36,11 @@ from .words import Word, format_word, parse_word
 DEFAULT_COSET_CAP = 10**6
 
 
-class RelatorNotKilled(Exception):
+class RelatorNotKilled(ValueError):
     """A relator maps to a nontrivial element of the target group."""
 
 
-class BoundExceeded(Exception):
+class BoundExceeded(ValueError):
     """Enumeration grew past the configured coset cap."""
 
 

@@ -93,9 +93,6 @@ class Word:
         return max(map(abs, self._letters), default=0) - 1
 
 
-IDENTITY = Word()
-
-
 def generator(i: int) -> Word:
     if i < 0:
         raise ValueError("generator index must be nonnegative")

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from pbp.poly import poly_divmod_monic
+from poly_oracles import poly_divmod_monic
 
 _SEED_WIDTH = Fraction(1, 10**12)
 _MAX_BISECTIONS = 400

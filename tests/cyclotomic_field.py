@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 from pbp.algebraic import two_cos_pi_over
 from pbp.coxeter import _degree_bound, _NegCos
-from pbp.linalg import char_poly
-from pbp.poly import poly_divmod_monic, poly_mul, poly_scale, poly_trim
-from poly_oracles import poly_gcdext
+from linalg_oracles import char_poly
+from pbp.poly import poly_mul, poly_scale, poly_trim
+from poly_oracles import poly_divmod_monic, poly_gcdext
 
 MAX_FIELD_INDEX = 10_000  # root gaps of the minimal polynomial stay >> seed width
 _SEED_BITS = 40  # the seed interval is theta's float value +- 2**-40

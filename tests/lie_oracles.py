@@ -15,6 +15,9 @@ each factor of the minimal polynomial mod the radical, lifts it by Newton's
 iteration e <- 3e^2 - 2e^3 and takes its column space.
 ``pbp.lie._decomposability`` must return the same split and the same
 reason.
+
+``intersect`` is the meet of two subspaces, which the lattice tests check
+the ideal lattice against.
 """
 
 from itertools import combinations
@@ -46,9 +49,19 @@ from pbp.linalg import (
     rref,
     transpose,
 )
-from pbp.poly import factor_over_q, poly_divmod, poly_mul
+from pbp.poly import factor_over_q, poly_mul
 from pbp.verdict import InternalVerificationError
-from poly_oracles import poly_gcdext
+from poly_oracles import poly_divmod, poly_gcdext
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a meet b: v = x A = y B for the kernel vectors (x, y) of [A^T | -B^T]."""
+    if a.is_zero() or b.is_zero():
+        return Subspace.zero(a.ambient)
+    rows = [[r[coord] for r in a.rows] + [-r[coord] for r in b.rows] for coord in range(a.ambient)]
+    sols = nullspace(rows, a.dim + b.dim)
+    return Subspace.from_vectors(a.ambient, [[sum(x * r[k] for x, r in zip(sol, a.rows)) for k in range(a.ambient)]
+                                             for sol in sols])
 
 
 def lattice_recursion_oracle(algebra: LieAlgebra) -> IdealLattice:
@@ -137,7 +150,7 @@ def _primitive_idempotents(basis: list, n: int, radical: Sequence[Vec]) -> list:
     """
     z, mu = _generating_element(basis, n, radical)
     idempotents = []
-    for f, _mult in factor_over_q(mu):
+    for f in factor_over_q(mu):
         e = poly_eval_matrix(_crt_idempotent_poly(mu, f), z)
         square = mat_mul(e, e)
         while not _mat_eq(square, e):

@@ -9,9 +9,14 @@ right.
 read minimal polynomials off one echelon: it finds the first power of M in
 the span of the lower ones, then solves for the dependence by a second
 elimination (``dependence``).
+
+``char_poly`` is Berkowitz's characteristic polynomial, which the Coxeter
+and acceptance oracles use and against which the square-free part of
+``pbp.linalg.min_poly_of_matrix`` is checked.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 ONE = Fraction(1)
 
@@ -138,3 +143,23 @@ def min_poly_oracle(m):
             return tuple(coeffs + [ONE])
         stack.append(v)
         power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in power]
+
+
+def char_poly(m: Sequence[Sequence]) -> tuple:
+    """Characteristic polynomial det(xI - M), coefficients low to high, monic.
+
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) over
+    the leading principal blocks M_k, so it is exact over any commutative
+    ring: ints, Fractions, or elements of a number field.
+    """
+    chi = [1]  # det(xI - M_k), highest degree first
+    for k in range(len(m)):
+        row, v = m[k][:k], [m[i][k] for i in range(k)]
+        # Toeplitz column (1, -m_kk, -R C, -R M_k C, ..., -R M_k^(k-1) C)
+        t = [1, -m[k][k]]
+        for step in range(k):
+            t.append(-sum(r * x for r, x in zip(row, v)))
+            if step < k - 1:
+                v = [sum(a * x for a, x in zip(m[i][:k], v)) for i in range(k)]
+        chi = [sum(t[i - j] * chi[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) for i in range(k + 2)]
+    return tuple(reversed(chi))

@@ -16,6 +16,7 @@ import pytest
 
 from bs_oracles import britton_reduce_random
 from coxeter_oracles import float_matrix
+from linalg_oracles import char_poly
 from pbp import lie
 from pbp.abels import acentral_check
 from pbp.bs import (
@@ -36,7 +37,6 @@ from pbp.coxeter import (
     standard_diagram,
     tits_form,
 )
-from pbp.linalg import char_poly
 from pbp.presentations import (
     AbelianInvariants,
     abelianization,

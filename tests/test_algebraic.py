@@ -16,8 +16,8 @@ from cyclotomic_field import (
     poly_negate_variable,
     two_cos_minpoly,
 )
+from linalg_oracles import char_poly
 from pbp.algebraic import _Ball, _pi, two_cos_pi_over
-from pbp.linalg import char_poly
 
 
 def test_cyclotomic_small():

@@ -453,6 +453,38 @@ def test_src_imports_only_stdlib():
     assert not foreign
 
 
+FLOAT_MATH = {"cos", "sin", "tan", "pi", "sqrt", "exp", "log"}
+
+
+def test_src_computes_no_floating_point():
+    """No verdict depends on floating point: src/pbp names none of math's cos,
+    sin, tan, pi, sqrt, exp or log, and calls float() only in the label check
+    of CoxeterMatrix.__post_init__."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "CoxeterMatrix"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for node in ast.walk(fn)
+        }
+        nodes = list(ast.walk(tree))
+        math_names = {alias.asname or alias.name for node in nodes if isinstance(node, ast.Import)
+                      for alias in node.names if alias.name == "math"}
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in math_names and node.attr in FLOAT_MATH:
+                found.append((path.name, node.lineno, f"math.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [(path.name, node.lineno, alias.name) for alias in node.names
+                          if alias.name in FLOAT_MATH | {"*"}]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float" \
+                    and id(node) not in allowed:
+                found.append((path.name, node.lineno, "float()"))
+    assert found == []
+
+
 def test_src_draws_random_numbers_only_where_seeded():
     """Only abels (sampling) and poly (seeded Cantor-Zassenhaus) import random;
     every other verdict, the Lie ideal lattice included, is deterministic."""

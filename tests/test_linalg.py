@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from linalg_oracles import (
     SpanOracle,
+    char_poly,
     dependence,
     min_poly_oracle,
     nullspace_oracle,
@@ -26,6 +27,7 @@ from pbp.linalg import (
     rref,
     solve_commutant,
 )
+from pbp.poly import squarefree_part
 
 RATIONAL = st.one_of(
     st.just(0),
@@ -264,3 +266,27 @@ def test_min_poly_matches_the_krylov_oracle(case):
     assert mu == min_poly_oracle(m)
     assert mu[-1] == 1
     assert not any(x for row in poly_eval_matrix(mu, m) for x in row)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of size 1-6: random, nilpotent (strictly upper
+    triangular), or triangular with repeated diagonal entries, the last two
+    conjugated by a random unimodular matrix."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "nilpotent", "repeated"]))
+    m = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "random":
+        return m
+    diag = [0] * n if kind == "nilpotent" else draw(st.lists(st.sampled_from([-1, 0, 2]), min_size=n, max_size=n))
+    m = [[m[i][j] if j > i else diag[i] if j == i else 0 for j in range(n)] for i in range(n)]
+    p, q = unimodular(draw, n)
+    return conjugate(m, p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_min_poly_has_the_irreducible_factors_of_the_char_poly(m):
+    """The Lie decider reads square-free parts off minimal polynomials only:
+    they equal those of the characteristic polynomial."""
+    assert squarefree_part(min_poly_of_matrix(m)) == squarefree_part(char_poly(m))
