@@ -18,10 +18,10 @@ generators and relators of total length R:
   signed Schreier generator ``gen_at[x][c]`` and the next coset: again
   R * d lookups, plus the Word output.
 - ``abelianization`` and ``smith_normal_form`` run one sparse
-  elimination, ``_sparse_smith``.  It takes the one- and two-entry rows
-  with a +-1 from a stack, each costing the length of its column, and the
-  other pivots from a heap, least |entry| and then least Markowitz cost
-  first.
+  elimination, ``_sparse_smith``.  It takes every pivot row from one heap
+  keyed by (least |entry|, row length, row index), so the one- and
+  two-entry rows with a +-1 come first, each costing the length of its
+  column.
 """
 
 from __future__ import annotations
@@ -172,15 +172,6 @@ class CosetTable:
                 raise ValueError("each generator must act as a permutation of the cosets")
         object.__setattr__(self, "inverse", tuple(perm_inv(p) for p in self.action))
 
-    def act(self, coset: int, letter: int) -> int:
-        """Apply one signed letter to a coset."""
-        return self.step(letter)[coset]
-
-    def act_word(self, coset: int, w: Word) -> int:
-        for x in w.raw:
-            coset = self.act(coset, x)
-        return coset
-
     def step(self, letter: int) -> tuple[int, ...]:
         """The permutation of the cosets that one signed letter applies."""
         return self.action[letter - 1] if letter > 0 else self.inverse[-letter - 1]
@@ -236,8 +227,6 @@ def coset_enumerate(
     if len(images) != pres.generator_count:
         raise ValueError("one permutation image per generator is required")
     imgs = [tuple(p) for p in images]
-    if not imgs:
-        raise ValueError("empty image list")
     degree = len(imgs[0])
     for p in imgs:
         if len(p) != degree or not is_permutation(p):
@@ -401,10 +390,20 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
 
     Returns nonnegative d_1 | d_2 | ..., min(m, n) entries with the zeros
     last, computed exactly by the sparse elimination ``_sparse_smith``.
+    Raises ValueError on a row whose length differs from the first row's,
+    or on an entry that is not an integer value (``3.0`` is one, ``2.5``
+    and ``Fraction(3, 2)`` are not).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    units, chain = _sparse_smith([{j: int(v) for j, v in enumerate(row) if v} for row in rows])
+    sparse = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"a row of length {len(row)} in a matrix with {n} columns")
+        if any(v % 1 for v in row):  # nan for an infinite or nan entry
+            raise ValueError("matrix entries must be integers")
+        sparse.append({j: int(v) for j, v in enumerate(row) if v})
+    units, chain = _sparse_smith(sparse)
     diag = [1] * units + chain
     return diag + [0] * (min(m, n) - len(diag))
 
@@ -437,20 +436,22 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
       they touch row i alone.
 
     When both are clear, |p| is a diagonal entry; a +-1 clears both at
-    once.  Otherwise the changed rows are keyed again, with a remainder
+    once.  Otherwise the changed rows go back on the heap, with a remainder
     smaller than |p| among them.  Pivots are chosen as in Havas-Holt-Rees,
-    "Recognizing badly presented Z-modules" (1993):
+    "Recognizing badly presented Z-modules" (1993), from one heap keyed by
+    (least |entry| of the row, row length, row index):
 
-    - a stack takes the rows of one or two entries with a +-1 among them.
-      Such a pivot substitutes one column for another, or deletes one, so
-      it lengthens no row;
-    - when the stack is empty, a heap takes the row of least |entry|, and
-      among those the least Markowitz cost (row nnz - 1) * (column nnz - 1),
-      which keeps fill-in low.  It is built when the stack first runs dry;
-      rows changed after that are keyed again before the next heap pivot,
-      and a row whose cost has grown is pushed back.  So p is the least
-      entry of the matrix, each remainder makes the next pivot smaller, and
-      the elimination ends.
+    - a row of one or two entries with a +-1 keys as (1, 1 or 2, i) and
+      comes first.  Such a pivot substitutes one column for another, or
+      deletes one, so it lengthens no row;
+    - the key depends on its row alone, so every row a pivot changes is
+      pushed again at once and no other key goes stale.  A popped key that
+      is no longer its row's, because the row is gone or has changed since,
+      is skipped.  So a key that is popped is the least over the live rows,
+      p is the least entry of the matrix, each remainder makes the next
+      pivot smaller, and the elimination ends;
+    - within the row, the pivot is an entry of least |entry| in the
+      shortest column.
 
     One gcd/lcm pass over the non-unit entries folds them into the chain.
     """
@@ -465,44 +466,19 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
         row = live[i]
         values = row.values()
         least = 1 if 1 in values or -1 in values else min(map(abs, values))
-        count = min([len(cols[l]) for l, v in row.items() if v == least or v == -least])
-        return least, (len(row) - 1) * (count - 1), i
+        return least, len(row), i
 
     units = 0
     chain: list[int] = []
-    stack = list(live)
-    heap: list[tuple[int, int, int]] | None = None  # built when the stack first runs dry
-    dirty: set[int] = set()  # rows changed since, to key before the next heap pivot
-    while True:
-        if stack:
-            i = stack.pop()
-            pivot_row = live.get(i)
-            if pivot_row is None or len(pivot_row) > 2:
-                continue
-            values = pivot_row.values()
-            if 1 not in values and -1 not in values:
-                continue
-            least = 1
-        else:
-            if heap is None:
-                heap = [key(k) for k in live]
-                heapq.heapify(heap)
-            for k in dirty:
-                if k in live:
-                    heapq.heappush(heap, key(k))
-            dirty.clear()
-            if not heap:
-                break
-            popped = heapq.heappop(heap)
-            i = popped[2]
-            if i not in live:  # emptied or taken since it was pushed
-                continue
-            best = key(i)
-            if best > popped:
-                heapq.heappush(heap, best)
-                continue
-            pivot_row = live[i]
-            least = best[0]
+    heap = [key(i) for i in live]
+    heapq.heapify(heap)
+    while heap:
+        popped = heapq.heappop(heap)
+        i = popped[2]
+        if i not in live or key(i) != popped:  # emptied or changed since it was pushed
+            continue
+        pivot_row = live[i]
+        least = popped[0]
         # the entry of absolute value least in the shortest column
         j = min((len(cols[l]), l) for l, v in pivot_row.items() if v == least or v == -least)[1]
 
@@ -552,9 +528,8 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
             else:
                 del live[i]
                 chain.append(abs(p))
-        stack.extend(k for k in changed if len(live[k]) <= 2)
-        if heap is not None:
-            dirty.update(changed)
+        for k in changed:
+            heapq.heappush(heap, key(k))
 
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):

@@ -3,7 +3,7 @@
 ``coset_table_oracle`` enumerates the image group breadth first and then
 fills the action rows in a second sweep over every element and generator.
 ``is_closed_oracle`` applies every relator to every coset, letter by
-letter, with ``CosetTable.act_word``.  ``schreier_data_oracle`` rewrites
+letter, with ``act_word``.  ``schreier_data_oracle`` rewrites
 each relator at each coset one letter at a time, looking the Schreier
 generator of every edge up in a dict keyed by (coset, generator).
 ``pbp.presentations`` does the same work from flat per-letter tables; the
@@ -49,9 +49,20 @@ def coset_table_oracle(images: Sequence[Sequence[int]]) -> CosetTable:
     return CosetTable(len(order), action)
 
 
+def act(table: CosetTable, coset: int, letter: int) -> int:
+    """Apply one signed letter to a coset."""
+    return table.step(letter)[coset]
+
+
+def act_word(table: CosetTable, coset: int, w: Word) -> int:
+    for x in w.raw:
+        coset = act(table, coset, x)
+    return coset
+
+
 def is_closed_oracle(table: CosetTable, pres: FinitePresentation) -> bool:
     """Every relator fixes every coset, checked one coset at a time."""
-    return all(table.act_word(c, r) == c for r in pres.relators for c in range(table.d))
+    return all(act_word(table, c, r) == c for r in pres.relators for c in range(table.d))
 
 
 def _transversal(pres: FinitePresentation, table: CosetTable):
@@ -63,7 +74,7 @@ def _transversal(pres: FinitePresentation, table: CosetTable):
     while queue:
         c = queue.popleft()
         for letter in letter_order:
-            nxt = table.act(c, letter)
+            nxt = act(table, c, letter)
             if rep[nxt] is None:
                 rep[nxt] = rep[c] * Word((letter,))
                 tree.add((c, letter))
@@ -83,7 +94,7 @@ def schreier_data_oracle(pres: FinitePresentation, table: CosetTable) -> Schreie
     for c in range(d):
         for i in range(a):
             letter = i + 1
-            nxt = table.act(c, letter)
+            nxt = act(table, c, letter)
             if (c, letter) in tree or (nxt, -letter) in tree:
                 continue
             gen_index[(c, i)] = len(gen_words)
@@ -97,9 +108,9 @@ def schreier_data_oracle(pres: FinitePresentation, table: CosetTable) -> Schreie
                 key = (c, x - 1)
                 if key in gen_index:
                     out.append(gen_index[key] + 1)
-                c = table.act(c, x)
+                c = act(table, c, x)
             else:
-                c = table.act(c, x)
+                c = act(table, c, x)
                 key = (c, -x - 1)
                 if key in gen_index:
                     out.append(-(gen_index[key] + 1))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -27,7 +28,14 @@ from pbp.presentations import (
     smith_normal_form,
 )
 from pbp.words import Word, parse_word
-from presentations_oracles import coset_table_oracle, exponent_matrix, is_closed_oracle, schreier_data_oracle
+from presentations_oracles import (
+    act,
+    act_word,
+    coset_table_oracle,
+    exponent_matrix,
+    is_closed_oracle,
+    schreier_data_oracle,
+)
 
 
 def bs_presentation(m, n):
@@ -159,7 +167,7 @@ def test_schreier_words_lie_in_kernel():
     for w in data.generator_words:
         assert word_image(w, [tuple(p) for p in images], 4) == perm_identity(4)
     # transversal representatives hit every coset exactly once
-    hit = sorted(table.act_word(0, rep) for rep in data.transversal)
+    hit = sorted(act_word(table, 0, rep) for rep in data.transversal)
     assert hit == list(range(table.d))
 
 
@@ -237,7 +245,7 @@ def test_table_broken_by_one_relator_is_rejected():
     relators = ("a^2", "b a b a b", "b^4", "a b a b a b")
     pres = FinitePresentation(2, tuple(parse_word(r, names) for r in relators), names)
     table = CosetTable(4, ((0, 2, 1, 3), (1, 2, 3, 0)))
-    moved = [c for c in range(4) if table.act_word(c, pres.relators[1]) != c]
+    moved = [c for c in range(4) if act_word(table, c, pres.relators[1]) != c]
     assert len(moved) == 2 and 0 not in moved
     closed = FinitePresentation(2, pres.relators[:1] + pres.relators[2:], names)
     assert table.is_closed(closed) and table.is_transitive()
@@ -283,6 +291,18 @@ def test_snf_against_oracle_random():
         nz = [v for v in mine if v]
         for x, y in zip(nz, nz[1:]):
             assert y % x == 0
+    # integral values of other types are integers
+    assert smith_normal_form([[3.0, 0], [0, Fraction(2)]]) == [1, 6]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[Fraction(3, 2)]], [[2.5, 0], [0, 3]], [[float("inf")]], [[1, 2], [3]], [[0], [0, 0, 5]]],
+    ids=["fraction", "float", "infinite", "short-row", "long-row"],
+)
+def test_snf_refuses_malformed_matrices(rows):
+    with pytest.raises(ValueError):
+        smith_normal_form(rows)
 
 
 def test_abelianization_examples():
@@ -405,6 +425,38 @@ def test_sparse_abelianization_matches_dense_snf(case):
     assert abelianization(pres) == invariants_from_diagonal(diag, n)
 
 
+@st.composite
+def scrambled_diagonals(draw):
+    """A square matrix with a known Smith form: diag(1, ..., 1, d_1 | d_2 | ...,
+    0, ..., 0) scrambled by about 3n random unimodular row and column
+    operations, each adding or subtracting one line to another."""
+    n = draw(st.integers(15, 40))
+    chain = [draw(st.sampled_from([2, 3]))]
+    for _ in range(draw(st.integers(0, 3))):
+        chain.append(chain[-1] * draw(st.sampled_from([1, 2, 3])))
+    ones = draw(st.integers(0, n - len(chain)))
+    diag = [1] * ones + chain + [0] * (n - ones - len(chain))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, k = rng.sample(range(n), 2)
+        sign = rng.choice([1, -1])
+        if rng.random() < 0.5:
+            rows[i] = [a + sign * b for a, b in zip(rows[i], rows[k])]
+        else:
+            for row in rows:
+                row[i] += sign * row[k]
+    return rows, n, diag
+
+
+@settings(max_examples=20, deadline=None)
+@given(scrambled_diagonals())
+def test_dense_scrambled_diagonal_keeps_its_smith_form(case):
+    rows, n, diag = case
+    assert smith_normal_form(rows) == diag
+    assert abelianization(pres_from_matrix(rows, n)) == invariants_from_diagonal(diag, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(sparse_matrices(), sparse_matrices(TORSION_ONLY)), st.data())
 def test_abelianization_unimodular_invariance(case, data):
@@ -434,7 +486,7 @@ def test_coset_table_caches_inverses():
     for p, q in zip(table.action, table.inverse):
         assert q == perm_inv(p)
     for c in range(4):
-        assert table.act(table.act(c, 1), -1) == c
+        assert act(table, act(table, c, 1), -1) == c
 
 
 # --- large kernels -----------------------------------------------------------
