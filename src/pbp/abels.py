@@ -4,6 +4,10 @@ image of the diagonal subgroup is acentral in the quotient by the central
 copy of Z (where the centre is {u = 1, x = y = 0} with z free).  Classes
 commute there iff their lifts' products ab and ba agree but for an integer
 in z (``gamma_commutes``), so the check multiplies and never inverts.
+
+Entries of Z[1/p] are kept as integer numerators over one power of p, so
+products align exponents by powers of p and need no gcd; the Fraction
+values are derived only for display.
 """
 
 from __future__ import annotations
@@ -88,46 +92,108 @@ def _strong_lucas(n: int, disc: int, q: int) -> bool:
     return False
 
 
-def _is_p_power_denominator(value: Fraction, p: int) -> bool:
-    den = value.denominator
+def _p_exponent(den: int, p: int) -> int | None:
+    """k with den == p^k, or None if den is not a power of p."""
+    k = 0
     while den % p == 0:
-        den //= p
-    return den == 1
+        den, k = den // p, k + 1
+    return k if den == 1 else None
+
+
+def _check_group(p: int, u_sign: int, u_exp: int) -> None:
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if u_sign not in (1, -1) or not isinstance(u_exp, int):
+        raise ValueError(f"the unit must be +-p^k with k an integer, got {u_sign} * {p}^{u_exp}")
 
 
 @dataclass(frozen=True)
 class A3Matrix:
     """The matrix [[1, x, z], [0, u, y], [0, 0, 1]] with x, y, z in Z[1/p] and
-    u = +-p^k, all stored as plain Fractions.
+    u = +-p^k, stored in integers: x = X / p^e, y = Y / p^e, z = Z / p^e with
+    e >= 0 the least such exponent, and u = u_sign * p^u_exp.  The form is
+    canonical, so two matrices are equal iff their fields are.
 
-    Only ``make`` checks its arguments.  Z[1/p] is a ring and u is a unit in
-    it, so ``a3_mul`` of checked matrices stays in the group without a
-    check."""
+    Only ``make`` and ``from_numerators`` check their arguments.  Z[1/p] is a
+    ring and u is a unit in it, so ``a3_mul`` of checked matrices stays in the
+    group without a check."""
 
     p: int
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    u: Fraction
+    e: int
+    X: int
+    Y: int
+    Z: int
+    u_sign: int
+    u_exp: int
 
     @staticmethod
     def make(p: int, x, y, z, u_sign: int = 1, u_exp: int = 0) -> "A3Matrix":
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if u_sign not in (1, -1) or not isinstance(u_exp, int):
-            raise ValueError(f"the unit must be +-p^k with k an integer, got {u_sign} * {p}^{u_exp}")
+        """The matrix with the rational entries x, y, z, checked."""
+        _check_group(p, u_sign, u_exp)
         entries = [Fraction(v) for v in (x, y, z)]
+        e = 0
         for value in entries:
-            if not _is_p_power_denominator(value, p):
+            k = _p_exponent(value.denominator, p)
+            if k is None:
                 raise ValueError(f"{value} is not in Z[1/{p}]")
-        return A3Matrix(p, *entries, u_sign * Fraction(p) ** u_exp)
+            e = max(e, k)
+        q = p**e
+        return _reduced(p, e, *(v.numerator * (q // v.denominator) for v in entries), u_sign, u_exp)
+
+    @staticmethod
+    def from_numerators(p: int, e: int, X: int, Y: int, Z: int, u_sign: int = 1,
+                        u_exp: int = 0) -> "A3Matrix":
+        """The matrix with x, y, z = X, Y, Z over p^e, checked and brought to
+        the least exponent."""
+        _check_group(p, u_sign, u_exp)
+        if not all(type(v) is int for v in (e, X, Y, Z)) or e < 0:
+            raise ValueError(f"numerators and exponent must be integers with e >= 0, "
+                             f"got {X}, {Y}, {Z} over {p}^{e}")
+        return _reduced(p, e, X, Y, Z, u_sign, u_exp)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.X, self.p**self.e)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.Y, self.p**self.e)
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(self.Z, self.p**self.e)
+
+    @property
+    def u(self) -> Fraction:
+        k = self.u_exp
+        return Fraction(self.u_sign * self.p**k) if k >= 0 else Fraction(self.u_sign, self.p**-k)
+
+
+def _reduced(p: int, e: int, X: int, Y: int, Z: int, u_sign: int, u_exp: int) -> A3Matrix:
+    """The canonical matrix with numerators X, Y, Z over p^e, unchecked."""
+    while e and not (X % p or Y % p or Z % p):
+        X, Y, Z, e = X // p, Y // p, Z // p, e - 1
+    return A3Matrix(p, e, X, Y, Z, u_sign, u_exp)
 
 
 def a3_mul(a: A3Matrix, b: A3Matrix) -> A3Matrix:
-    if a.p != b.p:
+    p = a.p
+    if p != b.p:
         raise ValueError("mixed primes")
-    # [[1,x1,z1],[0,u1,y1],[0,0,1]] * [[1,x2,z2],[0,u2,y2],[0,0,1]]
-    return A3Matrix(a.p, b.x + a.x * b.u, a.y + a.u * b.y, b.z + a.x * b.y + a.z, a.u * b.u)
+    # [[1,x1,z1],[0,u1,y1],[0,0,1]] * [[1,x2,z2],[0,u2,y2],[0,0,1]] has
+    # x = x2 + x1 u2, y = y1 + u1 y2, z = z2 + x1 y2 + z1 and u = u1 u2; every
+    # term is an integer over p^e for this e
+    e1, e2, k1, k2 = a.e, b.e, a.u_exp, b.u_exp
+    e = max(e1 + e2, e1 - k2, e2 - k1)
+    return _reduced(
+        p,
+        e,
+        b.X * p ** (e - e2) + b.u_sign * a.X * p ** (e - e1 + k2),
+        a.Y * p ** (e - e1) + a.u_sign * b.Y * p ** (e - e2 + k1),
+        b.Z * p ** (e - e2) + a.X * b.Y * p ** (e - e1 - e2) + a.Z * p ** (e - e1),
+        a.u_sign * b.u_sign,
+        k1 + k2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +202,30 @@ def a3_mul(a: A3Matrix, b: A3Matrix) -> A3Matrix:
 
 @dataclass(frozen=True)
 class GammaElement:
-    """A3 matrix with z taken modulo 1 (the central Z is divided out)."""
+    """A3 matrix with z taken modulo 1 (the central Z is divided out).
+
+    Z mod p^e is Z mod p when e > 0, so the matrix stays canonical."""
 
     matrix: A3Matrix
 
     def __post_init__(self):
         m = self.matrix
-        object.__setattr__(self, "matrix", A3Matrix(m.p, m.x, m.y, m.z - math.floor(m.z), m.u))
+        object.__setattr__(self, "matrix", A3Matrix(m.p, m.e, m.X, m.Y, m.Z % m.p**m.e, m.u_sign, m.u_exp))
 
 
 def gamma_commutes(g: GammaElement, h: GammaElement) -> bool:
     """Do the classes commute in the quotient?  Checked on lifts a, b: ab and
     ba must agree in x, y and u and differ in z by an integer.  Exact:
     [a, b] = ab (ba)^-1 lies in the central Z iff ab = c ba for some
-    c = (0, 0, c_z, 1) with c_z in Z, and c M is M with c_z added to its z."""
+    c = (0, 0, c_z, 1) with c_z in Z, and c M is M with c_z added to its z.
+    Both products are brought to one denominator p^e to compare."""
     a, b = g.matrix, h.matrix
     ab, ba = a3_mul(a, b), a3_mul(b, a)
-    return ab.x == ba.x and ab.y == ba.y and ab.u == ba.u and (ab.z - ba.z).denominator == 1
+    if ab.u_sign != ba.u_sign or ab.u_exp != ba.u_exp:
+        return False
+    p, e = a.p, max(ab.e, ba.e)
+    s, t = p ** (e - ab.e), p ** (e - ba.e)
+    return ab.X * s == ba.X * t and ab.Y * s == ba.Y * t and (ab.Z * s - ba.Z * t) % p**e == 0
 
 
 def diagonal_element(p: int, exponent: int, sign: int = 1) -> GammaElement:
@@ -163,14 +236,14 @@ def diagonal_element(p: int, exponent: int, sign: int = 1) -> GammaElement:
 
 def random_gamma_element(p: int, rng: random.Random) -> GammaElement:
     """x, y, z uniform over {a / p^k : |a| <= 10 p^k, k <= 4}, u = +-p^j, |j| <= 3."""
-    def coord():
+    draws = []
+    for _ in range(3):
         k = rng.randint(0, 4)
         bound = 10 * p**k
-        return Fraction(rng.randint(-bound, bound), p**k)
-
-    return GammaElement(
-        A3Matrix.make(p, coord(), coord(), coord(), rng.choice((1, -1)), rng.randint(-3, 3))
-    )
+        draws.append((k, rng.randint(-bound, bound)))
+    e = max(k for k, _ in draws)
+    nums = [a * p ** (e - k) for k, a in draws]
+    return GammaElement(A3Matrix.from_numerators(p, e, *nums, rng.choice((1, -1)), rng.randint(-3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +304,12 @@ def _commutator_matches(closed_forms: dict) -> bool:
     return all(comm[i][j] == form for (i, j), form in closed_forms.items())
 
 
+@lru_cache(maxsize=None)
 def symbolic_commutator_identities() -> bool:
     """Exact form of the commutator of a diagonal lift with a generic lift:
     the off-diagonal entries are (x/u)(1/u0 - 1) and y (u0 - 1) and the middle
-    entry is 1, so commuting modulo the centre forces x = y = 0."""
+    entry is 1, so commuting modulo the centre forces x = y = 0.  It takes no
+    input, so it is derived once per process."""
     return _commutator_matches(_COMMUTATOR_ENTRIES)
 
 
@@ -287,13 +362,15 @@ def acentral_check(
         if gamma_commutes(g, h):
             commuting += 1
             hm = h.matrix
-            if hm.x != 0 or hm.y != 0:
+            if hm.X or hm.Y:
                 counterexamples.append(f"x={hm.x} y={hm.y} u={hm.u} z={hm.z}")
     # positive controls: x = y = 0 classes must land in the centralizer,
     # otherwise the implication above would hold vacuously
     for _ in range(max(1, trials // 10)):
         sample = random_gamma_element(p, rng).matrix
-        control = GammaElement(A3Matrix(p, Fraction(0), Fraction(0), sample.z, sample.u))
+        control = GammaElement(
+            A3Matrix.from_numerators(p, sample.e, 0, 0, sample.Z, sample.u_sign, sample.u_exp)
+        )
         if gamma_commutes(g, control):
             commuting += 1
         else:

@@ -1,19 +1,21 @@
 """Exact linear algebra over the rationals.
 
 Entries are Python ints or Fractions; mixed arithmetic is exact either way,
-and keeping ints where possible is markedly faster.  One integer echelon,
-``SpanBuilder``, serves spans, null spaces, module maps and minimal
-polynomials: a span's reduced row echelon form is kept as integer rows over
-one common denominator, with cached pivot columns, and a new vector is
-scaled to a primitive integer row and reduced in integers against them.  A
-vector that grows the span enters by one fraction-free Gauss-Jordan step
-(Bareiss, Math. Comp. 22, 1968).  Null vectors are read off the same rows,
-and a dependence among vectors is found by carrying their coordinates in
-extra columns.  No Fraction is built until the canonical rref, with pivots
-1, is asked for; matrix products likewise run in integers over a common
-denominator.  The minimal polynomial is the one polynomial of a matrix kept
-here: it has the irreducible factors of the characteristic polynomial, so
-its square-free part is all the Lie decider needs.
+and keeping ints where possible is markedly faster.  Every rational this
+module returns is an int when it is integral and a Fraction otherwise
+(``_ratio``).  One integer echelon, ``SpanBuilder``, serves spans, null
+spaces, module maps and minimal polynomials: a span's reduced row echelon
+form is kept as integer rows over one common denominator, with cached pivot
+columns, and a new vector is scaled to a primitive integer row and reduced
+in integers against them.  A vector that grows the span enters by one
+fraction-free Gauss-Jordan step (Bareiss, Math. Comp. 22, 1968).  Null
+vectors are read off the same rows, and a dependence among vectors is found
+by carrying their coordinates in extra columns.  No Fraction is built until
+the canonical rref, with pivots 1, is asked for, and then only for its
+non-integral entries; matrix products likewise run in integers over a
+common denominator.  The minimal polynomial is the one polynomial of a
+matrix kept here: it has the irreducible factors of the characteristic
+polynomial, so its square-free part is all the Lie decider needs.
 
 Module maps serve only commutants, and come from spinning, as in the MeatAxe
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
@@ -33,8 +35,6 @@ from typing import Iterable, Sequence
 Vec = tuple
 Matrix = list
 
-ZERO = Fraction(0)
-
 
 def zero_vec(n: int) -> Vec:
     return (0,) * n
@@ -50,6 +50,11 @@ def vec_scale(a: Vec, c) -> Vec:
 
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
+
+
+def _ratio(x: int, den: int):
+    """x / den for den > 0: an int when it is integral, else a Fraction."""
+    return x // den if x % den == 0 else Fraction(x, den)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +114,12 @@ class SpanBuilder:
         return len(self.rows)
 
     def basis(self) -> tuple[Vec, ...]:
-        """The rref rows, pivots 1 and Fraction entries, sorted by pivot."""
+        """The rref rows, pivots 1, sorted by pivot; integral entries are ints."""
         den = self.den
         order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
-        return tuple(tuple(Fraction(x, den) if x else ZERO for x in self.rows[i]) for i in order)
+        if den == 1:
+            return tuple(tuple(self.rows[i]) for i in order)
+        return tuple(tuple(_ratio(x, den) for x in self.rows[i]) for i in order)
 
     def _reduce(self, v: Sequence) -> list:
         """den v minus the combination of rows that clears v at every pivot, for
@@ -212,7 +219,7 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     den = da * db
     if den == 1:
         return prod
-    return [[Fraction(x, den) if x else ZERO for x in row] for row in prod]
+    return [[_ratio(x, den) for x in row] for row in prod]
 
 
 def mat_sub(a, b) -> Matrix:
@@ -237,7 +244,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     are ints where integral and Fractions otherwise."""
     span = SpanBuilder(rows)
     den = span.den
-    return [tuple(a // den if a % den == 0 else Fraction(a, den) for a in x) for x in span._kernel(ncols)]
+    return [tuple(_ratio(a, den) for a in x) for x in span._kernel(ncols)]
 
 
 def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:
@@ -257,7 +264,7 @@ def min_poly_of_matrix(m: Sequence[Sequence]) -> tuple:
         w = span._reduce(_int_row([*flatten(power), *tail]))
         if not any(w[: n * n]):
             a = w[n * n : n * n + k + 1]
-            return tuple(Fraction(c, a[k]) for c in a)
+            return tuple(_ratio(c, a[k]) for c in a)
         span._push(w)
         power = mat_mul(power, m)
     raise AssertionError("Cayley-Hamilton bounds the degree by n")
@@ -452,6 +459,6 @@ def solve_commutant(mats: Sequence[Sequence[Sequence]], n: int) -> list[Matrix]:
     den = echelon.den
     out = []
     for _k, row in sorted(zip(echelon.pivots, echelon.rows), reverse=True):
-        flat = row[::-1] if den == 1 else [x // den if x % den == 0 else Fraction(x, den) for x in reversed(row)]
+        flat = row[::-1] if den == 1 else [_ratio(x, den) for x in reversed(row)]
         out.append([flat[i : i + n] for i in range(0, n * n, n)])
     return out

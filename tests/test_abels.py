@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from abels_oracles import a3_inv, commutator_oracle, is_identity
+from abels_oracles import (
+    a3_inv,
+    commutator_oracle,
+    entries,
+    fraction_commutes,
+    fraction_mod_centre,
+    fraction_mul,
+    is_identity,
+)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -39,8 +47,27 @@ def test_make_accepts_p_power_denominators():
     m = A3Matrix.make(3, Fraction(5, 27), Fraction(-7, 3), 4, -1, -2)
     assert (m.x, m.y, m.z, m.u) == (Fraction(5, 27), Fraction(-7, 3), 4, Fraction(-1, 9))
     assert all(type(v) is Fraction for v in (m.x, m.y, m.z, m.u))
+    assert (m.e, m.X, m.Y, m.Z, m.u_sign, m.u_exp) == (3, 5, -63, 108, -1, -2)
     A3Matrix.make(2, Fraction(-7, 8), 0, 0)
     A3Matrix.make(5, 4, 0, 0, 1, 3)
+
+
+def test_numerators_are_brought_to_the_least_exponent():
+    m = A3Matrix.from_numerators(3, 4, 9, -18, 27)  # 1/9, -2/9, 1/3
+    assert (m.e, m.X, m.Y, m.Z) == (2, 1, -2, 3)
+    assert m == A3Matrix.make(3, Fraction(1, 9), Fraction(-2, 9), Fraction(1, 3))
+    assert A3Matrix.from_numerators(5, 3, 0, 0, 0) == A3Matrix.make(5, 0, 0, 0)
+    assert A3Matrix.from_numerators(2, 0, 3, 4, 5).e == 0
+
+
+def test_from_numerators_rejects_outside_values():
+    with pytest.raises(ValueError, match="not prime"):
+        A3Matrix.from_numerators(9, 0, 1, 0, 0)
+    with pytest.raises(ValueError, match="unit"):
+        A3Matrix.from_numerators(3, 0, 0, 0, 0, 1, 0.5)
+    for args in [(-1, 0, 0, 0), (1, Fraction(1, 2), 0, 0), (0.0, 0, 0, 0), (1, 0, 0, 1.0)]:
+        with pytest.raises(ValueError, match="integers"):
+            A3Matrix.from_numerators(3, *args)
 
 
 def test_make_rejects_outside_values():
@@ -103,6 +130,39 @@ def test_mul_and_inv_are_the_fraction_matrix_product_and_inverse(pair):
         assert as_rows(result) == expected
         assert all(is_p_power(v.denominator, a.p) for v in (result.x, result.y, result.z, result.u))
         assert is_p_power(abs(result.u.numerator), a.p)  # u stays a unit +-p^k
+
+
+def gamma_reference(m):
+    return fraction_mod_centre(entries(m))
+
+
+@given(a3_pairs())
+@example((A3Matrix.make(3, Fraction(1, 3), 0, Fraction(5, 3), -1, -4),
+          A3Matrix.make(3, 0, Fraction(2, 3), 0, 1, 4)))
+def test_integer_arithmetic_matches_the_fraction_reference(pair):
+    a, b = pair
+    for m, n in [(a, b), (b, a)]:
+        assert entries(a3_mul(m, n)) == fraction_mul(entries(m), entries(n))
+        assert entries(GammaElement(m).matrix) == gamma_reference(m)
+        assert gamma_commutes(GammaElement(m), GammaElement(n)) == fraction_commutes(
+            gamma_reference(m), gamma_reference(n)
+        )
+
+
+def test_products_and_draws_build_no_fraction(monkeypatch):
+    rng = random.Random(7)
+    samples = [random_gamma_element(p, rng) for p in (2, 3, 5) for _ in range(20)]
+
+    def forbidden(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(abels, "Fraction", forbidden)
+    rng = random.Random(7)
+    assert [random_gamma_element(p, rng) for p in (2, 3, 5) for _ in range(20)] == samples
+    for g, h in zip(samples, samples[1:]):
+        if g.matrix.p == h.matrix.p:
+            a3_mul(g.matrix, h.matrix)
+            gamma_commutes(g, h)
 
 
 # --- group arithmetic -----------------------------------------------------------
@@ -340,3 +400,11 @@ def test_random_gamma_element_stream_is_pinned():
     assert rows[0] == (Fraction(19, 2), Fraction(-15, 4), Fraction(7, 16), Fraction(-1, 2))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "3f42d6928cb1c6a580cd8a1359fddadbbdcbb46e32d10893bd4356b415479e86"
+
+
+def test_acentral_reports_at_500_trials_are_pinned():
+    digest = hashlib.sha256()
+    for p in (2, 3, 5, 7, 11):
+        for exponent, sign in [(1, 1), (-2, -1), (3, 1), (-1, -1)]:
+            digest.update(json.dumps(acentral_check(p, 500, exponent, sign).to_json()).encode())
+    assert digest.hexdigest() == "a41c28f5888aa4a5fa97670e677c6da3210b6719facc76012cd52cb994bba187"

@@ -189,6 +189,13 @@ def test_lie_catalogue_dimension_twelve(capsys):
     assert out["answer"] == "YES"
 
 
+def test_lie_catalogue_dimension_thirteen(capsys):
+    code, out, _ = run(capsys, ["lie", "--catalogue", "so(5)+sl2"])
+    assert code == 0
+    assert out["algebra"]["dim"] == 13
+    assert out["answer"] == "YES"
+
+
 @pytest.mark.parametrize("name, answer", [("so(6)", "NO"), ("so(7)", "NO"),
                                           ("vr(2,1,2)+vr(2,1,2)", "YES")])
 def test_lie_catalogue_past_dimension_twelve(capsys, name, answer):

@@ -19,6 +19,7 @@ from linalg_oracles import (
 from pbp.linalg import (
     SpanBuilder,
     express,
+    mat_mul,
     min_poly_of_matrix,
     nullspace,
     pivots,
@@ -83,13 +84,42 @@ def _sympy_rref(rows):
     )
 
 
+def _assert_int_or_proper_fraction(values):
+    """Integral entries are ints; the others are Fractions with denominator > 1."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
 def _assert_canonical(basis):
     piv = pivots(basis)
     assert piv == sorted(set(piv))
     for p, row in zip(piv, basis):
-        assert all(type(x) is Fraction for x in row)
+        _assert_int_or_proper_fraction(row)
         assert row[p] == 1
         assert all(other[p] == 0 for other in basis if other is not row)
+
+
+@st.composite
+def integer_or_half_integer_pair(draw):
+    """Two n x n matrices, each of integers or each of halves of integers, as
+    Fractions, so integral inputs are Fractions too."""
+    n = draw(st.integers(1, 6))
+
+    def square():
+        den = draw(st.sampled_from([1, 2]))
+        return [[Fraction(draw(st.integers(-4, 4)), den) for _ in range(n)] for _ in range(n)]
+
+    return square(), square()
+
+
+@given(integer_or_half_integer_pair())
+def test_outputs_are_ints_where_integral(pair):
+    a, b = pair
+    n = len(a)
+    _assert_int_or_proper_fraction(x for row in SpanBuilder(a).basis() for x in row)
+    _assert_int_or_proper_fraction(x for row in mat_mul(a, b) for x in row)
+    _assert_int_or_proper_fraction(x for v in nullspace(a, n) for x in v)
+    _assert_int_or_proper_fraction(min_poly_of_matrix(a))
 
 
 @settings(max_examples=60)
