@@ -17,7 +17,7 @@ every public name.  Each ``pbp`` subcommand loads only the modules it runs,
 besides ``pbp.cli`` and ``pbp.verdict``:
 
     abels      abels
-    bs         bs, presentations, words
+    bs         bs, words; presentations only with --verify-bound
     coxeter    coxeter, algebraic
     lie        lie, linalg, poly
     subgroup   presentations, words
@@ -49,7 +49,7 @@ _EXPORTS = {
         "lie": "IdealLattice InvalidAlgebra LieAlgebra LieCertificate Subspace UnsupportedParams"
         " centralizer centre ideal_closure ideal_lattice lie_presentable"
         " verify_product_certificate",
-        "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter affine_rep britton_reduce"
+        "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter britton_reduce"
         " bs_presentable pi_image verify_witness witness_subgroup",
         "abels": "A3Matrix GammaElement acentral_check gamma_commutes",
         "classifier": "Flags GroupDescriptor InconsistentInput classify explain",

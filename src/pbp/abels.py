@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .verdict import Record
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -107,8 +108,7 @@ def _check_group(p: int, u_sign: int, u_exp: int) -> None:
         raise ValueError(f"the unit must be +-p^k with k an integer, got {u_sign} * {p}^{u_exp}")
 
 
-@dataclass(frozen=True)
-class A3Matrix:
+class A3Matrix(Record):
     """The matrix [[1, x, z], [0, u, y], [0, 0, 1]] with x, y, z in Z[1/p] and
     u = +-p^k, stored in integers: x = X / p^e, y = Y / p^e, z = Z / p^e with
     e >= 0 the least such exponent, and u = u_sign * p^u_exp.  The form is
@@ -118,13 +118,16 @@ class A3Matrix:
     ring and u is a unit in it, so ``a3_mul`` of checked matrices stays in the
     group without a check."""
 
-    p: int
-    e: int
-    X: int
-    Y: int
-    Z: int
-    u_sign: int
-    u_exp: int
+    __slots__ = ("p", "e", "X", "Y", "Z", "u_sign", "u_exp")
+
+    def __init__(self, p: int, e: int, X: int, Y: int, Z: int, u_sign: int, u_exp: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "u_sign", u_sign)
+        object.__setattr__(self, "u_exp", u_exp)
 
     @staticmethod
     def make(p: int, x, y, z, u_sign: int = 1, u_exp: int = 0) -> "A3Matrix":
@@ -200,17 +203,17 @@ def a3_mul(a: A3Matrix, b: A3Matrix) -> A3Matrix:
 # the quotient by the central copy of Z
 
 
-@dataclass(frozen=True)
-class GammaElement:
+class GammaElement(Record):
     """A3 matrix with z taken modulo 1 (the central Z is divided out).
 
     Z mod p^e is Z mod p when e > 0, so the matrix stays canonical."""
 
-    matrix: A3Matrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = self.matrix
-        object.__setattr__(self, "matrix", A3Matrix(m.p, m.e, m.X, m.Y, m.Z % m.p**m.e, m.u_sign, m.u_exp))
+    def __init__(self, matrix: A3Matrix):
+        p, e = matrix.p, matrix.e
+        reduced = A3Matrix(p, e, matrix.X, matrix.Y, matrix.Z % p**e, matrix.u_sign, matrix.u_exp)
+        object.__setattr__(self, "matrix", reduced)
 
 
 def gamma_commutes(g: GammaElement, h: GammaElement) -> bool:
@@ -313,13 +316,12 @@ def symbolic_commutator_identities() -> bool:
     return _commutator_matches(_COMMUTATOR_ENTRIES)
 
 
-@dataclass(frozen=True)
-class AcentralReport:
-    prime: int
-    symbolic_ok: bool
-    trials: int
-    commuting_cases: int
-    counterexamples: tuple[str, ...]
+class AcentralReport(Record):
+    __slots__ = ("prime", "symbolic_ok", "trials", "commuting_cases", "counterexamples")
+
+    def __init__(self, prime: int, symbolic_ok: bool, trials: int, commuting_cases: int,
+                 counterexamples: tuple[str, ...]):
+        self._set(prime, symbolic_ok, trials, commuting_cases, counterexamples)
 
     @property
     def passed(self) -> bool:

@@ -8,19 +8,13 @@ left.  Equality of group elements is then a syntactic comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .presentations import (
-    AbelianInvariants,
-    FinitePresentation,
-    abelianization,
-    coset_enumerate,
-    reidemeister_schreier_data,
-)
-from .verdict import Answer, TraceEntry, Verdict
+from .verdict import Answer, Record, TraceEntry, Verdict
 from .words import Word, format_word
+
+if TYPE_CHECKING:
+    from .presentations import AbelianInvariants, FinitePresentation
 
 S, T = 1, 2  # letter values for the two generators
 
@@ -60,16 +54,17 @@ class ZeroParameter(ValueError):
     """BS(m, n) requires both parameters nonzero."""
 
 
-@dataclass(frozen=True)
-class BSGroup:
-    m: int
-    n: int
+class BSGroup(Record):
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if self.m == 0 or self.n == 0:
+    def __init__(self, m: int, n: int):
+        if m == 0 or n == 0:
             raise ZeroParameter("BS(m, n) needs m != 0 and n != 0")
+        self._set(m, n)
 
     def presentation(self) -> FinitePresentation:
+        from .presentations import FinitePresentation
+
         sgn = lambda k: [S] * k if k >= 0 else [-S] * (-k)
         relator = Word([T] + sgn(self.m) + [-T] + sgn(-self.n))
         return FinitePresentation(2, (relator,), ("s", "t"))
@@ -87,25 +82,26 @@ def t_word(k: int) -> Word:
 # Britton normal forms
 
 
-@dataclass(frozen=True)
-class BrittonForm:
+class BrittonForm(Record):
     """s^k0 t^(e1) s^(k1) ... t^(el) s^(kl), pinch-free with normalized k_i."""
 
-    group: BSGroup
-    k0: int
-    tail: tuple[tuple[int, int], ...]  # (epsilon, following s-exponent)
+    __slots__ = ("group", "k0", "tail")
 
-    def __post_init__(self):
-        m, n = self.group.m, self.group.n
-        for idx, (eps, k) in enumerate(self.tail):
+    def __init__(self, group: BSGroup, k0: int, tail: tuple[tuple[int, int], ...]):
+        """``tail`` holds the pairs (epsilon, following s-exponent)."""
+        m, n = group.m, group.n
+        for idx, (eps, k) in enumerate(tail):
             if eps not in (1, -1):
                 raise ValueError("epsilon must be +-1")
             bound = abs(m) if eps == 1 else abs(n)
             if not 0 <= k < bound:
                 raise ValueError(f"exponent {k} out of range at position {idx}")
-        for (e1, k1), (e2, _) in zip(self.tail, self.tail[1:]):
+        for (e1, k1), (e2, _) in zip(tail, tail[1:]):
             if k1 == 0 and e1 == -e2:
                 raise ValueError("form contains a pinch")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def t_length(self) -> int:
@@ -216,8 +212,7 @@ def cm_x_c2_images(m: int) -> list[tuple[int, ...]]:
     return [_embed(_cycle(m), 0, degree), _embed((1, 0), m, degree)]
 
 
-@dataclass(frozen=True)
-class SubgroupWitness:
+class SubgroupWitness(Record):
     """Generating data for the index-2|m| subgroup Z x F_(2|m|-1).
 
     T lists the free basis s^i t s^-i of the intermediate free group; the
@@ -225,11 +220,11 @@ class SubgroupWitness:
     one.  pi records the finite quotient whose kernel this is.
     """
 
-    m: int
-    eta: int
-    zs_generator: Word
-    T: tuple[Word, ...]
-    fII_basis: tuple[Word, ...]
+    __slots__ = ("m", "eta", "zs_generator", "T", "fII_basis")
+
+    def __init__(self, m: int, eta: int, zs_generator: Word, T: tuple[Word, ...],
+                 fII_basis: tuple[Word, ...]):
+        self._set(m, eta, zs_generator, T, fII_basis)
 
     def pi_description(self) -> dict:
         return {"target": f"C{self.m} x C2", "s": "(c, 1)", "t": "(1, d)"}
@@ -310,12 +305,12 @@ def _shortest_relation(group: BSGroup, conjugates: Sequence[Word], length_bound:
     return None
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    passed: bool
-    index: int
-    abelian: AbelianInvariants
-    failures: tuple[str, ...]
+class WitnessReport(Record):
+    __slots__ = ("passed", "index", "abelian", "failures")
+
+    def __init__(self, passed: bool, index: int, abelian: AbelianInvariants,
+                 failures: tuple[str, ...]):
+        self._set(passed, index, abelian, failures)
 
 
 def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int = 6) -> WitnessReport:
@@ -332,6 +327,13 @@ def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int =
     is memory: up to 2m (2m-1)^(ceil(L/2)-1) stored normal forms, 810,000
     for BS(8, 8) at L = 10 (374 MB peak RSS on Python 3.11).
     """
+    from .presentations import (
+        AbelianInvariants,
+        abelianization,
+        coset_enumerate,
+        reidemeister_schreier_data,
+    )
+
     if abs(group.m) != abs(group.n) or abs(group.m) < 2:
         raise ValueError("witness checks apply to BS(m, +-m) with |m| >= 2")
     if length_bound < 1:
@@ -366,43 +368,6 @@ def verify_witness(group: BSGroup, witness: SubgroupWitness, length_bound: int =
         failures.append(f"kernel abelianization is {invariants}, expected free of rank {2 * m}")
 
     return WitnessReport(not failures, table.d, invariants, tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# the affine representation of BS(1, n)
-
-
-def affine_rep(n: int, word: Word) -> list[list[Fraction]]:
-    """Image of a word of BS(1, n) under s -> [[1,1],[0,1]], t -> [[n,0],[0,1]]."""
-    if abs(n) < 2:
-        raise ValueError("the affine embedding is for BS(1, n) with |n| >= 2")
-    s_mat = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-    t_mat = ((Fraction(n), Fraction(0)), (Fraction(0), Fraction(1)))
-
-    def inv2(m):
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        return (
-            (m[1][1] / det, -m[0][1] / det),
-            (-m[1][0] / det, m[0][0] / det),
-        )
-
-    def mul2(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-
-    table = {S: s_mat, -S: inv2(s_mat), T: t_mat, -T: inv2(t_mat)}
-    out = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for letter in word.raw:
-        out = mul2(out, table[letter])
-    relator = BSGroup(1, n).presentation().relators[0]
-    check = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for letter in relator.raw:
-        check = mul2(check, table[letter])
-    if check != ((1, 0), (0, 1)):
-        raise AssertionError("defining relator does not map to the identity")
-    return [list(row) for row in out]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ Conflicting conclusions raise InconsistentInput instead of picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, get_type_hints
 
 from .presentations import FinitePresentation, presentation_from_json
-from .verdict import FG_QUALIFIER, Answer, TraceEntry, Verdict, json_int
+from .verdict import FG_QUALIFIER, Answer, Record, TraceEntry, Verdict, json_int
 
 if TYPE_CHECKING:
     from .coxeter import CoxeterMatrix
@@ -121,8 +120,7 @@ CITE_VIRTUAL_FORM = {
 # --- descriptors ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(Record):
     """User-asserted invariants; None means 'not asserted'.
 
     ``seifert`` asserts that the group is an infinite finitely presented
@@ -132,38 +130,45 @@ class Flags:
     optional rank/ranks, or a full nested descriptor object.
     """
 
-    infinite: bool | None = None
-    finitely_generated: bool | None = None
-    schreier: bool | None = None
-    ends: int | str | None = None
-    vcd: int | None = None
-    deficiency: int | None = None
-    l2_betti1_positive: bool | None = None
-    hyperbolic: bool | None = None
-    elementary: bool | None = None
-    simple: bool | None = None
-    centre: str | None = None
-    seifert: bool | None = None
-    virtually: dict | None = None
+    # the annotations name the fields, in order, and give their types
+    infinite: bool | None
+    finitely_generated: bool | None
+    schreier: bool | None
+    ends: int | str | None
+    vcd: int | None
+    deficiency: int | None
+    l2_betti1_positive: bool | None
+    hyperbolic: bool | None
+    elementary: bool | None
+    simple: bool | None
+    centre: str | None
+    seifert: bool | None
+    virtually: dict | None
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, infinite=None, finitely_generated=None, schreier=None, ends=None, vcd=None,
+                 deficiency=None, l2_betti1_positive=None, hyperbolic=None, elementary=None,
+                 simple=None, centre=None, seifert=None, virtually=None):
+        self._set(infinite, finitely_generated, schreier, ends, vcd, deficiency, l2_betti1_positive,
+                  hyperbolic, elementary, simple, centre, seifert, virtually)
 
 
-# JSON key -> Flags field: the field name with dashes for underscores
-_FLAG_KEYS = {f.name.replace("_", "-"): f.name for f in fields(Flags)}
-# the keys whose JSON value must be a bool, and those that must be an integer
 _FLAG_TYPES = get_type_hints(Flags)
+# JSON key -> Flags field: the field name with dashes for underscores
+_FLAG_KEYS = {name.replace("_", "-"): name for name in _FLAG_TYPES}
+# the keys whose JSON value must be a bool, and those that must be an integer
 _BOOL_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == bool | None}
 _INT_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == int | None}
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    kind: str  # coxeter | bs | free_product | direct_product_of_infinite | flagged
-    coxeter: CoxeterMatrix | None = None
-    bs: tuple[int, int] | None = None
-    factors: tuple | None = None
-    count: int | None = None
-    presentation: FinitePresentation | None = None
-    flags: Flags = field(default_factory=Flags)
+class GroupDescriptor(Record):
+    __slots__ = ("kind", "coxeter", "bs", "factors", "count", "presentation", "flags")
+
+    def __init__(self, kind: str, coxeter: CoxeterMatrix | None = None, bs: tuple[int, int] | None = None,
+                 factors: tuple | None = None, count: int | None = None,
+                 presentation: FinitePresentation | None = None, flags: Flags = Flags()):
+        """``kind`` is coxeter, bs, free_product, direct_product_of_infinite or flagged."""
+        self._set(kind, coxeter, bs, factors, count, presentation, flags)
 
 
 def descriptor_from_json(obj: dict) -> GroupDescriptor:
@@ -223,6 +228,11 @@ def _flag_value(key: str, value):
 # --- flag validation and derivations --------------------------------------------
 
 
+def _with_flag(flags: Flags, name: str, value) -> Flags:
+    """``flags`` with the field ``name`` set to ``value``."""
+    return Flags(**{field: value if field == name else getattr(flags, field) for field in _FLAG_TYPES})
+
+
 def _validate_flags(f: Flags) -> None:
     def clash(message: str):
         raise InconsistentInput(message)
@@ -253,7 +263,7 @@ def _derive(f: Flags) -> tuple[Flags, list[TraceEntry]]:
     def set_flag(current: Flags, name: str, value, rule: str, cite: str) -> Flags:
         if getattr(current, name) is None:
             notes.append(TraceEntry(rule, cite))
-            return replace(current, **{name: value})
+            return _with_flag(current, name, value)
         return current
 
     if f.ends in (1, 2, INF_ENDS):
@@ -276,11 +286,12 @@ def _derive(f: Flags) -> tuple[Flags, list[TraceEntry]]:
 # --- conclusions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Conclusion:
-    strength: str  # yes | no | no-fg | unknown-info
-    entry: TraceEntry
-    certificate: dict | None = None
+class _Conclusion(Record):
+    __slots__ = ("strength", "entry", "certificate")
+
+    def __init__(self, strength: str, entry: TraceEntry, certificate: dict | None = None):
+        """``strength`` is yes, no, no-fg or unknown-info."""
+        self._set(strength, entry, certificate)
 
 
 def _flag_conclusions(f: Flags) -> list[_Conclusion]:
@@ -416,7 +427,7 @@ def _classify_free_product(factors) -> Verdict:
 def _classify_flagged(descriptor: GroupDescriptor) -> Verdict:
     flags = descriptor.flags
     if descriptor.presentation is not None and flags.finitely_generated is None:
-        flags = replace(flags, finitely_generated=True)
+        flags = _with_flag(flags, "finitely_generated", True)
     _validate_flags(flags)
     flags, notes = _derive(flags)
     _validate_flags(flags)

@@ -11,13 +11,12 @@ classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from .algebraic import two_cos_pi_over
-from .verdict import Answer, InternalVerificationError, TraceEntry, Verdict, json_int
+from .verdict import Answer, InternalVerificationError, Record, TraceEntry, Verdict, json_int
 
 INF = math.inf
 
@@ -47,15 +46,13 @@ CITE_FINITE_INDEX = (
 )
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(Record):
     """Symmetric matrix with 1 on the diagonal and entries in {2,3,...} U {inf}."""
 
-    entries: tuple[tuple[float, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(v) for v in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: Sequence[Sequence[float]]):
+        rows = tuple(tuple(v) for v in entries)
         n = len(rows)
         if n == 0:
             raise ValueError("empty Coxeter matrix")
@@ -70,6 +67,7 @@ class CoxeterMatrix:
                     raise ValueError("Coxeter matrix must be symmetric")
                 elif v != INF and (not float(v).is_integer() or v < 2):
                     raise ValueError(f"off-diagonal entry {v!r} must be an integer >= 2 or inf")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def n(self) -> int:
@@ -129,11 +127,11 @@ def _connected(n: int, joined: Callable[[int, int], bool]) -> list[list[int]]:
 # the bilinear form
 
 
-@dataclass(frozen=True)
-class Signature:
-    p: int
-    q: int
-    r: int
+class Signature(Record):
+    __slots__ = ("p", "q", "r")
+
+    def __init__(self, p: int, q: int, r: int):
+        self._set(p, q, r)
 
     def __iter__(self):
         return iter((self.p, self.q, self.r))
@@ -166,11 +164,13 @@ class SymmetricForm:
         return SymmetricForm([[Fraction(v) for v in row] for row in rows])
 
 
-@dataclass(frozen=True)
-class _NegCos:
+class _NegCos(Record):
     """-cos(pi/m) for an integer m >= 4."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        object.__setattr__(self, "m", m)
 
 
 # -cos(pi/m) for the labels where it is rational

@@ -22,7 +22,6 @@ of one element that generates it modulo its radical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations
@@ -51,7 +50,7 @@ from .linalg import (
     zero_vec,
 )
 from .poly import factor_over_q, squarefree_part
-from .verdict import Answer, InternalVerificationError, json_int
+from .verdict import Answer, InternalVerificationError, Record, json_int
 
 
 class InvalidAlgebra(ValueError):
@@ -66,24 +65,19 @@ class UnsupportedParams(ValueError):
 # algebras and subspaces
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """Structure constants c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
 
-    dim: int
-    constants: tuple
-    labels: tuple[str, ...]
+    __slots__ = ("dim", "constants", "labels")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, constants: tuple, labels: tuple[str, ...]):
+        if dim < 1:
             raise ValueError("algebras here have dimension >= 1")
         # integral Fractions are stored as ints: equal values, faster arithmetic
-        c = tuple(
-            tuple(tuple(_integral(x) for x in row) for row in plane) for plane in self.constants
-        )
-        object.__setattr__(self, "constants", c)
-        if len(self.labels) != self.dim:
+        c = tuple(tuple(tuple(_integral(x) for x in row) for row in plane) for plane in constants)
+        if len(labels) != dim:
             raise ValueError("one label per basis vector")
+        self._set(dim, c, labels)
 
     def bracket(self, u: Sequence, v: Sequence) -> Vec:
         out = [0] * self.dim
@@ -140,12 +134,14 @@ def _unit(n: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^ambient in reduced echelon form (canonical)."""
 
-    ambient: int
-    rows: tuple[Vec, ...]
+    __slots__ = ("ambient", "rows")
+
+    def __init__(self, ambient: int, rows: tuple[Vec, ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_vectors(ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -215,10 +211,11 @@ def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
 # product certificates
 
 
-@dataclass(frozen=True)
-class LieCertificate:
-    g1: Subspace
-    g2: Subspace
+class LieCertificate(Record):
+    __slots__ = ("g1", "g2")
+
+    def __init__(self, g1: Subspace, g2: Subspace):
+        self._set(g1, g2)
 
     def to_json(self, algebra: LieAlgebra) -> dict:
         return {
@@ -363,8 +360,7 @@ class Completeness(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class IdealLattice(Record):
     """All ideals when completeness is Complete; otherwise a partial view.
 
     The witness pair consists of two distinct ideals exhibiting an infinite
@@ -373,9 +369,11 @@ class IdealLattice:
     its preimages in L).
     """
 
-    ideals: tuple[Subspace, ...]
-    completeness: Completeness
-    witness: tuple[Subspace, Subspace] | None = None
+    __slots__ = ("ideals", "completeness", "witness")
+
+    def __init__(self, ideals: tuple[Subspace, ...], completeness: Completeness,
+                 witness: tuple[Subspace, Subspace] | None = None):
+        self._set(ideals, completeness, witness)
 
 
 def _simplicity(gens: list, endo: list):
@@ -714,20 +712,19 @@ def _decomposability(algebra: LieAlgebra):
 # the presentability decision
 
 
-@dataclass(frozen=True)
-class IdealTrace:
-    ideal: Subspace
-    centralizer: Subspace
-    sum_dim: int
+class IdealTrace(Record):
+    __slots__ = ("ideal", "centralizer", "sum_dim")
+
+    def __init__(self, ideal: Subspace, centralizer: Subspace, sum_dim: int):
+        self._set(ideal, centralizer, sum_dim)
 
 
-@dataclass(frozen=True)
-class LieResult:
-    answer: Answer
-    certificate: LieCertificate | None
-    trace: tuple[IdealTrace, ...]
-    lattice: IdealLattice | None
-    note: str = ""
+class LieResult(Record):
+    __slots__ = ("answer", "certificate", "trace", "lattice", "note")
+
+    def __init__(self, answer: Answer, certificate: LieCertificate | None,
+                 trace: tuple[IdealTrace, ...], lattice: IdealLattice | None, note: str = ""):
+        self._set(answer, certificate, trace, lattice, note)
 
     def to_json(self, algebra: LieAlgebra) -> dict:
         return {

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from .verdict import Record
 from .words import Word, format_word, parse_word
 
 DEFAULT_COSET_CAP = 10**6
@@ -52,31 +52,31 @@ class PresentationFormatError(ValueError):
 # presentations
 
 
-@dataclass(frozen=True)
-class FinitePresentation:
+class FinitePresentation(Record):
     """Generators 0..generator_count-1 and a list of relator words.
 
     Relators are freely reduced on ingestion; their order is preserved.
     """
 
-    generator_count: int
-    relators: tuple[Word, ...] = ()
-    generator_names: tuple[str, ...] | None = None
+    __slots__ = ("generator_count", "relators", "generator_names")
 
-    def __post_init__(self):
-        if self.generator_count < 1:
+    def __init__(self, generator_count: int, relators: Sequence[Word] = (),
+                 generator_names: Sequence[str] | None = None):
+        if generator_count < 1:
             raise ValueError("presentation needs at least one generator")
-        object.__setattr__(self, "relators", tuple(self.relators))
-        for r in self.relators:
+        relators = tuple(relators)
+        for r in relators:
             if not isinstance(r, Word):
                 raise TypeError("relators must be Word instances")
-            if r.max_generator() >= self.generator_count:
+            if r.max_generator() >= generator_count:
                 raise ValueError(f"relator {r!r} uses an undeclared generator")
-        if self.generator_names is not None:
-            names = tuple(self.generator_names)
-            if len(names) != self.generator_count or len(set(names)) != len(names):
+        if generator_names is not None:
+            generator_names = tuple(generator_names)
+            if len(generator_names) != generator_count or len(set(generator_names)) != generator_count:
                 raise ValueError("generator names must be distinct, one per generator")
-            object.__setattr__(self, "generator_names", names)
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "generator_names", generator_names)
 
     @property
     def relator_count(self) -> int:
@@ -154,23 +154,22 @@ def word_image(w: Word, images: Sequence[tuple[int, ...]], degree: int) -> tuple
 # coset tables
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Record):
     """Right action of the generators on cosets 0..d-1, base coset 0.
 
-    ``inverse[i]`` is the inverse of ``action[i]``, computed once.
+    ``inverse[i]`` is the inverse of ``action[i]``, computed once; it takes
+    no part in equality, hashing or the repr.
     """
 
-    d: int
-    action: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("d", "action", "inverse")
+    _fields = ("d", "action")
 
-    def __post_init__(self):
-        object.__setattr__(self, "action", tuple(tuple(p) for p in self.action))
-        for p in self.action:
-            if len(p) != self.d or not is_permutation(p):
+    def __init__(self, d: int, action: Sequence[Sequence[int]]):
+        action = tuple(tuple(p) for p in action)
+        for p in action:
+            if len(p) != d or not is_permutation(p):
                 raise ValueError("each generator must act as a permutation of the cosets")
-        object.__setattr__(self, "inverse", tuple(perm_inv(p) for p in self.action))
+        self._set(d, action, tuple(perm_inv(p) for p in action))
 
     def step(self, letter: int) -> tuple[int, ...]:
         """The permutation of the cosets that one signed letter applies."""
@@ -264,8 +263,7 @@ def coset_enumerate(
 # Reidemeister-Schreier
 
 
-@dataclass(frozen=True)
-class SchreierData:
+class SchreierData(Record):
     """Subgroup presentation together with the words realizing it.
 
     ``generator_words[k]`` is the k-th subgroup generator as a word in the
@@ -273,9 +271,11 @@ class SchreierData:
     coset ``c``.
     """
 
-    presentation: FinitePresentation
-    generator_words: tuple[Word, ...]
-    transversal: tuple[Word, ...]
+    __slots__ = ("presentation", "generator_words", "transversal")
+
+    def __init__(self, presentation: FinitePresentation, generator_words: tuple[Word, ...],
+                 transversal: tuple[Word, ...]):
+        self._set(presentation, generator_words, transversal)
 
 
 def _schreier_transversal(table: CosetTable):
@@ -368,21 +368,20 @@ def reidemeister_schreier(
 # abelianization via Smith normal form
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """Free rank and torsion chain (each entry >= 2, dividing the next)."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for t in self.torsion:
+    def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
+        torsion = tuple(torsion)
+        for t in torsion:
             if t < 2:
                 raise ValueError("torsion entries are at least 2")
-        for s, t in zip(self.torsion, self.torsion[1:]):
+        for s, t in zip(torsion, torsion[1:]):
             if t % s:
                 raise ValueError("torsion entries must form a divisibility chain")
+        self._set(free_rank, torsion)
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:

@@ -3,7 +3,6 @@ strict reading of integers in JSON input."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -21,17 +20,63 @@ class InternalVerificationError(Exception):
     """A certificate or internal re-check failed; never expected on valid input."""
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    rule: str
-    cite: str
+class Record:
+    """An immutable record whose fields are the names in ``__slots__``.
+
+    Equality within one type, hashing, the ``Name(field=value, ...)`` repr
+    and pickling read the fields; ``_fields`` may leave a derived slot out.
+    Assigning or deleting an attribute raises AttributeError, so each
+    subclass's ``__init__`` sets its slots with ``_set``, or with one
+    ``object.__setattr__`` per slot where a verdict builds many records of
+    the class: ``_set`` costs about twice as much.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
+    def _set(self, *values) -> None:
+        """Set the slots, in their order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TraceEntry(Record):
+    __slots__ = ("rule", "cite")
+
+    def __init__(self, rule: str, cite: str):
+        self._set(rule, cite)
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "cite": self.cite}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Answer plus its justification.
 
     A YES carries a checkable certificate or a positively concluding rule;
@@ -40,17 +85,16 @@ class Verdict:
     groups', which can coexist with an unqualified YES.
     """
 
-    answer: Answer
-    qualifier: str | None = None
-    certificate: dict | None = None
-    trace: tuple[TraceEntry, ...] = ()
+    __slots__ = ("answer", "qualifier", "certificate", "trace")
 
-    def __post_init__(self):
-        object.__setattr__(self, "trace", tuple(self.trace))
-        if self.answer == Answer.YES and self.certificate is None and not self.trace:
+    def __init__(self, answer: Answer, qualifier: str | None = None, certificate: dict | None = None,
+                 trace: tuple[TraceEntry, ...] = ()):
+        trace = tuple(trace)
+        if answer == Answer.YES and certificate is None and not trace:
             raise ValueError("YES requires a certificate or a concluding rule")
-        if self.answer == Answer.NO and not self.trace:
+        if answer == Answer.NO and not trace:
             raise ValueError("NO requires at least one citation")
+        self._set(answer, qualifier, certificate, trace)
 
     def with_prefix(self, entry: TraceEntry) -> "Verdict":
         return Verdict(self.answer, self.qualifier, self.certificate, (entry,) + self.trace)

@@ -15,12 +15,16 @@ bound and matches the normal forms of the two halves.
 did before it wrote the free basis in closed form: a coset enumeration of
 the index-2 subgroup of the free group on the conjugates T_i = s^i t s^-i,
 then Reidemeister-Schreier.
+
+``affine_rep`` is the faithful image of BS(1, n) in the affine group of the
+line, s -> [[1, 1], [0, 1]] and t -> [[n, 0], [0, 1]], in exact rationals.
 """
 
 import random
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from pbp.bs import S, BrittonForm, BSGroup, SubgroupWitness, britton_reduce, s_word, t_word
+from pbp.bs import S, T, BrittonForm, BSGroup, SubgroupWitness, britton_reduce, s_word, t_word
 from pbp.presentations import FinitePresentation, coset_enumerate, reidemeister_schreier_data
 from pbp.words import Word
 
@@ -125,3 +129,36 @@ def witness_subgroup_oracle(m: int, eta: int) -> SubgroupWitness:
     table = coset_enumerate(free, [(1, 0)] * m)
     basis = tuple(substitute(w, conj) for w in reidemeister_schreier_data(free, table).generator_words)
     return SubgroupWitness(m, eta, s_word(m), tuple(conj), basis)
+
+
+def affine_rep(n: int, word: Word) -> list[list[Fraction]]:
+    """Image of a word of BS(1, n) under s -> [[1,1],[0,1]], t -> [[n,0],[0,1]]."""
+    if abs(n) < 2:
+        raise ValueError("the affine embedding is for BS(1, n) with |n| >= 2")
+    s_mat = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+    t_mat = ((Fraction(n), Fraction(0)), (Fraction(0), Fraction(1)))
+
+    def inv2(m):
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return (
+            (m[1][1] / det, -m[0][1] / det),
+            (-m[1][0] / det, m[0][0] / det),
+        )
+
+    def mul2(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+
+    table = {S: s_mat, -S: inv2(s_mat), T: t_mat, -T: inv2(t_mat)}
+    out = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for letter in word.raw:
+        out = mul2(out, table[letter])
+    relator = BSGroup(1, n).presentation().relators[0]
+    check = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for letter in relator.raw:
+        check = mul2(check, table[letter])
+    if check != ((1, 0), (0, 1)):
+        raise AssertionError("defining relator does not map to the identity")
+    return [list(row) for row in out]

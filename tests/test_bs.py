@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bs_oracles import britton_reduce_random, free_words, shortest_relation_oracle, witness_subgroup_oracle
+from bs_oracles import (
+    affine_rep,
+    britton_reduce_random,
+    free_words,
+    shortest_relation_oracle,
+    witness_subgroup_oracle,
+)
 from pbp import bs
 from pbp.bs import (
     BSGroup,
     SubgroupWitness,
     ZeroParameter,
-    affine_rep,
     britton_reduce,
     bs_presentable,
     cm_x_c2_images,

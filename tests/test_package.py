@@ -24,7 +24,7 @@ PUBLIC = {
     " standard_diagram tits_form",
     "lie": "IdealLattice InvalidAlgebra LieAlgebra LieCertificate Subspace UnsupportedParams"
     " centralizer centre ideal_closure ideal_lattice lie_presentable verify_product_certificate",
-    "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter affine_rep britton_reduce"
+    "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter britton_reduce"
     " bs_presentable pi_image verify_witness witness_subgroup",
     "abels": "A3Matrix GammaElement acentral_check gamma_commutes",
     "classifier": "Flags GroupDescriptor InconsistentInput classify explain",
@@ -50,7 +50,7 @@ def fresh(*args):
 
 
 def test_public_names_resolve_to_their_defining_objects():
-    assert len(EXPORTS) == 66
+    assert len(EXPORTS) == 65
     for name, (module, attr) in EXPORTS.items():
         assert getattr(pbp, name) is getattr(importlib.import_module(f"pbp.{module}"), attr), name
 
@@ -89,3 +89,40 @@ def test_traced_cli_still_runs(tmp_path):
     assert json.loads(stdout)["answer"] == "NO"
     calls = json.loads(out.read_text())["calls"]
     assert calls["cli.main"] == 1 and calls["bs.bs_presentable"] == 1
+
+
+def test_subcommands_load_neither_dataclasses_nor_inspect(tmp_path):
+    """Each subcommand, in a fresh interpreter, loads beyond a bare interpreter
+    neither dataclasses nor inspect; ``bs 2 -2`` loads no presentations and
+    no fractions either, since it neither enumerates cosets nor needs rationals."""
+    inputs = {
+        "matrix.json": {"n": 3, "m": [[1, 3, 3], [3, 1, 7], [3, 7, 1]]},
+        "pres.json": {"generators": ["s"], "relators": ["s^2"]},
+        "hom.json": {"images": [[1, 0]]},
+        "flagged.json": {"kind": "flagged", "flags": {"ends": 2}},
+    }
+    for name, obj in inputs.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    runs = {
+        ("abels", "--prime", "3", "--trials", "20"): set(),
+        ("bs", "2", "-2"): {"fractions", "pbp.presentations"},
+        ("coxeter", "-i", "matrix.json"): set(),
+        ("lie", "--catalogue", "sl2"): set(),
+        ("subgroup", "-i", "pres.json", "--hom", "hom.json"): set(),
+        ("classify", "-i", "flagged.json"): set(),
+    }
+    for argv, also_absent in runs.items():
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        out = fresh(
+            "-c",
+            "import io, sys\n"
+            "bare = set(sys.modules)\n"
+            "from pbp.cli import main\n"
+            "sys.stdout = io.StringIO()\n"
+            f"code = main({argv!r})\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(code, *sorted(set(sys.modules) - bare))\n"
+        )
+        code, *loaded = out.split()
+        assert code == "0", (argv, out)
+        assert not set(loaded) & ({"dataclasses", "inspect"} | also_absent), (argv, loaded)
