@@ -131,7 +131,9 @@ class Signature(Record):
     __slots__ = ("p", "q", "r")
 
     def __init__(self, p: int, q: int, r: int):
-        self._set(p, q, r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
 
     def __iter__(self):
         return iter((self.p, self.q, self.r))

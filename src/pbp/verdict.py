@@ -70,7 +70,8 @@ class TraceEntry(Record):
     __slots__ = ("rule", "cite")
 
     def __init__(self, rule: str, cite: str):
-        self._set(rule, cite)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "cite", cite)
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "cite": self.cite}
@@ -94,7 +95,10 @@ class Verdict(Record):
             raise ValueError("YES requires a certificate or a concluding rule")
         if answer == Answer.NO and not trace:
             raise ValueError("NO requires at least one citation")
-        self._set(answer, qualifier, certificate, trace)
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "qualifier", qualifier)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "trace", trace)
 
     def with_prefix(self, entry: TraceEntry) -> "Verdict":
         return Verdict(self.answer, self.qualifier, self.certificate, (entry,) + self.trace)
