@@ -21,8 +21,9 @@ besides ``pbp.cli`` and ``pbp.verdict``:
     coxeter    coxeter, algebraic
     lie        lie, linalg, poly
     subgroup   presentations, words
-    classify   classifier, presentations, words; coxeter (with algebraic)
-               or bs only for those descriptor kinds
+    classify   classifier; presentations and words only for a flagged
+               descriptor with a presentation, coxeter (with algebraic) or
+               bs only for those descriptor kinds
 
 The README's "CLI start" section gives the import times.
 """
@@ -44,10 +45,10 @@ _EXPORTS = {
         "presentations": "AbelianInvariants BoundExceeded CosetTable FinitePresentation"
         " RelatorNotKilled abelianization coset_enumerate deficiency_count kunneth_bound"
         " reidemeister_schreier reidemeister_schreier_data rs_counts smith_normal_form",
-        "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable of_algebra"
+        "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable"
         " standard_diagram tits_form",
         "lie": "IdealLattice InvalidAlgebra LieAlgebra LieCertificate Subspace UnsupportedParams"
-        " centralizer centre ideal_closure ideal_lattice lie_presentable"
+        " centralizer centre ideal_lattice lie_presentable"
         " verify_product_certificate",
         "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter britton_reduce"
         " bs_presentable pi_image verify_witness witness_subgroup",

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, get_type_hints
 
-from .presentations import FinitePresentation, presentation_from_json
 from .verdict import FG_QUALIFIER, Answer, Record, TraceEntry, Verdict, json_int
 
 if TYPE_CHECKING:
     from .coxeter import CoxeterMatrix
+    from .presentations import FinitePresentation
 
 
 class InconsistentInput(ValueError):
@@ -198,6 +198,8 @@ def descriptor_from_json(obj: dict) -> GroupDescriptor:
     if kind == "flagged":
         pres = None
         if obj.get("presentation") is not None:
+            from .presentations import presentation_from_json
+
             pres = presentation_from_json(obj["presentation"])
         raw = obj.get("flags", {})
         if not isinstance(raw, dict):

@@ -471,15 +471,6 @@ def coxeter_report(matrix: CoxeterMatrix) -> dict:
     }
 
 
-def of_algebra(sig: Signature):
-    """Lie algebra (Q^(p+q))^r x| so(p,q) of the isometries fixing the kernel."""
-    from . import lie
-
-    if sig.p + sig.q < 1:
-        raise ValueError("need p + q >= 1")
-    return lie.vr_semidirect(sig.p, sig.q, sig.r)
-
-
 # ---------------------------------------------------------------------------
 # standard diagrams
 

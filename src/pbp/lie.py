@@ -46,8 +46,6 @@ from .linalg import (
     solve_commutant,
     transpose,
     vec_add,
-    vec_scale,
-    zero_vec,
 )
 from .poly import factor_over_q, squarefree_part
 from .verdict import Answer, InternalVerificationError, Record, json_int
@@ -201,12 +199,6 @@ def centre(algebra: LieAlgebra) -> Subspace:
     return centralizer(algebra, Subspace.whole(algebra.dim))
 
 
-def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
-    """Least ideal containing the seed: its spin under ad e_i, [e_i, v] = ad(e_i) v."""
-    n = algebra.dim
-    return Subspace(n, _spin(list(seed.rows), [algebra.ad_basis(i) for i in range(n)], n))
-
-
 # ---------------------------------------------------------------------------
 # product certificates
 
@@ -259,7 +251,6 @@ def quotient_algebra(
     n = algebra.dim
     piv = set(pivots(ideal.rows))
     free = [j for j in range(n) if j not in piv]
-    q = len(free)
 
     def project(v: Sequence) -> Vec:
         w = reduce_vector(ideal.rows, tuple(v))
@@ -271,12 +262,10 @@ def quotient_algebra(
             out[j] = val
         return tuple(out)
 
-    constants = tuple(
-        tuple(project(algebra.bracket(lift(_unit(q, i)), lift(_unit(q, j)))) for j in range(q))
-        for i in range(q)
-    )
+    c = algebra.constants
+    constants = [[project(c[a][b]) for b in free] for a in free]
     labels = tuple(algebra.labels[j] for j in free)
-    return LieAlgebra(q, constants, labels), lift, project
+    return LieAlgebra(len(free), constants, labels), lift, project
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +312,7 @@ def _restrict(mat, rows: tuple[Vec, ...]) -> list:
 
 def _compose_rows(outer: tuple[Vec, ...], inner: tuple[Vec, ...]) -> tuple[Vec, ...]:
     """Map rows given in outer-coordinates back to ambient coordinates."""
-    ambient_len = len(outer[0]) if outer else 0
-    vecs = []
-    for r in inner:
-        v = zero_vec(ambient_len)
-        for c, b in zip(r, outer):
-            if c:
-                v = vec_add(v, vec_scale(b, c))
-        vecs.append(v)
-    return rref(vecs)
+    return rref(mat_vec(transpose(outer), r) for r in inner)
 
 
 def _spin(vectors: list, gens: list, n: int) -> tuple[Vec, ...]:
@@ -812,49 +793,53 @@ def lie_presentable(algebra: LieAlgebra) -> LieResult:
 # catalogue
 
 
-def _algebra_from_brackets(labels: Sequence[str], brackets: dict) -> LieAlgebra:
+def _from_brackets(labels: Sequence[str], brackets: dict) -> LieAlgebra:
+    """The algebra with [e_i, e_j] = sum_k v e_k = -[e_j, e_i] for each
+    (i, j): {k: v} in ``brackets``; omitted brackets are zero."""
     n = len(labels)
     c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    for (x, y), val in brackets.items():
-        i, j = index[x], index[y]
-        for lab, coeff in val.items():
-            k = index[lab]
-            c[i][j][k] = Fraction(coeff)
-            c[j][i][k] = -Fraction(coeff)
-    return LieAlgebra(n, tuple(tuple(tuple(r) for r in p) for p in c), tuple(labels))
+    for (i, j), value in brackets.items():
+        for k, v in value.items():
+            c[i][j][k], c[j][i][k] = v, -v
+    return LieAlgebra(n, c, tuple(labels))
+
+
+def _brackets(algebra: LieAlgebra, shift: int = 0) -> dict:
+    """The nonzero [e_i, e_j], i < j, in the table form of ``_from_brackets``,
+    every index raised by ``shift``."""
+    table = {}
+    for i, plane in enumerate(algebra.constants):
+        for j in range(i + 1, algebra.dim):
+            value = {k + shift: v for k, v in enumerate(plane[j]) if v}
+            if value:
+                table[(i + shift, j + shift)] = value
+    return table
 
 
 def af() -> LieAlgebra:
     """Two-dimensional nonabelian algebra: [g, e] = e."""
-    return _algebra_from_brackets(("e", "g"), {("g", "e"): {"e": 1}})
+    return _from_brackets(("e", "g"), {(1, 0): {0: 1}})
 
 
 def sol() -> LieAlgebra:
     """[g, e] = e, [g, f] = -f, [e, f] = 0."""
-    return _algebra_from_brackets(
-        ("e", "f", "g"), {("g", "e"): {"e": 1}, ("g", "f"): {"f": -1}}
-    )
+    return _from_brackets(("e", "f", "g"), {(2, 0): {0: 1}, (2, 1): {1: -1}})
 
 
 def sl2() -> LieAlgebra:
     """[h, e] = 2e, [h, f] = -2f, [e, f] = h."""
-    return _algebra_from_brackets(
-        ("e", "f", "h"),
-        {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
-    )
+    return _from_brackets(("e", "f", "h"), {(2, 0): {0: 2}, (2, 1): {1: -2}, (0, 1): {2: 1}})
 
 
 def heisenberg() -> LieAlgebra:
     """[x, y] = z, z central."""
-    return _algebra_from_brackets(("x", "y", "z"), {("x", "y"): {"z": 1}})
+    return _from_brackets(("x", "y", "z"), {(0, 1): {2: 1}})
 
 
 def abelian(n: int) -> LieAlgebra:
     if n < 1:
         raise UnsupportedParams("abelian algebra needs dimension >= 1")
-    zero = tuple(tuple(tuple(0 for _ in range(n)) for _ in range(n)) for _ in range(n))
-    return LieAlgebra(n, zero, tuple(f"a{i}" for i in range(n)))
+    return _from_brackets([f"a{i}" for i in range(n)], {})
 
 
 def _so_basis_matrices(p: int, q: int) -> list:
@@ -877,23 +862,12 @@ def so(p: int, q: int = 0) -> LieAlgebra:
         raise UnsupportedParams("so(p, q) needs p, q >= 0 and p + q >= 2")
     eps = [1] * p + [-1] * q
     basis = _so_basis_matrices(p, q)
-    index = {ij: a for a, (ij, _) in enumerate(basis)}
-    dim = len(basis)
-
-    def decompose(y) -> list:
-        out = [0] * dim
-        for (i, j), a in index.items():
-            out[a] = y[i][j] * eps[i]
-        return out
-
-    constants = []
-    for _, ma in basis:
-        plane = []
-        for _, mb in basis:
-            plane.append(tuple(decompose(mat_sub(mat_mul(ma, mb), mat_mul(mb, ma)))))
-        constants.append(tuple(plane))
-    labels = tuple(f"M{i}{j}" for (i, j), _ in basis)
-    return LieAlgebra(dim, tuple(constants), labels)
+    mats = [m for _, m in basis]
+    table = {}
+    for a, b in combinations(range(len(basis)), 2):
+        y = mat_sub(mat_mul(mats[a], mats[b]), mat_mul(mats[b], mats[a]))
+        table[(a, b)] = {k: y[i][j] * eps[i] for k, ((i, j), _) in enumerate(basis) if y[i][j]}
+    return _from_brackets([f"M{i}{j}" for (i, j), _ in basis], table)
 
 
 def vr_semidirect(p: int, q: int, r: int) -> LieAlgebra:
@@ -905,44 +879,21 @@ def vr_semidirect(p: int, q: int, r: int) -> LieAlgebra:
         if r < 1:
             raise UnsupportedParams("so(1) is trivial; need r >= 1")
         return abelian(r)
-    if r == 0:
-        return so(p, q)
     base = so(p, q)
-    so_dim = base.dim
-    so_mats = [m for _, m in _so_basis_matrices(p, q)]
-    dim = so_dim + n0 * r
-    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(so_dim):
-        for b in range(so_dim):
-            for k, val in enumerate(base.constants[a][b]):
-                c[a][b][k] = val
-    for a, mat in enumerate(so_mats):
-        for copy in range(r):
+    table = _brackets(base)
+    # [X, v] = Xv for X in so(p, q) and v in each copy of the standard module
+    for a, (_, mat) in enumerate(_so_basis_matrices(p, q)):
+        for start in range(base.dim, base.dim + n0 * r, n0):
             for alpha in range(n0):
-                col = so_dim + copy * n0 + alpha
-                for beta in range(n0):
-                    if mat[beta][alpha]:
-                        c[a][col][so_dim + copy * n0 + beta] = mat[beta][alpha]
-                        c[col][a][so_dim + copy * n0 + beta] = -mat[beta][alpha]
-    labels = tuple(base.labels) + tuple(
-        f"v{copy}_{alpha}" for copy in range(r) for alpha in range(n0)
-    )
-    return LieAlgebra(dim, tuple(tuple(tuple(row) for row in plane) for plane in c), labels)
+                table[(a, start + alpha)] = {start + beta: mat[beta][alpha] for beta in range(n0)
+                                             if mat[beta][alpha]}
+    labels = base.labels + tuple(f"v{copy}_{alpha}" for copy in range(r) for alpha in range(n0))
+    return _from_brackets(labels, table)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    n = a.dim + b.dim
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, val in enumerate(a.constants[i][j]):
-                c[i][j][k] = val
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k, val in enumerate(b.constants[i][j]):
-                c[a.dim + i][a.dim + j][a.dim + k] = val
     labels = tuple(f"L.{s}" for s in a.labels) + tuple(f"R.{s}" for s in b.labels)
-    return LieAlgebra(n, tuple(tuple(tuple(r) for r in p) for p in c), labels)
+    return _from_brackets(labels, _brackets(a) | _brackets(b, a.dim))
 
 
 def catalogue(name: str) -> LieAlgebra:
@@ -993,8 +944,7 @@ def algebra_from_json(obj: dict) -> LieAlgebra:
     if len(labels) != dim or len(set(labels)) != dim:
         raise ValueError("basis must list dim distinct labels")
     index = {lab: i for i, lab in enumerate(labels)}
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    table = {}
     for entry in entries:
         if not isinstance(entry, dict) or not isinstance(entry.get("value"), dict):
             raise ValueError(f"bad bracket {entry!r}")
@@ -1005,18 +955,12 @@ def algebra_from_json(obj: dict) -> LieAlgebra:
             raise ValueError(f"unknown basis label {exc}") from exc
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"bad bracket {entry!r}: {exc}") from exc
-        if (i, j) in seen or (j, i) in seen:
+        if (i, j) in table or (j, i) in table:
             raise ValueError(f"duplicate bracket for ({entry['x']}, {entry['y']})")
-        seen.add((i, j))
         if i == j and any(value.values()):
             raise ValueError("[x, x] must be zero")
-        for k, val in value.items():
-            c[i][j][k] = val
-            c[j][i][k] = -val
-    algebra = LieAlgebra(
-        dim, tuple(tuple(tuple(r) for r in p) for p in c), labels
-    )
-    return algebra
+        table[(i, j)] = value
+    return _from_brackets(labels, table)
 
 
 def _json_rational(value) -> Fraction:
@@ -1026,20 +970,9 @@ def _json_rational(value) -> Fraction:
 
 
 def algebra_to_json(algebra: LieAlgebra) -> dict:
-    brackets = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            row = algebra.constants[i][j]
-            if any(row):
-                brackets.append(
-                    {
-                        "x": algebra.labels[i],
-                        "y": algebra.labels[j],
-                        "value": {
-                            algebra.labels[k]: str(Fraction(v))
-                            for k, v in enumerate(row)
-                            if v
-                        },
-                    }
-                )
-    return {"dim": algebra.dim, "basis": list(algebra.labels), "brackets": brackets}
+    lab = algebra.labels
+    brackets = [
+        {"x": lab[i], "y": lab[j], "value": {lab[k]: str(Fraction(v)) for k, v in value.items()}}
+        for (i, j), value in _brackets(algebra).items()
+    ]
+    return {"dim": algebra.dim, "basis": list(lab), "brackets": brackets}

@@ -36,16 +36,8 @@ Vec = tuple
 Matrix = list
 
 
-def zero_vec(n: int) -> Vec:
-    return (0,) * n
-
-
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(a: Vec, c) -> Vec:
-    return tuple(x * c for x in a)
 
 
 def is_zero_vec(a: Vec) -> bool:

@@ -17,7 +17,12 @@ iteration e <- 3e^2 - 2e^3 and takes its column space.
 reason.
 
 ``intersect`` is the meet of two subspaces, which the lattice tests check
-the ideal lattice against.
+the ideal lattice against.  ``ideal_closure`` is the least ideal containing
+a subspace, for the subspace tests.
+
+``quotient_constants_oracle`` builds the structure constants of L / J from
+the dense bracket of two lifted unit vectors, as ``pbp.lie`` did before
+``quotient_algebra`` read them off the constants of L.
 """
 
 from itertools import combinations
@@ -32,6 +37,7 @@ from pbp.lie import (
     _combine,
     _minimal_ideals,
     _ordered,
+    _spin,
     _trace_gram,
     centroid,
     quotient_algebra,
@@ -62,6 +68,20 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     sols = nullspace(rows, a.dim + b.dim)
     return Subspace.from_vectors(a.ambient, [[sum(x * r[k] for x, r in zip(sol, a.rows)) for k in range(a.ambient)]
                                              for sol in sols])
+
+
+def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
+    """Least ideal containing the seed: its spin under ad e_i, [e_i, v] = ad(e_i) v."""
+    n = algebra.dim
+    return Subspace(n, _spin(list(seed.rows), [algebra.ad_basis(i) for i in range(n)], n))
+
+
+def quotient_constants_oracle(algebra: LieAlgebra, ideal: Subspace) -> tuple:
+    """project([lift(u_i), lift(u_j)]) for the unit vectors u of L / ideal,
+    with the section and projection of ``quotient_algebra``."""
+    quot, lift, project = quotient_algebra(algebra, ideal)
+    units = [tuple(int(i == j) for j in range(quot.dim)) for i in range(quot.dim)]
+    return tuple(tuple(project(algebra.bracket(lift(u), lift(v))) for v in units) for u in units)
 
 
 def lattice_recursion_oracle(algebra: LieAlgebra) -> IdealLattice:

@@ -2,13 +2,13 @@
 
 import pytest
 
+from coxeter_oracles import of_algebra
 from pbp import lie
 from pbp.coxeter import (
     INDEFINITE,
     CoxeterMatrix,
     Signature,
     classify,
-    of_algebra,
 )
 from pbp.verdict import Answer
 

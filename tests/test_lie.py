@@ -1,13 +1,21 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lie_oracles import decomposability_oracle, intersect, lattice_recursion_oracle
+from lie_oracles import (
+    decomposability_oracle,
+    ideal_closure,
+    intersect,
+    lattice_recursion_oracle,
+    quotient_constants_oracle,
+)
 from linalg_oracles import SpanOracle, hom_oracle, nullspace_oracle, rref_oracle
 from pbp import lie
 from pbp.lie import (
@@ -27,7 +35,6 @@ from pbp.lie import (
     centre,
     direct_sum,
     heisenberg,
-    ideal_closure,
     ideal_lattice,
     is_ideal,
     lie_presentable,
@@ -295,6 +302,30 @@ def test_quotient_of_sol_by_ke_is_af_like():
     assert quot.bracket(gbar, fbar) == tuple(-x for x in fbar)
 
 
+@pytest.mark.parametrize("name", ["vr(2,1,2)", "sol+sl2", "sl2+sl2", "dense so(4)"])
+def test_quotient_constants_match_the_bracket_oracle(name, monkeypatch):
+    """Every ideal the lattice walk splits, lists or returns as a witness, and
+    the sum of any two of them."""
+    algebra = pinned_dense("so(4)", 4) if name == "dense so(4)" else catalogue(name)
+    split = []
+
+    def spy(alg, ideal):
+        split.append(ideal)
+        return quotient_algebra(alg, ideal)
+
+    monkeypatch.setattr(lie, "quotient_algebra", spy)
+    lattice = ideal_lattice(algebra)
+    monkeypatch.undo()
+    found = [*split, *lattice.ideals, *(lattice.witness or ())]
+    found += [a.add(b) for a, b in combinations(found, 2)]
+    ideals = {s.rows: s for s in found if 0 < s.dim < algebra.dim}
+    assert len(ideals) >= 2
+    for ideal in ideals.values():
+        quot, _, _ = quotient_algebra(algebra, ideal)
+        assert quot.constants == quotient_constants_oracle(algebra, ideal)
+        assert validate(quot) is None
+
+
 # --- presentability verdicts --------------------------------------------------
 
 
@@ -376,12 +407,38 @@ def test_presentable_requires_valid_algebra():
 # --- JSON ---------------------------------------------------------------------
 
 
-def test_json_roundtrip_sol():
-    s = sol()
-    obj = algebra_to_json(s)
-    back = algebra_from_json(obj)
-    assert back.constants == s.constants
-    assert back.labels == s.labels
+# one name for each builder: abelian, so(p, q), vr_semidirect with so(1) and
+# with its module action, direct sums, and the bracket tables of af, sl2 and
+# heisenberg
+BUILDER_NAMES = ["abelian(1)", "so(2)", "so(0,3)", "vr(1,0,2)", "vr(4,0,2)", "so(4)+so(4)",
+                 "af+sl2+heisenberg"]
+# sha256 of the repr of each name's constants, labels, JSON and round trip,
+# so the int and Fraction types of every entry are pinned too; taken from
+# the dense builders that the bracket table replaced
+BUILDER_DIGEST = "4959afab1769c9215e89c7774f9102d900ba2a7c37e5516575e28bcf2ac06119"
+
+
+def test_catalogue_constants_are_pinned():
+    blob = []
+    for name in BUILDER_NAMES:
+        algebra = catalogue(name)
+        obj = algebra_to_json(algebra)
+        back = algebra_from_json(obj)
+        blob.append((algebra.constants, algebra.labels, obj, back.constants, back.labels))
+    assert hashlib.sha256(repr(blob).encode()).hexdigest() == BUILDER_DIGEST
+
+
+def flat(algebra):
+    return [x for plane in algebra.constants for row in plane for x in row]
+
+
+@pytest.mark.parametrize("name", ["af", "sol", "sl2", "heisenberg", *BUILDER_NAMES])
+def test_json_roundtrip(name):
+    algebra = catalogue(name)
+    back = algebra_from_json(algebra_to_json(algebra))
+    assert back.constants == algebra.constants
+    assert back.labels == algebra.labels
+    assert [type(x) for x in flat(back)] == [type(x) for x in flat(algebra)]
 
 
 def test_json_accepts_fraction_strings():

@@ -20,10 +20,10 @@ PUBLIC = {
     "presentations": "AbelianInvariants BoundExceeded CosetTable FinitePresentation RelatorNotKilled"
     " abelianization coset_enumerate deficiency_count kunneth_bound reidemeister_schreier"
     " reidemeister_schreier_data rs_counts smith_normal_form",
-    "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable of_algebra"
+    "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable"
     " standard_diagram tits_form",
     "lie": "IdealLattice InvalidAlgebra LieAlgebra LieCertificate Subspace UnsupportedParams"
-    " centralizer centre ideal_closure ideal_lattice lie_presentable verify_product_certificate",
+    " centralizer centre ideal_lattice lie_presentable verify_product_certificate",
     "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter britton_reduce"
     " bs_presentable pi_image verify_witness witness_subgroup",
     "abels": "A3Matrix GammaElement acentral_check gamma_commutes",
@@ -50,7 +50,7 @@ def fresh(*args):
 
 
 def test_public_names_resolve_to_their_defining_objects():
-    assert len(EXPORTS) == 65
+    assert len(EXPORTS) == 63
     for name, (module, attr) in EXPORTS.items():
         assert getattr(pbp, name) is getattr(importlib.import_module(f"pbp.{module}"), attr), name
 
@@ -94,7 +94,9 @@ def test_traced_cli_still_runs(tmp_path):
 def test_subcommands_load_neither_dataclasses_nor_inspect(tmp_path):
     """Each subcommand, in a fresh interpreter, loads beyond a bare interpreter
     neither dataclasses nor inspect; ``bs 2 -2`` loads no presentations and
-    no fractions either, since it neither enumerates cosets nor needs rationals."""
+    no fractions either, since it neither enumerates cosets nor needs rationals,
+    and a flagged descriptor without a presentation loads neither presentations
+    nor words."""
     inputs = {
         "matrix.json": {"n": 3, "m": [[1, 3, 3], [3, 1, 7], [3, 7, 1]]},
         "pres.json": {"generators": ["s"], "relators": ["s^2"]},
@@ -109,7 +111,7 @@ def test_subcommands_load_neither_dataclasses_nor_inspect(tmp_path):
         ("coxeter", "-i", "matrix.json"): set(),
         ("lie", "--catalogue", "sl2"): set(),
         ("subgroup", "-i", "pres.json", "--hom", "hom.json"): set(),
-        ("classify", "-i", "flagged.json"): set(),
+        ("classify", "-i", "flagged.json"): {"pbp.presentations", "pbp.words"},
     }
     for argv, also_absent in runs.items():
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
