@@ -12,22 +12,28 @@ generators and relators of total length R:
   pass over the image group: one permutation product per element and
   generator.
 - ``CosetTable.is_closed`` composes each relator as one permutation of all
-  the cosets, d list lookups per letter, R * d in all.  Both
-  ``coset_enumerate`` and ``reidemeister_schreier_data`` run it.
+  the cosets, d list lookups per letter, R * d in all.  ``coset_enumerate``
+  runs it once on the table it returns.
 - The Reidemeister-Schreier rewrite reads, per letter x and coset c, the
   signed Schreier generator ``gen_at[x][c]`` and the next coset: again
-  R * d lookups, plus the Word output.
-- ``abelianization`` and ``smith_normal_form`` run one sparse
-  elimination, ``_sparse_smith``.  It takes every pivot row from one heap
-  keyed by (least |entry|, row length, row index), so the one- and
-  two-entry rows with a +-1 come first, each costing the length of its
-  column.
+  R * d lookups, plus the Word output.  It checks closure on the way: a
+  walk of a relator that does not end at its start coset is an error.
+- ``abelianization`` builds one exponent row per distinct letter multiset
+  of the relators.  The rewrites of a relator u^n at the cosets c, c.u,
+  c.u^2, ... are rotations of one another before free reduction, so most
+  of them share their letters.  ``abelianization`` and
+  ``smith_normal_form`` run one sparse elimination, ``_sparse_smith``.
+  It takes every pivot row from one heap keyed by (least |entry|, row
+  length, row index), so the one- and two-entry rows with a +-1 come
+  first, each costing the length of its column.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain, repeat
+from operator import attrgetter, neg
 from typing import Sequence
 
 from .verdict import Record
@@ -65,11 +71,16 @@ class FinitePresentation(Record):
         if generator_count < 1:
             raise ValueError("presentation needs at least one generator")
         relators = tuple(relators)
-        for r in relators:
-            if not isinstance(r, Word):
-                raise TypeError("relators must be Word instances")
-            if r.max_generator() >= generator_count:
-                raise ValueError(f"relator {r!r} uses an undeclared generator")
+        # one pass each over the relators and their letters; only when one
+        # fails does the loop look for the first bad relator
+        if not all(map(isinstance, relators, repeat(Word))) or max(
+            map(abs, chain.from_iterable(map(attrgetter("raw"), relators))), default=0
+        ) > generator_count:
+            for r in relators:
+                if not isinstance(r, Word):
+                    raise TypeError("relators must be Word instances")
+                if r.max_generator() >= generator_count:
+                    raise ValueError(f"relator {r!r} uses an undeclared generator")
         if generator_names is not None:
             generator_names = tuple(generator_names)
             if len(generator_names) != generator_count or len(set(generator_names)) != generator_count:
@@ -88,15 +99,6 @@ class FinitePresentation(Record):
         return tuple(f"x{i}" for i in range(self.generator_count))
 
 
-def deficiency_count(pres: FinitePresentation) -> int:
-    """Generators minus relators for this particular presentation.
-
-    This is a lower bound for the deficiency of the presented group, which
-    is defined as the maximum of this count over all of its presentations.
-    """
-    return pres.generator_count - pres.relator_count
-
-
 def rs_counts(a: int, b: int, d: int) -> tuple[int, int]:
     """Generator/relator counts of an index-``d`` subgroup presentation.
 
@@ -106,11 +108,6 @@ def rs_counts(a: int, b: int, d: int) -> tuple[int, int]:
     if a < 1 or b < 0 or d < 1:
         raise ValueError("need a >= 1, b >= 0, d >= 1")
     return (a - 1) * d + 1, b * d
-
-
-def kunneth_bound(k: int, l: int) -> int:
-    """First minus second Betti number of a product of free groups F_k x F_l."""
-    return k + l - k * l
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,8 @@ def _schreier_transversal(table: CosetTable):
     least shortest representative of every coset (by induction on BFS
     level: parents are dequeued in lex order and letters in alphabet order).
     ``in_tree[i][c]`` says whether the edge c -> c.g_i is a tree edge, in
-    either direction.
+    either direction.  ``rep[c]`` is None for a coset the search does not
+    reach.
     """
     d = table.d
     rep: list[Word | None] = [None] * d
@@ -303,7 +301,6 @@ def _schreier_transversal(table: CosetTable):
                 rep[nxt] = Word._from_reduced(rep[c].raw + (x,))
                 in_tree[i][c if x > 0 else nxt] = True
                 queue.append(nxt)
-    assert len(queue) == d, "table must be transitive"
     return rep, in_tree
 
 
@@ -315,27 +312,41 @@ def reidemeister_schreier_data(
     The rewrite reads two flat tables per signed letter x: ``step(x)``, the
     permutation of the cosets it applies, and ``gen_at[x][c]``, the signed
     subgroup generator that x traces from coset c (0 on a tree edge).
+
+    The table fails as ``CosetTable.check`` fails, with the same first
+    message (generator count, then closure, then transitivity).  The check
+    itself runs only when the generator count is wrong or the transversal's
+    search misses a coset; otherwise the rewrite tests closure, by ending
+    each relator's walk at its start coset.
+
+    The subgroup generator of a non-tree edge (c, x) is the concatenation
+    rep[c] x rep[c.x]^-1, already freely reduced: rep[c] ends in x^-1 only
+    when c is reached from c.x by x^-1, and rep[c.x] ends in x only when
+    c.x is reached from c by x; either way (c, x) is a tree edge.
     """
-    table.check(pres)
     a, d = pres.generator_count, table.d
     rep, in_tree = _schreier_transversal(table)
+    if len(table.action) != a or None in rep:
+        table.check(pres)  # raises its first failure
+    back = [tuple(map(neg, reversed(w.raw))) for w in rep]  # letters of rep[c]^-1
 
     # A subgroup generator for every non-tree edge (coset, positive letter).
     gen_at: dict[int, list[int]] = {i + 1: [0] * d for i in range(a)}
     gen_words: list[Word] = []
     for c in range(d):
+        head = rep[c].raw
         for i in range(a):
             if not in_tree[i][c]:
-                letter = Word((i + 1,))
-                gen_words.append(rep[c] * letter * ~rep[table.action[i][c]])
+                gen_words.append(Word._from_reduced(head + (i + 1,) + back[table.action[i][c]]))
                 gen_at[i + 1][c] = len(gen_words)
     for i in range(a):
         # x^-1 at c runs the edge of x from c.x^-1 backwards
         forward = gen_at[i + 1]
         gen_at[-i - 1] = [-forward[b] for b in table.inverse[i]]
 
-    def rewrite(path: list[tuple[list[int], tuple[int, ...]]], c: int) -> Word:
+    def rewrite(path: list[tuple[list[int], tuple[int, ...]]], start: int) -> Word:
         out: list[int] = []
+        c = start
         for gens, perm in path:
             g = gens[c]
             if g:
@@ -344,6 +355,8 @@ def reidemeister_schreier_data(
                 else:
                     out.append(g)
             c = perm[c]
+        if c != start:
+            raise ValueError("table is not closed under the relators")
         return Word._from_reduced(tuple(out))
 
     relators = []
@@ -408,11 +421,18 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
 
 
 def _exponent_rows(pres: FinitePresentation) -> list[dict[int, int]]:
-    """Sparse exponent-sum rows ``{generator: exponent}``, one per relator."""
+    """Sparse exponent-sum rows ``{generator: exponent}``, one per distinct
+    letter multiset of the relators, in order of first appearance.
+
+    Relators with the same letters have the same row, so this drops only
+    repeated rows.  Reidemeister-Schreier emits such repeats: its rewrites
+    of a relator u^n at the cosets c, c.u, c.u^2, ... are rotations of one
+    another before free reduction.
+    """
     rows = []
-    for r in pres.relators:
+    for letters in dict.fromkeys(tuple(sorted(r.raw)) for r in pres.relators):
         row: dict[int, int] = {}
-        for x in r.raw:
+        for x in letters:
             g = abs(x) - 1
             row[g] = row.get(g, 0) + (1 if x > 0 else -1)
         rows.append({g: v for g, v in row.items() if v})
@@ -425,8 +445,7 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     Returns the number of +-1 pivots, each a 1 on the diagonal, and the
     other nonzero diagonal entries as a chain d_1 | d_2 | ... (which may
     begin with 1s); the rest of the diagonal is 0.  The rows are consumed.
-    Repeated rows are dropped first: Reidemeister-Schreier rewrites a
-    relator at every coset on its cycle to the same exponent row.
+    Repeated rows are dropped first.
 
     A pivot p at (i, j) runs in two steps:
 

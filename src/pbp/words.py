@@ -142,9 +142,14 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
 
 
 def format_word(w: Word, names: Sequence[str] | None = None) -> str:
-    """Render a word in the ``name^exp`` syllable syntax ('' for identity)."""
+    """Render a word in the ``name^exp`` syllable syntax ('' for identity).
+
+    Without ``names``, generators are named a-z, or x0, x1, ... when the
+    word uses a generator past z.
+    """
     if names is None:
-        names = _DEFAULT_NAMES
+        top = w.max_generator()
+        names = _DEFAULT_NAMES if top < len(_DEFAULT_NAMES) else [f"x{i}" for i in range(top + 1)]
     parts = []
     run_letter = 0
     run = 0

@@ -9,6 +9,8 @@ generator of every edge up in a dict keyed by (coset, generator).
 ``pbp.presentations`` does the same work from flat per-letter tables; the
 results must be equal Word for Word.  ``exponent_matrix`` is the dense
 relator-by-generator matrix of exponent sums that abelianization reduces.
+``deficiency_count`` and ``kunneth_bound`` are the counts the acceptance
+criteria state about presentations and products of free groups.
 """
 
 from collections import deque
@@ -23,6 +25,20 @@ from pbp.presentations import (
     rs_counts,
 )
 from pbp.words import Word
+
+
+def deficiency_count(pres: FinitePresentation) -> int:
+    """Generators minus relators for this particular presentation.
+
+    This is a lower bound for the deficiency of the presented group, which
+    is defined as the maximum of this count over all of its presentations.
+    """
+    return pres.generator_count - pres.relator_count
+
+
+def kunneth_bound(k: int, l: int) -> int:
+    """First minus second Betti number of a product of free groups F_k x F_l."""
+    return k + l - k * l
 
 
 def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:

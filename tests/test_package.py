@@ -18,8 +18,8 @@ PUBLIC = {
     "verdict": "Answer FG_QUALIFIER InternalVerificationError TraceEntry Verdict",
     "words": "Word format_word free_reduce generator parse_word",
     "presentations": "AbelianInvariants BoundExceeded CosetTable FinitePresentation RelatorNotKilled"
-    " abelianization coset_enumerate deficiency_count kunneth_bound reidemeister_schreier"
-    " reidemeister_schreier_data rs_counts smith_normal_form",
+    " abelianization coset_enumerate reidemeister_schreier reidemeister_schreier_data"
+    " rs_counts smith_normal_form",
     "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable"
     " standard_diagram tits_form",
     "lie": "IdealLattice InvalidAlgebra LieAlgebra LieCertificate Subspace UnsupportedParams"
@@ -50,7 +50,7 @@ def fresh(*args):
 
 
 def test_public_names_resolve_to_their_defining_objects():
-    assert len(EXPORTS) == 63
+    assert len(EXPORTS) == 61
     for name, (module, attr) in EXPORTS.items():
         assert getattr(pbp, name) is getattr(importlib.import_module(f"pbp.{module}"), attr), name
 

@@ -15,8 +15,6 @@ from pbp.presentations import (
     RelatorNotKilled,
     abelianization,
     coset_enumerate,
-    deficiency_count,
-    kunneth_bound,
     perm_identity,
     perm_inv,
     perm_mul,
@@ -32,8 +30,10 @@ from presentations_oracles import (
     act,
     act_word,
     coset_table_oracle,
+    deficiency_count,
     exponent_matrix,
     is_closed_oracle,
+    kunneth_bound,
     schreier_data_oracle,
 )
 
@@ -73,6 +73,19 @@ def test_deficiency_examples():
     assert deficiency_count(bs_presentation(2, 2)) == 1
     assert deficiency_count(FinitePresentation(3)) == 3
     assert deficiency_count(FinitePresentation(1, (Word([1] * 5),))) == 0
+
+
+def test_relators_are_checked_in_order():
+    with pytest.raises(ValueError, match=r"relator Word\('c'\) uses an undeclared generator"):
+        FinitePresentation(2, (Word([1, 2]), Word([3]), "a b"))
+    with pytest.raises(TypeError, match="relators must be Word instances"):
+        FinitePresentation(2, (Word([1, 2]), "a b", Word([3])))
+    with pytest.raises(ValueError, match=r"relator Word\('a c\^-1'\) uses an undeclared generator"):
+        FinitePresentation(2, (Word([1, 2]), Word([1, -3])))
+    # past z, a word's repr names its generators x0, x1, ...
+    with pytest.raises(ValueError, match=r"relator Word\('x29'\) uses an undeclared generator"):
+        FinitePresentation(2, (Word([30]),))
+    assert FinitePresentation(30, (Word([30, -1]),)).relators == (Word([30, -1]),)
 
 
 def test_rs_counts_values():
@@ -256,6 +269,53 @@ def test_table_broken_by_one_relator_is_rejected():
         schreier_data_oracle(pres, table)
 
 
+def test_rs_matches_three_product_oracle_past_26_generators():
+    # the oracle builds each Schreier generator as rep[c] * x * ~rep[c.x]
+    rng = random.Random(2811)
+    sizes = []
+    while len(sizes) < 12:
+        pres, images = random_quotient_pair(rng)
+        table = coset_enumerate(pres, images)
+        data = reidemeister_schreier_data(pres, table)
+        if data.presentation.generator_count <= 26:
+            continue
+        oracle = schreier_data_oracle(pres, table)
+        assert [w.raw for w in data.generator_words] == [w.raw for w in oracle.generator_words]
+        assert [r.raw for r in data.presentation.relators] == [r.raw for r in oracle.presentation.relators]
+        assert [w.raw for w in data.transversal] == [w.raw for w in oracle.transversal]
+        sizes.append(data.presentation.generator_count)
+    assert max(sizes) > 100
+
+
+def test_kernel_presentation_past_26_generators_has_a_repr():
+    (pres, images), d = TRIANGLE_KERNELS[1]  # onto A5
+    sub = reidemeister_schreier(pres, coset_enumerate(pres, images))
+    assert (sub.generator_count, d) == (61, 60)
+    text = repr(sub)
+    assert text.startswith("FinitePresentation(generator_count=61, relators=(Word(")
+    assert "Word('x" in text
+
+
+def test_table_check_order_is_kept():
+    """Not closed before not transitive, the generator count before both,
+    exactly as ``CosetTable.check`` reports them."""
+    cube = FinitePresentation(1, (Word([1, 1, 1]),))
+    square = FinitePresentation(1, (Word([1, 1]),))
+    swap_and_fix = CosetTable(3, ((1, 0, 2),))  # coset 2 is out of reach
+    cases = [
+        (cube, swap_and_fix, "table is not closed under the relators"),
+        (square, swap_and_fix, "table is not transitive from the base coset"),
+        (FinitePresentation(2, (Word([1, 1, 1]),)), swap_and_fix,
+         "table has the wrong number of generator actions"),
+        (cube, CosetTable(2, (swap2(),)), "table is not closed under the relators"),
+    ]
+    for pres, table, message in cases:
+        with pytest.raises(ValueError, match=message):
+            table.check(pres)
+        with pytest.raises(ValueError, match=message):
+            reidemeister_schreier_data(pres, table)
+
+
 def test_rs_count_identity_on_random_pairs():
     rng = random.Random(71046)
     for _ in range(20):
@@ -346,6 +406,29 @@ def test_abelianization_invariance():
             else:
                 rotated.append(r)
         assert abelianization(FinitePresentation(a, tuple(rotated))) == base
+
+
+@st.composite
+def relator_lists(draw):
+    a = draw(st.integers(1, 4))
+    letter = st.integers(1, a).flatmap(lambda g: st.sampled_from([g, -g]))
+    relators = draw(st.lists(st.lists(letter, max_size=8).map(Word), min_size=1, max_size=6))
+    return a, relators
+
+
+@settings(max_examples=80, deadline=None)
+@given(relator_lists(), st.data())
+def test_abelianization_ignores_rotation_repetition_and_order(case, data):
+    a, relators = case
+    pres = FinitePresentation(a, relators)
+    base = abelianization(pres)
+    assert base == invariants_from_diagonal(snf_oracle(exponent_matrix(pres)), a)
+    moved = []
+    for r in relators:
+        k = data.draw(st.integers(0, max(len(r) - 1, 0)))
+        moved += [Word(r.raw[k:] + r.raw[:k])] * data.draw(st.integers(1, 3))
+    moved = data.draw(st.permutations(moved))
+    assert abelianization(FinitePresentation(a, moved)) == base
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,13 @@ def test_parse_and_format_roundtrip():
     assert format_word(Word(), names) == ""
 
 
+def test_default_names_run_past_z():
+    assert repr(Word([1, 2, 2, -26])) == "Word('a b^2 z^-1')"
+    assert repr(Word([1, -27, -27])) == "Word('x0 x26^-2')"
+    assert format_word(Word([61])) == "x60"
+    assert format_word(Word([27]), [f"g{i}" for i in range(27)]) == "g26"
+
+
 def test_parse_rejects_unknown_and_zero():
     with pytest.raises(ValueError):
         parse_word("u^2", ("s", "t"))
