@@ -53,7 +53,7 @@ _EXPORTS = {
         "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter britton_reduce"
         " bs_presentable pi_image verify_witness witness_subgroup",
         "abels": "A3Matrix GammaElement acentral_check gamma_commutes",
-        "classifier": "Flags GroupDescriptor InconsistentInput classify explain",
+        "classifier": "Flags GroupDescriptor InconsistentInput classify",
     }.items()
     for name in names.split()
 } | {

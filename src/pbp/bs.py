@@ -65,8 +65,7 @@ class BSGroup(Record):
     def presentation(self) -> FinitePresentation:
         from .presentations import FinitePresentation
 
-        sgn = lambda k: [S] * k if k >= 0 else [-S] * (-k)
-        relator = Word([T] + sgn(self.m) + [-T] + sgn(-self.n))
+        relator = t_word(1) * s_word(self.m) * t_word(-1) * s_word(-self.n)
         return FinitePresentation(2, (relator,), ("s", "t"))
 
 

@@ -471,17 +471,3 @@ def _classify_flagged(descriptor: GroupDescriptor) -> Verdict:
         return assemble(Answer.UNKNOWN, info)
     return Verdict(Answer.UNKNOWN, trace=tuple(notes))
 
-
-def explain(verdict: Verdict) -> str:
-    """Human-readable justification, one citation per line, stable order."""
-    lines = [f"answer: {verdict.answer.value}"]
-    if verdict.qualifier:
-        lines.append(f"qualifier: {verdict.qualifier}")
-    if verdict.certificate:
-        lines.append(f"certificate: {verdict.certificate.get('kind', 'attached')}")
-    if verdict.trace:
-        for entry in verdict.trace:
-            lines.append(f"[{entry.rule}] {entry.cite}")
-    else:
-        lines.append("no applicable rule")
-    return "\n".join(lines)

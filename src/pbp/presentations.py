@@ -12,8 +12,9 @@ generators and relators of total length R:
   pass over the image group: one permutation product per element and
   generator.
 - ``CosetTable.is_closed`` composes each relator as one permutation of all
-  the cosets, d list lookups per letter, R * d in all.  ``coset_enumerate``
-  runs it once on the table it returns.
+  the cosets, d list lookups per letter, R * d in all.  It serves tables
+  built by hand; ``coset_enumerate`` does not run it, since the tables it
+  builds are closed and transitive by construction.
 - The Reidemeister-Schreier rewrite reads, per letter x and coset c, the
   signed Schreier generator ``gen_at[x][c]`` and the next coset: again
   R * d lookups, plus the Word output.  It checks closure on the way: a
@@ -219,6 +220,16 @@ def coset_enumerate(
     ``images`` are permutations of a common degree; the coset count equals
     the order of the subgroup they generate.  Raises RelatorNotKilled if the
     map is not a homomorphism of the presentation, BoundExceeded past the cap.
+
+    The table is closed and transitive by construction, so it does not run
+    ``CosetTable.check`` (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005, §5.1-5.3).  Coset k is the k-th element of the image
+    group in breadth-first order, and generator i acts by right
+    multiplication by its image g_i.  Closed: every relator r has image 1,
+    checked below, so it takes each e to e.image(r) = e.  Transitive: each
+    element is numbered when first reached from an earlier one by some g_i,
+    so it is reached from coset 0.  ``reidemeister_schreier_data`` still
+    checks both on every table it is given.
     """
     if len(images) != pres.generator_count:
         raise ValueError("one permutation image per generator is required")
@@ -251,9 +262,7 @@ def coset_enumerate(
                 order.append(f)
             row.append(k)
 
-    table = CosetTable(len(order), tuple(rows))
-    table.check(pres)
-    return table
+    return CosetTable(len(order), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +454,6 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     Returns the number of +-1 pivots, each a 1 on the diagonal, and the
     other nonzero diagonal entries as a chain d_1 | d_2 | ... (which may
     begin with 1s); the rest of the diagonal is 0.  The rows are consumed.
-    Repeated rows are dropped first.
 
     A pivot p at (i, j) runs in two steps:
 
@@ -471,10 +479,13 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     - within the row, the pivot is an entry of least |entry| in the
       shortest column.
 
+    Rows are not deduplicated: a row equal to the pivot row is cleared at
+    that pivot (quotient 1, remainder 0), and ``_exponent_rows`` already
+    gives one row per letter multiset.
+
     One gcd/lcm pass over the non-unit entries folds them into the chain.
     """
-    distinct = {frozenset(row.items()): row for row in rows if row}
-    live = dict(enumerate(distinct.values()))
+    live = dict(enumerate(row for row in rows if row))
     cols: dict[int, set[int]] = {}
     for i, row in live.items():
         for j in row:

@@ -44,11 +44,6 @@ class Word:
         """Signed-integer letters of the reduced word."""
         return self._letters
 
-    @property
-    def letters(self) -> tuple[tuple[int, int], ...]:
-        """Pairs ``(generator_index, sign)`` of the reduced word."""
-        return tuple((abs(x) - 1, 1 if x > 0 else -1) for x in self._letters)
-
     def __mul__(self, other: "Word") -> "Word":
         # Both factors are reduced, so cancellation happens only at the junction.
         a, b = self._letters, other._letters

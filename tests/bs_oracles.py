@@ -5,8 +5,11 @@
 confluent, so every order must reach the same normal form.
 
 ``first_relation_oracle`` is the bounded freeness search done the plain
-way: every freely reduced word in the conjugates is substituted and
-Britton-reduced from scratch, depth first.  ``shortest_relation_oracle``
+way: it visits every freely reduced word in the conjugates, depth first,
+and pushes each word's Britton state on from its parent's by the letters of
+one conjugate or its inverse.  It matches no halves, and it re-checks a
+word it finds trivial by substituting and reducing it from scratch.
+``shortest_relation_oracle``
 runs it again below each length it finds, down to the shortest relation,
 where ``pbp.bs._shortest_relation`` reduces only the words up to half the
 bound and matches the normal forms of the two halves.
@@ -24,7 +27,17 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from pbp.bs import S, T, BrittonForm, BSGroup, SubgroupWitness, britton_reduce, s_word, t_word
+from pbp.bs import (
+    S,
+    T,
+    BrittonForm,
+    BSGroup,
+    SubgroupWitness,
+    _britton_push,
+    britton_reduce,
+    s_word,
+    t_word,
+)
 from pbp.presentations import FinitePresentation, coset_enumerate, reidemeister_schreier_data
 from pbp.words import Word
 
@@ -104,10 +117,25 @@ def free_words(alphabet: int, max_len: int) -> Iterable[Word]:
 
 
 def first_relation_oracle(group: BSGroup, conjugates: Sequence[Word], length_bound: int) -> int | None:
-    """Length of the first word of ``free_words`` trivial in the group, or None."""
-    for word in free_words(len(conjugates), length_bound):
-        if britton_reduce(group, substitute(word, conjugates)).is_identity():
+    """Length of the first word of ``free_words`` trivial in the group, or None.
+
+    The words come in ``free_words``' order, each with its parent's Britton
+    state; the state of a word is (0, ()) iff it is trivial.
+    """
+    m, n = group.m, group.n
+    images: dict[int, tuple[int, ...]] = {}
+    for i, conjugate in enumerate(conjugates, 1):
+        images[i], images[-i] = conjugate.raw, (~conjugate).raw
+    letters = [*range(1, len(conjugates) + 1), *range(-1, -len(conjugates) - 1, -1)]
+    stack: list = [([x], (0, ())) for x in letters]  # (word, its parent's state)
+    while stack:
+        word, parent = stack.pop()
+        state = _britton_push(parent, images[word[-1]], m, n)
+        if state == (0, ()):
+            assert britton_reduce(group, substitute(Word(word), conjugates)).is_identity(), word
             return len(word)
+        if len(word) < length_bound:
+            stack.extend((word + [x], state) for x in letters if x != -word[-1])
     return None
 
 

@@ -8,9 +8,8 @@ from pbp.classifier import (
     InconsistentInput,
     classify,
     descriptor_from_json,
-    explain,
 )
-from pbp.verdict import FG_QUALIFIER, Answer, Verdict
+from pbp.verdict import FG_QUALIFIER, Answer
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.json"))
 
@@ -210,22 +209,6 @@ def test_wrongly_typed_flags_rejected(flags):
     """A flag of the wrong JSON type is invalid input, not a crash in the rules."""
     with pytest.raises(ValueError):
         classify(descriptor_from_json({"kind": "flagged", "flags": flags}))
-
-
-# --- explain -------------------------------------------------------------------------
-
-
-def test_explain_contains_citations():
-    text = explain(classify(descriptor_from_json({"kind": "bs", "m": 2, "n": 3})))
-    assert "answer: NO" in text
-    assert "Moldavanskii" in text
-
-    matrix = {"kind": "coxeter", "matrix": {"n": 3, "m": [[1, 3, 3], [3, 1, 7], [3, 7, 1]]}}
-    text = explain(classify(descriptor_from_json(matrix)))
-    assert "Benoist" in text
-
-    text = explain(Verdict(Answer.UNKNOWN))
-    assert "no applicable rule" in text
 
 
 def test_presentation_implies_finitely_generated():

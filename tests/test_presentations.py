@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from pbp.presentations import (
     CosetTable,
     FinitePresentation,
     RelatorNotKilled,
+    _exponent_rows,
     abelianization,
     coset_enumerate,
     perm_identity,
@@ -24,6 +26,7 @@ from pbp.presentations import (
     reidemeister_schreier_data,
     rs_counts,
     smith_normal_form,
+    word_image,
 )
 from pbp.words import Word, parse_word
 from presentations_oracles import (
@@ -175,7 +178,6 @@ def test_schreier_words_lie_in_kernel():
     images = cm_x_c2_images(2)
     table = coset_enumerate(pres, images)
     data = reidemeister_schreier_data(pres, table)
-    from pbp.presentations import word_image
 
     for w in data.generator_words:
         assert word_image(w, [tuple(p) for p in images], 4) == perm_identity(4)
@@ -198,17 +200,8 @@ def random_quotient_pair(rng):
     for _ in range(b):
         length = rng.randint(1, 6)
         w = Word([rng.choice([1, -1]) * rng.randint(1, a) for _ in range(length)])
-        img = perm_identity(degree)
-        from pbp.presentations import word_image
-
-        img = word_image(w, images, degree)
         # kill the image by raising the word to the order of its image
-        order = 1
-        acc = img
-        while acc != perm_identity(degree):
-            acc = perm_mul(acc, img)
-            order += 1
-        relators.append(w**order)
+        relators.append(w ** perm_order(word_image(w, images, degree)))
     return FinitePresentation(a, tuple(relators)), images
 
 
@@ -316,6 +309,56 @@ def test_table_check_order_is_kept():
             reidemeister_schreier_data(pres, table)
 
 
+@st.composite
+def killed_relator_pairs(draw):
+    """Random images in S_n, n <= 6, and relators built to die in them: each
+    a random word raised to the order of its image."""
+    degree = draw(st.integers(1, 6))
+    a = draw(st.integers(1, 3))
+    images = [tuple(draw(st.permutations(range(degree)))) for _ in range(a)]
+    letter = st.integers(1, a).flatmap(lambda g: st.sampled_from([g, -g]))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(Word), max_size=3))
+    relators = [w ** perm_order(word_image(w, images, degree)) for w in words]
+    return FinitePresentation(a, relators), images
+
+
+def reached_from_base(table):
+    """The cosets a breadth-first search reaches from coset 0 by any letter."""
+    seen, queue = {0}, deque([0])
+    while queue:
+        c = queue.popleft()
+        for i in range(len(table.action)):
+            for letter in (i + 1, -i - 1):
+                nxt = act(table, c, letter)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(killed_relator_pairs())
+def test_enumerated_tables_are_closed_and_transitive(case):
+    # what coset_enumerate's docstring proves instead of checking
+    pres, images = case
+    table = coset_enumerate(pres, images)
+    assert is_closed_oracle(table, pres)
+    assert reached_from_base(table) == set(range(table.d))
+
+
+def test_coset_enumerate_runs_no_table_check(monkeypatch):
+    rng = random.Random(2929)
+    cases = [random_quotient_pair(rng) for _ in range(20)] + [case for case, _ in TRIANGLE_KERNELS]
+    before = [coset_enumerate(pres, images) for pres, images in cases]
+
+    def refuse(*args):
+        raise AssertionError("coset_enumerate checked the table it built")
+
+    for name in ("check", "is_closed", "is_transitive"):
+        monkeypatch.setattr(CosetTable, name, refuse)
+    assert [coset_enumerate(pres, images) for pres, images in cases] == before
+
+
 def test_rs_count_identity_on_random_pairs():
     rng = random.Random(71046)
     for _ in range(20):
@@ -341,12 +384,15 @@ def snf_oracle(rows):
 
 def test_snf_against_oracle_random():
     rng = random.Random(90125)
-    for _ in range(60):
+    for trial in range(60):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         mine = smith_normal_form([row[:] for row in rows])
         assert sorted(mine, key=lambda v: (v == 0, v)) == snf_oracle(rows)
+        # exact repeats of rows reach the elimination too
+        doubled = rows + rows[: 1 + trial % m]
+        assert sorted(smith_normal_form(doubled), key=lambda v: (v == 0, v)) == snf_oracle(doubled)
         # divisibility chain on the nonzero part
         nz = [v for v in mine if v]
         for x, y in zip(nz, nz[1:]):
@@ -429,6 +475,20 @@ def test_abelianization_ignores_rotation_repetition_and_order(case, data):
         moved += [Word(r.raw[k:] + r.raw[:k])] * data.draw(st.integers(1, 3))
     moved = data.draw(st.permutations(moved))
     assert abelianization(FinitePresentation(a, moved)) == base
+    # a conjugate keeps its relator's row, but in general not its letters
+    w = Word(data.draw(st.lists(st.integers(-a, a).filter(bool), max_size=3)))
+    assert abelianization(FinitePresentation(a, relators + [w * r * ~w for r in relators])) == base
+
+
+def test_repeated_rows_of_different_letters_reach_the_elimination():
+    names = ("a", "b")
+    texts = ("b", "a b a^-1", "a^-2 b a^2", "a^4 b^2", "a^5 b^2 a^-1", "a^6")
+    pres = FinitePresentation(2, tuple(parse_word(t, names) for t in texts), names)
+    rows = _exponent_rows(pres)
+    # six letter multisets, three distinct rows: (0, 1) three times, (4, 2) twice, (6, 0)
+    assert len(rows) == 6 and len({tuple(sorted(row.items())) for row in rows}) == 3
+    assert abelianization(pres) == invariants_from_diagonal(snf_oracle(exponent_matrix(pres)), 2)
+    assert abelianization(pres) == AbelianInvariants(0, (2,))
 
 
 @pytest.mark.parametrize(

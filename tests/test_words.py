@@ -22,11 +22,6 @@ def test_cancellation_at_head():
     assert free_reduce([-1, 1, 2]) == t  # s^-1 s t -> t
 
 
-def test_letters_view():
-    w = Word([1, -2, -2])
-    assert w.letters == ((0, 1), (1, -1), (1, -1))
-
-
 def test_group_ops():
     w = s * t * ~t * s
     assert w == s**2
