@@ -161,10 +161,6 @@ class SymmetricForm:
                 if not isinstance(v, _NegCos) and not -1 <= v <= 0:
                     raise ValueError("off-diagonal entries must lie in [-1, 0]")
 
-    @staticmethod
-    def from_rational_matrix(rows: Sequence[Sequence]) -> "SymmetricForm":
-        return SymmetricForm([[Fraction(v) for v in row] for row in rows])
-
 
 class _NegCos(Record):
     """-cos(pi/m) for an integer m >= 4."""

@@ -11,14 +11,14 @@ generators and relators of total length R:
 - ``coset_enumerate`` fills the action rows during its one breadth-first
   pass over the image group: one permutation product per element and
   generator.
-- ``CosetTable.is_closed`` composes each relator as one permutation of all
-  the cosets, d list lookups per letter, R * d in all.  It serves tables
-  built by hand; ``coset_enumerate`` does not run it, since the tables it
-  builds are closed and transitive by construction.
+- ``CosetTable`` inverts each action row once, and refuses a row that is
+  not a permutation in that same pass.
 - The Reidemeister-Schreier rewrite reads, per letter x and coset c, the
-  signed Schreier generator ``gen_at[x][c]`` and the next coset: again
-  R * d lookups, plus the Word output.  It checks closure on the way: a
-  walk of a relator that does not end at its start coset is an error.
+  signed Schreier generator ``gen_at[x][c]`` and the next coset: R * d
+  lookups, plus the Word output.  It is the one place a table is checked
+  against a presentation: a walk of a relator that does not end at its
+  start coset is an error, and so is a coset its transversal misses.
+  ``coset_enumerate`` builds tables that pass both by construction.
 - ``abelianization`` builds one exponent row per distinct letter multiset
   of the relators.  The rewrites of a relator u^n at the cosets c, c.u,
   c.u^2, ... are rotations of one another before free reduction, so most
@@ -124,14 +124,17 @@ def perm_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 def perm_inv(p: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
+    """The inverse of ``p``; ValueError, in the same pass, if ``p`` is not
+    a permutation of 0..len(p)-1."""
+    out = [-1] * len(p)
+    try:
+        for i, j in enumerate(p):
+            if j < 0 or out[j] >= 0:  # a negative index would wrap around
+                raise ValueError("not a permutation")
+            out[j] = i
+    except (IndexError, TypeError):  # an entry past the end, or not an integer
+        raise ValueError("not a permutation") from None
     return tuple(out)
-
-
-def is_permutation(p: Sequence[int]) -> bool:
-    return sorted(p) == list(range(len(p)))
 
 
 def word_image(w: Word, images: Sequence[tuple[int, ...]], degree: int) -> tuple[int, ...]:
@@ -164,50 +167,17 @@ class CosetTable(Record):
 
     def __init__(self, d: int, action: Sequence[Sequence[int]]):
         action = tuple(tuple(p) for p in action)
-        for p in action:
-            if len(p) != d or not is_permutation(p):
-                raise ValueError("each generator must act as a permutation of the cosets")
-        self._set(d, action, tuple(perm_inv(p) for p in action))
+        try:
+            if any(len(p) != d for p in action):
+                raise ValueError
+            inverse = tuple(map(perm_inv, action))
+        except ValueError:
+            raise ValueError("each generator must act as a permutation of the cosets") from None
+        self._set(d, action, inverse)
 
     def step(self, letter: int) -> tuple[int, ...]:
         """The permutation of the cosets that one signed letter applies."""
         return self.action[letter - 1] if letter > 0 else self.inverse[-letter - 1]
-
-    def is_closed(self, pres: FinitePresentation) -> bool:
-        """Every relator fixes every coset.
-
-        Each relator is composed as one permutation of all the cosets, a
-        letter at a time, and compared with the identity.
-        """
-        identity = list(range(self.d))
-        for r in pres.relators:
-            at = identity
-            for x in r.raw:
-                at = list(map(self.step(x).__getitem__, at))
-            if at != identity:
-                return False
-        return True
-
-    def is_transitive(self) -> bool:
-        # on finitely many cosets each inverse is a power of its permutation,
-        # so the generators alone reach every coset of the orbit
-        seen = [False] * self.d
-        seen[0] = True
-        queue = [0]
-        for c in queue:  # grows while it is read
-            for p in self.action:
-                if not seen[p[c]]:
-                    seen[p[c]] = True
-                    queue.append(p[c])
-        return len(queue) == self.d
-
-    def check(self, pres: FinitePresentation) -> None:
-        if len(self.action) != pres.generator_count:
-            raise ValueError("table has the wrong number of generator actions")
-        if not self.is_closed(pres):
-            raise ValueError("table is not closed under the relators")
-        if not self.is_transitive():
-            raise ValueError("table is not transitive from the base coset")
 
 
 def coset_enumerate(
@@ -221,23 +191,28 @@ def coset_enumerate(
     the order of the subgroup they generate.  Raises RelatorNotKilled if the
     map is not a homomorphism of the presentation, BoundExceeded past the cap.
 
-    The table is closed and transitive by construction, so it does not run
-    ``CosetTable.check`` (Holt, Eick and O'Brien, *Handbook of Computational
-    Group Theory*, 2005, §5.1-5.3).  Coset k is the k-th element of the image
-    group in breadth-first order, and generator i acts by right
-    multiplication by its image g_i.  Closed: every relator r has image 1,
-    checked below, so it takes each e to e.image(r) = e.  Transitive: each
-    element is numbered when first reached from an earlier one by some g_i,
-    so it is reached from coset 0.  ``reidemeister_schreier_data`` still
-    checks both on every table it is given.
+    The table is closed and transitive by construction, so it is not
+    checked again once built (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, §5.1-5.3).  Coset k is the k-th
+    element of the image group in breadth-first order, and generator i acts
+    by right multiplication by its image g_i.  Closed: every relator r has
+    image 1, checked below, so it takes each e to e.image(r) = e.
+    Transitive: each element is numbered when first reached from an earlier
+    one by some g_i, so it is reached from coset 0.
+    ``reidemeister_schreier_data`` still checks both on every table it is
+    given.
     """
     if len(images) != pres.generator_count:
         raise ValueError("one permutation image per generator is required")
     imgs = [tuple(p) for p in images]
     degree = len(imgs[0])
     for p in imgs:
-        if len(p) != degree or not is_permutation(p):
-            raise ValueError(f"image {p!r} is not a permutation of degree {degree}")
+        try:
+            if len(p) != degree:
+                raise ValueError
+            perm_inv(p)
+        except ValueError:
+            raise ValueError(f"image {p!r} is not a permutation of degree {degree}") from None
 
     identity = perm_identity(degree)
     for r in pres.relators:
@@ -322,11 +297,16 @@ def reidemeister_schreier_data(
     permutation of the cosets it applies, and ``gen_at[x][c]``, the signed
     subgroup generator that x traces from coset c (0 on a tree edge).
 
-    The table fails as ``CosetTable.check`` fails, with the same first
-    message (generator count, then closure, then transitivity).  The check
-    itself runs only when the generator count is wrong or the transversal's
-    search misses a coset; otherwise the rewrite tests closure, by ending
-    each relator's walk at its start coset.
+    A table that does not fit ``pres`` raises ValueError for the first of
+    these that it fails, each checked once:
+
+    1. one action row per generator, before the transversal is built;
+    2. closure: each relator's walk from each coset ends at its start;
+    3. transitivity: the transversal reaches every coset, read after the
+       walks.  The cosets it reaches are closed under every letter, so an
+       unreached coset has Schreier generator 0 on every edge, and a walk
+       from it stays among unreached cosets: closure is still tested on all
+       of them first.
 
     The subgroup generator of a non-tree edge (c, x) is the concatenation
     rep[c] x rep[c.x]^-1, already freely reduced: rep[c] ends in x^-1 only
@@ -334,15 +314,18 @@ def reidemeister_schreier_data(
     c.x is reached from c by x; either way (c, x) is a tree edge.
     """
     a, d = pres.generator_count, table.d
+    if len(table.action) != a:
+        raise ValueError("table has the wrong number of generator actions")
     rep, in_tree = _schreier_transversal(table)
-    if len(table.action) != a or None in rep:
-        table.check(pres)  # raises its first failure
-    back = [tuple(map(neg, reversed(w.raw))) for w in rep]  # letters of rep[c]^-1
+    # letters of rep[c]^-1, None for a coset the transversal misses
+    back = [None if w is None else tuple(map(neg, reversed(w.raw))) for w in rep]
 
-    # A subgroup generator for every non-tree edge (coset, positive letter).
+    # A subgroup generator for every non-tree edge (reached coset, positive letter).
     gen_at: dict[int, list[int]] = {i + 1: [0] * d for i in range(a)}
     gen_words: list[Word] = []
     for c in range(d):
+        if rep[c] is None:
+            continue
         head = rep[c].raw
         for i in range(a):
             if not in_tree[i][c]:
@@ -372,6 +355,8 @@ def reidemeister_schreier_data(
     for r in pres.relators:
         path = [(gen_at[x], table.step(x)) for x in r.raw]
         relators.extend(rewrite(path, c) for c in range(d))
+    if None in rep:
+        raise ValueError("table is not transitive from the base coset")
     n_gens = len(gen_words)
     expected = rs_counts(a, pres.relator_count, d)
     assert (n_gens, len(relators)) == expected, "subgroup counts disagree with (a-1)d+1, bd"
@@ -587,6 +572,11 @@ def presentation_from_json(obj: dict) -> FinitePresentation:
         raise PresentationFormatError(f"bad presentation object: {exc}") from exc
     if not isinstance(names, list) or not names or any(not isinstance(s, str) for s in names):
         raise PresentationFormatError("generators must be a nonempty list of names")
+    for name in names:
+        # parse_word splits a word at whitespace and each syllable at its first
+        # '^', so only such names read back from format_word's output
+        if name.split() != [name] or "^" in name:
+            raise PresentationFormatError(f"generator name {name!r} is empty or has whitespace or '^'")
     if not isinstance(relator_texts, list) or any(not isinstance(s, str) for s in relator_texts):
         raise PresentationFormatError("relators must be a list of words")
     try:

@@ -3,7 +3,8 @@
 ``coset_table_oracle`` enumerates the image group breadth first and then
 fills the action rows in a second sweep over every element and generator.
 ``is_closed_oracle`` applies every relator to every coset, letter by
-letter, with ``act_word``.  ``schreier_data_oracle`` rewrites
+letter, with ``act_word``, and ``reached_from_base`` searches the cosets
+reachable from coset 0.  ``schreier_data_oracle`` rewrites
 each relator at each coset one letter at a time, looking the Schreier
 generator of every edge up in a dict keyed by (coset, generator).
 ``pbp.presentations`` does the same work from flat per-letter tables; the
@@ -79,6 +80,20 @@ def act_word(table: CosetTable, coset: int, w: Word) -> int:
 def is_closed_oracle(table: CosetTable, pres: FinitePresentation) -> bool:
     """Every relator fixes every coset, checked one coset at a time."""
     return all(act_word(table, c, r) == c for r in pres.relators for c in range(table.d))
+
+
+def reached_from_base(table: CosetTable) -> set[int]:
+    """The cosets a breadth-first search reaches from coset 0 by any letter."""
+    seen, queue = {0}, deque([0])
+    while queue:
+        c = queue.popleft()
+        for i in range(len(table.action)):
+            for letter in (i + 1, -i - 1):
+                nxt = act(table, c, letter)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return seen
 
 
 def _transversal(pres: FinitePresentation, table: CosetTable):

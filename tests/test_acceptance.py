@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bs_oracles import britton_reduce_random
-from coxeter_oracles import float_matrix
+from coxeter_oracles import float_matrix, from_rational_matrix
 from linalg_oracles import char_poly
 from pbp import lie
 from pbp.abels import acentral_check
@@ -31,7 +31,6 @@ from pbp.classifier import classify, descriptor_from_json
 from pbp.coxeter import (
     AFFINE,
     FINITE,
-    SymmetricForm,
     classify as coxeter_classify,
     signature,
     standard_diagram,
@@ -127,7 +126,7 @@ def test_criterion_2_admissible_form_properties():
     violations = 0
     for _ in range(1000):
         rows = _random_admissible(rng, 3)
-        sig = signature(SymmetricForm.from_rational_matrix(rows))
+        sig = signature(from_rational_matrix(rows))
         if sig.p < 2:
             violations += 1
         if _det3(rows) > 0 and sig.p != 3:
@@ -138,7 +137,7 @@ def test_criterion_2_admissible_form_properties():
         if not _connected(rows):
             continue
         produced += 1
-        sig = signature(SymmetricForm.from_rational_matrix(rows))
+        sig = signature(from_rational_matrix(rows))
         if sig.p < 3:
             violations += 1
     assert violations == 0

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,24 @@ def test_bs_rejects_nonpositive_verify_bound(capsys):
     assert code == 2
     assert out is None
     assert "length bound" in err
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (1, -1)])
+def test_bs_verify_bound_needs_bs_m_pm_m_with_m_at_least_2(capsys, m, n):
+    code, out, err = run(capsys, ["bs", str(m), str(n), "--verify-bound", "4"])
+    assert code == 2
+    assert out is None
+    assert err == "invalid input: --verify-bound applies to BS(m, +-m) with |m| >= 2\n"
+
+
+@pytest.mark.parametrize("names", [["x", "x^-1"], ["", "b"]], ids=["caret", "empty"])
+def test_subgroup_refuses_names_the_word_syntax_cannot_write(tmp_path, capsys, names):
+    pres = write(tmp_path, "pres.json", {"generators": names, "relators": []})
+    hom = write(tmp_path, "hom.json", {"images": [[0], [0]]})
+    code, out, err = run(capsys, ["subgroup", "-i", pres, "--hom", hom])
+    assert code == 2
+    assert out is None
+    assert err.startswith("invalid input: generator name") and "is empty or has whitespace or '^'" in err
 
 
 def test_bs_zero_parameter(capsys):
@@ -559,3 +578,40 @@ def test_src_internal_public_definitions_are_used():
     assert {"algebraic", "linalg", "poly"} <= internal
     assert sorted((module, name) for module, name in defined if name not in used) == []
 
+
+
+# Public definitions in src/pbp that nothing there references and pbp does
+# not export, each with the reason it stays.
+UNREFERENCED_PUBLIC = {
+    ("lie", "algebra_to_json"): "perfbench/climix.py writes its algebra inputs with it",
+    ("presentations", "presentation_to_json"): "it writes the JSON that presentation_from_json reads",
+    ("bs", "BrittonForm.t_length"): "perfbench reads it",
+}
+
+
+def referenced_names(tree):
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_src_public_definitions_are_used_exported_or_allowed():
+    """Every public module-level function or class, and every public method
+    of such a class, in src/pbp is referenced somewhere in src/pbp outside
+    its own definition, exported from pbp, or in UNREFERENCED_PUBLIC with its
+    reason.  A name that only tests use belongs in a test oracle."""
+    refs, defined = Counter(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        refs += referenced_names(tree)
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, top.name, top))
+            if isinstance(top, ast.ClassDef):
+                defined += [(path.stem, f"{top.name}.{node.name}", node)
+                            for node in top.body if isinstance(node, ast.FunctionDef)]
+    exported = set(pbp._EXPORTS.values())
+    unused = {(module, name) for module, name, node in defined
+              if not node.name.startswith("_") and (module, name) not in exported
+              and refs[node.name] == referenced_names(node)[node.name]}
+    assert all(UNREFERENCED_PUBLIC.values())
+    assert sorted(unused) == sorted(UNREFERENCED_PUBLIC)

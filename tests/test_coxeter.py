@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxeter_oracles import float_matrix
+from coxeter_oracles import float_matrix, from_rational_matrix
 from cyclotomic_field import berkowitz_signature, zeta_signature
 import pbp.coxeter as coxeter_mod
 from pbp.coxeter import (
@@ -88,7 +88,7 @@ def test_components():
 
 
 def test_signature_all_minus_one():
-    form = SymmetricForm.from_rational_matrix(
+    form = from_rational_matrix(
         [[1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
     )
     assert signature(form) == Signature(2, 1, 0)
@@ -99,7 +99,7 @@ def test_signature_all_minus_one():
 
 
 def test_signature_affine_a1():
-    form = SymmetricForm.from_rational_matrix([[1, -1], [-1, 1]])
+    form = from_rational_matrix([[1, -1], [-1, 1]])
     assert signature(form) == Signature(1, 0, 1)
 
 
@@ -113,7 +113,7 @@ def test_signature_with_zero_diagonal_schur_complement():
     # after the first pivot the trailing 2x2 block is [[0,-1],[-1,0]], with a
     # zero diagonal: one 2x2 step on it adds one to p and one to q
     rows = [[1, -1, -1], [-1, 1, 0], [-1, 0, 1]]
-    form = SymmetricForm.from_rational_matrix(rows)
+    form = from_rational_matrix(rows)
     assert signature(form) == eig_signature(form) == Signature(2, 1, 0)
 
 
@@ -127,7 +127,7 @@ def test_signature_matches_oracle_on_random_admissible():
             for j in range(i + 1, n):
                 v = -Fraction(rng.randint(0, 8), 8)
                 rows[i][j] = rows[j][i] = v
-        form = SymmetricForm.from_rational_matrix(rows)
+        form = from_rational_matrix(rows)
         sig = signature(form)
         assert sig.p + sig.q + sig.r == n
         vals = np.linalg.eigvalsh(np.array(float_matrix(form)))
@@ -216,7 +216,7 @@ def test_three_by_three_p_at_least_two():
     rng = random.Random(33033)
     for _ in range(250):
         rows = random_admissible(rng, 3)
-        sig = signature(SymmetricForm.from_rational_matrix(rows))
+        sig = signature(from_rational_matrix(rows))
         assert sig.p >= 2
         if det3(rows) > 0:
             assert sig.p == 3
@@ -230,7 +230,7 @@ def test_four_by_four_irreducible_p_at_least_three():
         if not is_irreducible(rows):
             continue
         done += 1
-        sig = signature(SymmetricForm.from_rational_matrix(rows))
+        sig = signature(from_rational_matrix(rows))
         assert sig.p >= 3
 
 
@@ -296,7 +296,7 @@ def test_json_rejects_bad_input():
 def test_symmetric_form_refuses_ragged_rows(rows):
     """A form with n rows must have n entries in each."""
     with pytest.raises(ValueError, match="square"):
-        SymmetricForm.from_rational_matrix(rows)
+        from_rational_matrix(rows)
 
 
 # --- high-degree fields, relabelling, classical triangle rule -----------------

@@ -1,5 +1,5 @@
 import random
-from collections import deque
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,6 +37,7 @@ from presentations_oracles import (
     exponent_matrix,
     is_closed_oracle,
     kunneth_bound,
+    reached_from_base,
     schreier_data_oracle,
 )
 
@@ -112,8 +113,8 @@ def test_kunneth_bound_nonpositive():
 def test_bs22_kernel_has_four_cosets():
     table = coset_enumerate(bs_presentation(2, 2), cm_x_c2_images(2))
     assert table.d == 4
-    assert table.is_closed(bs_presentation(2, 2))
-    assert table.is_transitive()
+    assert is_closed_oracle(table, bs_presentation(2, 2))
+    assert reached_from_base(table) == set(range(4))
 
 
 def test_regular_representation_of_c3():
@@ -234,7 +235,7 @@ def test_rs_matches_per_letter_oracle():
     for pres, images in cases:
         table = coset_enumerate(pres, images)
         assert table.action == coset_table_oracle(images).action
-        assert table.is_closed(pres) and is_closed_oracle(table, pres)
+        assert is_closed_oracle(table, pres)
         data, oracle = reidemeister_schreier_data(pres, table), schreier_data_oracle(pres, table)
         assert data.presentation.relators == oracle.presentation.relators
         assert data.generator_words == oracle.generator_words
@@ -254,8 +255,8 @@ def test_table_broken_by_one_relator_is_rejected():
     moved = [c for c in range(4) if act_word(table, c, pres.relators[1]) != c]
     assert len(moved) == 2 and 0 not in moved
     closed = FinitePresentation(2, pres.relators[:1] + pres.relators[2:], names)
-    assert table.is_closed(closed) and table.is_transitive()
-    assert not table.is_closed(pres) and not is_closed_oracle(table, pres)
+    assert is_closed_oracle(table, closed) and reached_from_base(table) == set(range(4))
+    assert not is_closed_oracle(table, pres)
     with pytest.raises(ValueError, match="table is not closed under the relators"):
         reidemeister_schreier_data(pres, table)
     with pytest.raises(ValueError, match="table is not closed under the relators"):
@@ -290,21 +291,29 @@ def test_kernel_presentation_past_26_generators_has_a_repr():
 
 
 def test_table_check_order_is_kept():
-    """Not closed before not transitive, the generator count before both,
-    exactly as ``CosetTable.check`` reports them."""
+    """Reidemeister-Schreier reports the generator count before closure, and
+    closure before transitivity, also when a walk starts at an unreached
+    coset."""
     cube = FinitePresentation(1, (Word([1, 1, 1]),))
     square = FinitePresentation(1, (Word([1, 1]),))
     swap_and_fix = CosetTable(3, ((1, 0, 2),))  # coset 2 is out of reach
+    # 0 <-> 1 under a, 2 -> 3 -> 4 -> 2 under a and b: the 3-cycle is closed
+    # under b^3 but not under a^2, and no letter leads from {0, 1} to it
+    apart = CosetTable(5, ((1, 0, 3, 4, 2), (0, 1, 3, 4, 2)))
+    assert reached_from_base(apart) == {0, 1}
     cases = [
         (cube, swap_and_fix, "table is not closed under the relators"),
         (square, swap_and_fix, "table is not transitive from the base coset"),
         (FinitePresentation(2, (Word([1, 1, 1]),)), swap_and_fix,
          "table has the wrong number of generator actions"),
         (cube, CosetTable(2, (swap2(),)), "table is not closed under the relators"),
+        (FinitePresentation(2, (Word([1, 1]), Word([2, 2, 2]))), apart,
+         "table is not closed under the relators"),
+        (FinitePresentation(2, (Word([2, 2, 2]),)), apart, "table is not transitive from the base coset"),
+        # the count, closure and reach all fail: the count is reported
+        (FinitePresentation(3, (Word([1, 1]),)), apart, "table has the wrong number of generator actions"),
     ]
     for pres, table, message in cases:
-        with pytest.raises(ValueError, match=message):
-            table.check(pres)
         with pytest.raises(ValueError, match=message):
             reidemeister_schreier_data(pres, table)
 
@@ -322,20 +331,6 @@ def killed_relator_pairs(draw):
     return FinitePresentation(a, relators), images
 
 
-def reached_from_base(table):
-    """The cosets a breadth-first search reaches from coset 0 by any letter."""
-    seen, queue = {0}, deque([0])
-    while queue:
-        c = queue.popleft()
-        for i in range(len(table.action)):
-            for letter in (i + 1, -i - 1):
-                nxt = act(table, c, letter)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return seen
-
-
 @settings(max_examples=100, deadline=None)
 @given(killed_relator_pairs())
 def test_enumerated_tables_are_closed_and_transitive(case):
@@ -344,19 +339,6 @@ def test_enumerated_tables_are_closed_and_transitive(case):
     table = coset_enumerate(pres, images)
     assert is_closed_oracle(table, pres)
     assert reached_from_base(table) == set(range(table.d))
-
-
-def test_coset_enumerate_runs_no_table_check(monkeypatch):
-    rng = random.Random(2929)
-    cases = [random_quotient_pair(rng) for _ in range(20)] + [case for case, _ in TRIANGLE_KERNELS]
-    before = [coset_enumerate(pres, images) for pres, images in cases]
-
-    def refuse(*args):
-        raise AssertionError("coset_enumerate checked the table it built")
-
-    for name in ("check", "is_closed", "is_transitive"):
-        monkeypatch.setattr(CosetTable, name, refuse)
-    assert [coset_enumerate(pres, images) for pres, images in cases] == before
 
 
 def test_rs_count_identity_on_random_pairs():
@@ -632,6 +614,34 @@ def test_coset_table_caches_inverses():
         assert act(table, act(table, c, 1), -1) == c
 
 
+@pytest.mark.parametrize("row", [
+    (0, 1, 1), (0, 1, -1), (0, 1, 3), (0, 1), (0, 1.0, 2), (0, None, 2),
+], ids=["repeated", "negative", "past_the_end", "short", "float", "none"])
+def test_coset_table_refuses_a_row_that_is_no_permutation(row):
+    with pytest.raises(ValueError, match="^each generator must act as a permutation of the cosets$"):
+        CosetTable(3, ((1, 2, 0), row))
+
+
+@pytest.mark.parametrize("image", [(0, 0), (1, -1), (0, 2), (1.0, 0), (1, 0, 2)])
+def test_coset_enumerate_refuses_an_image_that_is_no_permutation(image):
+    pres = FinitePresentation(2, (), ("a", "b"))
+    with pytest.raises(ValueError, match=f"^image {re.escape(repr(image))} is not a permutation of degree 2$"):
+        coset_enumerate(pres, [swap2(), image])
+
+
+def test_perm_inv_inverts_and_refuses_non_permutations():
+    rng = random.Random(30)
+    for n in range(8):
+        for _ in range(5):
+            p = tuple(rng.sample(range(n), n))
+            q = perm_inv(p)
+            assert q == tuple(p.index(i) for i in range(n))
+            assert perm_mul(p, q) == perm_mul(q, p) == perm_identity(n)
+    for bad in [(0, 0), (-1, 0), (0, 2), (0.0, 1), ("0", 1), (10**30, 0)]:
+        with pytest.raises(ValueError):
+            perm_inv(bad)
+
+
 # --- large kernels -----------------------------------------------------------
 
 
@@ -694,6 +704,10 @@ def test_presentation_json_roundtrip():
 def test_presentation_json_rejects_garbage():
     from pbp.presentations import PresentationFormatError
 
+    # names that format_word's output would not parse back to
+    for names in (["x", "x^-1"], ["", "b"], ["a b"], ["a\t"], ["^"]):
+        with pytest.raises(PresentationFormatError, match="is empty or has whitespace or '\\^'"):
+            presentation_from_json({"generators": names, "relators": []})
     with pytest.raises(PresentationFormatError):
         presentation_from_json({"generators": ["s"], "relators": ["u"]})
     with pytest.raises(PresentationFormatError):
