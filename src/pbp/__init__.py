@@ -41,10 +41,10 @@ _EXPORTS = {
     name: (module, name)
     for module, names in {
         "verdict": "Answer FG_QUALIFIER InternalVerificationError TraceEntry Verdict",
-        "words": "Word format_word free_reduce generator parse_word",
+        "words": "Word format_word parse_word",
         "presentations": "AbelianInvariants BoundExceeded CosetTable FinitePresentation"
-        " RelatorNotKilled abelianization coset_enumerate reidemeister_schreier"
-        " reidemeister_schreier_data rs_counts smith_normal_form",
+        " RelatorNotKilled abelianization coset_enumerate reidemeister_schreier_data"
+        " rs_counts smith_normal_form",
         "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable"
         " standard_diagram tits_form",
         "lie": "IdealLattice InvalidAlgebra LieAlgebra LieCertificate Subspace UnsupportedParams"

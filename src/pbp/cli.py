@@ -82,7 +82,7 @@ def cmd_lie(args) -> int:
     else:
         raise ValueError("provide -i algebra.json or --catalogue NAME")
     result = lie_presentable(algebra)
-    out = result.to_json(algebra)
+    out = result.to_json()
     out["algebra"] = {"dim": algebra.dim, "basis": list(algebra.labels)}
     _emit(out)
     return 0

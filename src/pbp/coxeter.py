@@ -76,9 +76,6 @@ class CoxeterMatrix(Record):
     def m(self, i: int, j: int) -> float:
         return self.entries[i][j]
 
-    def submatrix(self, idx: Sequence[int]) -> "CoxeterMatrix":
-        return CoxeterMatrix(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))
-
 
 def coxeter_from_json(obj: dict) -> CoxeterMatrix:
     """Parse ``{"n": 3, "m": [[1,3,2],...]}``; the string "inf" marks infinity."""
@@ -175,13 +172,14 @@ class _NegCos(Record):
 _RATIONAL_ENTRIES = {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2), INF: Fraction(-1)}
 
 
+def _tits_entry(m):
+    """-cos(pi/m) for a Coxeter label m (1 on the diagonal, -1 at m = inf)."""
+    return _RATIONAL_ENTRIES[m] if m in _RATIONAL_ENTRIES else _NegCos(int(m))
+
+
 def tits_form(matrix: CoxeterMatrix) -> SymmetricForm:
     """The form with entries -cos(pi/m[i][j]) (value -1 at m = inf)."""
-    def entry(m):
-        return _RATIONAL_ENTRIES[m] if m in _RATIONAL_ENTRIES else _NegCos(int(m))
-
-    n = matrix.n
-    return SymmetricForm([[entry(1 if i == j else matrix.m(i, j)) for j in range(n)] for i in range(n)])
+    return SymmetricForm([[_tits_entry(m) for m in row] for row in matrix.entries])
 
 
 def signature(form: SymmetricForm) -> Signature:
@@ -193,15 +191,13 @@ def signature(form: SymmetricForm) -> Signature:
     """
     p = q = r = 0
     for block in _connected(form.n, lambda i, j: form.rows[i][j] != 0):
-        bp, bq, br = _inertia([[form.rows[i][j] for j in block] for i in block])
-        p, q, r = p + bp, q + bq, r + br
-    if p + q + r != form.n:
-        raise InternalVerificationError(f"inertia (p, q, r) = ({p}, {q}, {r}) does not add up to {form.n}")
+        sig = _inertia([[form.rows[i][j] for j in block] for i in block])
+        p, q, r = p + sig.p, q + sig.q, r + sig.r
     return Signature(p, q, r)
 
 
-def _inertia(rows) -> tuple[int, int, int]:
-    """(p, q, r) of one block B, by symmetric fraction-free elimination of sB.
+def _inertia(rows) -> Signature:
+    """Signature (p, q, r) of one block B, by symmetric fraction-free elimination of sB.
 
     Rational entries are scaled to integers by the lcm s of their
     denominators.  With entries -cos(pi/m), s is also even, so sB has
@@ -221,13 +217,10 @@ def _inertia(rows) -> tuple[int, int, int]:
     """
     labels = frozenset(v.m for row in rows for v in row if isinstance(v, _NegCos))
     scale = math.lcm(2 if labels else 1, *{v.denominator for row in rows for v in row if not isinstance(v, _NegCos)})
-    if not labels:
-        return _eliminate([[v.numerator * scale // v.denominator for v in row] for row in rows],
-                          lambda j, c: c == 0, 0)
     half = scale // 2
     # D >= phi(2m)/2 >= sqrt(m)/2 for each label: that cheaper exponent rules
     # most balls out before the factorizations behind D are needed
-    low = max(math.isqrt(m) for m in labels) // 2
+    low = max((math.isqrt(m) for m in labels), default=0) // 2
 
     def proved_zero(j: int, c) -> bool:
         if isinstance(c, int):
@@ -235,15 +228,17 @@ def _inertia(rows) -> tuple[int, int, int]:
         h2 = _hadamard_sq(scale, j)
         return c.below(h2, low - 1) and c.below(h2, _degree_bound(labels) - 1)
 
-    # random forms of rank n up to 100 need fewer than 64 + n bits
+    # a block of integers is exact at any precision; random forms of rank n
+    # up to 100 need fewer than 64 + n bits
     prec = 64 + len(rows)
-    while True:
-        counts = _eliminate([[-half * two_cos_pi_over(v.m, prec) if isinstance(v, _NegCos)
-                              else v.numerator * scale // v.denominator for v in row] for row in rows],
-                            proved_zero, prec)
-        if counts:
-            return counts
+    while not (counts := _eliminate([[-half * two_cos_pi_over(v.m, prec) if isinstance(v, _NegCos)
+                                      else v.numerator * scale // v.denominator for v in row] for row in rows],
+                                    proved_zero, prec)):
         prec *= 2
+    p, q, r = counts
+    if p + q + r != len(rows):
+        raise InternalVerificationError(f"inertia (p, q, r) = ({p}, {q}, {r}) does not add up to {len(rows)}")
+    return Signature(p, q, r)
 
 
 def _hadamard_sq(scale: int, j: int) -> int:
@@ -347,9 +342,9 @@ FINITE, AFFINE, INDEFINITE = "Finite", "Affine", "Indefinite"
 
 def classify(matrix: CoxeterMatrix) -> list[tuple[list[int], str, Signature]]:
     """Per irreducible component: (vertex set, label, signature of its form)."""
-    out = []
+    out, rows = [], matrix.entries
     for comp in components(matrix):
-        sig = signature(tits_form(matrix.submatrix(comp)))
+        sig = _inertia([[_tits_entry(rows[i][j]) for j in comp] for i in comp])
         if sig.q == 0 and sig.r == 0:
             label = FINITE
         elif sig.q == 0:

@@ -209,7 +209,7 @@ class LieCertificate(Record):
     def __init__(self, g1: Subspace, g2: Subspace):
         self._set(g1, g2)
 
-    def to_json(self, algebra: LieAlgebra) -> dict:
+    def to_json(self) -> dict:
         return {
             "g1": [[str(x) for x in row] for row in self.g1.rows],
             "g2": [[str(x) for x in row] for row in self.g2.rows],
@@ -707,10 +707,10 @@ class LieResult(Record):
                  trace: tuple[IdealTrace, ...], lattice: IdealLattice | None, note: str = ""):
         self._set(answer, certificate, trace, lattice, note)
 
-    def to_json(self, algebra: LieAlgebra) -> dict:
+    def to_json(self) -> dict:
         return {
             "answer": self.answer.value,
-            "certificate": self.certificate.to_json(algebra) if self.certificate else None,
+            "certificate": self.certificate.to_json() if self.certificate else None,
             "note": self.note,
             "ideal_trace": [
                 {

@@ -364,13 +364,6 @@ def reidemeister_schreier_data(
     return SchreierData(sub, tuple(gen_words), tuple(rep))
 
 
-def reidemeister_schreier(
-    pres: FinitePresentation, table: CosetTable
-) -> FinitePresentation:
-    """Presentation of the subgroup realized by a closed coset table."""
-    return reidemeister_schreier_data(pres, table).presentation
-
-
 # ---------------------------------------------------------------------------
 # abelianization via Smith normal form
 

@@ -88,19 +88,6 @@ class Word:
         return max(map(abs, self._letters), default=0) - 1
 
 
-def generator(i: int) -> Word:
-    if i < 0:
-        raise ValueError("generator index must be nonnegative")
-    return Word((i + 1,))
-
-
-def free_reduce(w: "Word | Iterable[int]") -> Word:
-    """Freely reduce a word or a raw letter sequence; idempotent."""
-    if isinstance(w, Word):
-        return w
-    return Word(w)
-
-
 _DEFAULT_NAMES = tuple("abcdefghijklmnopqrstuvwxyz")
 
 

@@ -12,6 +12,8 @@ results must be equal Word for Word.  ``exponent_matrix`` is the dense
 relator-by-generator matrix of exponent sums that abelianization reduces.
 ``deficiency_count`` and ``kunneth_bound`` are the counts the acceptance
 criteria state about presentations and products of free groups.
+``reidemeister_schreier`` is the presentation alone of
+``pbp.presentations.reidemeister_schreier_data``.
 """
 
 from collections import deque
@@ -23,6 +25,7 @@ from pbp.presentations import (
     SchreierData,
     perm_identity,
     perm_mul,
+    reidemeister_schreier_data,
     rs_counts,
 )
 from pbp.words import Word
@@ -150,3 +153,8 @@ def schreier_data_oracle(pres: FinitePresentation, table: CosetTable) -> Schreie
     relators = tuple(rewrite(r, c) for r in pres.relators for c in range(d))
     assert (len(gen_words), len(relators)) == rs_counts(a, pres.relator_count, d)
     return SchreierData(FinitePresentation(len(gen_words), relators), tuple(gen_words), tuple(rep))
+
+
+def reidemeister_schreier(pres: FinitePresentation, table: CosetTable) -> FinitePresentation:
+    """Presentation of the subgroup realized by a closed coset table."""
+    return reidemeister_schreier_data(pres, table).presentation

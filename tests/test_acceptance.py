@@ -40,12 +40,11 @@ from pbp.presentations import (
     AbelianInvariants,
     abelianization,
     coset_enumerate,
-    reidemeister_schreier,
     rs_counts,
 )
 from pbp.verdict import Answer
 from pbp.words import Word
-from presentations_oracles import deficiency_count, kunneth_bound
+from presentations_oracles import deficiency_count, kunneth_bound, reidemeister_schreier
 
 FINITE_TYPES = (
     [f"A{n}" for n in range(1, 9)]

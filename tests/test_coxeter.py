@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxeter_oracles import float_matrix, from_rational_matrix
+from coxeter_oracles import float_matrix, from_rational_matrix, submatrix
 from cyclotomic_field import berkowitz_signature, zeta_signature
 import pbp.coxeter as coxeter_mod
 from pbp.coxeter import (
@@ -346,7 +346,7 @@ def test_report_invariant_under_relabelling(case):
 
     assert tuple(signature(tits_form(matrix))) == oracle(matrix)
     for part in a["components"]:
-        assert tuple(part["signature"]) == oracle(matrix.submatrix(part["vertices"]))
+        assert tuple(part["signature"]) == oracle(submatrix(matrix, part["vertices"]))
     assert _parts(a, ident) == _parts(b, perm)
     cert_a, cert_b = a.get("certificate"), b.get("certificate")
     assert (cert_a or {}).get("kind") == (cert_b or {}).get("kind")
@@ -386,6 +386,60 @@ def test_report_classifies_once(monkeypatch):
     coxeter_report(triangle(3, 3, 7))
     assert len(calls) == 1
 
+
+
+# with one large prime label, whose field Q(cos(pi/m)) has degree (10**6 + 2) / 2
+COMPONENT_LABELS = (2, 3, 4, 5, 6, 7, INF, 10**6 + 3)
+
+
+@st.composite
+def labelled_matrices(draw):
+    """A random Coxeter matrix of rank 1-7 with labels from COMPONENT_LABELS."""
+    n = draw(st.integers(1, 7))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(COMPONENT_LABELS))
+    return CoxeterMatrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_matrices())
+def test_classify_reads_each_component_as_signature_of_its_submatrix(matrix):
+    parts = classify(matrix)
+    assert [comp for comp, _, _ in parts] == components(matrix)
+    for comp, _, sig in parts:
+        assert sig == signature(tits_form(submatrix(matrix, comp)))
+
+
+def test_report_builds_no_matrix_or_form_beyond_its_input(monkeypatch):
+    matrices = [triangle(3, 3, 7), standard_diagram("H4"), standard_diagram("E~8"),
+                disjoint_union(standard_diagram("G~2"), standard_diagram("I2(7)"), triangle(4, 5, INF))]
+    built, joined = [], []
+    for cls in (CoxeterMatrix, SymmetricForm):
+        real_init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, real_init=real_init, cls=cls:
+                            built.append(cls.__name__) or real_init(self, *a))
+    real_connected = coxeter_mod._connected
+    monkeypatch.setattr(coxeter_mod, "_connected", lambda *a: joined.append(a) or real_connected(*a))
+    tits_form(matrices[0])
+    assert built == ["SymmetricForm"]  # the counters see a construction
+    for matrix in matrices:
+        built.clear()
+        joined.clear()
+        report = coxeter_report(matrix)
+        assert built == [] and len(joined) == 1, report
+    assert [len(coxeter_report(m)["components"]) for m in matrices] == [1, 1, 1, 3]
+
+
+@pytest.mark.parametrize("matrix", [triangle(3, 3, INF), triangle(3, 3, 7)])
+def test_inertia_that_does_not_add_up_is_refused(monkeypatch, matrix):
+    # one count short of the rank, on a rational and on an irrational block
+    monkeypatch.setattr(coxeter_mod, "_eliminate", lambda s, proved_zero, prec: (len(s) - 1, 0, 0))
+    with pytest.raises(InternalVerificationError, match="does not add up to 3"):
+        classify(matrix)
+    with pytest.raises(InternalVerificationError, match="does not add up to 3"):
+        signature(tits_form(matrix))
 
 def test_split_certificate_is_rechecked(monkeypatch):
     # two A~1 blocks joined by a label 3: one irreducible component, but a
@@ -495,7 +549,7 @@ def coxeter_matrices(draw):
     if affine and ALL_AFFINE[affine].n + n <= 8:
         matrix = disjoint_union(ALL_AFFINE[affine], matrix)
         perm = draw(st.permutations(range(matrix.n)))
-        matrix = matrix.submatrix(perm)
+        matrix = submatrix(matrix, perm)
     return matrix
 
 

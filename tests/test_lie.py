@@ -562,7 +562,7 @@ def lattice_summary(algebra):
     if lattice.completeness is Completeness.INFINITE_FAMILY:
         assert_witness_pair(algebra, lattice)
     witness = None if lattice.witness is None else [w.dim for w in lattice.witness]
-    return (res.answer, res.to_json(algebra)["lattice_completeness"], lattice.completeness,
+    return (res.answer, res.to_json()["lattice_completeness"], lattice.completeness,
             sorted(s.dim for s in lattice.ideals), witness)
 
 
@@ -811,7 +811,7 @@ COMPLETE_NO = {
     "lattice_completeness": "Complete",
     "note": "every nonzero ideal fails: its centralizer does not complement it",
 }
-# lie_presentable(...).to_json(...) on pinned_dense(name, seed)
+# lie_presentable(...).to_json() on pinned_dense(name, seed)
 PINNED = {
     ("so(3,1)", 31): {
         **COMPLETE_NO,
@@ -856,7 +856,7 @@ PINNED = {
 @pytest.mark.parametrize("name, seed", list(PINNED))
 def test_dense_basis_certificates_are_pinned(name, seed):
     algebra = pinned_dense(name, seed)
-    assert lie_presentable(algebra).to_json(algebra) == PINNED[name, seed]
+    assert lie_presentable(algebra).to_json() == PINNED[name, seed]
     lattice = ideal_lattice(algebra)
     if lattice.completeness is Completeness.INFINITE_FAMILY:
         assert_witness_pair(algebra, lattice)
@@ -865,7 +865,7 @@ def test_dense_basis_certificates_are_pinned(name, seed):
 def test_centroid_certificate_is_pinned():
     # both copies of af have dimension 2; the right-hand one has the lesser rows
     algebra = catalogue("af+af")
-    first, second = (lie_presentable(algebra).to_json(algebra) for _ in range(2))
+    first, second = (lie_presentable(algebra).to_json() for _ in range(2))
     assert first == second
     assert first["certificate"] == {
         "g1": [["0", "0", "1", "0"], ["0", "0", "0", "1"]],
@@ -963,7 +963,7 @@ def test_isotypic_components_solve_over_the_generators(monkeypatch):
 def test_large_simple_algebras_decide_no(algebra):
     # a simple algebra's one nonzero ideal is itself, with zero centralizer
     n = algebra.dim
-    assert lie_presentable(algebra).to_json(algebra) == {
+    assert lie_presentable(algebra).to_json() == {
         **COMPLETE_NO,
         "ideal_trace": [{"ideal_dim": n, "centralizer_dim": 0, "span_dim": n}],
     }

@@ -16,9 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # The public names of pbp, by defining module; aliases name the attribute there.
 PUBLIC = {
     "verdict": "Answer FG_QUALIFIER InternalVerificationError TraceEntry Verdict",
-    "words": "Word format_word free_reduce generator parse_word",
+    "words": "Word format_word parse_word",
     "presentations": "AbelianInvariants BoundExceeded CosetTable FinitePresentation RelatorNotKilled"
-    " abelianization coset_enumerate reidemeister_schreier reidemeister_schreier_data"
+    " abelianization coset_enumerate reidemeister_schreier_data"
     " rs_counts smith_normal_form",
     "coxeter": "CoxeterMatrix Signature SymmetricForm coxeter_presentable"
     " standard_diagram tits_form",
@@ -50,7 +50,7 @@ def fresh(*args):
 
 
 def test_public_names_resolve_to_their_defining_objects():
-    assert len(EXPORTS) == 60
+    assert len(EXPORTS) == 57
     for name, (module, attr) in EXPORTS.items():
         assert getattr(pbp, name) is getattr(importlib.import_module(f"pbp.{module}"), attr), name
 

@@ -22,7 +22,6 @@ from pbp.presentations import (
     perm_mul,
     presentation_from_json,
     presentation_to_json,
-    reidemeister_schreier,
     reidemeister_schreier_data,
     rs_counts,
     smith_normal_form,
@@ -38,6 +37,7 @@ from presentations_oracles import (
     is_closed_oracle,
     kunneth_bound,
     reached_from_base,
+    reidemeister_schreier,
     schreier_data_oracle,
 )
 

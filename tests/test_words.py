@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pbp.words import Word, format_word, free_reduce, generator, parse_word
+from pbp.words import Word, format_word, parse_word
+from words_oracles import free_reduce, generator
 
 s, t = generator(0), generator(1)
 
