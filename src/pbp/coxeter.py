@@ -11,9 +11,9 @@ classification.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .algebraic import two_cos_pi_over
 from .verdict import Answer, InternalVerificationError, Record, TraceEntry, Verdict, json_int

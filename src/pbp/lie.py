@@ -22,10 +22,10 @@ of one element that generates it modulo its radical.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Sequence
 
 from .linalg import (
     SpanBuilder,

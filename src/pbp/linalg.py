@@ -27,10 +27,10 @@ here is desk-scale (dimensions in the low tens).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 Vec = tuple
 Matrix = list

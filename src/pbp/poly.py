@@ -8,7 +8,8 @@ the primitive f, one pseudo-remainder gcd and one exact division, and exact
 division in Z[x] is long division that gives up at the first quotient
 coefficient that is not an integer.
 ``factor_over_q`` returns the distinct irreducible factors of the square-free
-part, with no multiplicities, by Zassenhaus' algorithm (von zur Gathen &
+part, with no multiplicities: a quadratic from its discriminant, anything
+of higher degree by Zassenhaus' algorithm (von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 14-15): Cantor-Zassenhaus splitting
 modulo a small odd prime that keeps the degree and the square-free property,
 quadratic Hensel lifting past twice the Mignotte bound, and recombination of
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
 
 _PRIMES_TRIED = 2  # good primes whose modular factor counts are compared
 
@@ -233,6 +234,15 @@ def _factor_squarefree(f: tuple) -> list[tuple]:
     n, lead = len(f) - 1, f[-1]
     if n <= 1:
         return [f]
+    if n == 2:
+        # ax^2 + bx + c has rational roots exactly when b^2 - 4ac is a square
+        # s^2; the roots (-b +- s) / 2a give the factors 2a x + b -+ s
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = math.isqrt(max(disc, 0))
+        if s * s != disc:
+            return [f]
+        return [_primitive((b - s, 2 * a)), _primitive((b + s, 2 * a))]
     rng = random.Random(n)
     choices = []
     for p in _odd_primes():

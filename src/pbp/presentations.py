@@ -12,13 +12,19 @@ generators and relators of total length R:
   pass over the image group: one permutation product per element and
   generator.
 - ``CosetTable`` inverts each action row once, and refuses a row that is
-  not a permutation in that same pass.
+  not a permutation in that same pass.  The table ``coset_enumerate``
+  builds skips that check (``CosetTable._from_bijections``): right
+  multiplication by a group element is a bijection, so each of its rows is
+  a permutation by construction.
 - The Reidemeister-Schreier rewrite reads, per letter x and coset c, the
   signed Schreier generator ``gen_at[x][c]`` and the next coset: R * d
   lookups, plus the Word output.  It is the one place a table is checked
   against a presentation: a walk of a relator that does not end at its
-  start coset is an error, and so is a coset its transversal misses.
-  ``coset_enumerate`` builds tables that pass both by construction.
+  start coset is an error, and so is a coset its transversal misses
+  (``coset_enumerate`` builds tables that pass both by construction).
+  The subgroup presentation it writes skips ``FinitePresentation``'s relator
+  scan (``FinitePresentation._unchecked``): every relator is a reduced
+  Word in the Schreier generators the rewrite has just numbered.
 - ``abelianization`` builds one exponent row per distinct letter multiset
   of the relators.  The rewrites of a relator u^n at the cosets c, c.u,
   c.u^2, ... are rotations of one another before free reduction, so most
@@ -27,15 +33,18 @@ generators and relators of total length R:
   It takes every pivot row from one heap keyed by (least |entry|, row
   length, row index), so the one- and two-entry rows with a +-1 come
   first, each costing the length of its column.
+
+The two private construction paths have one caller each; every public
+constructor keeps all its checks.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import attrgetter, neg
-from typing import Sequence
 
 from .verdict import Record
 from .words import Word, format_word, parse_word
@@ -89,6 +98,14 @@ class FinitePresentation(Record):
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "generator_names", generator_names)
+
+    @classmethod
+    def _unchecked(cls, generator_count: int, relators: tuple[Word, ...]) -> "FinitePresentation":
+        # For Reidemeister-Schreier output alone: relators of Schreier
+        # generator numbers it assigned itself, a tuple of Words.
+        pres = object.__new__(cls)
+        pres._set(generator_count, relators, None)
+        return pres
 
     @property
     def relator_count(self) -> int:
@@ -175,6 +192,20 @@ class CosetTable(Record):
             raise ValueError("each generator must act as a permutation of the cosets") from None
         self._set(d, action, inverse)
 
+    @classmethod
+    def _from_bijections(cls, d: int, rows: list[list[int]]) -> "CosetTable":
+        # For coset_enumerate alone: each row is a bijection of 0..d-1 by
+        # construction, so it is inverted without perm_inv's checks.
+        inverse = []
+        for row in rows:
+            inv = [0] * d
+            for c, k in enumerate(row):
+                inv[k] = c
+            inverse.append(tuple(inv))
+        table = object.__new__(cls)
+        table._set(d, tuple(map(tuple, rows)), tuple(inverse))
+        return table
+
     def step(self, letter: int) -> tuple[int, ...]:
         """The permutation of the cosets that one signed letter applies."""
         return self.action[letter - 1] if letter > 0 else self.inverse[-letter - 1]
@@ -200,7 +231,9 @@ def coset_enumerate(
     Transitive: each element is numbered when first reached from an earlier
     one by some g_i, so it is reached from coset 0.
     ``reidemeister_schreier_data`` still checks both on every table it is
-    given.
+    given.  Each row is a permutation, since right multiplication by g_i is
+    a bijection of the image group, so the table is built by
+    ``CosetTable._from_bijections``, which inverts the rows unchecked.
     """
     if len(images) != pres.generator_count:
         raise ValueError("one permutation image per generator is required")
@@ -237,7 +270,7 @@ def coset_enumerate(
                 order.append(f)
             row.append(k)
 
-    return CosetTable(len(order), tuple(rows))
+    return CosetTable._from_bijections(len(order), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +300,12 @@ def _schreier_transversal(table: CosetTable):
     least shortest representative of every coset (by induction on BFS
     level: parents are dequeued in lex order and letters in alphabet order).
     ``in_tree[i][c]`` says whether the edge c -> c.g_i is a tree edge, in
-    either direction.  ``rep[c]`` is None for a coset the search does not
-    reach.
+    either direction.  ``rep[c]`` is the letter tuple of a freely reduced
+    word, or None for a coset the search does not reach.
     """
     d = table.d
-    rep: list[Word | None] = [None] * d
-    rep[0] = Word()
+    rep: list[tuple[int, ...] | None] = [None] * d
+    rep[0] = ()
     in_tree = [[False] * d for _ in table.action]
     letters = [(i, x, table.step(x)) for i in range(len(table.action)) for x in (i + 1, -i - 1)]
     queue = [0]
@@ -282,7 +315,7 @@ def _schreier_transversal(table: CosetTable):
             if rep[nxt] is None:
                 # rep[c] cannot end in x^-1, which leads back to the parent
                 # of c, so the product is reduced
-                rep[nxt] = Word._from_reduced(rep[c].raw + (x,))
+                rep[nxt] = rep[c] + (x,)
                 in_tree[i][c if x > 0 else nxt] = True
                 queue.append(nxt)
     return rep, in_tree
@@ -312,13 +345,19 @@ def reidemeister_schreier_data(
     rep[c] x rep[c.x]^-1, already freely reduced: rep[c] ends in x^-1 only
     when c is reached from c.x by x^-1, and rep[c.x] ends in x only when
     c.x is reached from c by x; either way (c, x) is a tree edge.
+
+    The representatives stay letter tuples until the transitivity check
+    has passed, and become the ``transversal`` Words once.  The subgroup
+    presentation is built by ``FinitePresentation._unchecked``: its
+    relators are reduced Words in the generators 1..n_gens this rewrite
+    numbered, so the public constructor's scan could not fail.
     """
     a, d = pres.generator_count, table.d
     if len(table.action) != a:
         raise ValueError("table has the wrong number of generator actions")
     rep, in_tree = _schreier_transversal(table)
     # letters of rep[c]^-1, None for a coset the transversal misses
-    back = [None if w is None else tuple(map(neg, reversed(w.raw))) for w in rep]
+    back = [None if w is None else tuple(map(neg, reversed(w))) for w in rep]
 
     # A subgroup generator for every non-tree edge (reached coset, positive letter).
     gen_at: dict[int, list[int]] = {i + 1: [0] * d for i in range(a)}
@@ -326,7 +365,7 @@ def reidemeister_schreier_data(
     for c in range(d):
         if rep[c] is None:
             continue
-        head = rep[c].raw
+        head = rep[c]
         for i in range(a):
             if not in_tree[i][c]:
                 gen_words.append(Word._from_reduced(head + (i + 1,) + back[table.action[i][c]]))
@@ -360,8 +399,8 @@ def reidemeister_schreier_data(
     n_gens = len(gen_words)
     expected = rs_counts(a, pres.relator_count, d)
     assert (n_gens, len(relators)) == expected, "subgroup counts disagree with (a-1)d+1, bd"
-    sub = FinitePresentation(n_gens, tuple(relators))
-    return SchreierData(sub, tuple(gen_words), tuple(rep))
+    sub = FinitePresentation._unchecked(n_gens, tuple(relators))
+    return SchreierData(sub, tuple(gen_words), tuple(map(Word._from_reduced, rep)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +488,13 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
       comes first.  Such a pivot substitutes one column for another, or
       deletes one, so it lengthens no row;
     - the key depends on its row alone, so every row a pivot changes is
-      pushed again at once and no other key goes stale.  A popped key that
-      is no longer its row's, because the row is gone or has changed since,
-      is skipped.  So a key that is popped is the least over the live rows,
-      p is the least entry of the matrix, each remainder makes the next
-      pivot smaller, and the elimination ends;
+      pushed again at once and no other key goes stale.  ``pushed[i]`` is
+      the key row i was last pushed with, or None once the row is gone (so
+      no spent key is kept alive).  A popped key that is not that very
+      tuple, because the row is gone or has changed since, is skipped
+      without recomputing the row's key.  So a key that is popped is the
+      least over the live rows, p is the least entry of the matrix, each
+      remainder makes the next pivot smaller, and the elimination ends;
     - within the row, the pivot is an entry of least |entry| in the
       shortest column.
 
@@ -477,12 +518,13 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 
     units = 0
     chain: list[int] = []
-    heap = [key(i) for i in live]
+    pushed = [key(i) for i in live]  # the key each row was last pushed with
+    heap = pushed.copy()
     heapq.heapify(heap)
     while heap:
         popped = heapq.heappop(heap)
         i = popped[2]
-        if i not in live or key(i) != popped:  # emptied or changed since it was pushed
+        if pushed[i] is not popped:  # emptied or changed since it was pushed
             continue
         pivot_row = live[i]
         least = popped[0]
@@ -513,11 +555,13 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
                 changed.append(k)
             else:
                 del live[k]
+                pushed[k] = None
         if p == 1 or p == -1:
             # column operations clear row i and touch no other row
             for l in pivot_row:
                 cols[l].discard(i)
             del live[i]
+            pushed[i] = None
             units += 1
         else:
             if len(kept) == 1:
@@ -534,9 +578,11 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
                 changed.append(i)
             else:
                 del live[i]
+                pushed[i] = None
                 chain.append(abs(p))
         for k in changed:
-            heapq.heappush(heap, key(k))
+            pushed[k] = key(k)
+            heapq.heappush(heap, pushed[k])
 
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):

@@ -8,8 +8,8 @@ same element of the free group.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from operator import neg
-from typing import Iterable, Iterator, Sequence
 
 
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:

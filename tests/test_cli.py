@@ -368,6 +368,30 @@ def test_subcommands_load_only_their_modules(tmp_path):
         assert own in loaded and not loaded & absent, (argv, sorted(loaded))
 
 
+def test_subcommands_outside_bs_and_classify_load_no_typing(tmp_path):
+    """``subgroup``, ``coxeter``, ``lie`` and ``abels`` never import typing:
+    their modules take annotation names from collections.abc.  The process
+    runs with -S, since site may import typing on its own."""
+    runs = [
+        ["subgroup", "-i", write(tmp_path, "p.json", {"generators": ["a", "b"], "relators": ["a^2", "b^3", "a b a b"]}),
+         "--hom", write(tmp_path, "h.json", {"images": [[1, 0, 2], [1, 2, 0]]})],
+        ["coxeter", "-i", write(tmp_path, "m.json", {"n": 3, "m": [[1, 3, 3], [3, 1, 7], [3, 7, 1]]})],
+        ["lie", "--catalogue", "sl2"],
+        ["abels", "--prime", "3", "--trials", "20"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from pbp.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('typing' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["bs", "2", "3"], ["bs", "0", "1"]], ids=["verdict", "invalid"])
 def test_python_dash_m_runs_the_cli(capsys, argv):
     """``python -m pbp`` from a checkout prints what main prints and exits with its code."""

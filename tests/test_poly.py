@@ -130,12 +130,34 @@ SWINNERTON_DYER_2_3 = (1, 0, -10, 0, 1)  # irreducible over Q, splits modulo eve
         poly_mul(SWINNERTON_DYER_2_3, (1, 0, -2)),
         poly_mul((1, 0, -5, 0, 1), poly_mul(SWINNERTON_DYER_2_3, (3, 0, 0, 1))),
         tuple(prod(range(1, k + 1)) * (-1) ** k for k in range(13)),
+        (6, -5, 1),  # (x - 2)(x - 3)
+        (1, 1, 1),  # discriminant -3
+        (-2, 0, 1),  # discriminant 8, not a square
+        (-1, 1, 6),  # 6x^2 + x - 1 = (2x + 1)(3x - 1)
+        (Fraction(-1, 2), 0, Fraction(9, 8)),  # (3x - 2)(3x + 2) / 8
     ],
 )
 def test_factor_over_q_fixed_cases(coeffs):
     got = factor_over_q(coeffs)
     assert got == sympy_factors(coeffs)
     assert rebuilt(got) == (monic(squarefree_part(coeffs)) if len(coeffs) > 1 else (1,))
+
+
+@st.composite
+def quadratics(draw):
+    """Integer quadratics, half of them products of two linear factors."""
+    small = st.integers(-40, 40)
+    if draw(st.booleans()):
+        return poly_mul((draw(small), draw(small.filter(bool))), (draw(small), draw(small.filter(bool))))
+    return draw(small), draw(small), draw(small.filter(bool))
+
+
+@settings(max_examples=100)
+@given(quadratics())
+def test_quadratics_split_by_their_discriminant_as_sympy_does(coeffs):
+    got = factor_over_q(coeffs)
+    assert got == sympy_factors(coeffs)
+    assert rebuilt(got) == monic(squarefree_part(coeffs))
 
 
 def test_recombination_keeps_swinnerton_dyer_whole():

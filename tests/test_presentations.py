@@ -1,6 +1,8 @@
+import ast
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -40,6 +42,10 @@ from presentations_oracles import (
     reidemeister_schreier,
     schreier_data_oracle,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pbp"
+A2_RELATORS = ["a^2", "b^2", "c^2", "a b a b a b", "b c b c b c", "a c a c a c"]
 
 
 def bs_presentation(m, n):
@@ -341,6 +347,81 @@ def test_enumerated_tables_are_closed_and_transitive(case):
     assert reached_from_base(table) == set(range(table.d))
 
 
+def kernel_shapes():
+    """The kernels group-kernels runs: triangle maps onto S4, A5 and S5, and
+    A~2 onto (Z/k)^2 x| S3 for k = 2, 3."""
+    names = ("a", "b", "c")
+    a2 = FinitePresentation(3, tuple(parse_word(r, names) for r in A2_RELATORS), names)
+    return [case for case, _ in TRIANGLE_KERNELS] + [(a2, affine_a2_images(k)) for k in (2, 3)]
+
+
+def assert_built_as_checked(pres, images):
+    """The table and the subgroup presentation built without their public
+    constructors' checks equal what those constructors build and accept."""
+    table = coset_enumerate(pres, images)
+    checked = CosetTable(table.d, table.action)
+    assert table == checked and table.inverse == checked.inverse
+    assert all(type(row) is tuple for row in table.action + table.inverse)
+    data = reidemeister_schreier_data(pres, table)
+    sub = data.presentation
+    assert sub == FinitePresentation(sub.generator_count, sub.relators)
+    assert type(sub.relators) is tuple
+    for w in sub.relators + data.generator_words + data.transversal:
+        assert type(w) is Word and Word(w.raw).raw == w.raw  # reduced letters
+    assert len(data.transversal) == table.d
+
+
+@settings(max_examples=100, deadline=None)
+@given(killed_relator_pairs())
+def test_unchecked_table_and_presentation_equal_checked_ones(case):
+    assert_built_as_checked(*case)
+
+
+def test_unchecked_kernel_shapes_equal_checked_ones():
+    for pres, images in kernel_shapes():
+        assert_built_as_checked(pres, images)
+
+
+def test_public_constructors_refuse_what_the_private_paths_skip():
+    """The two private construction paths skip checks that the public
+    constructors keep: each malformed input is refused with its message."""
+    w = Word([1, 2])
+    presentations = [
+        ((0, ()), ValueError, "presentation needs at least one generator"),
+        ((2, ((1, 2),)), TypeError, "relators must be Word instances"),
+        ((2, (w, "a")), TypeError, "relators must be Word instances"),
+        ((1, (w,)), ValueError, "relator Word('a b') uses an undeclared generator"),
+        ((2, (w, Word([-3]))), ValueError, "relator Word('c^-1') uses an undeclared generator"),
+        ((2, (w,), ("a",)), ValueError, "generator names must be distinct, one per generator"),
+        ((2, (w,), ("a", "a")), ValueError, "generator names must be distinct, one per generator"),
+        ((2, (w,), ("a", "b", "c")), ValueError, "generator names must be distinct, one per generator"),
+    ]
+    for args, error, message in presentations:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            FinitePresentation(*args)
+    # rows of a wrong length, rows that are no permutation, non-integer entries
+    for row in NOT_A_PERMUTATION + [(1, 2, 0, 3), (0, "1", 2)]:
+        with pytest.raises(ValueError, match="^each generator must act as a permutation of the cosets$"):
+            CosetTable(3, ((1, 2, 0), row))
+
+
+def test_each_unchecked_constructor_has_one_caller():
+    """FinitePresentation._unchecked is called from reidemeister_schreier_data
+    alone, and CosetTable._from_bijections from coset_enumerate alone."""
+    callers = {"_unchecked": [], "_from_bijections": []}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Attribute) and node.attr in callers:
+                        callers[node.attr].append((path.stem, func.name))
+    assert callers == {
+        "_unchecked": [("presentations", "reidemeister_schreier_data")],
+        "_from_bijections": [("presentations", "coset_enumerate")],
+    }
+
+
 def test_rs_count_identity_on_random_pairs():
     rng = random.Random(71046)
     for _ in range(20):
@@ -614,9 +695,11 @@ def test_coset_table_caches_inverses():
         assert act(table, act(table, c, 1), -1) == c
 
 
-@pytest.mark.parametrize("row", [
-    (0, 1, 1), (0, 1, -1), (0, 1, 3), (0, 1), (0, 1.0, 2), (0, None, 2),
-], ids=["repeated", "negative", "past_the_end", "short", "float", "none"])
+NOT_A_PERMUTATION = [(0, 1, 1), (0, 1, -1), (0, 1, 3), (0, 1), (0, 1.0, 2), (0, None, 2)]
+
+
+@pytest.mark.parametrize("row", NOT_A_PERMUTATION,
+                         ids=["repeated", "negative", "past_the_end", "short", "float", "none"])
 def test_coset_table_refuses_a_row_that_is_no_permutation(row):
     with pytest.raises(ValueError, match="^each generator must act as a permutation of the cosets$"):
         CosetTable(3, ((1, 2, 0), row))
@@ -669,8 +752,7 @@ def affine_a2_images(k):
 
 def test_affine_a2_translation_kernel_is_z2():
     names = ("a", "b", "c")
-    relators = ["a^2", "b^2", "c^2", "a b a b a b", "b c b c b c", "a c a c a c"]
-    pres = FinitePresentation(3, tuple(parse_word(r, names) for r in relators), names)
+    pres = FinitePresentation(3, tuple(parse_word(r, names) for r in A2_RELATORS), names)
     table = coset_enumerate(pres, affine_a2_images(5))
     assert table.d == 150
     # the kernel is the translation lattice 5 Z^2
