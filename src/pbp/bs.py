@@ -8,13 +8,10 @@ left.  Equality of group elements is then a syntactic comparison.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .verdict import Answer, Record, TraceEntry, Verdict
 from .words import Word, format_word
-
-if TYPE_CHECKING:
-    from .presentations import AbelianInvariants, FinitePresentation
 
 S, T = 1, 2  # letter values for the two generators
 

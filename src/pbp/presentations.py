@@ -10,7 +10,8 @@ generators and relators of total length R:
 
 - ``coset_enumerate`` fills the action rows during its one breadth-first
   pass over the image group: one permutation product per element and
-  generator.
+  generator, each an ``itemgetter(*e)`` built once per element e and
+  applied to the generator's image.
 - ``CosetTable`` inverts each action row once, and refuses a row that is
   not a permutation in that same pass.  The table ``coset_enumerate``
   builds skips that check (``CosetTable._from_bijections``): right
@@ -30,9 +31,13 @@ generators and relators of total length R:
   c.u^2, ... are rotations of one another before free reduction, so most
   of them share their letters.  ``abelianization`` and
   ``smith_normal_form`` run one sparse elimination, ``_sparse_smith``.
-  It takes every pivot row from one heap keyed by (least |entry|, row
-  length, row index), so the one- and two-entry rows with a +-1 come
-  first, each costing the length of its column.
+  It first takes the one-entry rows {j: +-1} in plain passes over the
+  rows: each is a unit pivot whose row and column operations only delete
+  column j, so it counts one unit and column j goes from every row, and
+  the passes repeat until one finds no such row.  One heap keyed by (least
+  |entry|, row length, row index) takes every pivot of the rows left, so
+  the two-entry rows with a +-1 come first, each costing the length of its
+  column.
 
 The two private construction paths have one caller each; every public
 constructor keeps all its checks.
@@ -44,7 +49,7 @@ import heapq
 import math
 from collections.abc import Sequence
 from itertools import chain, repeat
-from operator import attrgetter, neg
+from operator import attrgetter, itemgetter, neg
 
 from .verdict import Record
 from .words import Word, format_word, parse_word
@@ -137,7 +142,7 @@ def perm_identity(n: int) -> tuple[int, ...]:
 
 
 def perm_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_inv(p: Sequence[int]) -> tuple[int, ...]:
@@ -229,7 +234,9 @@ def coset_enumerate(
     by right multiplication by its image g_i.  Closed: every relator r has
     image 1, checked below, so it takes each e to e.image(r) = e.
     Transitive: each element is numbered when first reached from an earlier
-    one by some g_i, so it is reached from coset 0.
+    one by some g_i, so it is reached from coset 0.  The product e.g_i is
+    ``itemgetter(*e)`` applied to g_i, one getter per element for all the
+    generators; degrees 0 and 1 give the one-coset table directly.
     ``reidemeister_schreier_data`` still checks both on every table it is
     given.  Each row is a permutation, since right multiplication by g_i is
     a bijection of the image group, so the table is built by
@@ -258,18 +265,23 @@ def coset_enumerate(
     # fills column k of every action row.
     elements: dict[tuple[int, ...], int] = {identity: 0}
     order: list[tuple[int, ...]] = [identity]
-    rows: list[list[int]] = [[] for _ in imgs]
-    for e in order:  # grows while it is read
-        for p, row in zip(imgs, rows):
-            f = tuple(map(p.__getitem__, e))  # perm_mul(e, p)
-            k = elements.get(f)
-            if k is None:
-                if len(order) >= coset_cap:
-                    raise BoundExceeded(f"more than {coset_cap} cosets")
-                k = elements[f] = len(order)
-                order.append(f)
-            row.append(k)
-
+    if degree < 2:
+        # the trivial group, one coset: itemgetter() raises and itemgetter(0)
+        # returns an int, not a tuple
+        rows = [[0] for _ in imgs]
+    else:
+        rows = [[] for _ in imgs]
+        for e in order:  # grows while it is read
+            times_e = itemgetter(*e)  # one product map per element
+            for p, row in zip(imgs, rows):
+                f = times_e(p)  # perm_mul(e, p)
+                k = elements.get(f)
+                if k is None:
+                    if len(order) >= coset_cap:
+                        raise BoundExceeded(f"more than {coset_cap} cosets")
+                    k = elements[f] = len(order)
+                    order.append(f)
+                row.append(k)
     return CosetTable._from_bijections(len(order), rows)
 
 
@@ -481,8 +493,18 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     When both are clear, |p| is a diagonal entry; a +-1 clears both at
     once.  Otherwise the changed rows go back on the heap, with a remainder
     smaller than |p| among them.  Pivots are chosen as in Havas-Holt-Rees,
-    "Recognizing badly presented Z-modules" (1993), from one heap keyed by
-    (least |entry| of the row, row length, row index):
+    "Recognizing badly presented Z-modules" (1993).
+
+    Plain passes over the rows first take every one-entry row {j: +-1}.
+    Such a pivot is exact without the heap's order: its row operations
+    subtract multiples of a row with no other entry, so they only delete
+    column j from the other rows, and its row has nothing left for column
+    operations.  So each column j with such a row counts one unit (a second
+    row {j: +-1} is emptied by the first), column j is dropped from every
+    row, empty rows go, and the passes repeat until one finds no such row,
+    since a drop can leave a row with a single +-1.  A one-entry row that is
+    not +-1 stays.  The heap runs on the rows left, keyed by (least |entry|
+    of the row, row length, row index):
 
     - a row of one or two entries with a +-1 keys as (1, 1 or 2, i) and
       comes first.  Such a pivot substitutes one column for another, or
@@ -504,7 +526,22 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 
     One gcd/lcm pass over the non-unit entries folds them into the chain.
     """
-    live = dict(enumerate(row for row in rows if row))
+    units = 0
+    rows = [row for row in rows if row]
+    while True:  # the one-entry +-1 rows, off the heap
+        dead = {j for row in rows if len(row) == 1 for j, v in row.items() if v == 1 or v == -1}
+        if not dead:
+            break
+        units += len(dead)
+        kept = []
+        for row in rows:
+            for j in dead.intersection(row):
+                del row[j]
+            if row:
+                kept.append(row)
+        rows = kept
+
+    live = dict(enumerate(rows))
     cols: dict[int, set[int]] = {}
     for i, row in live.items():
         for j in row:
@@ -516,7 +553,6 @@ def _sparse_smith(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
         least = 1 if 1 in values or -1 in values else min(map(abs, values))
         return least, len(row), i
 
-    units = 0
     chain: list[int] = []
     pushed = [key(i) for i in live]  # the key each row was last pushed with
     heap = pushed.copy()

@@ -1,7 +1,9 @@
 """From-scratch references for ``pbp.presentations``.
 
-``coset_table_oracle`` enumerates the image group breadth first and then
-fills the action rows in a second sweep over every element and generator.
+``coset_enumerate_oracle`` is ``coset_enumerate`` with one
+``tuple(map(p.__getitem__, e))`` per product, every relator image composed
+one letter at a time by ``perm_mul_oracle``, and the table built by the
+public ``CosetTable`` constructor, which checks and inverts every row.
 ``is_closed_oracle`` applies every relator to every coset, letter by
 letter, with ``act_word``, and ``reached_from_base`` searches the cosets
 reachable from coset 0.  ``schreier_data_oracle`` rewrites
@@ -20,15 +22,18 @@ from collections import deque
 from typing import Sequence
 
 from pbp.presentations import (
+    DEFAULT_COSET_CAP,
+    BoundExceeded,
     CosetTable,
     FinitePresentation,
+    RelatorNotKilled,
     SchreierData,
     perm_identity,
-    perm_mul,
+    perm_inv,
     reidemeister_schreier_data,
     rs_counts,
 )
-from pbp.words import Word
+from pbp.words import Word, format_word
 
 
 def deficiency_count(pres: FinitePresentation) -> int:
@@ -50,23 +55,52 @@ def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
     return [[r.exponent_sum(g) for g in range(pres.generator_count)] for r in pres.relators]
 
 
-def coset_table_oracle(images: Sequence[Sequence[int]]) -> CosetTable:
-    """Right regular action of the group the images generate."""
+def perm_mul_oracle(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """p then q, one index at a time."""
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
+def coset_enumerate_oracle(
+    pres: FinitePresentation,
+    images: Sequence[Sequence[int]],
+    coset_cap: int = DEFAULT_COSET_CAP,
+) -> CosetTable:
+    """Right regular action of the group the images generate, with
+    ``coset_enumerate``'s checks, messages and coset cap."""
+    if len(images) != pres.generator_count:
+        raise ValueError("one permutation image per generator is required")
     imgs = [tuple(p) for p in images]
-    identity = perm_identity(len(imgs[0]))
+    degree = len(imgs[0])
+    for p in imgs:
+        try:
+            if len(p) != degree:
+                raise ValueError
+            perm_inv(p)
+        except ValueError:
+            raise ValueError(f"image {p!r} is not a permutation of degree {degree}") from None
+
+    identity = perm_identity(degree)
+    for r in pres.relators:
+        image = identity
+        for x in r.raw:
+            image = perm_mul_oracle(image, imgs[x - 1] if x > 0 else perm_inv(imgs[-x - 1]))
+        if image != identity:
+            raise RelatorNotKilled(f"relator {format_word(r, pres.names())!r} survives in the image")
+
     elements = {identity: 0}
     order = [identity]
-    queue = deque([identity])
-    while queue:
-        e = queue.popleft()
-        for p in imgs:
-            f = perm_mul(e, p)
-            if f not in elements:
-                elements[f] = len(order)
+    rows: list[list[int]] = [[] for _ in imgs]
+    for e in order:  # grows while it is read
+        for p, row in zip(imgs, rows):
+            f = tuple(map(p.__getitem__, e))
+            k = elements.get(f)
+            if k is None:
+                if len(order) >= coset_cap:
+                    raise BoundExceeded(f"more than {coset_cap} cosets")
+                k = elements[f] = len(order)
                 order.append(f)
-                queue.append(f)
-    action = tuple(tuple(elements[perm_mul(e, p)] for e in order) for p in imgs)
-    return CosetTable(len(order), action)
+            row.append(k)
+    return CosetTable(len(order), rows)
 
 
 def act(table: CosetTable, coset: int, letter: int) -> int:

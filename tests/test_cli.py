@@ -368,11 +368,14 @@ def test_subcommands_load_only_their_modules(tmp_path):
         assert own in loaded and not loaded & absent, (argv, sorted(loaded))
 
 
-def test_subcommands_outside_bs_and_classify_load_no_typing(tmp_path):
-    """``subgroup``, ``coxeter``, ``lie`` and ``abels`` never import typing:
-    their modules take annotation names from collections.abc.  The process
-    runs with -S, since site may import typing on its own."""
+def test_subcommands_outside_classify_load_no_typing(tmp_path):
+    """``bs`` (verifying or not), ``subgroup``, ``coxeter``, ``lie`` and
+    ``abels`` never import typing: their modules take annotation names from
+    collections.abc.  The process runs with -S, since site may import typing
+    on its own."""
     runs = [
+        ["bs", "2", "-2"],
+        ["bs", "2", "-2", "--verify-bound", "4"],
         ["subgroup", "-i", write(tmp_path, "p.json", {"generators": ["a", "b"], "relators": ["a^2", "b^3", "a b a b"]}),
          "--hom", write(tmp_path, "h.json", {"images": [[1, 0, 2], [1, 2, 0]]})],
         ["coxeter", "-i", write(tmp_path, "m.json", {"n": 3, "m": [[1, 3, 3], [3, 1, 7], [3, 7, 1]]})],

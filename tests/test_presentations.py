@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from pbp.presentations import (
+    DEFAULT_COSET_CAP,
     AbelianInvariants,
     BoundExceeded,
     CosetTable,
     FinitePresentation,
     RelatorNotKilled,
     _exponent_rows,
+    _sparse_smith,
     abelianization,
     coset_enumerate,
     perm_identity,
@@ -33,11 +35,12 @@ from pbp.words import Word, parse_word
 from presentations_oracles import (
     act,
     act_word,
-    coset_table_oracle,
+    coset_enumerate_oracle,
     deficiency_count,
     exponent_matrix,
     is_closed_oracle,
     kunneth_bound,
+    perm_mul_oracle,
     reached_from_base,
     reidemeister_schreier,
     schreier_data_oracle,
@@ -240,7 +243,7 @@ def test_rs_matches_per_letter_oracle():
     cases += [case for case, _ in TRIANGLE_KERNELS]
     for pres, images in cases:
         table = coset_enumerate(pres, images)
-        assert table.action == coset_table_oracle(images).action
+        assert table.action == coset_enumerate_oracle(pres, images).action
         assert is_closed_oracle(table, pres)
         data, oracle = reidemeister_schreier_data(pres, table), schreier_data_oracle(pres, table)
         assert data.presentation.relators == oracle.presentation.relators
@@ -631,6 +634,61 @@ def test_sparse_abelianization_matches_dense_snf(case):
     assert abelianization(pres) == invariants_from_diagonal(diag, n)
 
 
+UNIT = st.sampled_from([1, -1])
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Sparse matrices rich in one-entry +-1 rows, shuffled.  Besides random
+    rows of up to three entries, they draw the shapes the unit-row pre-pass
+    of ``_sparse_smith`` must get right: a unit row whose column kill leaves
+    another row a one-entry unit row, {j: 1} beside {j: -1}, a one-entry
+    +-2 row, which stays for the heap, and rows that the kills empty."""
+    n = draw(st.integers(1, 12))
+    column = st.integers(0, n - 1)
+    rows = []
+
+    def put(*entries):
+        row = [0] * n
+        for j, v in entries:
+            row[j] = v
+        rows.append(row)
+
+    for _ in range(draw(st.integers(0, 3))):  # a kill that makes a new unit row
+        j, k = draw(column), draw(column)
+        put((j, draw(UNIT)))
+        put((j, draw(st.sampled_from([1, -1, 2, -3]))), (k, draw(UNIT)))
+    for _ in range(draw(st.integers(0, 2))):  # {j: 1} and {j: -1}
+        j = draw(column)
+        put((j, 1))
+        put((j, -1))
+    for _ in range(draw(st.integers(0, 2))):  # a one-entry row that is no unit
+        put((draw(column), draw(st.sampled_from([2, -2]))))
+    for _ in range(draw(st.integers(0, 2))):  # rows the kills empty
+        j, k = draw(column), draw(column)
+        put((j, draw(UNIT)))
+        put((k, draw(UNIT)))
+        put((j, draw(st.sampled_from([3, -2]))))
+        put((j, 2), (k, draw(st.sampled_from([1, 4]))))
+    entry = st.sampled_from([1, -1, 2, -2, 3, -4, 6])
+    for _ in range(draw(st.integers(0, 8))):
+        put(*draw(st.lists(st.tuples(column, entry), max_size=3)))
+    if not rows:
+        put((draw(column), draw(UNIT)))
+    return draw(st.permutations(rows)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_rich_matrices())
+def test_unit_row_prepass_matches_dense_snf(case):
+    rows, n = case
+    diag = snf_oracle(rows)
+    assert smith_normal_form(rows) == diag
+    units, chain = _sparse_smith([{j: v for j, v in enumerate(row) if v} for row in rows])
+    assert [1] * units + chain == [v for v in diag if v]
+    assert abelianization(pres_from_matrix(rows, n)) == invariants_from_diagonal(diag, n)
+
+
 @st.composite
 def scrambled_diagonals(draw):
     """A square matrix with a known Smith form: diag(1, ..., 1, d_1 | d_2 | ...,
@@ -710,6 +768,79 @@ def test_coset_enumerate_refuses_an_image_that_is_no_permutation(image):
     pres = FinitePresentation(2, (), ("a", "b"))
     with pytest.raises(ValueError, match=f"^image {re.escape(repr(image))} is not a permutation of degree 2$"):
         coset_enumerate(pres, [swap2(), image])
+
+
+def enumerate_or_error(enumerate_, pres, images, cap):
+    """The table's d, action and inverse, or the type and message of what it raised."""
+    try:
+        table = enumerate_(pres, images, cap)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return table.d, table.action, table.inverse
+
+
+@st.composite
+def small_maps(draw):
+    """Images in S_n, n <= 6, some of them no permutation of the common
+    degree, relators that die in the image and some that may not, and a
+    coset cap that may be too small."""
+    degree = draw(st.integers(0, 6))
+    a = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))  # uniform, unlike shrinkable permutations
+    images = [tuple(rng.sample(range(degree), degree)) for _ in range(a)]
+    if draw(st.integers(0, 9)) == 0:
+        images[draw(st.integers(0, a - 1))] = tuple(draw(st.lists(st.integers(-1, degree), max_size=degree + 1)))
+    letter = st.integers(1, a).flatmap(lambda g: st.sampled_from([g, -g]))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(Word), max_size=3))
+    if all(sorted(p) == list(range(degree)) for p in images):
+        words = [w if draw(st.integers(0, 4)) == 0 else w ** perm_order(word_image(w, images, degree))
+                 for w in words]
+    return FinitePresentation(a, words), images, draw(st.sampled_from([DEFAULT_COSET_CAP, 1, 5, 30, 200]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_maps())
+def test_coset_enumerate_matches_the_per_image_oracle(case):
+    assert enumerate_or_error(coset_enumerate, *case) == enumerate_or_error(coset_enumerate_oracle, *case)
+
+
+def test_coset_enumerate_pins_small_degrees_and_messages():
+    """Degrees 0 and 1 give the one-coset table, as degree 2 with trivial
+    images does; refusals keep their messages."""
+    one = FinitePresentation(1, (Word([1, 1]),), ("s",))
+    two = FinitePresentation(2, (Word([1, 2, -1, -2]),), ("a", "b"))
+    for pres, images, want in [
+        (one, [()], (1, ((0,),), ((0,),))),
+        (one, [(0,)], (1, ((0,),), ((0,),))),
+        (two, [(0,), (0,)], (1, ((0,), (0,)), ((0,), (0,)))),
+        (two, [(0, 1), (0, 1)], (1, ((0,), (0,)), ((0,), (0,)))),
+        (one, [swap2()], (2, ((1, 0),), ((1, 0),))),
+        (two, [swap2(), swap2()], (2, ((1, 0), (1, 0)), ((1, 0), (1, 0)))),
+        (two, [[1, 0], [0, 1]], (2, ((1, 0), (0, 1)), ((1, 0), (0, 1)))),
+        (two, [(0,), (0, 1)], (ValueError, "image (0, 1) is not a permutation of degree 1")),
+        (two, [(), (0,)], (ValueError, "image (0,) is not a permutation of degree 0")),
+        (two, [(1, 1), (0, 1)], (ValueError, "image (1, 1) is not a permutation of degree 2")),
+        (one, [(1, 2, 0)], (RelatorNotKilled, "relator 's^2' survives in the image")),
+        (FinitePresentation(1, (Word([1, 1]),)), [(1, 2, 0)],
+         (RelatorNotKilled, "relator 'x0^2' survives in the image")),
+        (two, [(1, 0, 2), (0, 2, 1)], (RelatorNotKilled, "relator 'a b a^-1 b^-1' survives in the image")),
+        (FinitePresentation(1, ()), [cyclic_perm(5)], (BoundExceeded, "more than 4 cosets")),
+    ]:
+        cap = 4 if want[0] is BoundExceeded else DEFAULT_COSET_CAP
+        assert enumerate_or_error(coset_enumerate, pres, images, cap) == want
+        assert enumerate_or_error(coset_enumerate_oracle, pres, images, cap) == want
+    with pytest.raises(ValueError, match="^one permutation image per generator is required$"):
+        coset_enumerate(two, [swap2()])
+
+
+def test_perm_mul_matches_the_per_index_product():
+    rng = random.Random(33)
+    for n in range(7):
+        for _ in range(5):
+            p, q = (tuple(rng.sample(range(n), n)) for _ in range(2))
+            assert perm_mul(p, q) == perm_mul_oracle(p, q)
+            assert perm_mul(list(p), list(q)) == perm_mul_oracle(p, q)
+            assert type(perm_mul(list(p), q)) is tuple
 
 
 def test_perm_inv_inverts_and_refuses_non_permutations():
