@@ -8,13 +8,7 @@ Conflicting conclusions raise InconsistentInput instead of picking a side.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, get_type_hints
-
 from .verdict import FG_QUALIFIER, Answer, Record, TraceEntry, Verdict, json_int
-
-if TYPE_CHECKING:
-    from .coxeter import CoxeterMatrix
-    from .presentations import FinitePresentation
 
 
 class InconsistentInput(ValueError):
@@ -153,12 +147,13 @@ class Flags(Record):
                   hyperbolic, elementary, simple, centre, seifert, virtually)
 
 
-_FLAG_TYPES = get_type_hints(Flags)
+# the annotation strings (this module postpones annotations), read without typing
+_FLAG_TYPES = Flags.__annotations__
 # JSON key -> Flags field: the field name with dashes for underscores
 _FLAG_KEYS = {name.replace("_", "-"): name for name in _FLAG_TYPES}
 # the keys whose JSON value must be a bool, and those that must be an integer
-_BOOL_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == bool | None}
-_INT_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == int | None}
+_BOOL_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == "bool | None"}
+_INT_FLAGS = {key for key, name in _FLAG_KEYS.items() if _FLAG_TYPES[name] == "int | None"}
 
 
 class GroupDescriptor(Record):

@@ -186,9 +186,8 @@ def is_ideal(algebra: LieAlgebra, s: Subspace) -> bool:
 
 
 def centralizer(algebra: LieAlgebra, a: Subspace) -> Subspace:
-    """{Y : [Y, X] = 0 for all X in a}, as the kernel of stacked ad matrices."""
-    if a.is_zero():
-        return Subspace.whole(algebra.dim)
+    """{Y : [Y, X] = 0 for all X in a}, as the kernel of stacked ad matrices
+    (of no rows, so the whole algebra, when a is zero)."""
     rows = []
     for x in a.rows:
         rows.extend(algebra.ad(x))  # [x, Y] = ad(x) Y; zero iff [Y, x] = 0
@@ -315,7 +314,7 @@ def _compose_rows(outer: tuple[Vec, ...], inner: tuple[Vec, ...]) -> tuple[Vec, 
     return rref(mat_vec(transpose(outer), r) for r in inner)
 
 
-def _spin(vectors: list, gens: list, n: int) -> tuple[Vec, ...]:
+def _spin(vectors: list, gens: list) -> tuple[Vec, ...]:
     """Smallest gens-invariant subspace containing the vectors (rref rows)."""
     builder = SpanBuilder()
     queue = []
@@ -376,7 +375,7 @@ def _simplicity(gens: list, endo: list):
     units = (_unit(dim, i) for i in range(dim))
     kernels = (ker[0] for g in gens if (ker := nullspace(g, dim)))
     for v in chain(units, kernels):
-        w = _spin([v], gens, dim)
+        w = _spin([v], gens)
         if len(w) < dim:
             return ("proper", w)
     return None

@@ -278,10 +278,9 @@ def poly_eval_matrix(coeffs: Sequence, m: Sequence[Sequence]) -> Matrix:
 
 
 def _is_scalar(m: Sequence[Sequence]) -> bool:
-    """Is m a multiple of the identity?"""
-    c = m[0][0]
+    """Is m a multiple of the identity?  The 0 x 0 matrix is."""
     for i, row in enumerate(m):
-        if row[i] != c or any(row[:i]) or any(row[i + 1 :]):
+        if row[i] != m[0][0] or any(row[:i]) or any(row[i + 1 :]):
             return False
     return True
 
@@ -339,18 +338,16 @@ def _kernel_combinations(states: list, images: list) -> list:
 
     The coefficients of each are a null vector of the matrix with columns
     ``images``, read off its integer echelon (``SpanBuilder._kernel``), and
-    the combination is divided by the gcd of its entries.
+    the combination is divided by the gcd of its entries.  It is never
+    empty: the state of the identity map meets every constraint.
     """
     echelon = SpanBuilder()
-    k = len(states)
     for row in zip(*images):
         w = echelon._reduce(row)
         if any(w):
             echelon._push(w)
-            if len(echelon.rows) == k:
-                return []
     out = []
-    for coeffs in echelon._kernel(k):
+    for coeffs in echelon._kernel(len(states)):
         x = [0] * len(states[0])
         for c, s in zip(coeffs, states):
             if c:
@@ -386,10 +383,10 @@ def _module_maps(gens: Sequence, n: int) -> tuple[list, SpanBuilder]:
     order of the last basis vector they use, so the space shrinks before
     most images are formed.  Entries stay integers: X g = g X iff
     X (den g) = (den g) X, and the spin carries the integer inverse of its
-    basis.
+    basis.  States exist from the first edge on (b_0 is a seed), and the
+    identity map keeps one at every edge; with n = 0 only the sentinel edge
+    is read.
     """
-    if not n:
-        return [], SpanBuilder()
     # a scalar g constrains nothing
     gs = [_int_matrix(g)[0] for g in gens if not _is_scalar(g)]
     parents, edges, echelon = _spin_tree(gs, n)
@@ -415,7 +412,7 @@ def _module_maps(gens: Sequence, n: int) -> tuple[list, SpanBuilder]:
                     xs = x[src * n : src * n + n]
                     x.extend([sum(map(mul, row, xs)) for row in h])
             done += 1
-        if i is None or not states:
+        if i is None:
             continue
         h = gs[j]
         images = []

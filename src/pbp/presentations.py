@@ -23,9 +23,11 @@ generators and relators of total length R:
   against a presentation: a walk of a relator that does not end at its
   start coset is an error, and so is a coset its transversal misses
   (``coset_enumerate`` builds tables that pass both by construction).
-  The subgroup presentation it writes skips ``FinitePresentation``'s relator
-  scan (``FinitePresentation._unchecked``): every relator is a reduced
-  Word in the Schreier generators the rewrite has just numbered.
+  A rewritten relator is reduced as written: a reduced relator's walk
+  never comes back along the tree to run a non-tree edge backwards.  So
+  the subgroup presentation it writes skips ``FinitePresentation``'s
+  relator scan (``FinitePresentation._unchecked``): every relator is a
+  reduced Word in the Schreier generators the rewrite has just numbered.
 - ``abelianization`` builds one exponent row per distinct letter multiset
   of the relators.  The rewrites of a relator u^n at the cosets c, c.u,
   c.u^2, ... are rotations of one another before free reduction, so most
@@ -358,6 +360,13 @@ def reidemeister_schreier_data(
     when c is reached from c.x by x^-1, and rep[c.x] ends in x only when
     c.x is reached from c by x; either way (c, x) is a tree edge.
 
+    A rewritten relator lists the non-tree edges its walk crosses, reduced
+    as written (Lyndon and Schupp, *Combinatorial Group Theory*, 1977,
+    ch. II).  -g is g's edge run backwards, and a reduced relator never
+    runs an edge straight back, so g then -g would need a closed tree walk
+    without backtracking, which does not exist.  Only the spanning tree is
+    used, so this holds for every table.
+
     The representatives stay letter tuples until the transitivity check
     has passed, and become the ``transversal`` Words once.  The subgroup
     presentation is built by ``FinitePresentation._unchecked``: its
@@ -388,15 +397,11 @@ def reidemeister_schreier_data(
         gen_at[-i - 1] = [-forward[b] for b in table.inverse[i]]
 
     def rewrite(path: list[tuple[list[int], tuple[int, ...]]], start: int) -> Word:
-        out: list[int] = []
+        out: list[int] = []  # never cancels: see the docstring
         c = start
         for gens, perm in path:
-            g = gens[c]
-            if g:
-                if out and out[-1] == -g:
-                    out.pop()
-                else:
-                    out.append(g)
+            if g := gens[c]:
+                out.append(g)
             c = perm[c]
         if c != start:
             raise ValueError("table is not closed under the relators")

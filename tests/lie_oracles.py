@@ -73,7 +73,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
     """Least ideal containing the seed: its spin under ad e_i, [e_i, v] = ad(e_i) v."""
     n = algebra.dim
-    return Subspace(n, _spin(list(seed.rows), [algebra.ad_basis(i) for i in range(n)], n))
+    return Subspace(n, _spin(list(seed.rows), [algebra.ad_basis(i) for i in range(n)]))
 
 
 def quotient_constants_oracle(algebra: LieAlgebra, ideal: Subspace) -> tuple:

@@ -289,6 +289,32 @@ def test_gamma_commutes_matches_the_commutator(case):
     assert commute is None or gamma_commutes(g, h) == commute
 
 
+@st.composite
+def unequal_unit_pairs(draw):
+    """Two classes whose units differ in sign and in exponent; with x = y = 0
+    on both (drawn half the time) they commute."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    sign, exp, gap = draw(st.sampled_from([1, -1])), draw(st.integers(-4, 4)), draw(st.integers(1, 4))
+    diagonal = draw(st.booleans())
+
+    def element(sign, exp):
+        x, y = (0, 0) if diagonal else (draw(z_inv_p(p)), draw(z_inv_p(p)))
+        return GammaElement(A3Matrix.make(p, x, y, draw(z_inv_p(p)), sign, exp))
+
+    return element(sign, exp), element(-sign, exp + gap)
+
+
+@given(unequal_unit_pairs())
+def test_products_in_either_order_share_the_unit(case):
+    """gamma_commutes compares no units: ab and ba both carry u1 u2, since the
+    units +-p^k commute, even when u1 and u2 differ in sign and exponent."""
+    g, h = case
+    a, b = g.matrix, h.matrix
+    units = {(m.u_sign, m.u_exp) for m in (a3_mul(a, b), a3_mul(b, a))}
+    assert units == {(a.u_sign * b.u_sign, a.u_exp + b.u_exp)}
+    assert gamma_commutes(g, h) == commutator_oracle(g, h) == fraction_commutes(entries(a), entries(b))
+
+
 def test_acentral_check_makes_two_products_per_sample(monkeypatch):
     calls = 0
     mul = abels.a3_mul
@@ -339,6 +365,7 @@ def test_is_prime_matches_sympy_on_random_integers(bits):
         2047, 3215031751, 3825123056546413051,  # strong pseudoprimes to base 2
         561, 41041, 825265,  # Carmichael numbers
         5459, 5777, 10877,  # strong Lucas pseudoprimes
+        1093**2, 3511**2,  # squares that pass base 2: refused before the Lucas test
     ],
 )
 def test_is_prime_rejects_pseudoprimes(n):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,12 @@ def test_virtually_nested_descriptor():
     assert classify(wrapped).answer == Answer.YES
 
 
+def test_virtually_a_finite_coxeter_group_is_not_applicable():
+    # the finite group A3 is out of scope, and so is every group it is virtually
+    wrapped = flagged(virtually={"kind": "coxeter", "matrix": {"n": 3, "m": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]}})
+    assert classify(wrapped).answer == Answer.NOT_APPLICABLE
+
+
 def test_delegation_matches_direct_calls():
     from pbp.bs import bs_presentable
     from pbp.coxeter import coxeter_presentable, standard_diagram
@@ -182,6 +189,17 @@ def test_inconsistent_flags_rejected():
         classify(flagged(ends=0, infinite=True))
     with pytest.raises(InconsistentInput):
         classify(flagged(deficiency=2, infinite=False))
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"ends": 3}, "ends must be 0, 1, 2 or 'inf', not 3"),
+    ({"centre": "huge"}, "centre must be 'finite' or 'infinite'"),
+    ({"centre": "infinite", "infinite": False}, "infinite centre implies an infinite group"),
+    ({"vcd": 0, "infinite": True}, "cohomological dimension 0 means the trivial group"),
+])
+def test_clashing_flags_name_the_clash(flags, message):
+    with pytest.raises(InconsistentInput, match=f"^{re.escape(message)}$"):
+        classify(flagged(**flags))
 
 
 def test_conflicting_rules_rejected():

@@ -368,12 +368,22 @@ def test_subcommands_load_only_their_modules(tmp_path):
         assert own in loaded and not loaded & absent, (argv, sorted(loaded))
 
 
-def test_subcommands_outside_classify_load_no_typing(tmp_path):
-    """``bs`` (verifying or not), ``subgroup``, ``coxeter``, ``lie`` and
-    ``abels`` never import typing: their modules take annotation names from
-    collections.abc.  The process runs with -S, since site may import typing
-    on its own."""
+def test_subcommands_load_no_typing(tmp_path):
+    """No subcommand imports typing: ``bs`` (verifying or not), ``subgroup``,
+    ``coxeter``, ``lie``, ``abels``, and ``classify`` on the golden
+    descriptors and on a flagged one with a presentation.  The modules take
+    annotation names from collections.abc, and the classifier reads the flag
+    types from the annotation strings.  The process runs with -S, since site
+    may import typing on its own."""
     runs = [
+        ["classify", "-i", write(tmp_path, golden.name, json.loads(golden.read_text())["descriptor"])]
+        for golden in sorted(GOLDEN.glob("*.json"))
+    ]
+    assert len(runs) == 12
+    runs += [
+        ["classify", "-i", write(tmp_path, "flagged.json", {
+            "kind": "flagged", "presentation": {"generators": ["a", "b"], "relators": ["a b a^-1 b^-1"]},
+            "flags": {"infinite": True, "ends": 1}})],
         ["bs", "2", "-2"],
         ["bs", "2", "-2", "--verify-bound", "4"],
         ["subgroup", "-i", write(tmp_path, "p.json", {"generators": ["a", "b"], "relators": ["a^2", "b^3", "a b a b"]}),
@@ -492,9 +502,10 @@ def test_flag_types_are_read_from_the_flags_class():
 
 def test_src_imports_only_stdlib():
     """Every import in src/pbp is relative, of pbp itself, or of the standard
-    library other than dataclasses: importing it, and the methods it generates
-    with exec, would add to the start of every CLI process."""
-    allowed = sys.stdlib_module_names - {"dataclasses"} | {"pbp"}
+    library other than dataclasses and typing: importing either would add to
+    the start of every CLI process, dataclasses with the methods it generates
+    with exec.  Annotation names come from collections.abc instead."""
+    allowed = sys.stdlib_module_names - {"dataclasses", "typing"} | {"pbp"}
     foreign = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -569,6 +580,30 @@ def test_src_imports_are_used():
         used = {node.id for node in nodes if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in sorted(imported - used - {"annotations"})]
     assert unused == []
+
+
+def test_src_parameters_are_read():
+    """Every parameter of every function in src/pbp is read in its body.
+    self, cls and names that start with _ are exempt, and so is the value
+    that Record.__setattr__ refuses to set."""
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            body = fn.body if isinstance(fn, ast.FunctionDef) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = f"{owner[id(fn)]}.{fn.name}" if id(fn) in owner else getattr(fn, "name", "<lambda>")
+            unread += [(path.stem, name, p) for p in params
+                       if p not in read and p not in ("self", "cls") and not p.startswith("_")
+                       and (name, p) != ("Record.__setattr__", "value")]
+    assert unread == []
 
 
 def test_src_private_definitions_are_used():

@@ -114,7 +114,7 @@ def test_so21_is_simple_by_spinning_oracle():
             continue
         from pbp.lie import _spin
 
-        assert len(_spin([v], mats, 3)) == 3
+        assert len(_spin([v], mats)) == 3
     lat = ideal_lattice(algebra)
     assert lat.completeness is Completeness.COMPLETE
     assert sorted(s.dim for s in lat.ideals) == [0, 3]
@@ -217,6 +217,15 @@ def test_certificate_rejects_small_sum():
     ok, reason = verify_product_certificate(a, LieCertificate(ke, ke))
     assert not ok
     assert "dimension 1 < 2" in reason
+
+
+@pytest.mark.parametrize("parts, reason", [
+    ((Subspace.whole(2), Subspace.whole(3)), "g1 lives in the wrong ambient dimension"),
+    ((Subspace.whole(3), Subspace.zero(3)), "g2 is the zero subspace"),
+    ((Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)]), Subspace.whole(3)), "g1 is not a subalgebra"),
+], ids=["ambient", "zero", "subalgebra"])
+def test_certificate_refuses_a_malformed_part(parts, reason):
+    assert verify_product_certificate(sl2(), LieCertificate(*parts)) == (False, reason)
 
 
 def test_certificate_rejects_noncommuting():
@@ -578,6 +587,40 @@ def test_lattices_survive_change_of_basis(data):
     algebra = catalogue(name)
     rebased = rebase(algebra, draw_basis(data, algebra.dim))
     assert lattice_summary(rebased) == catalogue_summary(name)
+
+
+@pytest.mark.parametrize("name", ["vr(2,1,3)", "vr(3,0,3)"])
+def test_dense_basis_descends_to_a_simple_submodule(monkeypatch, name):
+    """In the dense basis seed 1 draws, the proper submodule that
+    _find_simple_inside starts from is not simple, so it descends at least
+    once; the verdict is the catalogue basis's: two 3-dimensional ideals of
+    an infinite family."""
+    algebra = catalogue(name)
+    n = algebra.dim
+    rng = random.Random(1)
+    lower, upper = ([rng.choice(UNIT_ENTRIES) for _ in range(n * (n - 1) // 2)] for _ in range(2))
+    rebased = rebase(algebra, dense_unimodular(lower, upper, n))
+    inside, steps = [False], []
+    find, compose = lie._find_simple_inside, lie._compose_rows
+
+    def spy_find(rows, gens):
+        inside[0] = True
+        try:
+            return find(rows, gens)
+        finally:
+            inside[0] = False
+
+    def spy_compose(outer, inner):
+        steps.append(inside[0])
+        return compose(outer, inner)
+
+    monkeypatch.setattr(lie, "_find_simple_inside", spy_find)
+    monkeypatch.setattr(lie, "_compose_rows", spy_compose)
+    for basis in (algebra, rebased):
+        report = lie_presentable(basis).to_json()
+        assert report["lattice_completeness"] == "InfiniteFamilyDetected"
+        assert [step["ideal_dim"] for step in report["ideal_trace"]] == [3, 3]
+    assert any(steps)
 
 
 def restrict_oracle(mat, rows):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_oracles import (
@@ -280,9 +280,17 @@ def matrix_sets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(matrix_sets())
+@example((0, []))
+@example((0, [[], []]))
 def test_solve_commutant_matches_the_oracle_basis_for_basis(case):
+    """The basis equals the oracle's and spans the identity, which commutes
+    with every generator: so the spin's kernels are never zero.  n = 0 takes
+    the general path to the empty basis."""
     n, mats = case
-    assert solve_commutant(mats, n) == solve_commutant_oracle(mats, n)
+    basis = solve_commutant(mats, n)
+    assert basis == solve_commutant_oracle(mats, n)
+    identity = [int(i == j) for i in range(n) for j in range(n)]
+    assert len(rref_oracle([[x for row in m for x in row] for m in basis] + [identity])) == len(basis)
 
 
 @settings(max_examples=100, deadline=None)

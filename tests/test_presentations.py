@@ -108,6 +108,9 @@ def test_rs_counts_values():
         a = random.Random(d).randint(1, 6)
         ab, bb = rs_counts(a, a - 1, d)  # a - b = 1
         assert ab - bb == 1
+    for args in [(0, 1, 1), (1, -1, 1), (1, 1, 0)]:
+        with pytest.raises(ValueError, match=r"^need a >= 1, b >= 0, d >= 1$"):
+            rs_counts(*args)
 
 
 def test_kunneth_bound_nonpositive():
@@ -348,6 +351,45 @@ def test_enumerated_tables_are_closed_and_transitive(case):
     table = coset_enumerate(pres, images)
     assert is_closed_oracle(table, pres)
     assert reached_from_base(table) == set(range(table.d))
+
+
+@st.composite
+def transitive_tables_and_relators(draw):
+    """A transitive action of 1-3 generators on 1-7 cosets, given to the
+    public CosetTable, and up to three cyclically reduced words, each raised
+    to the order of the permutation its walk applies, so the table is closed
+    under them.  An intransitive draw gets a conjugate of the d-cycle as its
+    last generator."""
+    d = draw(st.integers(1, 7))
+    a = draw(st.integers(1, 3))
+    action = [list(draw(st.permutations(range(d)))) for _ in range(a)]
+    table = CosetTable(d, action)
+    if reached_from_base(table) != set(range(d)):
+        sigma = draw(st.permutations(range(d)))
+        action[-1] = [sigma[(sigma.index(c) + 1) % d] for c in range(d)]
+        table = CosetTable(d, action)
+    letter = st.integers(1, a).flatmap(lambda g: st.sampled_from([g, -g]))
+    relators = []
+    for letters in draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=3)):
+        w = Word(letters).raw
+        while len(w) > 1 and w[0] == -w[-1]:
+            w = w[1:-1]
+        walk = [act_word(table, c, Word(w)) for c in range(d)]
+        relators.append(Word(w) ** perm_order(walk))
+    return FinitePresentation(a, tuple(relators)), table
+
+
+@settings(max_examples=150, deadline=None)
+@given(transitive_tables_and_relators())
+def test_rs_rewrite_of_any_transitive_table_is_reduced_as_written(case):
+    """The rewrite keeps every non-tree letter and cancels none: a reduced
+    relator's walk cannot return along the spanning tree to run a non-tree
+    edge backwards.  This holds for any table, not only enumerated ones."""
+    pres, table = case
+    data = reidemeister_schreier_data(pres, table)
+    oracle = schreier_data_oracle(pres, table)
+    assert data == oracle
+    assert all(Word(r.raw).raw == r.raw for r in data.presentation.relators)
 
 
 def kernel_shapes():

@@ -3,6 +3,7 @@ field, immutability, keyword construction, pickling and the repr."""
 
 import inspect
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,17 @@ def test_reprs_are_pinned():
     assert repr(presentations.AbelianInvariants(2)) == "AbelianInvariants(free_rank=2, torsion=())"
     assert repr(coxeter.Signature(1, 0, 1)) == "Signature(p=1, q=0, r=1)"
     assert repr(presentations.CosetTable(2, [[1, 0]])) == "CosetTable(d=2, action=((1, 0),))"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: presentations.AbelianInvariants(0, (1,)), "torsion entries are at least 2"),
+    (lambda: presentations.AbelianInvariants(0, (2, 3)), "torsion entries must form a divisibility chain"),
+    (lambda: Verdict(Answer.YES), "YES requires a certificate or a concluding rule"),
+    (lambda: Verdict(Answer.NO), "NO requires at least one citation"),
+    (lambda: bs.BrittonForm(bs.BSGroup(2, 3), 0, ((2, 0),)), "epsilon must be +-1"),
+    (lambda: bs.BrittonForm(bs.BSGroup(2, 3), 0, ((1, 1), (-1, 3))), "exponent 3 out of range at position 1"),
+    (lambda: bs.BrittonForm(bs.BSGroup(2, 3), 0, ((1, 0), (-1, 0))), "form contains a pinch"),
+], ids=["torsion-1", "torsion-chain", "bare-yes", "bare-no", "epsilon", "exponent", "pinch"])
+def test_constructors_refuse_what_their_records_forbid(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
