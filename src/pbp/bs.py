@@ -153,7 +153,10 @@ def _britton_push(
     return stack[0][1], tuple(stack[1:])
 
 
-def _normalize_pass(k0: int, tail: list[tuple[int, int]], m: int, n: int) -> int:
+def _normalize_pass(state: tuple[int, tuple], m: int, n: int) -> tuple[int, tuple]:
+    """The normal form (k0, tail) of a pinch-free state from ``_britton_push``."""
+    k0, syllables = state
+    tail = list(syllables)
     # push multiples of the associated subgroup's exponent to the left; where
     # syllables i-1 and i could pinch, outer is i-1's modulus, so none appears
     for i in range(len(tail) - 1, -1, -1):
@@ -167,16 +170,14 @@ def _normalize_pass(k0: int, tail: list[tuple[int, int]], m: int, n: int) -> int
                 k0 += q * outer
             else:
                 tail[i - 1] = (tail[i - 1][0], tail[i - 1][1] + q * outer)
-    return k0
+    return k0, tuple(tail)
 
 
 def britton_reduce(group: BSGroup, word: Word) -> BrittonForm:
     """Canonical pinch-free form of a word; equal elements compare equal."""
     m, n = group.m, group.n
-    k0, syllables = _britton_push((0, ()), word.raw, m, n)
-    tail = list(syllables)
-    k0 = _normalize_pass(k0, tail, m, n)
-    return BrittonForm(group, k0, tuple(tail))
+    k0, tail = _normalize_pass(_britton_push((0, ()), word.raw, m, n), m, n)
+    return BrittonForm(group, k0, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +286,7 @@ def _shortest_relation(group: BSGroup, conjugates: Sequence[Word], length_bound:
             for x in letters:
                 if x == -last:
                     continue
-                k0, syllables = _britton_push(parent, images[x], m, n)
-                tail = list(syllables)
-                form = (_normalize_pass(k0, tail, m, n), tuple(tail))
+                form = _normalize_pass(_britton_push(parent, images[x], m, n), m, n)
                 # a form absent below reads as x itself: no match
                 if below.get(form, x) != x:
                     return 2 * level - 1

@@ -3,7 +3,10 @@
 Structured descriptors (Coxeter matrices, Baumslag-Solitar parameters) are
 delegated to their exact deciders; flag-annotated descriptors run through a
 fixed rule base in which every flag is treated as a user-asserted axiom.
-Conflicting conclusions raise InconsistentInput instead of picking a side.
+Conflicting conclusions raise InconsistentInput instead of picking a side:
+a flag that a derivation concludes (say, a positive first L2-Betti number
+makes the group infinite) and that is asserted with the other value is
+refused, with the rule named.
 """
 
 from __future__ import annotations
@@ -231,6 +234,8 @@ def _with_flag(flags: Flags, name: str, value) -> Flags:
 
 
 def _validate_flags(f: Flags) -> None:
+    """Refuse a flag outside its domain, or a clash that no derivation states."""
+
     def clash(message: str):
         raise InconsistentInput(message)
 
@@ -238,27 +243,33 @@ def _validate_flags(f: Flags) -> None:
         clash(f"ends must be 0, 1, 2 or 'inf', not {f.ends!r}")
     if f.centre is not None and f.centre not in ("finite", "infinite"):
         clash("centre must be 'finite' or 'infinite'")
+    if f.vcd is not None and f.vcd < 0:
+        clash(f"vcd must be at least 0, not {f.vcd}")
     if f.ends == 0 and f.infinite is True:
         clash("ends = 0 asserts a finite group, but infinite = true")
-    if f.ends in (1, 2, INF_ENDS) and f.infinite is False:
-        clash(f"ends = {f.ends} implies an infinite group")
     if f.simple and f.centre == "infinite":
         clash("an infinite-centre group is not simple")
     if f.hyperbolic and f.elementary is False and f.centre == "infinite":
         clash("a non-elementary hyperbolic group cannot have infinite centre")
-    if f.centre == "infinite" and f.infinite is False:
-        clash("infinite centre implies an infinite group")
-    if f.deficiency is not None and f.deficiency >= 1 and f.infinite is False:
-        clash("positive deficiency implies an infinite group")
     if f.vcd == 0 and f.infinite is True:
         clash("cohomological dimension 0 means the trivial group")
+
+
+def _implied(f: Flags, name: str, value: bool, rule: str) -> bool:
+    """True if flag ``name`` is not asserted, so ``rule`` sets it to ``value``;
+    InconsistentInput if it is asserted with the other value."""
+    asserted = getattr(f, name)
+    if asserted is not None and asserted != value:
+        key, said, got = name.replace("_", "-"), str(value).lower(), str(asserted).lower()
+        raise InconsistentInput(f"{rule} concludes {key} = {said}, but {key} = {got} is asserted")
+    return asserted is None
 
 
 def _derive(f: Flags) -> tuple[Flags, list[TraceEntry]]:
     notes: list[TraceEntry] = []
 
-    def set_flag(current: Flags, name: str, value, rule: str, cite: str) -> Flags:
-        if getattr(current, name) is None:
+    def set_flag(current: Flags, name: str, value: bool, rule: str, cite: str) -> Flags:
+        if _implied(current, name, value, rule):
             notes.append(TraceEntry(rule, cite))
             return _with_flag(current, name, value)
         return current
@@ -423,9 +434,10 @@ def _classify_free_product(factors) -> Verdict:
 
 def _classify_flagged(descriptor: GroupDescriptor) -> Verdict:
     flags = descriptor.flags
-    if descriptor.presentation is not None and flags.finitely_generated is None:
-        flags = _with_flag(flags, "finitely_generated", True)
     _validate_flags(flags)
+    # a finitely presented group is finitely generated
+    if descriptor.presentation is not None and _implied(flags, "finitely_generated", True, "derive/presentation"):
+        flags = _with_flag(flags, "finitely_generated", True)
     flags, notes = _derive(flags)
     _validate_flags(flags)
 

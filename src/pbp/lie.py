@@ -314,20 +314,16 @@ def _compose_rows(outer: tuple[Vec, ...], inner: tuple[Vec, ...]) -> tuple[Vec, 
     return rref(mat_vec(transpose(outer), r) for r in inner)
 
 
-def _spin(vectors: list, gens: list) -> tuple[Vec, ...]:
-    """Smallest gens-invariant subspace containing the vectors (rref rows)."""
-    builder = SpanBuilder()
-    queue = []
-    for v in vectors:
-        if builder.add(v):
-            queue.append(v)
+def _spin(span: SpanBuilder, queue: list, gens: list) -> list:
+    """Grow ``span`` by the vectors of ``queue`` and the images under ``gens``
+    of each vector that grows it; returns those vectors, in order."""
+    grew = []
     while queue:
         v = queue.pop()
-        for g in gens:
-            w = mat_vec(g, v)
-            if builder.add(w):
-                queue.append(w)
-    return builder.basis()
+        if span.add(v):
+            grew.append(v)
+            queue.extend(mat_vec(g, v) for g in gens)
+    return grew
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +371,22 @@ def _simplicity(gens: list, endo: list):
     units = (_unit(dim, i) for i in range(dim))
     kernels = (ker[0] for g in gens if (ker := nullspace(g, dim)))
     for v in chain(units, kernels):
-        w = _spin([v], gens)
-        if len(w) < dim:
-            return ("proper", w)
+        span = SpanBuilder()
+        if len(_spin(span, [v], gens)) < dim:
+            return ("proper", span.basis())
     return None
 
 
 def _find_simple_inside(rows: tuple[Vec, ...], gens: list):
     """A certified-simple submodule inside span(rows), in ambient rows; or None."""
-    cur_rows = rows
-    cur_gens = [_restrict(g, rows) for g in gens]
     while True:
-        res = _simplicity(cur_gens, solve_commutant(cur_gens, len(cur_rows)))
+        sub_gens = [_restrict(g, rows) for g in gens]
+        res = _simplicity(sub_gens, solve_commutant(sub_gens, len(rows)))
         if res == "simple":
-            return cur_rows
+            return rows
         if res is None:
             return None
-        _, inner = res
-        cur_rows = _compose_rows(cur_rows, inner)
-        cur_gens = [_restrict(g, cur_rows) for g in gens]
+        rows = _compose_rows(rows, res[1])
 
 
 def _minimal_ideals(algebra: LieAlgebra):
@@ -646,12 +639,9 @@ def _generators(algebra: LieAlgebra) -> list[int]:
             continue
         picks.append(i)
         ads.append(algebra.ad_basis(i))
-        queue = [mat_vec(ads[-1], v) for v in elements] + [e]
-        while queue:
-            v = queue.pop()
-            if span.add(v):
-                elements.append(v)
-                queue.extend(mat_vec(a, v) for a in ads)
+        # the span is invariant under the earlier ads, so only the new one
+        # acts on its old vectors
+        elements += _spin(span, [mat_vec(ads[-1], v) for v in elements] + [e], ads)
     return picks
 
 

@@ -341,13 +341,8 @@ def _kernel_combinations(states: list, images: list) -> list:
     the combination is divided by the gcd of its entries.  It is never
     empty: the state of the identity map meets every constraint.
     """
-    echelon = SpanBuilder()
-    for row in zip(*images):
-        w = echelon._reduce(row)
-        if any(w):
-            echelon._push(w)
     out = []
-    for coeffs in echelon._kernel(len(states)):
+    for coeffs in SpanBuilder(zip(*images))._kernel(len(states)):
         x = [0] * len(states[0])
         for c, s in zip(coeffs, states):
             if c:
@@ -442,9 +437,9 @@ def solve_commutant(mats: Sequence[Sequence[Sequence]], n: int) -> list[Matrix]:
     # X = Y B^-1 with Y the columns X(b_t); column k of den B^-1 is the tail
     # of the spun row with pivot k, and X is taken times den
     cols = [r[n:] for _k, r in sorted(zip(spun.pivots, spun.rows), reverse=True)]
-    echelon = SpanBuilder()
-    for x in states:
-        echelon._push(echelon._reduce([sum(map(mul, x[i::n], col)) for i in range(n - 1, -1, -1) for col in cols]))
+    echelon = SpanBuilder(
+        [sum(map(mul, x[i::n], col)) for i in range(n - 1, -1, -1) for col in cols] for x in states
+    )
     den = echelon.den
     out = []
     for _k, row in sorted(zip(echelon.pivots, echelon.rows), reverse=True):

@@ -26,7 +26,7 @@ generators and relators of total length R:
   A rewritten relator is reduced as written: a reduced relator's walk
   never comes back along the tree to run a non-tree edge backwards.  So
   the subgroup presentation it writes skips ``FinitePresentation``'s
-  relator scan (``FinitePresentation._unchecked``): every relator is a
+  relator check (``FinitePresentation._unchecked``): every relator is a
   reduced Word in the Schreier generators the rewrite has just numbered.
 - ``abelianization`` builds one exponent row per distinct letter multiset
   of the relators.  The rewrites of a relator u^n at the cosets c, c.u,
@@ -50,8 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter, neg
+from operator import itemgetter, neg
 
 from .verdict import Record
 from .words import Word, format_word, parse_word
@@ -88,16 +87,11 @@ class FinitePresentation(Record):
         if generator_count < 1:
             raise ValueError("presentation needs at least one generator")
         relators = tuple(relators)
-        # one pass each over the relators and their letters; only when one
-        # fails does the loop look for the first bad relator
-        if not all(map(isinstance, relators, repeat(Word))) or max(
-            map(abs, chain.from_iterable(map(attrgetter("raw"), relators))), default=0
-        ) > generator_count:
-            for r in relators:
-                if not isinstance(r, Word):
-                    raise TypeError("relators must be Word instances")
-                if r.max_generator() >= generator_count:
-                    raise ValueError(f"relator {r!r} uses an undeclared generator")
+        for r in relators:
+            if not isinstance(r, Word):
+                raise TypeError("relators must be Word instances")
+            if r.max_generator() >= generator_count:
+                raise ValueError(f"relator {r!r} uses an undeclared generator")
         if generator_names is not None:
             generator_names = tuple(generator_names)
             if len(generator_names) != generator_count or len(set(generator_names)) != generator_count:
@@ -371,7 +365,7 @@ def reidemeister_schreier_data(
     has passed, and become the ``transversal`` Words once.  The subgroup
     presentation is built by ``FinitePresentation._unchecked``: its
     relators are reduced Words in the generators 1..n_gens this rewrite
-    numbered, so the public constructor's scan could not fail.
+    numbered, so the public constructor's relator check could not fail.
     """
     a, d = pres.generator_count, table.d
     if len(table.action) != a:

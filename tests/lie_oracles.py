@@ -73,7 +73,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def ideal_closure(algebra: LieAlgebra, seed: Subspace) -> Subspace:
     """Least ideal containing the seed: its spin under ad e_i, [e_i, v] = ad(e_i) v."""
     n = algebra.dim
-    return Subspace(n, _spin(list(seed.rows), [algebra.ad_basis(i) for i in range(n)]))
+    span = SpanBuilder()
+    _spin(span, list(seed.rows), [algebra.ad_basis(i) for i in range(n)])
+    return Subspace(n, span.basis())
 
 
 def quotient_constants_oracle(algebra: LieAlgebra, ideal: Subspace) -> tuple:

@@ -3,6 +3,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbp.classifier import (
     GroupDescriptor,
@@ -194,12 +196,90 @@ def test_inconsistent_flags_rejected():
 @pytest.mark.parametrize("flags, message", [
     ({"ends": 3}, "ends must be 0, 1, 2 or 'inf', not 3"),
     ({"centre": "huge"}, "centre must be 'finite' or 'infinite'"),
-    ({"centre": "infinite", "infinite": False}, "infinite centre implies an infinite group"),
+    pytest.param({"centre": "infinite", "infinite": False},
+                 "derive/centre concludes infinite = true, but infinite = false is asserted", id="derive-centre"),
     ({"vcd": 0, "infinite": True}, "cohomological dimension 0 means the trivial group"),
 ])
 def test_clashing_flags_name_the_clash(flags, message):
     with pytest.raises(InconsistentInput, match=f"^{re.escape(message)}$"):
         classify(flagged(**flags))
+
+
+@pytest.mark.parametrize("flags, presented, message", [
+    ({"l2-betti1-positive": True, "infinite": False}, False,
+     "derive/betti-infinite concludes infinite = true, but infinite = false is asserted"),
+    ({"hyperbolic": True, "elementary": False, "infinite": False}, False,
+     "derive/non-elementary concludes infinite = true, but infinite = false is asserted"),
+    ({"deficiency": 2, "l2-betti1-positive": False}, False,
+     "derive/deficiency-betti concludes l2-betti1-positive = true, but l2-betti1-positive = false is asserted"),
+    ({"l2-betti1-positive": True, "finitely-generated": True, "schreier": False, "ends": 1}, False,
+     "derive/betti-schreier concludes schreier = true, but schreier = false is asserted"),
+    ({"finitely-generated": False, "ends": 1, "schreier": True}, True,
+     "derive/presentation concludes finitely-generated = true, but finitely-generated = false is asserted"),
+    ({"vcd": -1}, False, "vcd must be at least 0, not -1"),
+], ids=["betti-infinite", "non-elementary", "deficiency-betti", "betti-schreier", "presentation", "negative-vcd"])
+def test_contradicted_derivations_and_negative_vcd_are_refused(flags, presented, message):
+    """A flag asserted against what a derivation concludes is refused with the rule named."""
+    obj = {"kind": "flagged", "flags": flags}
+    if presented:
+        obj["presentation"] = {"generators": ["a", "b"], "relators": []}
+    with pytest.raises(InconsistentInput, match=f"^{re.escape(message)}$"):
+        classify(descriptor_from_json(obj))
+
+
+# The implications between flags, restated from the paper's invariants: each
+# is (premise on the flags after derivation, JSON key, concluded value).  The
+# last needs a presentation, which the test passes as the key "presented".
+IMPLICATIONS = [
+    (lambda f: f.get("ends") in (1, 2, "inf"), "infinite", True),
+    (lambda f: f.get("hyperbolic") is True and f.get("elementary") is False, "infinite", True),
+    (lambda f: f.get("centre") == "infinite", "infinite", True),
+    (lambda f: f.get("deficiency", 0) >= 1, "infinite", True),
+    (lambda f: f.get("deficiency", 0) >= 2, "l2-betti1-positive", True),
+    (lambda f: f.get("l2-betti1-positive") is True, "infinite", True),
+    (lambda f: f.get("l2-betti1-positive") is True and f.get("finitely-generated") is True, "schreier", True),
+    (lambda f: f.get("presented", False), "finitely-generated", True),
+]
+
+FLAG_VALUES = {
+    "infinite": st.booleans(), "finitely-generated": st.booleans(), "schreier": st.booleans(),
+    "ends": st.sampled_from([0, 1, 2, "inf"]), "vcd": st.integers(0, 3), "deficiency": st.integers(-1, 3),
+    "l2-betti1-positive": st.booleans(), "hyperbolic": st.booleans(), "elementary": st.booleans(),
+    "simple": st.booleans(), "centre": st.sampled_from(["finite", "infinite"]), "seifert": st.booleans(),
+}
+
+
+def derived(asserted: dict) -> dict:
+    """The asserted flags with every implication whose premise holds set where unasserted."""
+    flags = dict(asserted)
+    grown = True
+    while grown:
+        grown = False
+        for premise, key, value in IMPLICATIONS:
+            if premise(flags) and key not in flags:
+                flags[key], grown = value, True
+    return flags
+
+
+@settings(max_examples=300)
+@given(st.fixed_dictionaries({}, optional=FLAG_VALUES), st.booleans())
+def test_no_verdict_contradicts_an_implication(flags, presented):
+    """Flags that contradict an implication are refused; any verdict given respects them all."""
+    obj = {"kind": "flagged", "flags": flags}
+    if presented:
+        obj["presentation"] = {"generators": ["a", "b"], "relators": []}
+    closure = derived({**flags, "presented": presented})
+    contradicted = [key for premise, key, value in IMPLICATIONS if premise(closure) and closure[key] != value]
+    if contradicted:
+        with pytest.raises(InconsistentInput):
+            classify(descriptor_from_json(obj))
+        return
+    try:
+        verdict = classify(descriptor_from_json(obj))
+    except InconsistentInput:
+        return
+    if closure.get("infinite"):
+        assert verdict.answer != Answer.NOT_APPLICABLE
 
 
 def test_conflicting_rules_rejected():

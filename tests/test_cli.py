@@ -466,6 +466,17 @@ def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     assert err.startswith("invalid input: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    ({"l2-betti1-positive": True, "infinite": False},
+     "derive/betti-infinite concludes infinite = true, but infinite = false is asserted"),
+    ({"vcd": -1}, "vcd must be at least 0, not -1"),
+], ids=["ContradictedDerivation", "NegativeVcd"])
+def test_refused_flags_exit_two_in_a_fresh_process(tmp_path, flags, message):
+    """Flags that contradict a derivation, or leave a flag's domain, exit 2 and name the rule."""
+    code, err, _ = run_fresh(["classify", "-i", write(tmp_path, "d.json", {"kind": "flagged", "flags": flags})])
+    assert (code, err) == (2, f"invalid input: {message}\n")
+
+
 def test_a_bug_exits_three_on_one_line(tmp_path, capsys, monkeypatch):
     """An exception that is no input error, a KeyError included, is reported as
     an internal error, not as invalid input."""

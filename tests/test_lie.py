@@ -46,7 +46,7 @@ from pbp.lie import (
     verify_product_certificate,
     vr_semidirect,
 )
-from pbp.linalg import identity_matrix, solve_commutant
+from pbp.linalg import SpanBuilder, identity_matrix, solve_commutant
 from pbp.verdict import Answer, InternalVerificationError
 
 
@@ -114,7 +114,7 @@ def test_so21_is_simple_by_spinning_oracle():
             continue
         from pbp.lie import _spin
 
-        assert len(_spin([v], mats)) == 3
+        assert len(_spin(SpanBuilder(), [v], mats)) == 3
     lat = ideal_lattice(algebra)
     assert lat.completeness is Completeness.COMPLETE
     assert sorted(s.dim for s in lat.ideals) == [0, 3]

@@ -1,6 +1,8 @@
 """The integer echelon and spin kernels against Fraction Gauss-Jordan and sympy."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 from hypothesis import example, given, settings
@@ -328,3 +330,21 @@ def test_min_poly_has_the_irreducible_factors_of_the_char_poly(m):
     """The Lie decider reads square-free parts off minimal polynomials only:
     they equal those of the characteristic polynomial."""
     assert squarefree_part(min_poly_of_matrix(m)) == squarefree_part(char_poly(m))
+
+
+def test_only_tagged_echelons_step_span_builder_by_hand():
+    """Outside SpanBuilder, only the two echelons that carry tag columns beside
+    their vectors, min_poly_of_matrix and _spin_tree, call _reduce or _push;
+    every other echelon is filled by SpanBuilder itself."""
+    src = Path(__file__).resolve().parents[1] / "src" / "pbp"
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "SpanBuilder"
+                  for node in ast.walk(cls)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and id(fn) not in inside:
+                callers |= {(path.stem, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("_reduce", "_push")}
+    assert callers == {("linalg", "min_poly_of_matrix"), ("linalg", "_spin_tree")}
