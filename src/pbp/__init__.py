@@ -51,7 +51,7 @@ _EXPORTS = {
         " centralizer centre ideal_lattice lie_presentable"
         " verify_product_certificate",
         "bs": "BrittonForm BSGroup SubgroupWitness ZeroParameter britton_reduce"
-        " bs_presentable pi_image verify_witness witness_subgroup",
+        " bs_presentable verify_witness witness_subgroup",
         "abels": "A3Matrix GammaElement acentral_check gamma_commutes",
         "classifier": "Flags GroupDescriptor InconsistentInput classify",
     }.items()

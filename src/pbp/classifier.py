@@ -252,7 +252,7 @@ def _validate_flags(f: Flags) -> None:
     if f.hyperbolic and f.elementary is False and f.centre == "infinite":
         clash("a non-elementary hyperbolic group cannot have infinite centre")
     if f.vcd == 0 and f.infinite is True:
-        clash("cohomological dimension 0 means the trivial group")
+        clash("virtual cohomological dimension 0 means a finite group")
 
 
 def _implied(f: Flags, name: str, value: bool, rule: str) -> bool:
@@ -441,7 +441,7 @@ def _classify_flagged(descriptor: GroupDescriptor) -> Verdict:
     flags, notes = _derive(flags)
     _validate_flags(flags)
 
-    if flags.infinite is False or flags.ends == 0:
+    if flags.infinite is False or flags.ends == 0 or flags.vcd == 0:
         return Verdict(Answer.NOT_APPLICABLE, trace=(TraceEntry("scope", CITE_SCOPE),))
 
     conclusions = _flag_conclusions(flags)

@@ -11,7 +11,9 @@ generators and relators of total length R:
 - ``coset_enumerate`` fills the action rows during its one breadth-first
   pass over the image group: one permutation product per element and
   generator, each an ``itemgetter(*e)`` built once per element e and
-  applied to the generator's image.
+  applied to the generator's image.  It then walks each relator on the
+  finished table from coset 0, the identity: ``CosetTable.act_word``, one
+  lookup per letter, is the one place a word's image is read.
 - ``CosetTable`` inverts each action row once, and refuses a row that is
   not a permutation in that same pass.  The table ``coset_enumerate``
   builds skips that check (``CosetTable._from_bijections``): right
@@ -19,8 +21,8 @@ generators and relators of total length R:
   a permutation by construction.
 - The Reidemeister-Schreier rewrite reads, per letter x and coset c, the
   signed Schreier generator ``gen_at[x][c]`` and the next coset: R * d
-  lookups, plus the Word output.  It is the one place a table is checked
-  against a presentation: a walk of a relator that does not end at its
+  lookups, plus the Word output.  It checks every table it is given
+  against the presentation: a walk of a relator that does not end at its
   start coset is an error, and so is a coset its transversal misses
   (``coset_enumerate`` builds tables that pass both by construction).
   A rewritten relator is reduced as written: a reduced relator's walk
@@ -130,15 +132,7 @@ def rs_counts(a: int, b: int, d: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# permutations (tuples mapping i -> p[i]; composition applies left then right)
-
-
-def perm_identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def perm_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(q.__getitem__, p))
+# permutations (tuples mapping i -> p[i])
 
 
 def perm_inv(p: Sequence[int]) -> tuple[int, ...]:
@@ -153,20 +147,6 @@ def perm_inv(p: Sequence[int]) -> tuple[int, ...]:
     except (IndexError, TypeError):  # an entry past the end, or not an integer
         raise ValueError("not a permutation") from None
     return tuple(out)
-
-
-def word_image(w: Word, images: Sequence[tuple[int, ...]], degree: int) -> tuple[int, ...]:
-    inverses: dict[int, tuple[int, ...]] = {}  # each image inverted once, on first use
-    out = perm_identity(degree)
-    for x in w.raw:
-        if x > 0:
-            g = images[x - 1]
-        else:
-            g = inverses.get(x)
-            if g is None:
-                g = inverses[x] = perm_inv(images[-x - 1])
-        out = perm_mul(out, g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +191,12 @@ class CosetTable(Record):
         """The permutation of the cosets that one signed letter applies."""
         return self.action[letter - 1] if letter > 0 else self.inverse[-letter - 1]
 
+    def act_word(self, coset: int, w: Word) -> int:
+        """The coset that ``w`` takes ``coset`` to, one letter at a time."""
+        for x in w.raw:
+            coset = self.step(x)[coset]
+        return coset
+
 
 def coset_enumerate(
     pres: FinitePresentation,
@@ -220,22 +206,28 @@ def coset_enumerate(
     """Coset table of ker(generator i -> images[i]) in the presented group.
 
     ``images`` are permutations of a common degree; the coset count equals
-    the order of the subgroup they generate.  Raises RelatorNotKilled if the
-    map is not a homomorphism of the presentation, BoundExceeded past the cap.
+    the order of the subgroup they generate.  Refuses, in this order, an
+    image that is no such permutation (ValueError), a table past the cap
+    (BoundExceeded) and a map that is not a homomorphism of the
+    presentation (RelatorNotKilled), walking the relators on the finished
+    table.
 
-    The table is closed and transitive by construction, so it is not
-    checked again once built (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, §5.1-5.3).  Coset k is the k-th
-    element of the image group in breadth-first order, and generator i acts
-    by right multiplication by its image g_i.  Closed: every relator r has
-    image 1, checked below, so it takes each e to e.image(r) = e.
+    Coset k is the k-th element of the image group in breadth-first order,
+    and generator i acts by right multiplication by its image g_i (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+    §5.1-5.3).  Coset 0 is the identity, so a word w maps to 1 exactly when
+    ``table.act_word(0, w) == 0``, |w| lookups.  The table is closed and
+    transitive by construction and is not checked again.  Closed: every
+    relator r has image 1, so it takes each e to e.image(r) = e.
     Transitive: each element is numbered when first reached from an earlier
-    one by some g_i, so it is reached from coset 0.  The product e.g_i is
-    ``itemgetter(*e)`` applied to g_i, one getter per element for all the
-    generators; degrees 0 and 1 give the one-coset table directly.
+    one by some g_i, so it is reached from coset 0.
     ``reidemeister_schreier_data`` still checks both on every table it is
-    given.  Each row is a permutation, since right multiplication by g_i is
-    a bijection of the image group, so the table is built by
+    given.
+
+    The product e.g_i is ``itemgetter(*e)`` applied to g_i, one getter per
+    element for all the generators; degrees 0 and 1 give the one-coset
+    table directly.  Each row is a permutation, since right multiplication
+    by g_i is a bijection of the image group, so the table is built by
     ``CosetTable._from_bijections``, which inverts the rows unchecked.
     """
     if len(images) != pres.generator_count:
@@ -250,15 +242,11 @@ def coset_enumerate(
         except ValueError:
             raise ValueError(f"image {p!r} is not a permutation of degree {degree}") from None
 
-    identity = perm_identity(degree)
-    for r in pres.relators:
-        if word_image(r, imgs, degree) != identity:
-            raise RelatorNotKilled(f"relator {format_word(r, pres.names())!r} survives in the image")
-
     # Cosets of the kernel biject with elements of the image subgroup; the
     # generator action is right multiplication.  Elements are numbered in
     # breadth-first order, and element k is expanded k-th, so one pass
     # fills column k of every action row.
+    identity = tuple(range(degree))
     elements: dict[tuple[int, ...], int] = {identity: 0}
     order: list[tuple[int, ...]] = [identity]
     if degree < 2:
@@ -270,7 +258,7 @@ def coset_enumerate(
         for e in order:  # grows while it is read
             times_e = itemgetter(*e)  # one product map per element
             for p, row in zip(imgs, rows):
-                f = times_e(p)  # perm_mul(e, p)
+                f = times_e(p)  # e, then p
                 k = elements.get(f)
                 if k is None:
                     if len(order) >= coset_cap:
@@ -278,7 +266,11 @@ def coset_enumerate(
                     k = elements[f] = len(order)
                     order.append(f)
                 row.append(k)
-    return CosetTable._from_bijections(len(order), rows)
+    table = CosetTable._from_bijections(len(order), rows)
+    for r in pres.relators:
+        if table.act_word(0, r) != 0:
+            raise RelatorNotKilled(f"relator {format_word(r, pres.names())!r} survives in the image")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -78,11 +78,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
 
-    def exponent_sum(self, gen: int) -> int:
-        """Total signed exponent of generator ``gen`` in this word."""
-        target = gen + 1
-        return sum(1 if x == target else -1 for x in self._letters if abs(x) == target)
-
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
         return max(map(abs, self._letters), default=0) - 1

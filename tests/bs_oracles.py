@@ -19,6 +19,10 @@ did before it wrote the free basis in closed form: a coset enumeration of
 the index-2 subgroup of the free group on the conjugates T_i = s^i t s^-i,
 then Reidemeister-Schreier.
 
+``pi_image`` is the image of a word under pi: s -> (c, 1), t -> (1, d) in
+C_|m| x C_2, read off its exponent sums.  ``pbp.bs.verify_witness`` reads
+kernel membership off the coset table of pi instead.
+
 ``affine_rep`` is the faithful image of BS(1, n) in the affine group of the
 line, s -> [[1, 1], [0, 1]] and t -> [[n, 0], [0, 1]], in exact rationals.
 """
@@ -40,6 +44,7 @@ from pbp.bs import (
 )
 from pbp.presentations import FinitePresentation, coset_enumerate, reidemeister_schreier_data
 from pbp.words import Word
+from words_oracles import exponent_sum
 
 
 def substitute(word: Word, images: Sequence[Word]) -> Word:
@@ -157,6 +162,13 @@ def witness_subgroup_oracle(m: int, eta: int) -> SubgroupWitness:
     table = coset_enumerate(free, [(1, 0)] * m)
     basis = tuple(substitute(w, conj) for w in reidemeister_schreier_data(free, table).generator_words)
     return SubgroupWitness(m, eta, s_word(m), tuple(conj), basis)
+
+
+def pi_image(group: BSGroup, word: Word) -> tuple[int, int]:
+    """Image of a word under s -> (c, 1), t -> (1, d) in C_|m| x C_2."""
+    if abs(group.m) != abs(group.n):
+        raise ValueError("the map to C_m x C_2 needs |m| = |n|")
+    return (exponent_sum(word, 0) % abs(group.m), exponent_sum(word, 1) % 2)
 
 
 def affine_rep(n: int, word: Word) -> list[list[Fraction]]:

@@ -1,14 +1,17 @@
 """From-scratch references for ``pbp.presentations``.
 
 ``coset_enumerate_oracle`` is ``coset_enumerate`` with one
-``tuple(map(p.__getitem__, e))`` per product, every relator image composed
-one letter at a time by ``perm_mul_oracle``, and the table built by the
-public ``CosetTable`` constructor, which checks and inverts every row.
+``tuple(map(p.__getitem__, e))`` per product, the table built by the
+public ``CosetTable`` constructor, which checks and inverts every row, and
+then every relator image composed one letter at a time by
+``perm_mul_oracle``, where ``coset_enumerate`` walks the relator on its
+table.  ``word_image`` is the permutation a word maps to, one ``perm_mul``
+per letter: what ``CosetTable.act_word`` reads off a table from coset 0.
 ``is_closed_oracle`` applies every relator to every coset, letter by
 letter, with ``act_word``, and ``reached_from_base`` searches the cosets
-reachable from coset 0.  ``schreier_data_oracle`` rewrites
-each relator at each coset one letter at a time, looking the Schreier
-generator of every edge up in a dict keyed by (coset, generator).
+reachable from coset 0.  ``schreier_data_oracle`` rewrites each relator at
+each coset one letter at a time, looking the Schreier generator of every
+edge up in a dict keyed by (coset, generator).
 ``pbp.presentations`` does the same work from flat per-letter tables; the
 results must be equal Word for Word.  ``exponent_matrix`` is the dense
 relator-by-generator matrix of exponent sums that abelianization reduces.
@@ -28,12 +31,12 @@ from pbp.presentations import (
     FinitePresentation,
     RelatorNotKilled,
     SchreierData,
-    perm_identity,
     perm_inv,
     reidemeister_schreier_data,
     rs_counts,
 )
 from pbp.words import Word, format_word
+from words_oracles import exponent_sum
 
 
 def deficiency_count(pres: FinitePresentation) -> int:
@@ -52,7 +55,24 @@ def kunneth_bound(k: int, l: int) -> int:
 
 def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
     """Relator-by-generator matrix of exponent sums."""
-    return [[r.exponent_sum(g) for g in range(pres.generator_count)] for r in pres.relators]
+    return [[exponent_sum(r, g) for g in range(pres.generator_count)] for r in pres.relators]
+
+
+def perm_identity(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def perm_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """p then q."""
+    return tuple(map(q.__getitem__, p))
+
+
+def word_image(w: Word, images: Sequence[tuple[int, ...]], degree: int) -> tuple[int, ...]:
+    """The permutation that ``w`` maps to under generator i -> images[i]."""
+    out = perm_identity(degree)
+    for x in w.raw:
+        out = perm_mul(out, images[x - 1] if x > 0 else perm_inv(images[-x - 1]))
+    return out
 
 
 def perm_mul_oracle(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -66,7 +86,8 @@ def coset_enumerate_oracle(
     coset_cap: int = DEFAULT_COSET_CAP,
 ) -> CosetTable:
     """Right regular action of the group the images generate, with
-    ``coset_enumerate``'s checks, messages and coset cap."""
+    ``coset_enumerate``'s checks, messages and coset cap, in its order:
+    the images, then the cap while enumerating, then the relators."""
     if len(images) != pres.generator_count:
         raise ValueError("one permutation image per generator is required")
     imgs = [tuple(p) for p in images]
@@ -80,13 +101,6 @@ def coset_enumerate_oracle(
             raise ValueError(f"image {p!r} is not a permutation of degree {degree}") from None
 
     identity = perm_identity(degree)
-    for r in pres.relators:
-        image = identity
-        for x in r.raw:
-            image = perm_mul_oracle(image, imgs[x - 1] if x > 0 else perm_inv(imgs[-x - 1]))
-        if image != identity:
-            raise RelatorNotKilled(f"relator {format_word(r, pres.names())!r} survives in the image")
-
     elements = {identity: 0}
     order = [identity]
     rows: list[list[int]] = [[] for _ in imgs]
@@ -100,7 +114,15 @@ def coset_enumerate_oracle(
                 k = elements[f] = len(order)
                 order.append(f)
             row.append(k)
-    return CosetTable(len(order), rows)
+    table = CosetTable(len(order), rows)
+
+    for r in pres.relators:
+        image = identity
+        for x in r.raw:
+            image = perm_mul_oracle(image, imgs[x - 1] if x > 0 else perm_inv(imgs[-x - 1]))
+        if image != identity:
+            raise RelatorNotKilled(f"relator {format_word(r, pres.names())!r} survives in the image")
+    return table
 
 
 def act(table: CosetTable, coset: int, letter: int) -> int:

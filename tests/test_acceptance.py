@@ -44,7 +44,14 @@ from pbp.presentations import (
 )
 from pbp.verdict import Answer
 from pbp.words import Word
-from presentations_oracles import deficiency_count, kunneth_bound, reidemeister_schreier
+from presentations_oracles import (
+    deficiency_count,
+    kunneth_bound,
+    perm_identity,
+    perm_mul,
+    reidemeister_schreier,
+    word_image,
+)
 
 FINITE_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -203,7 +210,7 @@ def test_criterion_4_bs_suite():
 
 def test_criterion_5_subgroup_count_identity():
     rng = random.Random(424242)
-    from pbp.presentations import FinitePresentation, perm_identity, perm_mul, word_image
+    from pbp.presentations import FinitePresentation
 
     checked = 0
     while checked < 20:

@@ -10,6 +10,7 @@ from bs_oracles import (
     affine_rep,
     britton_reduce_random,
     free_words,
+    pi_image,
     shortest_relation_oracle,
     witness_subgroup_oracle,
 )
@@ -21,7 +22,6 @@ from pbp.bs import (
     britton_reduce,
     bs_presentable,
     cm_x_c2_images,
-    pi_image,
     s_word,
     t_word,
     verify_witness,
@@ -30,6 +30,7 @@ from pbp.bs import (
 from pbp.presentations import AbelianInvariants, coset_enumerate
 from pbp.verdict import Answer
 from pbp.words import Word, parse_word
+from words_oracles import exponent_sum
 
 NAMES = ("s", "t")
 NONZERO_5 = st.integers(-5, 5).filter(bool)
@@ -191,7 +192,7 @@ def test_witness_words_even_and_in_kernel():
         group = BSGroup(m, eta * m)
         witness = witness_subgroup(m, eta)
         for word in witness.fII_basis:
-            assert word.exponent_sum(1) % 2 == 0
+            assert exponent_sum(word, 1) % 2 == 0
             assert pi_image(group, word) == (0, 0)
 
 
@@ -208,14 +209,14 @@ def test_verify_witness_passes(m, eta, bound):
 
 
 def test_tampered_witness_fails_kernel_check():
+    # t and s commute with s^2 in BS(2, 2), so kernel membership is the one
+    # check that fails: t for its odd t-count, s for its s-count
     witness = witness_subgroup(2, 1)
-    tampered = SubgroupWitness(
-        2, 1, witness.zs_generator, witness.T,
-        (w("t"),) + witness.fII_basis[1:],  # odd t-count sneaks in
-    )
-    report = verify_witness(BSGroup(2, 2), tampered, 4)
-    assert not report.passed
-    assert any("ker" in f for f in report.failures)
+    for word, basis in [("t", (w("t"),) + witness.fII_basis[1:]), ("s", (w("s"),) + witness.fII_basis)]:
+        tampered = SubgroupWitness(2, 1, witness.zs_generator, witness.T, basis)
+        report = verify_witness(BSGroup(2, 2), tampered, 4)
+        assert report.failures == (f"{word} is not in ker(pi)",)
+        assert not report.passed and report.index == 4 and report.abelian == AbelianInvariants(4)
 
 
 def test_verify_witness_rejects_witness_for_another_group():

@@ -114,6 +114,16 @@ def test_ends_rules():
     assert classify(flagged(ends=1)).answer == Answer.UNKNOWN
 
 
+def test_vcd_zero_is_out_of_scope_like_zero_ends():
+    """vcd 0 means a finite group, so it reads NOT_APPLICABLE with the scope
+    trace, as ends 0 does."""
+    for flags in ({"vcd": 0}, {"vcd": 0, "ends": 0}, {"vcd": 0, "infinite": False}):
+        verdict = classify(flagged(**flags))
+        assert verdict.answer == Answer.NOT_APPLICABLE
+        assert [entry.rule for entry in verdict.trace] == ["scope"]
+    assert classify(flagged(vcd=1)).answer == Answer.UNKNOWN
+
+
 def test_schreier_rule_and_negatives():
     full = classify(flagged(schreier=True, **{"finitely-generated": True}, ends=1))
     assert full.answer == Answer.NO
@@ -198,7 +208,8 @@ def test_inconsistent_flags_rejected():
     ({"centre": "huge"}, "centre must be 'finite' or 'infinite'"),
     pytest.param({"centre": "infinite", "infinite": False},
                  "derive/centre concludes infinite = true, but infinite = false is asserted", id="derive-centre"),
-    ({"vcd": 0, "infinite": True}, "cohomological dimension 0 means the trivial group"),
+    pytest.param({"vcd": 0, "infinite": True}, "virtual cohomological dimension 0 means a finite group",
+                 id="vcd-zero-infinite"),
 ])
 def test_clashing_flags_name_the_clash(flags, message):
     with pytest.raises(InconsistentInput, match=f"^{re.escape(message)}$"):

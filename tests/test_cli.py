@@ -63,6 +63,14 @@ def test_classify_unknown_still_exits_zero(tmp_path, capsys):
     assert out["answer"] == "UNKNOWN"
 
 
+def test_classify_vcd_zero_is_not_applicable_and_exits_zero(tmp_path, capsys):
+    path = write(tmp_path, "d.json", {"kind": "flagged", "flags": {"vcd": 0}})
+    code, out, _ = run(capsys, ["classify", "-i", path])
+    assert code == 0
+    assert out["answer"] == "NOT_APPLICABLE"
+    assert [entry["rule"] for entry in out["trace"]] == ["scope"]
+
+
 def test_classify_inconsistent_exits_two(tmp_path, capsys):
     path = write(tmp_path, "d.json", {"kind": "flagged", "flags": {"ends": 2, "simple": True}})
     code, out, err = run(capsys, ["classify", "-i", path])

@@ -21,15 +21,12 @@ from pbp.presentations import (
     _sparse_smith,
     abelianization,
     coset_enumerate,
-    perm_identity,
     perm_inv,
-    perm_mul,
     presentation_from_json,
     presentation_to_json,
     reidemeister_schreier_data,
     rs_counts,
     smith_normal_form,
-    word_image,
 )
 from pbp.words import Word, parse_word
 from presentations_oracles import (
@@ -40,10 +37,13 @@ from presentations_oracles import (
     exponent_matrix,
     is_closed_oracle,
     kunneth_bound,
+    perm_identity,
+    perm_mul,
     perm_mul_oracle,
     reached_from_base,
     reidemeister_schreier,
     schreier_data_oracle,
+    word_image,
 )
 
 
@@ -467,6 +467,51 @@ def test_each_unchecked_constructor_has_one_caller():
     }
 
 
+def test_act_word_is_the_one_word_walk():
+    """CosetTable.act_word is the one place src/pbp reads a word's image: it
+    is called from coset_enumerate and verify_witness alone, and neither the
+    permutation products nor the exponent sums it replaced are defined."""
+    callers, defined = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(func.name)
+            if isinstance(func, ast.FunctionDef):
+                callers += [(path.stem, func.name) for node in ast.walk(func)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "act_word"]
+    assert callers == [("bs", "verify_witness"), ("presentations", "coset_enumerate")]
+    assert defined.isdisjoint({"word_image", "perm_mul", "perm_identity", "pi_image", "exponent_sum"})
+
+
+@st.composite
+def maps_and_words(draw):
+    """Images in S_n, n <= 6, of 1-3 generators, and a few words, some of
+    them raised to the order of their image so that they map to 1."""
+    degree = draw(st.integers(0, 6))
+    a = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    images = [tuple(rng.sample(range(degree), degree)) for _ in range(a)]
+    letter = st.integers(1, a).flatmap(lambda g: st.sampled_from([g, -g]))
+    words = draw(st.lists(st.lists(letter, max_size=8).map(Word), min_size=1, max_size=4))
+    words += [w ** perm_order(word_image(w, images, degree)) for w in words if draw(st.booleans())]
+    return images, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_and_words())
+def test_act_word_walks_the_table_and_reads_the_image(case):
+    """From every coset, act_word ends where the letter-by-letter oracle
+    does; from coset 0 it returns to 0 exactly when the word maps to 1."""
+    images, words = case
+    degree = len(images[0])
+    table = coset_enumerate(FinitePresentation(len(images)), images)
+    for w in words:
+        assert [table.act_word(c, w) for c in range(table.d)] == [act_word(table, c, w) for c in range(table.d)]
+        assert (table.act_word(0, w) == 0) == (word_image(w, images, degree) == perm_identity(degree))
+
+
 def test_rs_count_identity_on_random_pairs():
     rng = random.Random(71046)
     for _ in range(20):
@@ -848,7 +893,9 @@ def test_coset_enumerate_matches_the_per_image_oracle(case):
 
 def test_coset_enumerate_pins_small_degrees_and_messages():
     """Degrees 0 and 1 give the one-coset table, as degree 2 with trivial
-    images does; refusals keep their messages."""
+    images does; refusals keep their messages.  The table is built before
+    the relators are walked on it, so a map that is not a homomorphism onto
+    a group larger than the cap is refused as BoundExceeded."""
     one = FinitePresentation(1, (Word([1, 1]),), ("s",))
     two = FinitePresentation(2, (Word([1, 2, -1, -2]),), ("a", "b"))
     for pres, images, want in [
@@ -867,6 +914,8 @@ def test_coset_enumerate_pins_small_degrees_and_messages():
          (RelatorNotKilled, "relator 'x0^2' survives in the image")),
         (two, [(1, 0, 2), (0, 2, 1)], (RelatorNotKilled, "relator 'a b a^-1 b^-1' survives in the image")),
         (FinitePresentation(1, ()), [cyclic_perm(5)], (BoundExceeded, "more than 4 cosets")),
+        (one, [cyclic_perm(5)], (RelatorNotKilled, "relator 's^2' survives in the image")),
+        (one, [cyclic_perm(5)], (BoundExceeded, "more than 4 cosets")),
     ]:
         cap = 4 if want[0] is BoundExceeded else DEFAULT_COSET_CAP
         assert enumerate_or_error(coset_enumerate, pres, images, cap) == want
