@@ -184,21 +184,10 @@ def britton_reduce(group: BSGroup, word: Word) -> BrittonForm:
 # the finite quotient C_m x C_2 and its kernel
 
 
-def _cycle(k: int) -> tuple[int, ...]:
-    return tuple((i + 1) % k for i in range(k))
-
-
-def _embed(perm: Sequence[int], offset: int, degree: int) -> tuple[int, ...]:
-    out = list(range(degree))
-    for i, j in enumerate(perm):
-        out[offset + i] = offset + j
-    return tuple(out)
-
-
 def cm_x_c2_images(m: int) -> list[tuple[int, ...]]:
-    """Permutation images of s and t for the quotient C_m x C_2."""
-    degree = m + 2
-    return [_embed(_cycle(m), 0, degree), _embed((1, 0), m, degree)]
+    """Permutation images of s and t for the quotient C_m x C_2: s cycles
+    points 0..m-1 and t swaps m and m+1."""
+    return [(*range(1, m), 0, m, m + 1), (*range(m), m + 1, m)]
 
 
 class SubgroupWitness(Record):

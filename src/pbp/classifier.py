@@ -92,6 +92,7 @@ CITE_VCD_CHARACTERIZATION = (
     "asserted, so no verdict follows."
 )
 CITE_ENDS_IMPLY_INFINITE = "A group with at least one end is infinite."
+CITE_VCD_INFINITE = "A finite group has virtual cohomological dimension 0."
 CITE_NONELEMENTARY_INFINITE = "A non-elementary hyperbolic group is infinite."
 CITE_POS_DEF_INFINITE = (
     "Positive deficiency gives the abelianization positive rank, so the group "
@@ -276,6 +277,8 @@ def _derive(f: Flags) -> tuple[Flags, list[TraceEntry]]:
 
     if f.ends in (1, 2, INF_ENDS):
         f = set_flag(f, "infinite", True, "derive/ends", CITE_ENDS_IMPLY_INFINITE)
+    if f.vcd is not None and f.vcd >= 1:
+        f = set_flag(f, "infinite", True, "derive/vcd", CITE_VCD_INFINITE)
     if f.hyperbolic and f.elementary is False:
         f = set_flag(f, "infinite", True, "derive/non-elementary", CITE_NONELEMENTARY_INFINITE)
     if f.centre == "infinite":

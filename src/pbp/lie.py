@@ -5,8 +5,8 @@ lattice is finite, and the decision whether the algebra splits as a sum of
 two commuting nonzero subalgebras.  The enumeration walks the ideals J of
 the algebra L once each, splitting L / J by its minimal ideals, and draws
 no random numbers.  It is certified: each isotypic component S^k of the
-socle is decided from its commutant M_k(D), and is simple when that is
-commutative, which needs k = 1.  Otherwise a unit vector or a null vector
+socle, semisimple algebras included, is decided from its commutant M_k(D),
+and is simple when that is commutative, which needs k = 1.  Otherwise a unit vector or a null vector
 of a generator may spin to a proper submodule; a simple w1 is found inside
 it, and a commutant map moves w1 to a second minimal ideal w2 = phi(w1),
 an infinite family.  The lattice is Unknown only when no seed spins to a
@@ -396,32 +396,20 @@ def _minimal_ideals(algebra: LieAlgebra):
     span its socle, and each lies in one isotypic component S^k of it: when
     k = 1 the component is a minimal ideal, and otherwise the minimal ideals
     inside it form an infinite family.  ``_simplicity`` tells the two apart
-    from the component's commutant.
+    from the component's commutant, for every algebra: when L is semisimple
+    each component is one simple ideal S, whose commutant is the centroid of
+    S, a field, so the test certifies it like any other.
     """
     n = algebra.dim
     ad_mats = [algebra.ad_basis(i) for i in range(n)]
-    radical, soc_rows = _adjoint_socle(algebra, ad_mats)
+    soc_rows = _adjoint_socle(algebra, ad_mats)
     # a subspace invariant under ad a and ad b is invariant under ad [a, b],
     # and a map commuting with both commutes with it, so the ad of a
     # generating set has the invariant subspaces and commutants of all of ad L
     ad_gens = [ad_mats[i] for i in _generators(algebra)]
-    ad_soc = [_restrict(m, soc_rows) for m in ad_gens] if radical else ad_gens
+    ad_soc = [_restrict(m, soc_rows) for m in ad_gens] if len(soc_rows) < n else ad_gens
     soc_endo = solve_commutant(ad_soc, len(soc_rows))
     components = _isotypic_components(soc_endo, len(soc_rows))
-    if not radical:
-        # a semisimple algebra is the direct sum of its simple ideals; each
-        # acts nontrivially only on itself, so no two are isomorphic modules
-        # and every isotypic component is one simple ideal
-        atoms = [Subspace(n, c) for c in components]
-        for atom in atoms:
-            if not is_ideal(algebra, atom):
-                raise InternalVerificationError("a semisimple component is not an ideal")
-            if bracket_subspace(algebra, atom, atom) != atom:
-                raise InternalVerificationError("a semisimple component is not perfect")
-        if sum(atom.dim for atom in atoms) != n:
-            raise InternalVerificationError("the semisimple components do not span the algebra")
-        return atoms, Completeness.COMPLETE, None
-
     atoms = []
     for comp in components:
         comp_ambient = _compose_rows(soc_rows, comp)
@@ -445,23 +433,23 @@ def _minimal_ideals(algebra: LieAlgebra):
     return atoms, Completeness.COMPLETE, None
 
 
-def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec, ...]]:
-    """(radical, socle): a basis of the solvable radical R, and the rref rows
-    of the socle of the adjoint module.
+def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[Vec, ...]:
+    """The rref rows of the socle of the adjoint module.
 
-    R is the Killing-orthogonal of [L, L], and R = 0 when the Killing form is
-    nondegenerate (Cartan's criterion); then the socle is L.  Otherwise [L, R]
-    acts as zero on every simple module, so the socle lies in the centralizer
-    M of [L, R].  On M each ad z, z in R, commutes with ad L, so it acts on a
-    simple submodule by an element of a division ring and the socle is the
-    part of M on which every ad z is semisimple (Bourbaki, Lie Groups and Lie
-    Algebras I, 5.3, 5.5 and 6.5).  That part is the kernel in M of f(ad z),
-    f the square-free part of the minimal polynomial of ad z.
+    The solvable radical R is the Killing-orthogonal of [L, L], and R = 0
+    when the Killing form is nondegenerate (Cartan's criterion); then the
+    socle is L.  Otherwise [L, R] acts as zero on every simple module, so the
+    socle lies in the centralizer M of [L, R].  On M each ad z, z in R,
+    commutes with ad L, so it acts on a simple submodule by an element of a
+    division ring and the socle is the part of M on which every ad z is
+    semisimple (Bourbaki, Lie Groups and Lie Algebras I, 5.3, 5.5 and 6.5).
+    That part is the kernel in M of f(ad z), f the square-free part of the
+    minimal polynomial of ad z.
     """
     n = algebra.dim
     gram = _trace_gram(ad_mats)
     if not nullspace(gram, n):
-        return [], Subspace.whole(n).rows
+        return Subspace.whole(n).rows
     derived = rref(row for i, plane in enumerate(algebra.constants) for row in plane[i + 1 :])
     radical = nullspace([mat_vec(gram, y) for y in derived], n)
     ideal = rref(mat_vec(m, z) for m in ad_mats for z in radical)  # [L, R]
@@ -475,7 +463,7 @@ def _adjoint_socle(algebra: LieAlgebra, ad_mats: list) -> tuple[list, tuple[Vec,
             f = squarefree_part(mu)
             if len(f) < len(mu):  # otherwise f is a multiple of mu: f(ad z) = 0
                 rows.extend(poly_eval_matrix(f, ad_z))
-    return radical, rref(nullspace(rows, n))
+    return rref(nullspace(rows, n))
 
 
 def _isotypic_components(endo: list, d: int) -> list:

@@ -381,8 +381,18 @@ def test_acentral_check_no_counterexamples(p):
 
 
 def test_acentral_check_rejects_unit_exponent_zero():
-    with pytest.raises(ValueError):
+    # u = 1 is central, so it is refused; diagonal_element holds the one check
+    with pytest.raises(ValueError, match=r"^the diagonal witness must have u != 1$"):
         acentral_check(3, trials=10, exponent=0)
+
+
+@pytest.mark.parametrize("p, commuting", [(2, 202), (3, 200), (5, 200), (7, 200)])
+def test_acentral_check_accepts_u_minus_one(p, commuting):
+    # [g, h] has entries -2x/u and -2y at u = -1 too, so commuting forces x = y = 0;
+    # over Z[1/2] two of the 2000 random classes commute, beside the 200 controls
+    report = acentral_check(p, trials=2000, exponent=0, sign=-1)
+    assert report.to_json() == {"prime": p, "symbolic": "pass", "randomized": "pass", "trials": 2000,
+                                "commuting_cases": commuting, "counterexamples": []}
 
 
 def test_report_json_shape():

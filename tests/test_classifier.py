@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbp import classifier
 from pbp.classifier import (
     GroupDescriptor,
     InconsistentInput,
@@ -121,7 +123,10 @@ def test_vcd_zero_is_out_of_scope_like_zero_ends():
         verdict = classify(flagged(**flags))
         assert verdict.answer == Answer.NOT_APPLICABLE
         assert [entry.rule for entry in verdict.trace] == ["scope"]
-    assert classify(flagged(vcd=1)).answer == Answer.UNKNOWN
+    # vcd >= 1 derives an infinite group, and the derivation opens the trace
+    verdict = classify(flagged(vcd=1))
+    assert verdict.answer == Answer.UNKNOWN
+    assert [entry.rule for entry in verdict.trace] == ["derive/vcd", "small-dim"]
 
 
 def test_schreier_rule_and_negatives():
@@ -210,6 +215,8 @@ def test_inconsistent_flags_rejected():
                  "derive/centre concludes infinite = true, but infinite = false is asserted", id="derive-centre"),
     pytest.param({"vcd": 0, "infinite": True}, "virtual cohomological dimension 0 means a finite group",
                  id="vcd-zero-infinite"),
+    pytest.param({"vcd": 1, "ends": 0}, "ends = 0 asserts a finite group, but infinite = true",
+                 id="vcd-one-zero-ends"),
 ])
 def test_clashing_flags_name_the_clash(flags, message):
     with pytest.raises(InconsistentInput, match=f"^{re.escape(message)}$"):
@@ -228,7 +235,10 @@ def test_clashing_flags_name_the_clash(flags, message):
     ({"finitely-generated": False, "ends": 1, "schreier": True}, True,
      "derive/presentation concludes finitely-generated = true, but finitely-generated = false is asserted"),
     ({"vcd": -1}, False, "vcd must be at least 0, not -1"),
-], ids=["betti-infinite", "non-elementary", "deficiency-betti", "betti-schreier", "presentation", "negative-vcd"])
+    ({"vcd": 1, "infinite": False}, False, "derive/vcd concludes infinite = true, but infinite = false is asserted"),
+    ({"vcd": 2, "infinite": False}, False, "derive/vcd concludes infinite = true, but infinite = false is asserted"),
+], ids=["betti-infinite", "non-elementary", "deficiency-betti", "betti-schreier", "presentation", "negative-vcd",
+        "vcd-one", "vcd-two"])
 def test_contradicted_derivations_and_negative_vcd_are_refused(flags, presented, message):
     """A flag asserted against what a derivation concludes is refused with the rule named."""
     obj = {"kind": "flagged", "flags": flags}
@@ -239,18 +249,33 @@ def test_contradicted_derivations_and_negative_vcd_are_refused(flags, presented,
 
 
 # The implications between flags, restated from the paper's invariants: each
-# is (premise on the flags after derivation, JSON key, concluded value).  The
-# last needs a presentation, which the test passes as the key "presented".
+# is (rule, premise on the flags after derivation, JSON key, concluded value).
+# The last needs a presentation, which the test passes as the key "presented".
 IMPLICATIONS = [
-    (lambda f: f.get("ends") in (1, 2, "inf"), "infinite", True),
-    (lambda f: f.get("hyperbolic") is True and f.get("elementary") is False, "infinite", True),
-    (lambda f: f.get("centre") == "infinite", "infinite", True),
-    (lambda f: f.get("deficiency", 0) >= 1, "infinite", True),
-    (lambda f: f.get("deficiency", 0) >= 2, "l2-betti1-positive", True),
-    (lambda f: f.get("l2-betti1-positive") is True, "infinite", True),
-    (lambda f: f.get("l2-betti1-positive") is True and f.get("finitely-generated") is True, "schreier", True),
-    (lambda f: f.get("presented", False), "finitely-generated", True),
+    ("derive/ends", lambda f: f.get("ends") in (1, 2, "inf"), "infinite", True),
+    ("derive/vcd", lambda f: f.get("vcd", 0) >= 1, "infinite", True),
+    ("derive/non-elementary", lambda f: f.get("hyperbolic") is True and f.get("elementary") is False,
+     "infinite", True),
+    ("derive/centre", lambda f: f.get("centre") == "infinite", "infinite", True),
+    ("derive/deficiency", lambda f: f.get("deficiency", 0) >= 1, "infinite", True),
+    ("derive/deficiency-betti", lambda f: f.get("deficiency", 0) >= 2, "l2-betti1-positive", True),
+    ("derive/betti-infinite", lambda f: f.get("l2-betti1-positive") is True, "infinite", True),
+    ("derive/betti-schreier", lambda f: f.get("l2-betti1-positive") is True and f.get("finitely-generated") is True,
+     "schreier", True),
+    ("derive/presentation", lambda f: f.get("presented", False), "finitely-generated", True),
 ]
+
+
+def test_every_derivation_is_restated_as_an_implication():
+    """The rules of ``_derive``'s ``set_flag`` calls, with the presentation
+    rule that ``_classify_flagged`` applies through ``_implied``, are the rules
+    of IMPLICATIONS, so the hypothesis test below covers every derivation."""
+    tree = ast.parse(Path(classifier.__file__).read_text())
+    rules = [call.args[3].value for call in ast.walk(tree)
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("set_flag", "_implied")
+             and isinstance(call.args[3], ast.Constant)]
+    assert sorted(rules) == sorted(rule for rule, *_ in IMPLICATIONS)
+
 
 FLAG_VALUES = {
     "infinite": st.booleans(), "finitely-generated": st.booleans(), "schreier": st.booleans(),
@@ -266,7 +291,7 @@ def derived(asserted: dict) -> dict:
     grown = True
     while grown:
         grown = False
-        for premise, key, value in IMPLICATIONS:
+        for _rule, premise, key, value in IMPLICATIONS:
             if premise(flags) and key not in flags:
                 flags[key], grown = value, True
     return flags
@@ -280,7 +305,8 @@ def test_no_verdict_contradicts_an_implication(flags, presented):
     if presented:
         obj["presentation"] = {"generators": ["a", "b"], "relators": []}
     closure = derived({**flags, "presented": presented})
-    contradicted = [key for premise, key, value in IMPLICATIONS if premise(closure) and closure[key] != value]
+    contradicted = [key for _rule, premise, key, value in IMPLICATIONS
+                    if premise(closure) and closure[key] != value]
     if contradicted:
         with pytest.raises(InconsistentInput):
             classify(descriptor_from_json(obj))

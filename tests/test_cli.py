@@ -478,7 +478,8 @@ def test_input_errors_exit_two_in_a_fresh_process(tmp_path, argv):
     ({"l2-betti1-positive": True, "infinite": False},
      "derive/betti-infinite concludes infinite = true, but infinite = false is asserted"),
     ({"vcd": -1}, "vcd must be at least 0, not -1"),
-], ids=["ContradictedDerivation", "NegativeVcd"])
+    ({"vcd": 1, "infinite": False}, "derive/vcd concludes infinite = true, but infinite = false is asserted"),
+], ids=["ContradictedDerivation", "NegativeVcd", "PositiveVcdFinite"])
 def test_refused_flags_exit_two_in_a_fresh_process(tmp_path, flags, message):
     """Flags that contradict a derivation, or leave a flag's domain, exit 2 and name the rule."""
     code, err, _ = run_fresh(["classify", "-i", write(tmp_path, "d.json", {"kind": "flagged", "flags": flags})])
