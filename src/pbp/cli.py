@@ -10,9 +10,9 @@ only what its subcommand needs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .verdict import InternalVerificationError, json_int
 
@@ -75,12 +75,9 @@ def cmd_bs(args) -> int:
 def cmd_lie(args) -> int:
     from .lie import algebra_from_json, catalogue, lie_presentable
 
-    if args.catalogue:
-        algebra = catalogue(args.catalogue)
-    elif args.input:
-        algebra = algebra_from_json(_load(args.input))
-    else:
-        raise ValueError("provide -i algebra.json or --catalogue NAME")
+    if bool(args.catalogue) == bool(args.input):
+        raise ValueError("give exactly one of -i algebra.json and --catalogue NAME")
+    algebra = catalogue(args.catalogue) if args.catalogue else algebra_from_json(_load(args.input))
     result = lie_presentable(algebra)
     out = result.to_json()
     out["algebra"] = {"dim": algebra.dim, "basis": list(algebra.labels)}
@@ -133,53 +130,86 @@ def cmd_abels(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pbp", description="presentability-by-a-product verdicts with certificates"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# subcommand: (handler, help, {flags: (attribute, type, default, metavar, help)}).  Flags without a dash
+# name the positionals, in order; type bool makes an option a flag, and a default of ... a required one.
+COMMANDS = {
+    "classify": (cmd_classify, "classify a group descriptor",
+                 {"-i --input": ("input", str, ..., "FILE", "descriptor JSON file")}),
+    "coxeter": (cmd_coxeter, "classify a Coxeter matrix",
+                {"-i --input": ("input", str, ..., "FILE", "matrix JSON file")}),
+    "bs": (cmd_bs, "Baumslag-Solitar verdict", {
+        "--witness": ("witness", bool, False, "", "include full witness data"),
+        "--verify-bound": ("verify_bound", int, None, "L", "check the witness up to relation length L"),
+        "m": ("m", int, ..., "", "BS(m, n) parameter"), "n": ("n", int, ..., "", "BS(m, n) parameter")}),
+    "lie": (cmd_lie, "Lie algebra verdict", {"-i --input": ("input", str, None, "FILE", "algebra JSON file"),
+            "--catalogue": ("catalogue", str, None, "NAME", "named algebra, e.g. sol or so(2,1) or vr(2,1,1)")}),
+    "subgroup": (cmd_subgroup, "finite-index subgroup presentation", {
+        "-i --input": ("input", str, ..., "FILE", "presentation JSON file"),
+        "--hom": ("hom", str, ..., "FILE", "JSON file with permutation images")}),
+    "abels": (cmd_abels, "acentrality verification over Z[1/p]", {"--prime": ("prime", int, ..., "P", "a prime"),
+              "--trials": ("trials", int, 10_000, "N", "random pairs to check (default 10000)")}),
+}
 
-    p = sub.add_parser("classify", help="classify a group descriptor")
-    p.add_argument("-i", "--input", required=True, help="descriptor JSON file")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("coxeter", help="classify a Coxeter matrix")
-    p.add_argument("-i", "--input", required=True, help="matrix JSON file")
-    p.set_defaults(func=cmd_coxeter)
+class UsageError(Exception):
+    """A malformed command line: (message, the subcommand whose usage applies, or None)."""
 
-    p = sub.add_parser("bs", help="Baumslag-Solitar verdict")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--witness", action="store_true", help="include full witness data")
-    p.add_argument("--verify-bound", type=int, default=None, metavar="L",
-                   help="run the witness checks with freeness bound L: no relation of "
-                        "length <= L among the conjugates, found by reducing the words of "
-                        "length <= ceil(L/2) and matching their normal forms")
-    p.set_defaults(func=cmd_bs)
 
-    p = sub.add_parser("lie", help="Lie algebra verdict")
-    p.add_argument("-i", "--input", help="algebra JSON file")
-    p.add_argument("--catalogue", help="named algebra, e.g. sol or so(2,1) or vr(2,1,1)")
-    p.set_defaults(func=cmd_lie)
+def usage(command: str | None, full: bool = False) -> str:
+    """pbp's or a subcommand's usage line; with ``full``, the help text that it heads."""
+    if command is None:
+        line, title, options = "pbp [-h] {%s} ..." % ",".join(COMMANDS), "verdicts with certificates", {}
+        rows = "".join(f"\n  {name:<10}{spec[1]}" for name, spec in COMMANDS.items())
+    else:
+        line, title, options, rows = f"pbp {command} [-h]", COMMANDS[command][1], COMMANDS[command][2], ""
+    for flags, (_, _, default, metavar, text) in options.items():
+        word = f"{flags.split()[0]} {metavar}".strip()
+        line += f" {word}" if default is ... else f" [{word}]"
+        rows += f"\n  {flags.replace(' ', ', ') + ' ' + metavar:<20}{text}"
+    return f"{line}\n\n{title}\n{rows}" if full else line
 
-    p = sub.add_parser("subgroup", help="finite-index subgroup presentation")
-    p.add_argument("-i", "--input", required=True, help="presentation JSON file")
-    p.add_argument("--hom", required=True, help="JSON file with permutation images")
-    p.set_defaults(func=cmd_subgroup)
 
-    p = sub.add_parser("abels", help="acentrality verification over Z[1/p]")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.set_defaults(func=cmd_abels)
-
-    return parser
+def parse(argv: list[str]):
+    """(handler, arguments) for a command line; -2 is a negative positional, not an option."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command not in COMMANDS:
+        raise UsageError(f"unknown subcommand {command!r}" if command else "no subcommand given", None)
+    handler, _, options = COMMANDS[command]
+    specs = {flag: spec for flags, spec in options.items() for flag in flags.split()}
+    positionals = [flags for flags in options if not flags.startswith("-")]
+    values = {spec[0]: spec[2] for spec in options.values()}
+    for token in tokens:
+        flag, eq, text = token.partition("=") if token.startswith("--") else (token, "", token)
+        if (not token.startswith("-") or token[1:].isdigit()) and positionals:
+            flag = positionals.pop(0)
+        elif flag not in specs or not flag.startswith("-") or eq and specs[flag][1] is bool:
+            raise UsageError(f"unrecognized argument {token}", command)
+        elif not eq and specs[flag][1] is not bool and (text := next(tokens, None)) is None:
+            raise UsageError(f"argument {flag} expects a value", command)
+        attribute, kind = specs[flag][:2]
+        try:
+            values[attribute] = True if kind is bool else kind(text)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid int value: {text!r}", command) from None
+    missing = [flags.replace(" ", "/") for flags, spec in options.items() if values[spec[0]] is ...]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: {usage(argv[0] if argv[0] in COMMANDS else None, full=True)}")
+        return 0
     try:
-        return args.func(args)
+        handler, args = parse(argv)
+    except UsageError as exc:
+        print(f"usage: {usage(exc.args[1])}\npbp: error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    try:
+        return handler(args)
     except InternalVerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3

@@ -10,7 +10,7 @@ import pytest
 
 import pbp
 from pbp.classifier import Flags
-from pbp.cli import main
+from pbp.cli import COMMANDS, main, parse, usage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).parent / "golden"
@@ -423,6 +423,96 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
     loaded = python("import json, sys, pbp\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('pbp'))))")
     assert json.loads(loaded.stdout) == ["pbp"]
+
+
+# Every README command line and every cli-mix argv shape, with the handler and the attributes
+# that the argparse parser of earlier versions gave them.
+PARSED = [
+    (["classify", "-i", "descriptor.json"], "cmd_classify", {"input": "descriptor.json"}),
+    (["coxeter", "-i", "m.json"], "cmd_coxeter", {"input": "m.json"}),
+    (["bs", "2", "-2", "--witness", "--verify-bound", "8"], "cmd_bs",
+     {"m": 2, "n": -2, "witness": True, "verify_bound": 8}),
+    (["lie", "--catalogue", "sol"], "cmd_lie", {"input": None, "catalogue": "sol"}),
+    (["lie", "--catalogue", "vr(2,1,2)"], "cmd_lie", {"input": None, "catalogue": "vr(2,1,2)"}),
+    (["lie", "-i", "algebra.json"], "cmd_lie", {"input": "algebra.json", "catalogue": None}),
+    (["subgroup", "-i", "presentation.json", "--hom", "hom.json"], "cmd_subgroup",
+     {"input": "presentation.json", "hom": "hom.json"}),
+    (["abels", "--prime", "3", "--trials", "10000"], "cmd_abels", {"prime": 3, "trials": 10000}),
+    (["bs", "2", "-2"], "cmd_bs", {"m": 2, "n": -2, "witness": False, "verify_bound": None}),
+    (["bs", "-3", "5"], "cmd_bs", {"m": -3, "n": 5, "witness": False, "verify_bound": None}),
+    (["bs", "-2", "2", "--verify-bound", "4"], "cmd_bs", {"m": -2, "n": 2, "witness": False, "verify_bound": 4}),
+    (["bs", "6", "-1", "--witness"], "cmd_bs", {"m": 6, "n": -1, "witness": True, "verify_bound": None}),
+    (["lie", "--catalogue", "so(4)+so(4)"], "cmd_lie", {"input": None, "catalogue": "so(4)+so(4)"}),
+    (["abels", "--prime", "7", "--trials", "200"], "cmd_abels", {"prime": 7, "trials": 200}),
+    (["bs", "-3", "-3"], "cmd_bs", {"m": -3, "n": -3, "witness": False, "verify_bound": None}),
+    (["abels", "--prime", "5"], "cmd_abels", {"prime": 5, "trials": 10000}),
+    (["classify", "--input=d.json"], "cmd_classify", {"input": "d.json"}),
+    (["bs", "2", "-2", "--verify-bound=8"], "cmd_bs", {"m": 2, "n": -2, "witness": False, "verify_bound": 8}),
+    (["subgroup", "--hom", "h.json", "--input", "p.json"], "cmd_subgroup", {"input": "p.json", "hom": "h.json"}),
+    (["bs", "--witness", "3", "3"], "cmd_bs", {"m": 3, "n": 3, "witness": True, "verify_bound": None}),
+]
+
+
+@pytest.mark.parametrize("argv, handler, attributes", PARSED, ids=[" ".join(a) for a, _, _ in PARSED])
+def test_command_lines_parse_as_before(argv, handler, attributes):
+    parsed_handler, args = parse(argv)
+    assert (parsed_handler.__name__, vars(args)) == (handler, attributes)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no subcommand given"),
+    (["frobnicate"], "unknown subcommand 'frobnicate'"),
+    (["bs", "2", "3", "--frob"], "unrecognized argument --frob"),
+    (["classify"], "the following arguments are required: -i/--input"),
+    (["subgroup", "-i", "p.json"], "the following arguments are required: --hom"),
+    (["abels", "--trials", "5"], "the following arguments are required: --prime"),
+    (["bs", "2"], "the following arguments are required: n"),
+    (["coxeter", "-i"], "argument -i expects a value"),
+    (["bs", "2", "3", "--verify-bound"], "argument --verify-bound expects a value"),
+    (["abels", "--prime", "x"], "argument --prime: invalid int value: 'x'"),
+    (["bs", "2", "3", "4"], "unrecognized argument 4"),
+    (["bs", "2", "3", "--witness=yes"], "unrecognized argument --witness=yes"),
+    (["lie", "--cat", "sl2"], "unrecognized argument --cat"),
+    (["bs", "2", "-2", "--verify", "8"], "unrecognized argument --verify"),
+], ids=["no-subcommand", "unknown-subcommand", "unknown-option", "missing-input", "missing-hom",
+        "missing-prime", "missing-positional", "input-without-value", "bound-without-value",
+        "prime-not-an-int", "third-positional", "flag-with-value", "abbreviated-catalogue",
+        "abbreviated-verify-bound"])
+def test_usage_errors_exit_two_in_a_fresh_process(argv, message):
+    """A malformed command line exits 2 with pbp's or the subcommand's usage line and one error
+    line on stderr, and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "pbp", *argv], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    usage_line, error_line = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout, error_line) == (2, "", f"pbp: error: {message}")
+    assert usage_line == f"usage: {usage(argv[0] if argv[:1] and argv[0] in COMMANDS else None)}"
+
+
+def test_usage_error_returns_two_from_main(capsys):
+    assert main(["bs", "2"]) == 2
+    assert capsys.readouterr().err == ("usage: pbp bs [-h] [--witness] [--verify-bound L] m n\n"
+                                       "pbp: error: the following arguments are required: n\n")
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["-h"], ["classify", "coxeter", "bs", "lie", "subgroup", "abels"]),
+    (["bs", "--help"], ["--witness", "--verify-bound L", "m", "n"]),
+], ids=["pbp", "bs"])
+def test_help_lists_subcommands_or_options(argv, listed):
+    proc = subprocess.run([sys.executable, "-m", "pbp", *argv], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: pbp ")
+    rows = [line.split("  ")[1] for line in proc.stdout.splitlines() if line.startswith("  ")]
+    assert rows == listed
+
+
+def test_lie_refuses_a_file_and_a_catalogue_name(tmp_path, capsys):
+    """Given both -i and --catalogue, lie names both and exits 2 instead of ignoring the file."""
+    path = write(tmp_path, "alg.json", {"dim": 1, "basis": ["x"]})
+    code, out, err = run(capsys, ["lie", "-i", path, "--catalogue", "sl2"])
+    assert (code, out) == (2, None)
+    assert err == "invalid input: give exactly one of -i algebra.json and --catalogue NAME\n"
 
 
 @pytest.mark.parametrize("argv", [

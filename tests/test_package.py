@@ -93,7 +93,8 @@ def test_traced_cli_still_runs(tmp_path):
 
 def test_subcommands_load_neither_dataclasses_nor_inspect(tmp_path):
     """Each subcommand, in a fresh interpreter, loads beyond a bare interpreter
-    neither dataclasses nor inspect; ``bs 2 -2`` loads no presentations and
+    neither dataclasses nor inspect, and neither argparse nor the gettext and
+    locale that it imports; ``bs 2 -2`` loads no presentations and
     no fractions either, since it neither enumerates cosets nor needs rationals,
     and a flagged descriptor without a presentation loads neither presentations
     nor words."""
@@ -127,4 +128,5 @@ def test_subcommands_load_neither_dataclasses_nor_inspect(tmp_path):
         )
         code, *loaded = out.split()
         assert code == "0", (argv, out)
-        assert not set(loaded) & ({"dataclasses", "inspect"} | also_absent), (argv, loaded)
+        never = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+        assert not set(loaded) & (never | also_absent), (argv, loaded)
