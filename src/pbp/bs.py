@@ -138,7 +138,12 @@ def _britton_push(
         elif letter == -S:
             k -= 1
         else:
-            e = 1 if letter == T else -1
+            if letter == T:
+                e = 1
+            elif letter == -T:
+                e = -1
+            else:
+                raise ValueError(f"a word in s and t has the letters +-1 and +-2, not {letter}")
             if eps == -e:
                 inner, outer = (m, n) if eps == 1 else (n, m)
                 if k % inner == 0:

@@ -3,10 +3,12 @@
 Structured descriptors (Coxeter matrices, Baumslag-Solitar parameters) are
 delegated to their exact deciders; flag-annotated descriptors run through a
 fixed rule base in which every flag is treated as a user-asserted axiom.
-Conflicting conclusions raise InconsistentInput instead of picking a side:
-a flag that a derivation concludes (say, a positive first L2-Betti number
-makes the group infinite) and that is asserted with the other value is
-refused, with the rule named.
+Each rule concludes a Verdict of its own, a nested ``virtually`` descriptor
+its inner Verdict whole, qualifier included, and the engine picks one by
+precedence.  Conflicting conclusions raise InconsistentInput instead of
+picking a side: a flag that a derivation concludes (say, a positive first
+L2-Betti number makes the group infinite) and that is asserted with the
+other value is refused, with the rule named.
 """
 
 from __future__ import annotations
@@ -256,25 +258,28 @@ def _validate_flags(f: Flags) -> None:
         clash("virtual cohomological dimension 0 means a finite group")
 
 
-def _implied(f: Flags, name: str, value: bool, rule: str) -> bool:
-    """True if flag ``name`` is not asserted, so ``rule`` sets it to ``value``;
-    InconsistentInput if it is asserted with the other value."""
-    asserted = getattr(f, name)
-    if asserted is not None and asserted != value:
-        key, said, got = name.replace("_", "-"), str(value).lower(), str(asserted).lower()
-        raise InconsistentInput(f"{rule} concludes {key} = {said}, but {key} = {got} is asserted")
-    return asserted is None
-
-
-def _derive(f: Flags) -> tuple[Flags, list[TraceEntry]]:
+def _derive(f: Flags, presented: bool) -> tuple[Flags, list[TraceEntry]]:
+    """``f`` with every flag implication applied, and the trace entries of those applied."""
     notes: list[TraceEntry] = []
 
-    def set_flag(current: Flags, name: str, value: bool, rule: str, cite: str) -> Flags:
-        if _implied(current, name, value, rule):
-            notes.append(TraceEntry(rule, cite))
+    def set_flag(current: Flags, name: str, value: bool, rule: str, cite: str | None) -> Flags:
+        """``current`` with flag ``name`` set to ``value`` if it is not asserted, noted
+        in the trace unless ``cite`` is None; InconsistentInput if ``name`` is
+        asserted with the other value."""
+        asserted = getattr(current, name)
+        if asserted is None:
+            if cite is not None:
+                notes.append(TraceEntry(rule, cite))
             return _with_flag(current, name, value)
+        if asserted != value:
+            key, said, got = name.replace("_", "-"), str(value).lower(), str(asserted).lower()
+            raise InconsistentInput(f"{rule} concludes {key} = {said}, but {key} = {got} is asserted")
         return current
 
+    # a finitely presented group is finitely generated; the input shows the
+    # presentation, so the trace does not repeat it
+    if presented:
+        f = set_flag(f, "finitely_generated", True, "derive/presentation", None)
     if f.ends in (1, 2, INF_ENDS):
         f = set_flag(f, "infinite", True, "derive/ends", CITE_ENDS_IMPLY_INFINITE)
     if f.vcd is not None and f.vcd >= 1:
@@ -297,79 +302,58 @@ def _derive(f: Flags) -> tuple[Flags, list[TraceEntry]]:
 # --- conclusions ----------------------------------------------------------------
 
 
-class _Conclusion(Record):
-    __slots__ = ("strength", "entry", "certificate")
+def _flag_conclusions(f: Flags) -> list[Verdict]:
+    """The verdict of each rule whose hypotheses the flags meet, in rule order."""
+    out: list[Verdict] = []
 
-    def __init__(self, strength: str, entry: TraceEntry, certificate: dict | None = None):
-        """``strength`` is yes, no, no-fg or unknown-info."""
-        self._set(strength, entry, certificate)
-
-
-def _flag_conclusions(f: Flags) -> list[_Conclusion]:
-    out: list[_Conclusion] = []
+    def conclude(answer: Answer, rule: str, cite: str, certificate: dict | None = None,
+                 qualifier: str | None = None) -> None:
+        out.append(Verdict(answer, qualifier, certificate, (TraceEntry(rule, cite),)))
 
     if f.centre == "infinite":
-        out.append(
-            _Conclusion("yes", TraceEntry("centre", CITE_CENTRE), {"kind": "infinite-centre"})
-        )
+        conclude(Answer.YES, "centre", CITE_CENTRE, {"kind": "infinite-centre"})
     if f.virtually is not None:
-        out.extend(_virtually_conclusions(f.virtually))
+        out.append(_virtually_verdict(f.virtually))
     if f.seifert is True and f.infinite:
-        out.append(
-            _Conclusion(
-                "yes",
-                TraceEntry("seifert", CITE_SEIFERT_YES),
-                {"kind": "virtually-infinite-centre"},
-            )
-        )
+        conclude(Answer.YES, "seifert", CITE_SEIFERT_YES, {"kind": "virtually-infinite-centre"})
     if f.seifert is False and f.infinite:
-        out.append(_Conclusion("no", TraceEntry("seifert", CITE_SEIFERT_NO)))
+        conclude(Answer.NO, "seifert", CITE_SEIFERT_NO)
     if f.simple and f.infinite:
-        out.append(_Conclusion("no", TraceEntry("simple", CITE_SIMPLE)))
+        conclude(Answer.NO, "simple", CITE_SIMPLE)
     if f.hyperbolic and f.elementary is False:
-        out.append(_Conclusion("no", TraceEntry("hyperbolic", CITE_HYPERBOLIC_NO)))
+        conclude(Answer.NO, "hyperbolic", CITE_HYPERBOLIC_NO)
     if f.hyperbolic and f.elementary is True:
-        out.append(
-            _Conclusion(
-                "yes",
-                TraceEntry("hyperbolic", CITE_HYPERBOLIC_YES),
-                {"kind": "virtually-infinite-cyclic"},
-            )
-        )
+        conclude(Answer.YES, "hyperbolic", CITE_HYPERBOLIC_YES, {"kind": "virtually-infinite-cyclic"})
     if f.ends == 2:
-        out.append(
-            _Conclusion(
-                "yes", TraceEntry("ends", CITE_TWO_ENDS), {"kind": "virtually-infinite-cyclic"}
-            )
-        )
+        conclude(Answer.YES, "ends", CITE_TWO_ENDS, {"kind": "virtually-infinite-cyclic"})
     if f.ends == INF_ENDS:
-        out.append(_Conclusion("no", TraceEntry("ends", CITE_INF_ENDS)))
+        conclude(Answer.NO, "ends", CITE_INF_ENDS)
     if f.schreier and f.finitely_generated and f.ends == 1:
-        out.append(_Conclusion("no-fg", TraceEntry("schreier", CITE_SCHREIER)))
+        conclude(Answer.NO, "schreier", CITE_SCHREIER, qualifier=FG_QUALIFIER)
     if f.l2_betti1_positive:
-        out.append(_Conclusion("no", TraceEntry("small-dim", CITE_BETTI_VANISHING)))
+        conclude(Answer.NO, "small-dim", CITE_BETTI_VANISHING)
     elif f.deficiency == 1 and f.virtually is None:
-        out.append(_Conclusion("unknown-info", TraceEntry("small-dim", CITE_DEF_CHARACTERIZATION)))
+        conclude(Answer.UNKNOWN, "small-dim", CITE_DEF_CHARACTERIZATION)
     if f.vcd is not None and 1 <= f.vcd <= 2 and f.virtually is None:
-        out.append(_Conclusion("unknown-info", TraceEntry("small-dim", CITE_VCD_CHARACTERIZATION)))
+        conclude(Answer.UNKNOWN, "small-dim", CITE_VCD_CHARACTERIZATION)
     return out
 
 
-def _virtually_conclusions(spec: dict) -> list[_Conclusion]:
+def _virtually_verdict(spec: dict) -> Verdict:
+    """The verdict of a group virtually isomorphic to ``spec``, behind the
+    finite-index trace entry.
+
+    A nested descriptor's verdict passes on whole, qualifier included.  The
+    finite-index argument of CITE_FINITE_INDEX holds for products of finitely
+    generated groups too, since a finite-index subgroup of a finitely
+    generated group is finitely generated, so a group virtually isomorphic to
+    one not presentable by such a product is not presentable by one either.
+    """
+    head = TraceEntry("virtually", CITE_FINITE_INDEX)
     if "kind" in spec:
         inner = classify(descriptor_from_json(spec))
-        strength = {
-            Answer.YES: "yes",
-            Answer.NO: "no",
-            Answer.UNKNOWN: "unknown-info",
-            Answer.NOT_APPLICABLE: "not-applicable",
-        }[inner.answer]
-        head = _Conclusion(
-            strength,
-            TraceEntry("virtually", CITE_FINITE_INDEX),
-            {"kind": "finite-index", "inner": inner.to_json()} if strength == "yes" else None,
-        )
-        return [head] + [_Conclusion(strength, entry) for entry in inner.trace]
+        certificate = {"kind": "finite-index", "inner": inner.to_json()} if inner.answer is Answer.YES else None
+        return Verdict(inner.answer, inner.qualifier, certificate, (head,) + inner.trace)
     form = spec.get("form")
     if not isinstance(form, str) or form not in CITE_VIRTUAL_FORM:
         raise ValueError(f"unknown virtually form {form!r}")
@@ -379,14 +363,8 @@ def _virtually_conclusions(spec: dict) -> list[_Conclusion]:
         ranks = spec.get("ranks", [1, 1])
         if not isinstance(ranks, list) or len(ranks) != 2 or min(json_int(r, "a rank") for r in ranks) < 1:
             raise ValueError("product-of-free-groups needs two ranks >= 1")
-    return [
-        _Conclusion(
-            "yes",
-            TraceEntry("virtually", CITE_FINITE_INDEX),
-            {"kind": "virtually", "form": form},
-        ),
-        _Conclusion("yes", TraceEntry("virtually", CITE_VIRTUAL_FORM[form])),
-    ]
+    return Verdict(Answer.YES, certificate={"kind": "virtually", "form": form},
+                   trace=(head, TraceEntry("virtually", CITE_VIRTUAL_FORM[form])))
 
 
 # --- the entry point -------------------------------------------------------------
@@ -436,48 +414,42 @@ def _classify_free_product(factors) -> Verdict:
 
 
 def _classify_flagged(descriptor: GroupDescriptor) -> Verdict:
+    """The verdict the flag rules conclude, picked by precedence.
+
+    A YES takes the finitely generated NOs into its trace and their
+    qualifier; an unqualified NO outranks a qualified one; NOT_APPLICABLE
+    needs no YES or NO; UNKNOWN is left.  A YES and an unqualified NO
+    together are refused.
+    """
     flags = descriptor.flags
     _validate_flags(flags)
-    # a finitely presented group is finitely generated
-    if descriptor.presentation is not None and _implied(flags, "finitely_generated", True, "derive/presentation"):
-        flags = _with_flag(flags, "finitely_generated", True)
-    flags, notes = _derive(flags)
+    flags, notes = _derive(flags, descriptor.presentation is not None)
     _validate_flags(flags)
 
     if flags.infinite is False or flags.ends == 0 or flags.vcd == 0:
         return Verdict(Answer.NOT_APPLICABLE, trace=(TraceEntry("scope", CITE_SCOPE),))
 
-    conclusions = _flag_conclusions(flags)
-    yes = [c for c in conclusions if c.strength == "yes"]
-    no = [c for c in conclusions if c.strength == "no"]
-    no_fg = [c for c in conclusions if c.strength == "no-fg"]
-    info = [c for c in conclusions if c.strength == "unknown-info"]
-    not_applicable = [c for c in conclusions if c.strength == "not-applicable"]
+    verdicts = _flag_conclusions(flags)
+    yes = [v for v in verdicts if v.answer is Answer.YES]
+    no = [v for v in verdicts if v.answer is Answer.NO and v.qualifier is None]
+    no_fg = [v for v in verdicts if v.answer is Answer.NO and v.qualifier is not None]
 
-    if not_applicable and not (yes or no or no_fg):
-        return Verdict(
-            Answer.NOT_APPLICABLE,
-            trace=tuple(notes) + tuple(c.entry for c in not_applicable),
-        )
+    def assemble(answer: Answer, picked: list[Verdict]) -> Verdict:
+        qualifier = None if no else next((v.qualifier for v in picked if v.qualifier), None)
+        certificate = next((v.certificate for v in picked if v.certificate), None)
+        trace = tuple(notes) + tuple(entry for v in picked for entry in v.trace)
+        return Verdict(answer, qualifier, certificate, trace)
+
     if yes and no:
         raise InconsistentInput(
-            f"rules disagree: {yes[0].entry.rule} concludes YES but "
-            f"{no[0].entry.rule} concludes NO"
+            f"rules disagree: {yes[0].trace[0].rule} concludes YES but "
+            f"{no[0].trace[0].rule} concludes NO"
         )
-
-    def assemble(answer: Answer, picked: list[_Conclusion], qualifier=None) -> Verdict:
-        trace = tuple(notes) + tuple(c.entry for c in picked)
-        certificate = next((c.certificate for c in picked if c.certificate), None)
-        return Verdict(answer, qualifier=qualifier, certificate=certificate, trace=trace)
-
     if yes:
-        qualifier = FG_QUALIFIER if no_fg else None
-        return assemble(Answer.YES, yes + no_fg, qualifier)
-    if no:
+        return assemble(Answer.YES, yes + no_fg)
+    if no or no_fg:
         return assemble(Answer.NO, no + no_fg)
-    if no_fg:
-        return assemble(Answer.NO, no_fg, FG_QUALIFIER)
-    if info:
-        return assemble(Answer.UNKNOWN, info)
-    return Verdict(Answer.UNKNOWN, trace=tuple(notes))
-
+    not_applicable = [v for v in verdicts if v.answer is Answer.NOT_APPLICABLE]
+    if not_applicable:
+        return assemble(Answer.NOT_APPLICABLE, not_applicable)
+    return assemble(Answer.UNKNOWN, verdicts)

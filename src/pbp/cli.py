@@ -56,9 +56,8 @@ def cmd_bs(args) -> int:
     if args.verify_bound is not None:
         if abs(args.m) != abs(args.n) or abs(args.m) < 2:
             raise ValueError("--verify-bound applies to BS(m, +-m) with |m| >= 2")
-        big, eta = abs(args.m), (1 if args.m * args.n > 0 else -1)
-        group = BSGroup(big, eta * big)
-        report = verify_witness(group, witness_subgroup(big, eta), args.verify_bound)
+        witness = witness_subgroup(abs(args.m), args.n // args.m)
+        report = verify_witness(BSGroup(args.m, args.n), witness, args.verify_bound)
         out["checks"] = {
             "passed": report.passed,
             "index": report.index,

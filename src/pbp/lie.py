@@ -75,6 +75,8 @@ class LieAlgebra(Record):
         c = tuple(tuple(tuple(_integral(x) for x in row) for row in plane) for plane in constants)
         if len(labels) != dim:
             raise ValueError("one label per basis vector")
+        if len(c) != dim or any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in c):
+            raise ValueError(f"the structure constants must form a {dim} x {dim} x {dim} array")
         self._set(dim, c, labels)
 
     def bracket(self, u: Sequence, v: Sequence) -> Vec:

@@ -66,6 +66,13 @@ def test_identity_and_negatives():
     assert britton_reduce(group, w("t s^2 t^-1 s^2")).is_identity()
 
 
+@pytest.mark.parametrize("letter", [3, -3, 7])
+def test_britton_reduce_refuses_a_letter_outside_s_and_t(letter):
+    """Only s^+-1 and t^+-1 (the values +-1 and +-2) spell a word in BS(m, n)."""
+    with pytest.raises(ValueError, match=f"not {letter}$"):
+        britton_reduce(BSGroup(2, 3), Word([1, letter]))
+
+
 def test_exponent_normalization():
     group = BSGroup(2, 3)
     form = britton_reduce(group, w("t s^5"))

@@ -14,7 +14,7 @@ from pbp.classifier import (
     classify,
     descriptor_from_json,
 )
-from pbp.verdict import FG_QUALIFIER, Answer
+from pbp.verdict import FG_QUALIFIER, Answer, TraceEntry
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.json"))
 
@@ -57,7 +57,61 @@ def test_finite_index_invariance_metamorphic(path):
     wrapped = descriptor_from_json(
         {"kind": "flagged", "flags": {"virtually": blob["descriptor"]}}
     )
-    assert classify(wrapped).answer.value == blob["expected"]["answer"]
+    verdict = classify(wrapped)
+    assert verdict.answer.value == blob["expected"]["answer"]
+    assert verdict.qualifier == blob["expected"]["qualifier"]
+
+
+def test_a_wrapped_qualified_yes_keeps_its_qualifier():
+    inner = {"kind": "flagged", "flags": {"centre": "infinite", "schreier": True, "finitely-generated": True,
+                                          "ends": 1}}
+    direct = classify(descriptor_from_json(inner))
+    assert (direct.answer, direct.qualifier) == (Answer.YES, FG_QUALIFIER)
+    wrapped = classify(flagged(virtually=inner))
+    assert (wrapped.answer, wrapped.qualifier) == (Answer.YES, FG_QUALIFIER)
+    assert wrapped.certificate == {"kind": "finite-index", "inner": direct.to_json()}
+    assert wrapped.trace == (TraceEntry("virtually", classifier.CITE_FINITE_INDEX),) + direct.trace
+
+
+def test_a_wrapped_qualified_no_beside_a_yes_qualifies_the_yes():
+    """As a Schreier group with infinite centre reads YES with the qualifier,
+    so does an infinite-centre group virtually a Schreier group."""
+    schreier = {"kind": "flagged", "flags": {"schreier": True, "finitely-generated": True, "ends": 1}}
+    verdict = classify(flagged(centre="infinite", virtually=schreier))
+    assert (verdict.answer, verdict.qualifier) == (Answer.YES, FG_QUALIFIER)
+    assert verdict.certificate == {"kind": "infinite-centre"}
+    # an unqualified NO beside the qualified one outranks it
+    verdict = classify(flagged(ends="inf", virtually=schreier))
+    assert (verdict.answer, verdict.qualifier) == (Answer.NO, None)
+    assert [entry.rule for entry in verdict.trace][:3] == ["derive/ends", "ends", "virtually"]
+
+
+FLAGGED = st.recursive(
+    st.fixed_dictionaries({}, optional={
+        "infinite": st.booleans(), "finitely-generated": st.booleans(), "schreier": st.booleans(),
+        "ends": st.sampled_from([0, 1, 2, "inf"]), "vcd": st.integers(0, 3), "deficiency": st.integers(-1, 3),
+        "l2-betti1-positive": st.booleans(), "hyperbolic": st.booleans(), "elementary": st.booleans(),
+        "simple": st.booleans(), "centre": st.sampled_from(["finite", "infinite"]), "seifert": st.booleans(),
+    }).map(lambda flags: {"kind": "flagged", "flags": flags}),
+    lambda inner: st.tuples(inner, inner).map(
+        lambda pair: {"kind": "flagged", "flags": {**pair[0]["flags"], "virtually": pair[1]}}),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=300)
+@given(FLAGGED)
+def test_virtually_keeps_answer_and_qualifier(inner):
+    """A group virtually isomorphic to a flagged one reads its answer and
+    qualifier, or both descriptors are refused."""
+    try:
+        direct = classify(descriptor_from_json(inner))
+    except InconsistentInput:
+        with pytest.raises(InconsistentInput):
+            classify(flagged(virtually=inner))
+        return
+    wrapped = classify(flagged(virtually=inner))
+    assert (wrapped.answer, wrapped.qualifier) == (direct.answer, direct.qualifier)
 
 
 def test_classify_is_deterministic():
@@ -267,14 +321,25 @@ IMPLICATIONS = [
 
 
 def test_every_derivation_is_restated_as_an_implication():
-    """The rules of ``_derive``'s ``set_flag`` calls, with the presentation
-    rule that ``_classify_flagged`` applies through ``_implied``, are the rules
-    of IMPLICATIONS, so the hypothesis test below covers every derivation."""
+    """The rules of ``_derive``'s ``set_flag`` calls, the presentation rule
+    among them, are the rules of IMPLICATIONS, so the hypothesis test below
+    covers every derivation."""
     tree = ast.parse(Path(classifier.__file__).read_text())
     rules = [call.args[3].value for call in ast.walk(tree)
              if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("set_flag", "_implied")
              and isinstance(call.args[3], ast.Constant)]
     assert sorted(rules) == sorted(rule for rule, *_ in IMPLICATIONS)
+
+
+def test_flagged_rules_conclude_verdicts():
+    """The rules conclude ``Verdict``s, so no second answer vocabulary (a
+    conclusion class or strength strings) can drop a qualifier on the way."""
+    tree = ast.parse(Path(classifier.__file__).read_text())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"InconsistentInput", "Flags", "GroupDescriptor"}
+    strengths = {"yes", "no", "no-fg", "unknown-info", "not-applicable"}
+    assert not [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in strengths]
 
 
 FLAG_VALUES = {

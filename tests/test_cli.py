@@ -166,6 +166,16 @@ def test_bs_command_checks_bs4_at_bound_6(capsys):
     assert out["checks"]["abelianization_free_rank"] == 8
 
 
+@pytest.mark.parametrize("m, n", [(3, 3), (-3, -3), (2, -2), (-2, 2)])
+def test_bs_command_checks_the_group_as_given(capsys, m, n):
+    """The witness words do not depend on the signs, so the one witness for
+    |m| passes its checks in BS(m, n) for every sign pair."""
+    code, out, _ = run(capsys, ["bs", str(m), str(n), "--verify-bound", "4"])
+    assert code == 0
+    assert out["checks"]["passed"] is True
+    assert out["checks"]["index"] == 2 * abs(m)
+
+
 def test_bs_command_compact_certificate(capsys):
     code, out, _ = run(capsys, ["bs", "3", "3"])
     assert code == 0

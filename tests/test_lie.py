@@ -87,6 +87,18 @@ def test_validate_jacobi_violation():
     assert validate(bad) is not None and "Jacobi" in validate(bad)
 
 
+@pytest.mark.parametrize("dim, constants", [
+    (2, tuple(tuple((0, 0, 0) for _ in range(3)) for _ in range(3))),
+    (3, (((0, 0),),)),
+    (2, (((0, 0), (0, 0)), ((0, 0), (0,)))),
+], ids=["cube-too-large", "too-few-planes", "short-row"])
+def test_structure_constants_must_be_a_dim_cube(dim, constants):
+    """Constants of the wrong shape are refused when the algebra is built, not
+    with an IndexError inside a decider."""
+    with pytest.raises(ValueError, match=f"{dim} x {dim} x {dim} array"):
+        LieAlgebra(dim, constants, tuple("xyz"[:dim]))
+
+
 # --- catalogue ----------------------------------------------------------------
 
 
